@@ -22,12 +22,10 @@ from fractions import Fraction
 from math import ceil, floor
 from typing import Optional, Sequence
 
-import numpy as np
-
 from . import geom2d
 from .errors import CapExceededError
 from .exact_geometry import extreme_points, membership, rank_of_vectors
-from .vectors import ONE, ZERO, Vec, common_denominator, vec
+from .vectors import ONE, ZERO, Vec, int_scaled, vec
 
 
 class LatticeBasis:
@@ -49,6 +47,7 @@ class LatticeBasis:
             raise ValueError("basis vectors are linearly dependent")
         self.vectors = tuple(vecs)
         self._transform = self._reduce()
+        self._int_vectors, self._den = int_scaled(vecs)
 
     @classmethod
     def identity(cls, dim: int) -> "LatticeBasis":
@@ -96,22 +95,13 @@ class LatticeBasis:
 
     def from_lattice(self, z: Sequence) -> Vec:
         return tuple(
-            sum(self.vectors[j][i] * z[j] for j in range(self.rank))
+            Fraction(sum(v[i] * c for v, c in zip(self._int_vectors, z)), self._den)
             for i in range(self.dim)
         )
 
     def contains(self, x) -> bool:
         z = self.to_lattice(x)
         return z is not None and all(c.denominator == 1 for c in z)
-
-    def is_identity(self) -> bool:
-        if self.rank != self.dim:
-            return False
-        return all(
-            self.vectors[j][i] == (1 if i == j else 0)
-            for j in range(self.rank)
-            for i in range(self.dim)
-        )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LatticeBasis):
@@ -243,38 +233,17 @@ def box_polytope(bounds: Sequence) -> PolytopeV:
     return PolytopeV(tuple(itertools.product(*iv)))
 
 
-class _HullTester:
-    """Containment tester for one polytope, amortized over many queries."""
-
-    def __init__(self, verts: list, scale_with: list):
-        self.verts = verts
-        self.dim = len(verts[0])
-        if self.dim == 1:
-            xs = [v[0] for v in verts]
-            self.lo, self.hi = min(xs), max(xs)
-        elif self.dim == 2:
-            self.den = common_denominator(list(verts) + list(scale_with))
-            self.hull = geom2d.hull2d(
-                [tuple(int(c * self.den) for c in v) for v in verts]
-            )
-
-    def __call__(self, x: Vec) -> bool:
-        if self.dim == 1:
-            return self.lo <= x[0] <= self.hi
-        if self.dim == 2:
-            xi = tuple(int(c * self.den) for c in x)
-            return geom2d.point_in_hull2d(xi, self.hull)
-        return membership(x, self.verts).inside
-
-
 def enumerate_in_polytope(
     spec: DiscreteSetSpec, polytope: PolytopeV, cap: Optional[int] = None
 ) -> list:
     """All points of S inside the polytope, sorted lexicographically.
 
-    Scans the integer bounding box of the polytope in lattice coordinates
-    and filters by exact hull membership (the box bound is valid even for
-    vertices off the lattice span, since lattice coordinates are linear).
+    Works on the integer bounding box of the polytope in lattice
+    coordinates (the box bound is valid even for vertices off the lattice
+    span, since lattice coordinates are linear).  On a full-rank planar
+    lattice the hull image is scanned column by column; on a full-rank
+    line the box is the hull; otherwise each box point is tested by exact
+    hull membership.
     """
     if not spec.enumerable:
         raise ValueError("enumeration is defined only for enumerable sets")
@@ -296,19 +265,17 @@ def enumerate_in_polytope(
         raise CapExceededError(
             f"enumeration box holds {total} candidates, cap is {cap}"
         )
-    flat_basis = [tuple(v) for v in lat.vectors]
-    tester = _HullTester(verts, flat_basis)
-    bulk = _bulk_candidates(lat, ranges, total, verts)
-    out = []
-    if bulk is not None:
-        for x in bulk:
-            if _in_set_filter(spec, x):
-                out.append(x)
+    if lat.rank == lat.dim == 2:
+        ints, den = int_scaled(proj)
+        zs = geom2d.scan_columns(geom2d.hull2d(ints), den, *ranges)
+    elif lat.rank == lat.dim == 1:
+        zs = itertools.product(*ranges)
     else:
-        for z in itertools.product(*ranges):
-            x = lat.from_lattice(z)
-            if tester(x) and _in_set_filter(spec, x):
-                out.append(x)
+        zs = (
+            z for z in itertools.product(*ranges)
+            if membership(lat.from_lattice(z), verts).inside
+        )
+    out = [x for x in map(lat.from_lattice, zs) if _in_set_filter(spec, x)]
     out.sort()
     return out
 
@@ -317,28 +284,6 @@ def _in_set_filter(spec: DiscreteSetSpec, x: Vec) -> bool:
     if spec.variant == "difference":
         return not any(sub.contains(x) for sub in spec.sublattices)
     return True
-
-
-def _bulk_candidates(lat, ranges, total, verts) -> Optional[list]:
-    # numpy mask path: planar identity lattice, integer vertices, small coords
-    if lat.dim != 2 or not lat.is_identity() or total < 256:
-        return None
-    flat = [c for v in verts for c in v]
-    if any(x.denominator != 1 for x in flat):
-        return None
-    iverts = [tuple(int(c) for c in v) for v in verts]
-    if not geom2d.coords_fit_numpy(iverts):
-        return None
-    xs, ys = np.meshgrid(
-        np.arange(ranges[0].start, ranges[0].stop, dtype=np.int64),
-        np.arange(ranges[1].start, ranges[1].stop, dtype=np.int64),
-        indexing="ij",
-    )
-    grid = np.stack([xs.ravel(), ys.ravel()], axis=1)
-    mask = geom2d.hull_grid_mask(geom2d.hull2d(iverts), grid)
-    return [
-        (Fraction(int(gx)), Fraction(int(gy))) for gx, gy in grid[mask]
-    ]
 
 
 # ---------------------------------------------------------------------------

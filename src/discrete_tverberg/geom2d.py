@@ -1,9 +1,8 @@
 """Exact planar primitives on integer coordinates.
 
 The rational kernel scales 2-d inputs by a common denominator and hands the
-resulting integer points to these helpers.  Everything here is exact: the
-only numpy use is int64 arithmetic on values kept far below overflow by the
-callers (who fall back to pure-Python big ints otherwise).
+resulting integer points to these helpers.  Everything here is exact
+pure-Python integer arithmetic.
 """
 from __future__ import annotations
 
@@ -11,12 +10,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional, Sequence
 
-import numpy as np
-
 IntPt = tuple  # tuple[int, int]
-
-# dot products of two vectors below this bound stay well inside int64
-NUMPY_COORD_LIMIT = 10 ** 6
 
 
 def cross3(o: IntPt, a: IntPt, b: IntPt) -> int:
@@ -51,18 +45,6 @@ def _between_on_segment(q: IntPt, a: IntPt, b: IntPt) -> bool:
     ux, uy = b[0] - a[0], b[1] - a[1]
     t = ux * (q[0] - a[0]) + uy * (q[1] - a[1])
     return 0 <= t <= ux * ux + uy * uy
-
-
-def point_in_hull2d(q: IntPt, hull: Sequence[IntPt]) -> bool:
-    h = len(hull)
-    if h == 1:
-        return tuple(q) == tuple(hull[0])
-    if h == 2:
-        return _between_on_segment(q, hull[0], hull[1])
-    for i in range(h):
-        if cross3(hull[i], hull[(i + 1) % h], q) < 0:
-            return False
-    return True
 
 
 def separating_halfspace2d(q: IntPt, hull: Sequence[IntPt]) -> tuple:
@@ -192,57 +174,39 @@ def depth2d_min_count(W: Sequence[IntPt]) -> tuple:
     return best_count, best_witness
 
 
-def coords_fit_numpy(pts: Sequence[IntPt]) -> bool:
-    return all(abs(p[0]) <= NUMPY_COORD_LIMIT and abs(p[1]) <= NUMPY_COORD_LIMIT for p in pts)
-
-
 def bulk_depth_values(points: Sequence[IntPt], queries: Sequence[IntPt]) -> list:
     """Depths of many query points against one deduplicated point set.
 
-    Vectorized variant of the candidate scan in :func:`depth2d_min_count`
-    (values only, no witnesses).  Exact: int64 end to end, and the caller
-    keeps coordinates within :data:`NUMPY_COORD_LIMIT`.
+    Values only, no witnesses: the count of :func:`depth2d_min_count` plus
+    the query itself when it is one of the points.
     """
-    A = np.asarray(points, dtype=np.int64)
     out = []
-    for q in queries:
-        W = A - np.asarray(q, dtype=np.int64)
-        nz = W[(W[:, 0] != 0) | (W[:, 1] != 0)]
-        z = len(A) - len(nz)
-        if len(nz) == 0:
-            out.append(z)
-            continue
-        E = np.concatenate([
-            np.stack([-nz[:, 1], nz[:, 0]], axis=1),
-            np.stack([nz[:, 1], -nz[:, 0]], axis=1),
-        ])
-        T = np.stack([-E[:, 1], E[:, 0]], axis=1)
-        M = E @ nz.T
-        N = T @ nz.T
-        counts = (M > 0).sum(axis=1) + ((M == 0) & (N > 0)).sum(axis=1)
-        out.append(z + int(counts.min()))
+    for qx, qy in queries:
+        W = [(x - qx, y - qy) for x, y in points if x != qx or y != qy]
+        z = len(points) - len(W)
+        out.append(z + depth2d_min_count(W)[0] if W else z)
     return out
 
 
-def hull_grid_mask(hull: Sequence[IntPt], grid: np.ndarray) -> np.ndarray:
-    """Boolean containment mask of grid points (int64 array, shape (N, 2))."""
-    h = len(hull)
-    gx = grid[:, 0]
-    gy = grid[:, 1]
-    if h == 1:
-        a = hull[0]
-        return (gx == a[0]) & (gy == a[1])
-    if h == 2:
-        a, b = hull
-        ux, uy = b[0] - a[0], b[1] - a[1]
-        on_line = ux * (gy - a[1]) - uy * (gx - a[0]) == 0
-        t = ux * (gx - a[0]) + uy * (gy - a[1])
-        return on_line & (t >= 0) & (t <= ux * ux + uy * uy)
-    mask = np.ones(len(grid), dtype=bool)
-    for i in range(h):
-        a = hull[i]
-        b = hull[(i + 1) % h]
-        mask &= (b[0] - a[0]) * (gy - a[1]) - (b[1] - a[1]) * (gx - a[0]) >= 0
-        if not mask.any():
-            break
-    return mask
+def scan_columns(hull: Sequence[IntPt], den: int, xs: range, ys: range) -> list:
+    """Integer points (x, y), x in xs and y in ys, with den*(x, y) in the hull.
+
+    The hull comes from :func:`hull2d`, so it lies left of each edge a->b:
+    cross(b - a, den*(x, y) - a) >= 0.  In the column at x a rightward edge
+    makes that a lower bound on y and a leftward edge an upper bound.  A
+    vertical edge of a convex polygon sits at its least or greatest x, so
+    xs must be the integer x-extent of hull/den; ys clips every column.
+    """
+    edges = [(a, b) for a, b in zip(hull, hull[1:] + hull[:1]) if a[0] != b[0]]
+    out = []
+    for x in xs:
+        lo, hi = ys.start, ys.stop - 1
+        for (ax, ay), (bx, by) in edges:
+            ex = bx - ax
+            num = (by - ay) * (den * x - ax) + ex * ay
+            if ex > 0:
+                lo = max(lo, -(-num // (ex * den)))
+            else:
+                hi = min(hi, num // (ex * den))
+        out.extend((x, y) for y in range(lo, hi + 1))
+    return out

@@ -15,7 +15,10 @@ a bug by the underlying theorem, reported as TheoremViolationError.
 """
 from __future__ import annotations
 
+import itertools
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
+from operator import mul
 from typing import Optional, Sequence
 
 from . import geom2d
@@ -95,14 +98,27 @@ class TverbergOutcome:
     witness_search: Optional[WitnessSearch] = None
 
 
-def _bulk_depth_values(points: Sequence[Vec], queries: Sequence[Vec]):
-    """Exact depth values for many queries, or None if unsuited to int64."""
-    if not queries or len(points[0]) != 2:
-        return None
-    ints, _ = int_scaled(list(points) + list(queries))
-    if not geom2d.coords_fit_numpy(ints):
-        return None
-    return geom2d.bulk_depth_values(ints[: len(points)], ints[len(points):])
+def _depth_upper_bounds(points: Sequence[tuple], queries: Sequence[tuple]) -> list:
+    """Per query q, the least #{p : u.p >= u.q} over the bound directions u.
+
+    points are distinct integer points, queries integer points; each u and
+    -u are counted from one sorted list of u.p.
+    """
+    d = len(points[0])
+    axes = [tuple(int(t == i) for t in range(d)) for i in range(d)]
+    dirs = axes + [
+        tuple(a + sign * b for a, b in zip(u, v))
+        for u, v in itertools.combinations(axes, 2)
+        for sign in (1, -1)
+    ]
+    bounds = [len(points)] * len(queries)
+    for u in dirs:
+        proj = sorted(sum(map(mul, u, p)) for p in points)
+        for i, q in enumerate(queries):
+            s = sum(map(mul, u, q))
+            ge = len(proj) - bisect_left(proj, s)
+            bounds[i] = min(bounds[i], ge, bisect_right(proj, s))
+    return bounds
 
 
 def find_deep_witnesses(
@@ -114,22 +130,46 @@ def find_deep_witnesses(
     order breaking ties.  When fewer than k candidates reach the
     threshold, all that do are returned and the search is marked
     insufficient.
+
+    Exact depth is computed only for candidates that can still be ranked.
+    Each candidate q gets the upper bound min over u of #{p : u.p >= u.q},
+    u ranging over the +-axes and the +-pairwise sums and differences of
+    axes; the closed halfspace {u.x >= u.q} contains q, so its count is at
+    least depth(q).  Candidates are visited by (-bound, point), and the
+    visit stops at the first bound below the threshold, or below the k-th
+    best exact depth once k candidates reached the threshold: no later
+    candidate can then reach, or tie with, a chosen one.
     """
     pts = [vec(p) for p in points]
     candidates = enumerate_in_polytope(spec, PolytopeV(tuple(pts)))
-    values = _bulk_depth_values(pts, candidates)
-    if values is None:
-        values = [depth(c, pts).depth for c in candidates]
-    ranked = sorted(zip(candidates, values), key=lambda cv: (-cv[1], cv[0]))
+    if k < 1:
+        return WitnessSearch((), False, len(candidates))
+    ints, _ = int_scaled(pts + candidates)
+    point_ints = list(dict.fromkeys(ints[: len(pts)]))
+    cand_ints = ints[len(pts):]
+    bounds = _depth_upper_bounds(point_ints, cand_ints)
+    planar = len(pts[0]) == 2
+    top = []  # (-depth, candidate index), best first, at most k
+    cutoff = threshold
+    # candidates are sorted, and a reversed sort is still stable: equal
+    # bounds keep lexicographic order
+    for i in sorted(range(len(candidates)), key=bounds.__getitem__, reverse=True):
+        if bounds[i] < cutoff:
+            break
+        if planar:
+            value = geom2d.bulk_depth_values(point_ints, [cand_ints[i]])[0]
+        else:
+            value = depth(candidates[i], pts).depth
+        if value >= threshold:
+            insort(top, (-value, i))
+            del top[k:]
+            if len(top) == k:
+                cutoff = -top[-1][0]
     chosen = []
-    for cand, value in ranked:
-        if len(chosen) == k:
-            break
-        if value < threshold:
-            break
-        result = depth(cand, pts)
-        assert result.depth == value, "bulk depth disagrees with exact depth"
-        chosen.append(DeepWitness(cand, result))
+    for neg_value, i in top:
+        result = depth(candidates[i], pts)
+        assert result.depth == -neg_value, "depth search disagrees with exact depth"
+        chosen.append(DeepWitness(candidates[i], result))
     return WitnessSearch(tuple(chosen), len(chosen) < k, len(candidates))
 
 

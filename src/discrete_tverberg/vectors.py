@@ -67,7 +67,7 @@ def int_scaled(points: Sequence[Vec]) -> tuple[list[tuple[int, ...]], int]:
     uniform scaling, which lets hot loops run on machine-friendly ints.
     """
     d = common_denominator(points)
-    out = [tuple(int(c * d) for c in p) for p in points]
+    out = [tuple(c.numerator * (d // c.denominator) for c in p) for p in points]
     return out, d
 
 

@@ -106,18 +106,44 @@ def test_enumerate_scaled_lattice():
 
 
 def test_enumerate_matches_per_point_check():
-    tri = PolytopeV((vec((-1, -1)), vec((3, 0)), vec((0, 3))))
-    got = enumerate_in_polytope(Z2, tri)
+    import itertools
+    from math import ceil, floor
+
     from discrete_tverberg.exact_geometry import membership
-    verts = list(tri.vertices)
-    for p in got:
-        assert set_contains(Z2, p) and membership(p, verts).inside
-    # and nothing in the bounding box was missed
-    for x in range(-1, 4):
-        for y in range(-1, 4):
-            q = vec((x, y))
-            if membership(q, verts).inside:
-                assert q in got
+
+    sheared = lattice_set(2, LatticeBasis(((1, 0), (F(1, 2), 1))))
+    line = lattice_set(2, LatticeBasis(((1, 2),), dim=2))
+    cases = [
+        (Z2, pts((-1, -1), (3, 0), (0, 3))),
+        # boxes of more than 256 lattice points
+        (Z2, pts((-10, -7), (9, -10), (12, 8), (-3, 11), (-11, 2), (0, 0))),
+        (sheared, pts((-9, -8), (11, -6), (4, 10), (-7, 9))),
+        (sheared, pts((-3, -2), (4, -1), (1, 3), (F(1, 3), F(5, 2)))),
+        # rational vertices, one pair on a vertical edge at x = 1/2
+        (Z2, pts((F(1, 2), F(1, 3)), (F(17, 3), F(-5, 2)), (F(-7, 2), F(9, 4)))),
+        (Z2, pts((F(1, 2), 0), (F(1, 2), 3), (4, 1))),
+        # segments and single points
+        (Z2, pts((2, -3), (2, 5))),
+        (Z2, pts((-3, -1), (5, 3))),
+        (Z2, pts((F(-5, 2), F(-5, 4)), (F(7, 2), F(7, 4)))),
+        (Z2, pts((5, 5))),
+        (Z2, pts((F(1, 2), 0))),
+        # a rank-1 lattice in Z^2, under a full triangle and along its line
+        (line, pts((-3, -4), (4, 5), (0, 6))),
+        (line, pts((-2, -4), (3, 6))),
+        (EVEN2, pts((-5, -3), (6, -1), (2, 7))),
+    ]
+    for spec, verts in cases:
+        got = enumerate_in_polytope(spec, PolytopeV(tuple(verts)))
+        assert got == sorted(got)
+        proj = [spec.base.projected_coords(v) for v in verts]
+        box = [range(ceil(min(p[j] for p in proj)), floor(max(p[j] for p in proj)) + 1)
+               for j in range(spec.rank)]
+        expected = [
+            x for x in map(spec.base.from_lattice, itertools.product(*box))
+            if set_contains(spec, x) and membership(x, verts).inside
+        ]
+        assert got == sorted(expected), (spec, verts)
 
 
 # ---------------------------------------------------------------------------

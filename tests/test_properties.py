@@ -6,7 +6,9 @@ from hypothesis import given, settings, strategies as st
 from discrete_tverberg import jsonio
 from discrete_tverberg.discrete_sets import (
     LatticeBasis,
+    PolytopeV,
     difference_set,
+    enumerate_in_polytope,
     helly_upper_bound,
     is_k_hoffman,
     is_k_hollow,
@@ -20,7 +22,7 @@ from discrete_tverberg.exact_geometry import (
     membership,
 )
 from discrete_tverberg.oracles import brute_depth, brute_tverberg, verify_partition
-from discrete_tverberg.tverberg import Instance, tverberg_partition
+from discrete_tverberg.tverberg import Instance, find_deep_witnesses, tverberg_partition
 from discrete_tverberg.vectors import vec
 
 F = Fraction
@@ -191,6 +193,62 @@ def test_1d_partitions_sound(vals):
         assert verify_partition(outcome.result, inst)
     else:
         assert not brute_tverberg(inst.points, Z1, 2, 1).found
+
+
+# Ground sets for the witness search, with the matrix whose columns map
+# small integer coordinates to its input points.  Points of the rank-1
+# lattice are drawn from the plane around it.
+WITNESS_SETS = [
+    (Z1, ((1,),)),
+    (ODD, ((1,),)),
+    (lattice_set(1, LatticeBasis(((F(1, 2),),), dim=1)), ((F(1, 2),),)),
+    (Z2, ((1, 0), (0, 1))),
+    (lattice_set(2, LatticeBasis(((1, 0), (1, 1)))), ((1, 0), (1, 1))),
+    (lattice_set(2, LatticeBasis(((1, 0), (F(1, 2), 1)))), ((1, 0), (F(1, 2), 1))),
+    (lattice_set(2, LatticeBasis(((F(1, 2), 0), (0, F(1, 3))))), ((1, 0), (0, 1))),
+    (lattice_set(2, LatticeBasis(((1, 2),), dim=2)), ((1, 0), (0, 1))),
+    (difference_set(2, (LatticeBasis(((2, 0), (0, 2))),)), ((1, 0), (0, 1))),
+    (lattice_set(3), ((1, 0, 0), (0, 1, 0), (0, 0, 1))),
+    (lattice_set(3, LatticeBasis(((1, 0, 0), (1, 1, 0), (0, F(1, 2), 1)))),
+     ((1, 0, 0), (1, 1, 0), (0, F(1, 2), 1))),
+    (difference_set(3, (LatticeBasis(((2, 0, 0), (0, 2, 0), (0, 0, 2))),)),
+     ((1, 0, 0), (0, 1, 0), (0, 0, 1))),
+]
+
+
+@st.composite
+def witness_problem(draw):
+    spec, gens = draw(st.sampled_from(WITNESS_SETS))
+    small = spec.dim == 3
+    c = st.integers(-2, 2) if small else st.integers(-4, 4)
+    coords = draw(st.lists(st.tuples(*[c] * len(gens)), min_size=1,
+                           max_size=6 if small else 9))
+    coords += draw(st.lists(st.sampled_from(coords), max_size=2))  # repeats
+    points = [tuple(sum(a * g[i] for a, g in zip(z, gens)) for i in range(spec.dim))
+              for z in coords]
+    threshold = draw(st.integers(0, len(set(coords)) + 1))
+    k = draw(st.integers(0, 3))
+    return spec, points, threshold, k
+
+
+def exhaustive_witness_search(spec, points, threshold, k):
+    """Depth of every candidate, ranked by (-depth, point)."""
+    candidates = enumerate_in_polytope(spec, PolytopeV(tuple(vec(p) for p in points)))
+    ranked = sorted((-depth(c, points).depth, c) for c in candidates)
+    chosen = [(c, -neg) for neg, c in ranked if -neg >= threshold][:k]
+    return chosen, len(chosen) < k, len(candidates)
+
+
+@settings(max_examples=150, deadline=None)
+@given(witness_problem())
+def test_witness_search_matches_exhaustive_ranking(problem):
+    spec, points, threshold, k = problem
+    search = find_deep_witnesses(points, spec, threshold, k)
+    got = [(w.point, w.depth_result.depth) for w in search.witnesses]
+    assert (got, search.insufficient, search.candidates_scanned) == \
+        exhaustive_witness_search(spec, points, threshold, k)
+    for w in search.witnesses:
+        assert w.depth_result.verify(w.point, points)
 
 
 # ---------------------------------------------------------------------------

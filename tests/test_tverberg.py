@@ -209,3 +209,24 @@ def test_partition_stats_shape():
     assert stats["witness_depths"] == [2]
     assert stats["threshold"] == 2
     assert len(stats["fallback_flags"]) == 2
+
+
+def test_engine_runs_without_numpy():
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(src)!r})\n"
+        "from discrete_tverberg import Instance, lattice_set, tverberg_partition\n"
+        "pts = ((0, 0), (4, 0), (0, 4), (3, 3), (1, 1),\n"
+        "       (2, 0), (0, 2), (2, 2), (1, 2))\n"
+        "out = tverberg_partition(Instance(lattice_set(2), pts, 2, 1))\n"
+        "assert out.status == 'ok'\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "False"
