@@ -20,11 +20,11 @@ import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import ceil, floor
+from operator import mul
 from typing import Optional, Sequence
 
-from . import geom2d
 from .errors import CapExceededError
-from .exact_geometry import extreme_points, membership, rank_of_vectors
+from .exact_geometry import extreme_points, hull_facets, membership, rank_of_vectors
 from .vectors import ONE, ZERO, Vec, int_scaled, vec
 
 
@@ -240,10 +240,13 @@ def enumerate_in_polytope(
 
     Works on the integer bounding box of the polytope in lattice
     coordinates (the box bound is valid even for vertices off the lattice
-    span, since lattice coordinates are linear).  On a full-rank planar
-    lattice the hull image is scanned column by column; on a full-rank
-    line the box is the hull; otherwise each box point is tested by exact
-    hull membership.
+    span, since lattice coordinates are linear).  On a full-rank lattice of
+    dimension at most 3 the integer-scaled hull image gets an integer
+    H-representation (:func:`hull_facets`) and the box is scanned line by
+    line along the last lattice coordinate, each facet bounding the line by
+    a floor or a ceiling.  Where no facets exist (a 3-d hull inside a plane
+    or a line, a rank-deficient lattice, dimension 4 and up) each box point
+    is tested by exact hull membership.
     """
     if not spec.enumerable:
         raise ValueError("enumeration is defined only for enumerable sets")
@@ -265,11 +268,12 @@ def enumerate_in_polytope(
         raise CapExceededError(
             f"enumeration box holds {total} candidates, cap is {cap}"
         )
-    if lat.rank == lat.dim == 2:
+    facets = None
+    if lat.rank == lat.dim:
         ints, den = int_scaled(proj)
-        zs = geom2d.scan_columns(geom2d.hull2d(ints), den, *ranges)
-    elif lat.rank == lat.dim == 1:
-        zs = itertools.product(*ranges)
+        facets = hull_facets(ints)
+    if facets is not None:
+        zs = _scan_lines(facets, den, ranges)
     else:
         zs = (
             z for z in itertools.product(*ranges)
@@ -277,6 +281,33 @@ def enumerate_in_polytope(
         )
     out = [x for x in map(lat.from_lattice, zs) if _in_set_filter(spec, x)]
     out.sort()
+    return out
+
+
+def _scan_lines(facets: list, den: int, ranges: list) -> list:
+    """Integer points of the box inside every facet, in lexicographic order.
+
+    z is inside the facet ``(normal, offset)`` when
+    ``normal . (den * z) >= offset``.  Each line of the box along the last
+    coordinate is cut by every facet: a positive last normal component
+    gives a ceiling lower bound, a negative one a floor upper bound, and a
+    zero one keeps or empties the whole line.
+    """
+    *heads, last = ranges
+    rows = [(tuple(den * c for c in n[:-1]), den * n[-1], off) for n, off in facets]
+    out = []
+    for head in itertools.product(*heads):
+        lo, hi = last.start, last.stop - 1
+        for n_head, n_last, off in rows:
+            rhs = off - sum(map(mul, n_head, head))
+            if n_last > 0:
+                lo = max(lo, -(-rhs // n_last))
+            elif n_last < 0:
+                hi = min(hi, rhs // n_last)
+            elif rhs > 0:
+                break
+        else:
+            out.extend(head + (z,) for z in range(lo, hi + 1))
     return out
 
 

@@ -326,6 +326,72 @@ def extreme_points(points) -> list:
     return out
 
 
+def _facets3d(pts: list) -> Optional[list]:
+    # A plane through three points supports the hull when no point lies
+    # strictly on one of its sides; three non-collinear points on it make
+    # its face a facet.  Each triple stops at the first point on either side
+    # once the other side has been seen.
+    found = {}
+    n = len(pts)
+    for i in range(n):
+        ax, ay, az = a = pts[i]
+        for j in range(i + 1, n):
+            ux, uy, uz = pts[j][0] - ax, pts[j][1] - ay, pts[j][2] - az
+            for k in range(j + 1, n):
+                vx, vy, vz = pts[k][0] - ax, pts[k][1] - ay, pts[k][2] - az
+                normal = (uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx)
+                if normal == (0, 0, 0):
+                    continue
+                nx, ny, nz = normal
+                offset = nx * ax + ny * ay + nz * az
+                above = below = False
+                for px, py, pz in pts:
+                    s = nx * px + ny * py + nz * pz - offset
+                    if s > 0:
+                        if below:
+                            break
+                        above = True
+                    elif s < 0:
+                        if above:
+                            break
+                        below = True
+                else:
+                    if not (above or below):
+                        return None  # every point on one plane
+                    sign = -1 if below else 1
+                    g = gcd(nx, ny, nz) * sign
+                    found.setdefault((tuple(c // g for c in normal), offset // g), None)
+    return list(found) or None
+
+
+def hull_facets(ints: Sequence[tuple]) -> Optional[list]:
+    """Integer halfspaces that cut the points' bounding box to their hull.
+
+    ``ints`` are distinct integer points.  Returns ``[(normal, offset)]``
+    with ``normal . x >= offset`` on the hull, such that the bounding box of
+    the points intersected with these halfspaces is the convex hull, or
+    None when no such list is computed here: 3-d points that lie in one
+    plane (a line or a point included), and every d >= 4.  In 1-d the box
+    is the hull; in 2-d the halfspaces are the counterclockwise edges of
+    :func:`geom2d.hull2d` (a segment's two edges bound its line, whose box
+    is the segment); in 3-d they are the primitive facet normals.
+    """
+    d = len(ints[0])
+    if d == 1:
+        return []
+    if d == 2:
+        hull = geom2d.hull2d(ints)
+        out = []
+        for a, b in zip(hull, hull[1:] + hull[:1]):
+            if a != b:
+                normal = (a[1] - b[1], b[0] - a[0])
+                out.append((normal, normal[0] * a[0] + normal[1] * a[1]))
+        return out
+    if d == 3:
+        return _facets3d(ints)
+    return None
+
+
 def centroid(points) -> Vec:
     pts = _as_points(points)
     if not pts:
@@ -421,9 +487,10 @@ def _min_open_count(W: list) -> tuple:
     generic (nonzero against every w) at every level.  Ties resolve to the
     lexicographically smallest primitive witness.
     """
+    keys = [_canon_primitive(w) for w in W]
     classes = {}
-    for w in W:
-        classes.setdefault(_canon_primitive(w), []).append(w)
+    for key, w in zip(keys, W):
+        classes.setdefault(key, []).append(w)
     if len(classes) == 1:
         (rep, members), = classes.items()
         pos = sum(1 for w in members if _idot(w, rep) > 0)
@@ -437,13 +504,13 @@ def _min_open_count(W: list) -> tuple:
     best_witness = None
     for u, members in classes.items():
         uu = _idot(u, u)
-        nonpar = [w for w in W if _canon_primitive(w) != u]
+        nonpar = [(w, _idot(u, w)) for key, w in zip(keys, W) if key != u]
         projected = [
-            _primitive_signed(tuple(uu * w[i] - _idot(u, w) * u[i] for i in range(len(u))))
-            for w in nonpar
+            _primitive_signed(tuple(uu * w[i] - uw * u[i] for i in range(len(u))))
+            for w, uw in nonpar
         ]
         sub_count, v_sub = _min_open_count(projected)
-        m = 1 + max(abs(_idot(u, w)) for w in nonpar)
+        m = 1 + max(abs(uw) for _, uw in nonpar)
         pos = sum(1 for w in members if _idot(w, u) > 0)
         for sigma, par in ((1, pos), (-1, len(members) - pos)):
             cnt = sub_count + par

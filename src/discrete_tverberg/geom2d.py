@@ -186,27 +186,3 @@ def bulk_depth_values(points: Sequence[IntPt], queries: Sequence[IntPt]) -> list
         z = len(points) - len(W)
         out.append(z + depth2d_min_count(W)[0] if W else z)
     return out
-
-
-def scan_columns(hull: Sequence[IntPt], den: int, xs: range, ys: range) -> list:
-    """Integer points (x, y), x in xs and y in ys, with den*(x, y) in the hull.
-
-    The hull comes from :func:`hull2d`, so it lies left of each edge a->b:
-    cross(b - a, den*(x, y) - a) >= 0.  In the column at x a rightward edge
-    makes that a lower bound on y and a leftward edge an upper bound.  A
-    vertical edge of a convex polygon sits at its least or greatest x, so
-    xs must be the integer x-extent of hull/den; ys clips every column.
-    """
-    edges = [(a, b) for a, b in zip(hull, hull[1:] + hull[:1]) if a[0] != b[0]]
-    out = []
-    for x in xs:
-        lo, hi = ys.start, ys.stop - 1
-        for (ax, ay), (bx, by) in edges:
-            ex = bx - ax
-            num = (by - ay) * (den * x - ax) + ex * ay
-            if ex > 0:
-                lo = max(lo, -(-num // (ex * den)))
-            else:
-                hi = min(hi, num // (ex * den))
-        out.extend((x, y) for y in range(lo, hi + 1))
-    return out

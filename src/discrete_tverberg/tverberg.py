@@ -138,7 +138,10 @@ def find_deep_witnesses(
     least depth(q).  Candidates are visited by (-bound, point), and the
     visit stops at the first bound below the threshold, or below the k-th
     best exact depth once k candidates reached the threshold: no later
-    candidate can then reach, or tie with, a chosen one.
+    candidate can then reach, or tie with, a chosen one.  Planar values
+    come from :func:`geom2d.bulk_depth_values`, and the chosen points then
+    get :func:`depth` for their witnesses; in other dimensions the ranking
+    already holds each candidate's :func:`depth` result.
     """
     pts = [vec(p) for p in points]
     candidates = enumerate_in_polytope(spec, PolytopeV(tuple(pts)))
@@ -150,6 +153,7 @@ def find_deep_witnesses(
     bounds = _depth_upper_bounds(point_ints, cand_ints)
     planar = len(pts[0]) == 2
     top = []  # (-depth, candidate index), best first, at most k
+    results = {}  # candidate index -> DepthResult, off the plane
     cutoff = threshold
     # candidates are sorted, and a reversed sort is still stable: equal
     # bounds keep lexicographic order
@@ -159,7 +163,8 @@ def find_deep_witnesses(
         if planar:
             value = geom2d.bulk_depth_values(point_ints, [cand_ints[i]])[0]
         else:
-            value = depth(candidates[i], pts).depth
+            results[i] = depth(candidates[i], pts)
+            value = results[i].depth
         if value >= threshold:
             insort(top, (-value, i))
             del top[k:]
@@ -167,8 +172,11 @@ def find_deep_witnesses(
                 cutoff = -top[-1][0]
     chosen = []
     for neg_value, i in top:
-        result = depth(candidates[i], pts)
-        assert result.depth == -neg_value, "depth search disagrees with exact depth"
+        if planar:
+            result = depth(candidates[i], pts)
+            assert result.depth == -neg_value, "depth search disagrees with exact depth"
+        else:
+            result = results[i]
         chosen.append(DeepWitness(candidates[i], result))
     return WitnessSearch(tuple(chosen), len(chosen) < k, len(candidates))
 

@@ -113,6 +113,9 @@ def test_enumerate_matches_per_point_check():
 
     sheared = lattice_set(2, LatticeBasis(((1, 0), (F(1, 2), 1))))
     line = lattice_set(2, LatticeBasis(((1, 2),), dim=2))
+    sheared3 = lattice_set(3, LatticeBasis(((1, 0, 0), (F(1, 2), 1, 0), (0, F(1, 3), 1))))
+    diff3 = difference_set(3, (LatticeBasis(((2, 0, 0), (0, 2, 0), (0, 0, 2))),))
+    plane3 = lattice_set(3, LatticeBasis(((1, 0, 0), (0, 1, 1)), dim=3))
     cases = [
         (Z2, pts((-1, -1), (3, 0), (0, 3))),
         # boxes of more than 256 lattice points
@@ -132,6 +135,31 @@ def test_enumerate_matches_per_point_check():
         (line, pts((-3, -4), (4, 5), (0, 6))),
         (line, pts((-2, -4), (3, 6))),
         (EVEN2, pts((-5, -3), (6, -1), (2, 7))),
+        # Z^3: tetrahedra and boxes
+        (Z3, pts((0, 0, 0), (4, 0, 0), (0, 5, 0), (0, 0, 6))),
+        (Z3, pts((-3, -2, -1), (4, -1, 2), (1, 5, -3), (0, 1, 5))),
+        (Z3, list(box_polytope([(-2, 3), (-1, 2), (0, 4)]).vertices)),
+        # a cube with points on its faces, edges and inside: each square
+        # facet is found from several triples
+        (Z3, list(box_polytope([(0, 3)] * 3).vertices)
+         + pts((1, 1, 0), (3, 2, 2), (0, 0, 2), (1, 2, 1))),
+        # a triangular prism: its vertical facets empty whole lines
+        (Z3, pts((0, 0, -1), (5, 1, -1), (1, 4, -1), (0, 0, 2), (5, 1, 2), (1, 4, 2))),
+        # rational vertices
+        (Z3, pts((F(1, 2), F(1, 3), 0), (F(17, 3), -1, F(5, 2)),
+                 (F(-7, 2), F(9, 4), 1), (0, F(1, 2), F(-11, 3)))),
+        (sheared3, pts((-2, -1, 0), (3, 0, -1), (0, 3, 1), (1, 1, 3), (F(1, 2), 0, -2))),
+        (sheared3, pts((0, 0, 0), (2, 0, 0), (1, 2, 0), (1, 1, F(5, 2)))),
+        (diff3, pts((-2, -2, -1), (3, -1, 0), (0, 3, -2), (1, 0, 3))),
+        # lower-dimensional hulls in Z^3 take per-point membership
+        (Z3, pts((0, 0, 0), (3, 0, 0), (0, 3, 0), (1, 1, 0))),
+        (Z3, pts((0, 0, 0), (2, 1, 1), (1, 2, 3), (3, 3, 4))),
+        (Z3, pts((-1, -2, -3), (1, 2, 3), (0, 0, 0))),
+        (Z3, pts((F(1, 2), 0, 0), (F(5, 2), 2, 4))),
+        (Z3, pts((1, 2, 3))),
+        (Z3, pts((F(1, 2), 0, 0))),
+        # a rank-2 lattice in Z^3 under a full tetrahedron
+        (plane3, pts((-3, -3, -2), (4, -1, -1), (0, 4, 5), (1, 2, 1), (0, 0, -3))),
     ]
     for spec, verts in cases:
         got = enumerate_in_polytope(spec, PolytopeV(tuple(verts)))

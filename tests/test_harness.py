@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -5,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from discrete_tverberg import jsonio
 from discrete_tverberg.discrete_sets import LatticeBasis, difference_set, lattice_set
 from discrete_tverberg.harness import (
     ExperimentConfig,
@@ -13,6 +15,7 @@ from discrete_tverberg.harness import (
     run_experiment,
     trial_rng,
 )
+from discrete_tverberg.tverberg import tverberg_partition
 
 Z1 = lattice_set(1)
 Z2 = lattice_set(2)
@@ -94,6 +97,27 @@ def test_run_experiment_forced_failure_box():
     assert rep.summary["successes"] == 0
     assert rep.summary["no_partition_found"] == 2
     assert rep.summary["success_rate"] == "0/1"
+
+
+@pytest.mark.parametrize("cfg, digest", [
+    (ExperimentConfig(spec=lattice_set(3), m=2, k=1, n_points=15, box_bound=2,
+                      trials=3, seed=5),
+     "ac8dab27b5e3da1c62d92bc5b523bcff03e7b61217d12b30993bac8a55d93582"),
+    (ExperimentConfig(spec=Z2, m=3, k=1, n_points=25, box_bound=20,
+                      trials=20, seed=11),
+     "1e15920a4461d9fa8f4524c9dd6016019f948e06e4773da21f056ad55b820078"),
+    (ExperimentConfig(spec=Z2, m=2, k=2, n_points=26, box_bound=15,
+                      trials=20, seed=23),
+     "8bb5807a3572b5009a54f081ab0d1d9399216d9982d4c06b69567f7df4982f26"),
+])
+def test_outcome_json_bytes_are_pinned(cfg, digest):
+    # The outcome JSON carries depth witness normals, certificates and
+    # candidates_scanned, none of which the CSV shows.
+    h = hashlib.sha256()
+    for t in range(cfg.trials):
+        inst = generate_instance(cfg, t)
+        h.update(jsonio.dumps(jsonio.outcome_to_json(tverberg_partition(inst), inst)).encode())
+    assert h.hexdigest() == digest
 
 
 def test_config_validation():

@@ -1,5 +1,7 @@
 """Property-based checks: certificates, depth laws, hollow machinery."""
+import itertools
 from fractions import Fraction
+from math import ceil, floor
 
 from hypothesis import given, settings, strategies as st
 
@@ -13,6 +15,7 @@ from discrete_tverberg.discrete_sets import (
     is_k_hoffman,
     is_k_hollow,
     lattice_set,
+    set_contains,
 )
 from discrete_tverberg.exact_geometry import (
     affinely_independent,
@@ -249,6 +252,43 @@ def test_witness_search_matches_exhaustive_ranking(problem):
         exhaustive_witness_search(spec, points, threshold, k)
     for w in search.witnesses:
         assert w.depth_result.verify(w.point, points)
+
+
+SCAN_SETS_3D = [
+    lattice_set(3),
+    lattice_set(3, LatticeBasis(((1, 0, 0), (F(1, 2), 1, 0), (0, F(1, 3), 1)))),
+    difference_set(3, (LatticeBasis(((2, 0, 0), (0, 2, 0), (0, 0, 2))),)),
+]
+
+
+@st.composite
+def z3_point_set(draw):
+    """4-12 points of Z^3 anywhere, or up to 9 on a plane or a line."""
+    shape = draw(st.sampled_from(("full", "plane", "line")))
+    c = st.integers(-2, 2)
+    if shape == "full":
+        return draw(st.lists(st.tuples(c, c, c), min_size=4, max_size=12, unique=True))
+    u, v, o = draw(st.tuples(c, c, c)), draw(st.tuples(c, c, c)), draw(st.tuples(c, c, c))
+    if shape == "line":
+        v = (0, 0, 0)
+    t = st.integers(-1, 1)
+    coeffs = draw(st.lists(st.tuples(t, t), min_size=4, max_size=9, unique=True))
+    return [tuple(o[i] + a * u[i] + b * v[i] for i in range(3)) for a, b in coeffs]
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from(SCAN_SETS_3D), z3_point_set())
+def test_z3_enumeration_matches_per_point_membership(spec, points):
+    verts = [vec(p) for p in points]
+    got = enumerate_in_polytope(spec, PolytopeV(tuple(verts)))
+    proj = [spec.base.projected_coords(v) for v in verts]
+    box = [range(ceil(min(p[j] for p in proj)), floor(max(p[j] for p in proj)) + 1)
+           for j in range(3)]
+    expected = [
+        x for x in map(spec.base.from_lattice, itertools.product(*box))
+        if set_contains(spec, x) and membership(x, verts).inside
+    ]
+    assert got == sorted(expected)
 
 
 # ---------------------------------------------------------------------------
