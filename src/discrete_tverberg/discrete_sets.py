@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import ceil, floor
+from math import ceil, floor, prod
 from operator import mul
 from typing import Optional, Sequence
 
@@ -233,20 +233,34 @@ def box_polytope(bounds: Sequence) -> PolytopeV:
     return PolytopeV(tuple(itertools.product(*iv)))
 
 
-def enumerate_in_polytope(
+def lattice_box(lat: LatticeBasis, vertices: Sequence[Vec]) -> tuple:
+    """Lattice coordinates of the vertices, and one range of integers per
+    lattice coordinate for their bounding box (valid even off the lattice
+    span, since lattice coordinates are linear).
+    """
+    coords = [lat.projected_coords(v) for v in vertices]
+    ranges = [
+        range(ceil(min(c[j] for c in coords)), floor(max(c[j] for c in coords)) + 1)
+        for j in range(lat.rank)
+    ]
+    return coords, ranges
+
+
+def enumerate_scaled_in_polytope(
     spec: DiscreteSetSpec, polytope: PolytopeV, cap: Optional[int] = None
-) -> list:
-    """All points of S inside the polytope, sorted lexicographically.
+) -> tuple:
+    """``(points, den)``: the points x of S inside the polytope as sorted
+    integer tuples ``den * x``, den the lattice basis' common denominator.
 
     Works on the integer bounding box of the polytope in lattice
-    coordinates (the box bound is valid even for vertices off the lattice
-    span, since lattice coordinates are linear).  On a full-rank lattice of
+    coordinates (:func:`lattice_box`).  On a full-rank lattice of
     dimension at most 3 the integer-scaled hull image gets an integer
     H-representation (:func:`hull_facets`) and the box is scanned line by
     line along the last lattice coordinate, each facet bounding the line by
     a floor or a ceiling.  Where no facets exist (a 3-d hull inside a plane
     or a line, a rank-deficient lattice, dimension 4 and up) each box point
-    is tested by exact hull membership.
+    is tested by exact hull membership.  A difference set drops the
+    lattice coordinates that lie in a removed sublattice.
     """
     if not spec.enumerable:
         raise ValueError("enumeration is defined only for enumerable sets")
@@ -254,34 +268,42 @@ def enumerate_in_polytope(
         raise ValueError("dimension mismatch")
     lat = spec.base
     verts = list(dict.fromkeys(polytope.vertices))
-    proj = [lat.projected_coords(v) for v in verts]
-    ranges = []
-    total = 1
-    for j in range(lat.rank):
-        lo = ceil(min(p[j] for p in proj))
-        hi = floor(max(p[j] for p in proj))
-        if lo > hi:
-            return []
-        ranges.append(range(lo, hi + 1))
-        total *= hi - lo + 1
+    coords, ranges = lattice_box(lat, verts)
+    total = prod(map(len, ranges))
     if cap is not None and total > cap:
         raise CapExceededError(
             f"enumeration box holds {total} candidates, cap is {cap}"
         )
     facets = None
     if lat.rank == lat.dim:
-        ints, den = int_scaled(proj)
+        ints, scale = int_scaled(coords)
         facets = hull_facets(ints)
     if facets is not None:
-        zs = _scan_lines(facets, den, ranges)
+        zs = _scan_lines(facets, scale, ranges)
     else:
         zs = (
             z for z in itertools.product(*ranges)
             if membership(lat.from_lattice(z), verts).inside
         )
-    out = [x for x in map(lat.from_lattice, zs) if _in_set_filter(spec, x)]
+    subs = [
+        LatticeBasis([lat.to_lattice(v) for v in sub.vectors], lat.rank)
+        for sub in spec.sublattices
+    ]
+    if subs:
+        zs = [z for z in zs if not any(sub.contains(z) for sub in subs)]
+    rows = list(zip(*lat._int_vectors))
+    out = [tuple(sum(map(mul, row, z)) for row in rows) for z in zs]
     out.sort()
-    return out
+    return out, lat._den
+
+
+def enumerate_in_polytope(
+    spec: DiscreteSetSpec, polytope: PolytopeV, cap: Optional[int] = None
+) -> list:
+    """All points of S inside the polytope, sorted lexicographically: the
+    Fraction view of :func:`enumerate_scaled_in_polytope`."""
+    points, den = enumerate_scaled_in_polytope(spec, polytope, cap)
+    return [tuple(Fraction(c, den) for c in p) for p in points]
 
 
 def _scan_lines(facets: list, den: int, ranges: list) -> list:
@@ -309,12 +331,6 @@ def _scan_lines(facets: list, den: int, ranges: list) -> list:
         else:
             out.extend(head + (z,) for z in range(lo, hi + 1))
     return out
-
-
-def _in_set_filter(spec: DiscreteSetSpec, x: Vec) -> bool:
-    if spec.variant == "difference":
-        return not any(sub.contains(x) for sub in spec.sublattices)
-    return True
 
 
 # ---------------------------------------------------------------------------

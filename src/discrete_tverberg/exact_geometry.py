@@ -2,9 +2,9 @@
 
 All geometry runs over Fraction coordinates.  Planar inputs are scaled to
 integers and dispatched to :mod:`.geom2d`; higher dimensions use a phase-1
-simplex for membership and a wall recursion for depth.  Every verdict
-carries a certificate that can be re-checked independently of the code
-that produced it.
+simplex for membership, and depth outside the plane uses a wall
+recursion.  Every verdict carries a certificate that can be re-checked
+independently of the code that produced it.
 
 Conventions:
   * a separating halfspace keeps the point SET on the ``normal . x >= offset``
@@ -525,6 +525,22 @@ def _min_open_count(W: list) -> tuple:
     return best_count, best_witness
 
 
+def depth_count(W: list, d: int) -> tuple:
+    """(min over generic v of #{w : v.w > 0}, integer witness v).
+
+    W is a multiset of nonzero integer vectors in dimension d: the
+    differences from a query to the other points, whose depth is this
+    count plus one when the query is itself a point.  Planar input takes
+    :func:`geom2d.depth2d_min_count`, every other dimension the wall
+    recursion; an empty W gives the count 0 and the first axis.
+    """
+    if not W:
+        return 0, (1,) + (0,) * (d - 1)
+    if d == 2:
+        return geom2d.depth2d_min_count(W)
+    return _min_open_count(W)
+
+
 def depth(query, points) -> DepthResult:
     """Exact halfspace depth of ``query`` in the distinct points of the set.
 
@@ -536,19 +552,7 @@ def depth(query, points) -> DepthResult:
     pts = _dedup(_as_points(points))
     _check_dims(query, pts)
     z = 1 if query in set(pts) else 0
-    diffs = [vsub(p, query) for p in pts if p != query]
-    d = len(query)
-    if not diffs:
-        normal = (ONE,) + (ZERO,) * (d - 1)
-        return DepthResult(z, Halfspace(normal, vdot(normal, query)))
-    W, _ = int_scaled(diffs)
-    if d == 1:
-        pos = sum(1 for w in W if w[0] > 0)
-        neg = len(W) - pos
-        count, witness = (neg, (-1,)) if neg <= pos else (pos, (1,))
-    elif d == 2:
-        count, witness = geom2d.depth2d_min_count(W)
-    else:
-        count, witness = _min_open_count(list(W))
+    W, _ = int_scaled([vsub(p, query) for p in pts if p != query])
+    count, witness = depth_count(W, len(query))
     normal = tuple(frac(c) for c in witness)
     return DepthResult(z + count, Halfspace(normal, vdot(normal, query)))

@@ -178,7 +178,9 @@ def bulk_depth_values(points: Sequence[IntPt], queries: Sequence[IntPt]) -> list
     """Depths of many query points against one deduplicated point set.
 
     Values only, no witnesses: the count of :func:`depth2d_min_count` plus
-    the query itself when it is one of the points.
+    the query itself when it is one of the points.  No engine code calls
+    it; it stays only because the benchmark's per-layer trace
+    (``perfbench/layers.py``) wraps it by name.
     """
     out = []
     for qx, qy in queries:

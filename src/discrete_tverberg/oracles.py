@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import ceil, floor
+from math import prod
 from typing import Optional, Sequence
 
 from .discrete_sets import (
@@ -18,6 +18,7 @@ from .discrete_sets import (
     box_polytope,
     enumerate_in_polytope,
     is_k_hoffman,
+    lattice_box,
     set_contains,
 )
 from .errors import CapExceededError
@@ -127,22 +128,14 @@ def _partitions_rgs(n: int, m: int):
         yield from rec(1, 0)
 
 
-def _bbox_volume(spec: DiscreteSetSpec, verts: Sequence[Vec]) -> int:
-    lat = spec.base
-    proj = [lat.projected_coords(v) for v in verts]
-    total = 1
-    for j in range(lat.rank):
-        lo = ceil(min(p[j] for p in proj))
-        hi = floor(max(p[j] for p in proj))
-        total *= max(0, hi - lo + 1)
-    return total
-
-
 def _common_set_points(
     hulls: Sequence[Sequence[Vec]], spec: DiscreteSetSpec, want: int
 ) -> list:
     """Up to ``want`` points of S common to every hull, lexicographic."""
-    base = min(range(len(hulls)), key=lambda i: (_bbox_volume(spec, hulls[i]), i))
+    base = min(
+        range(len(hulls)),
+        key=lambda i: (prod(map(len, lattice_box(spec.base, hulls[i])[1])), i),
+    )
     candidates = enumerate_in_polytope(spec, PolytopeV(tuple(hulls[base])))
     others = [hulls[i] for i in range(len(hulls)) if i != base]
     found = []

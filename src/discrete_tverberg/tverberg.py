@@ -18,28 +18,34 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
-from operator import mul
+from fractions import Fraction
+from math import lcm
+from operator import mul, sub
 from typing import Optional, Sequence
 
-from . import geom2d
+# depth and enumerate_in_polytope are not called here; the benchmark's
+# per-layer trace (perfbench/layers.py) wraps them under these names.
 from .discrete_sets import (
     DiscreteSetSpec,
     PolytopeV,
     enumerate_in_polytope,
+    enumerate_scaled_in_polytope,
     set_contains,
     tverberg_upper_bound,
 )
 from .errors import PartitionConstructionError, TheoremViolationError
 from .exact_geometry import (
     DepthResult,
+    Halfspace,
     anchored_reduce,
     caratheodory_reduce,
     centroid,
     depth,
+    depth_count,
     extreme_points,
     membership,
 )
-from .vectors import Vec, int_scaled, vec
+from .vectors import Vec, common_denominator, vdot, vec
 
 
 @dataclass(frozen=True)
@@ -131,53 +137,55 @@ def find_deep_witnesses(
     threshold, all that do are returned and the search is marked
     insufficient.
 
-    Exact depth is computed only for candidates that can still be ranked.
-    Each candidate q gets the upper bound min over u of #{p : u.p >= u.q},
-    u ranging over the +-axes and the +-pairwise sums and differences of
+    The search runs on integers: the candidates come from
+    :func:`enumerate_scaled_in_polytope`, and points and candidates are
+    scaled to one common denominator, which leaves depth unchanged.  Exact
+    depth is computed only for candidates that can still be ranked.  Each
+    candidate q gets the upper bound min over u of #{p : u.p >= u.q}, u
+    ranging over the +-axes and the +-pairwise sums and differences of
     axes; the closed halfspace {u.x >= u.q} contains q, so its count is at
     least depth(q).  Candidates are visited by (-bound, point), and the
     visit stops at the first bound below the threshold, or below the k-th
     best exact depth once k candidates reached the threshold: no later
-    candidate can then reach, or tie with, a chosen one.  Planar values
-    come from :func:`geom2d.bulk_depth_values`, and the chosen points then
-    get :func:`depth` for their witnesses; in other dimensions the ranking
-    already holds each candidate's :func:`depth` result.
+    candidate can then reach, or tie with, a chosen one.  Each visited
+    candidate gets its depth and integer witness normal from
+    :func:`depth_count`; only the chosen become Fraction points with a
+    :class:`DepthResult`.  On integral points the witness is the one
+    :func:`depth` returns; on other scales it may be another minimizing
+    halfspace.
     """
     pts = [vec(p) for p in points]
-    candidates = enumerate_in_polytope(spec, PolytopeV(tuple(pts)))
+    candidates, den = enumerate_scaled_in_polytope(spec, PolytopeV(tuple(pts)))
     if k < 1:
         return WitnessSearch((), False, len(candidates))
-    ints, _ = int_scaled(pts + candidates)
-    point_ints = list(dict.fromkeys(ints[: len(pts)]))
-    cand_ints = ints[len(pts):]
+    scale = lcm(den, common_denominator(pts))
+    point_ints = list(dict.fromkeys(
+        tuple(c.numerator * (scale // c.denominator) for c in p) for p in pts
+    ))
+    cand_ints = [tuple(scale // den * c for c in q) for q in candidates]
     bounds = _depth_upper_bounds(point_ints, cand_ints)
-    planar = len(pts[0]) == 2
-    top = []  # (-depth, candidate index), best first, at most k
-    results = {}  # candidate index -> DepthResult, off the plane
+    top = []  # (-depth, candidate index, witness normal), best first, at most k
     cutoff = threshold
     # candidates are sorted, and a reversed sort is still stable: equal
     # bounds keep lexicographic order
     for i in sorted(range(len(candidates)), key=bounds.__getitem__, reverse=True):
         if bounds[i] < cutoff:
             break
-        if planar:
-            value = geom2d.bulk_depth_values(point_ints, [cand_ints[i]])[0]
-        else:
-            results[i] = depth(candidates[i], pts)
-            value = results[i].depth
+        q = cand_ints[i]
+        W = [tuple(map(sub, p, q)) for p in point_ints if p != q]
+        count, normal = depth_count(W, spec.dim)
+        value = count + len(point_ints) - len(W)
         if value >= threshold:
-            insort(top, (-value, i))
+            insort(top, (-value, i, normal))
             del top[k:]
             if len(top) == k:
                 cutoff = -top[-1][0]
     chosen = []
-    for neg_value, i in top:
-        if planar:
-            result = depth(candidates[i], pts)
-            assert result.depth == -neg_value, "depth search disagrees with exact depth"
-        else:
-            result = results[i]
-        chosen.append(DeepWitness(candidates[i], result))
+    for neg_value, i, normal in top:
+        point = tuple(Fraction(c, den) for c in candidates[i])
+        normal = vec(normal)
+        result = DepthResult(-neg_value, Halfspace(normal, vdot(normal, point)))
+        chosen.append(DeepWitness(point, result))
     return WitnessSearch(tuple(chosen), len(chosen) < k, len(candidates))
 
 

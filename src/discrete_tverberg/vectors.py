@@ -7,7 +7,7 @@ deduplication free, which the rest of the package leans on heavily.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import Iterable, Sequence
 
 Vec = tuple  # tuple[Fraction, ...]
@@ -31,16 +31,8 @@ def vec(coords: Iterable) -> Vec:
     return tuple(frac(c) for c in coords)
 
 
-def vadd(a: Vec, b: Vec) -> Vec:
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def vsub(a: Vec, b: Vec) -> Vec:
     return tuple(x - y for x, y in zip(a, b))
-
-
-def vscale(a: Vec, s) -> Vec:
-    return tuple(x * s for x in a)
 
 
 def vdot(a: Vec, b: Vec) -> Fraction:
@@ -70,21 +62,3 @@ def int_scaled(points: Sequence[Vec]) -> tuple[list[tuple[int, ...]], int]:
     out = [tuple(c.numerator * (d // c.denominator) for c in p) for p in points]
     return out, d
 
-
-def primitive_int_vector(v: Sequence) -> tuple[int, ...]:
-    """Clear denominators and divide by the gcd, preserving direction."""
-    mult = 1
-    for c in v:
-        if isinstance(c, Fraction):
-            mult = lcm(mult, c.denominator)
-    ints = [int(c * mult) if isinstance(c, Fraction) else int(c) * mult for c in v]
-    g = 0
-    for c in ints:
-        g = gcd(g, abs(c))
-    if g > 1:
-        ints = [c // g for c in ints]
-    return tuple(ints)
-
-
-def as_fraction_vec(v: Sequence[int]) -> Vec:
-    return tuple(Fraction(c) for c in v)

@@ -206,6 +206,19 @@ def test_depth_1d_median():
     res = depth((2,), pts)
     assert res.depth == 3
     assert res.verify(vec((2,)), [vec(p) for p in pts])
+    # the witness keeps the side with fewer points, and (-1,) on a tie
+    for q, ps, value, normal, offset in [
+        ((-1,), pts, 0, (-1,), 1),  # below every point
+        ((5,), pts, 0, (1,), 5),  # above every point
+        ((1,), [(0,), (2,)], 1, (-1,), -1),  # a tie
+        ((2,), [(0,), (2,)], 1, (1,), 2),  # the query is a point
+        ((2,), pts, 3, (-1,), -2),  # a point and a tie
+        ((3,), [(3,)], 1, (1,), 3),  # the only point
+    ]:
+        res = depth(q, ps)
+        assert (res.depth, res.witness.normal, res.witness.offset) == \
+            (value, vec(normal), offset)
+        assert res.verify(vec(q), [vec(p) for p in ps])
 
 
 def test_depth_membership_consistency():

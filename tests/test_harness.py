@@ -2,6 +2,7 @@ import hashlib
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -109,6 +110,17 @@ def test_run_experiment_forced_failure_box():
     (ExperimentConfig(spec=Z2, m=2, k=2, n_points=26, box_bound=15,
                       trials=20, seed=23),
      "8bb5807a3572b5009a54f081ab0d1d9399216d9982d4c06b69567f7df4982f26"),
+    # ground sets whose points are not all integral
+    (ExperimentConfig(spec=lattice_set(2, LatticeBasis(((1, 0), (Fraction(1, 2), 1)))),
+                      m=2, k=1, n_points=9, box_bound=4, trials=8, seed=7),
+     "9c659feaf2be04e6d2fac181f0aa7c3af6b2c0689072608b0fb7297d9cf08afd"),
+    (ExperimentConfig(spec=lattice_set(2, LatticeBasis(((Fraction(1, 2), 0),
+                                                         (0, Fraction(1, 3))))),
+                      m=3, k=1, n_points=25, box_bound=3, trials=8, seed=7),
+     "f65659ec6f08a553875697b1ffe264c8d32fddd524459571fb73be30abf510c9"),
+    (ExperimentConfig(spec=difference_set(2, (LatticeBasis(((2, 0), (0, 2))),)),
+                      m=2, k=2, n_points=20, box_bound=9, trials=8, seed=7),
+     "81d2041bbfa0da29edaa7d8bfb21abcf0a32a65013b064a324e1cf8b5f31ba5f"),
 ])
 def test_outcome_json_bytes_are_pinned(cfg, digest):
     # The outcome JSON carries depth witness normals, certificates and

@@ -252,6 +252,30 @@ def test_witness_search_matches_exhaustive_ranking(problem):
         exhaustive_witness_search(spec, points, threshold, k)
     for w in search.witnesses:
         assert w.depth_result.verify(w.point, points)
+        # on integral inputs the search's witness halfspace is depth()'s
+        if spec.base == LatticeBasis.identity(spec.dim):
+            assert w.depth_result == depth(w.point, points)
+
+
+def test_witness_search_on_points_off_the_set():
+    # vertices with thirds: the search scales points and candidates of S
+    # to one common denominator
+    cases = [
+        (Z2, [(F(-7, 3), F(-5, 3)), (F(8, 3), F(-2, 3)), (F(1, 3), F(10, 3)),
+              (F(1, 2), 0), (0, F(4, 3))]),
+        (lattice_set(2, LatticeBasis(((1, 0), (F(1, 2), 1)))),
+         [(F(-5, 3), -2), (F(7, 3), F(-1, 3)), (F(2, 3), F(8, 3)), (F(1, 6), 0)]),
+        (ODD, [(F(-16, 3),), (F(14, 3),), (F(1, 3),)]),
+    ]
+    for spec, points in cases:
+        for threshold in range(4):
+            for k in range(3):
+                search = find_deep_witnesses(points, spec, threshold, k)
+                got = [(w.point, w.depth_result.depth) for w in search.witnesses]
+                assert (got, search.insufficient, search.candidates_scanned) == \
+                    exhaustive_witness_search(spec, points, threshold, k)
+                for w in search.witnesses:
+                    assert w.depth_result.verify(w.point, points)
 
 
 SCAN_SETS_3D = [
