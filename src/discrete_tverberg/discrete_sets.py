@@ -103,6 +103,26 @@ class LatticeBasis:
         z = self.to_lattice(x)
         return z is not None and all(c.denominator == 1 for c in z)
 
+    def integer_test(self):
+        """Predicate on integer vectors x: whether x lies in the lattice.
+
+        With T scaled to integers by the common denominator D of its
+        entries, x lies in the lattice iff the rows of ``D T x`` past the
+        rank are 0 and the first rank rows are multiples of D; this holds
+        for rank-deficient lattices too.
+        """
+        rows, den = int_scaled(self._transform)
+        r = self.rank
+
+        def test(x) -> bool:
+            for i, row in enumerate(rows):
+                t = sum(map(mul, row, x))
+                if (t % den if i < r else t) != 0:
+                    return False
+            return True
+
+        return test
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, LatticeBasis):
             return NotImplemented
@@ -260,7 +280,8 @@ def enumerate_scaled_in_polytope(
     a floor or a ceiling.  Where no facets exist (a 3-d hull inside a plane
     or a line, a rank-deficient lattice, dimension 4 and up) each box point
     is tested by exact hull membership.  A difference set drops the
-    lattice coordinates that lie in a removed sublattice.
+    lattice coordinates that lie in a removed sublattice, by an integer
+    congruence test (:meth:`LatticeBasis.integer_test`).
     """
     if not spec.enumerable:
         raise ValueError("enumeration is defined only for enumerable sets")
@@ -285,12 +306,12 @@ def enumerate_scaled_in_polytope(
             z for z in itertools.product(*ranges)
             if membership(lat.from_lattice(z), verts).inside
         )
-    subs = [
-        LatticeBasis([lat.to_lattice(v) for v in sub.vectors], lat.rank)
+    removed = [
+        LatticeBasis([lat.to_lattice(v) for v in sub.vectors], lat.rank).integer_test()
         for sub in spec.sublattices
     ]
-    if subs:
-        zs = [z for z in zs if not any(sub.contains(z) for sub in subs)]
+    if removed:
+        zs = [z for z in zs if not any(test(z) for test in removed)]
     rows = list(zip(*lat._int_vectors))
     out = [tuple(sum(map(mul, row, z)) for row in rows) for z in zs]
     out.sort()

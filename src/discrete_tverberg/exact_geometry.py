@@ -2,9 +2,11 @@
 
 All geometry runs over Fraction coordinates.  Planar inputs are scaled to
 integers and dispatched to :mod:`.geom2d`; higher dimensions use a phase-1
-simplex for membership, and depth outside the plane uses a wall
-recursion.  Every verdict carries a certificate that can be re-checked
-independently of the code that produced it.
+simplex for membership.  Depth runs on integer difference vectors: in 3-d
+one wall per direction class, each wall's planar set solved in one flat
+pass; in 1-d and from 4-d up a generic wall recursion.  Every verdict
+carries a certificate that can be re-checked independently of the code
+that produced it.
 
 Conventions:
   * a separating halfspace keeps the point SET on the ``normal . x >= offset``
@@ -475,6 +477,18 @@ def _primitive_signed(w: tuple) -> tuple:
     return w if g == 1 else tuple(c // g for c in w)
 
 
+def _line_side(rep: tuple, pos: int, neg: int) -> tuple:
+    """(count, witness) for vectors on one line: ``pos`` of them point
+    along ``rep``, ``neg`` against it; the emptier side wins, and
+    ``min(rep, -rep)`` on a tie."""
+    flip = tuple(-c for c in rep)
+    if pos < neg:
+        return pos, rep
+    if neg < pos:
+        return neg, flip
+    return pos, min(rep, flip)
+
+
 def _min_open_count(W: list) -> tuple:
     """(min over generic v of #{w : v.w > 0}, integer witness v).
 
@@ -494,14 +508,8 @@ def _min_open_count(W: list) -> tuple:
     if len(classes) == 1:
         (rep, members), = classes.items()
         pos = sum(1 for w in members if _idot(w, rep) > 0)
-        neg = len(members) - pos
-        if pos < neg:
-            return pos, rep
-        if neg < pos:
-            return neg, tuple(-c for c in rep)
-        return pos, min(rep, tuple(-c for c in rep))
-    best_count = None
-    best_witness = None
+        return _line_side(rep, pos, len(members) - pos)
+    best = None
     for u, members in classes.items():
         uu = _idot(u, u)
         nonpar = [(w, _idot(u, w)) for key, w in zip(keys, W) if key != u]
@@ -512,17 +520,121 @@ def _min_open_count(W: list) -> tuple:
         sub_count, v_sub = _min_open_count(projected)
         m = 1 + max(abs(uw) for _, uw in nonpar)
         pos = sum(1 for w in members if _idot(w, u) > 0)
-        for sigma, par in ((1, pos), (-1, len(members) - pos)):
-            cnt = sub_count + par
-            if best_count is not None and cnt > best_count:
+        best = _off_wall(best, sub_count, v_sub, m, u, pos, len(members) - pos)
+    return best
+
+
+def _off_wall(best, sub_count, v_sub, m, u, pos, neg) -> tuple:
+    """Fold the two witnesses just off the wall ``u-perp`` into ``best``.
+
+    ``M * v_sub + u`` counts ``sub_count + pos`` and ``M * v_sub - u``
+    counts ``sub_count + neg``; ``best`` is the ``(count, witness)`` so far
+    or None, and keeps the smaller count, then the lexicographically
+    smaller primitive witness.
+    """
+    for cnt, sigma in ((sub_count + pos, 1), (sub_count + neg, -1)):
+        if best is not None and cnt > best[0]:
+            continue
+        witness = _primitive_signed(tuple(m * a + sigma * b for a, b in zip(v_sub, u)))
+        if best is None or (cnt, witness) < best:
+            best = (cnt, witness)
+    return best
+
+
+def _canon3(x: int, y: int, z: int) -> tuple:
+    """``(key, t)`` with ``(x, y, z) = t * key``, key primitive with its
+    first nonzero coordinate positive."""
+    t = gcd(x, y, z)
+    if x < 0 or (x == 0 and (y < 0 or (y == 0 and z < 0))):
+        t = -t
+    return (x // t, y // t, z // t), t
+
+
+def _min_open_count3(W: list) -> tuple:
+    """:func:`_min_open_count` for vectors in Z^3: the same count and witness.
+
+    Keeps the top level of the wall recursion, one wall per direction class
+    u, and solves each wall's projected planar set in one flat pass
+    (:func:`_flat_wall`).  Vectors are handled per class: how many point
+    along and against it, and, for M, the largest multiple of it in W.
+    """
+    classes = {}  # canonical u -> [along u, against u, largest multiple]
+    for x, y, z in W:
+        key, t = _canon3(x, y, z)
+        c = classes.get(key)
+        if c is None:
+            classes[key] = c = [0, 0, 0]
+        c[t < 0] += 1
+        c[2] = max(c[2], abs(t))
+    if len(classes) == 1:
+        (rep, (pos, neg, _)), = classes.items()
+        return _line_side(rep, pos, neg)
+    best = None
+    for u, (upos, uneg, _) in classes.items():
+        ux, uy, uz = u
+        uu = ux * ux + uy * uy + uz * uz
+        plane = {}  # canonical projection p -> [along p, against p]
+        m = 0
+        for r, (pos, neg, t) in classes.items():
+            if r == u:
                 continue
-            witness = _primitive_signed(
-                tuple(m * v_sub[i] + sigma * u[i] for i in range(len(u)))
-            )
-            if best_count is None or cnt < best_count or witness < best_witness:
-                best_count = cnt
-                best_witness = witness
-    return best_count, best_witness
+            rx, ry, rz = r
+            ur = ux * rx + uy * ry + uz * rz
+            m = max(m, abs(ur) * t)
+            key, s = _canon3(uu * rx - ur * ux, uu * ry - ur * uy, uu * rz - ur * uz)
+            c = plane.get(key)
+            if c is None:
+                plane[key] = c = [0, 0]
+            if s > 0:
+                c[0] += pos
+                c[1] += neg
+            else:
+                c[0] += neg
+                c[1] += pos
+        sub_count, v_sub = _flat_wall(u, plane)
+        best = _off_wall(best, sub_count, v_sub, m + 1, u, upos, uneg)
+    return best
+
+
+def _flat_wall(u: tuple, plane: dict) -> tuple:
+    """The recursion's ``(count, witness)`` for a planar set inside ``u-perp``.
+
+    ``plane`` maps each canonical primitive class v to how many vectors
+    point along and against it.  Below v the recursion would meet only
+    vectors on the line ``canon(u x v)``, the side of each given by the
+    sign of ``p . (u x v)``, so the sub-count is the smaller side
+    (:func:`_line_side`, whose result does not depend on the line's
+    orientation).  M and the witnesses are computed only for classes whose
+    count ``sub + min(along, against)`` is at most the best so far:
+    witnesses compete only at equal counts, so the others cannot change
+    the result.
+    """
+    if len(plane) == 1:
+        (rep, (pos, neg)), = plane.items()
+        return _line_side(rep, pos, neg)
+    ux, uy, uz = u
+    reps = list(plane.items())
+    best = None
+    for v, (vpos, vneg) in reps:
+        vx, vy, vz = v
+        lx, ly, lz = uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx
+        pos = neg = 0
+        for (rx, ry, rz), (rpos, rneg) in reps:
+            s = lx * rx + ly * ry + lz * rz
+            if s > 0:
+                pos += rpos
+                neg += rneg
+            elif s < 0:  # zero only for v itself
+                pos += rneg
+                neg += rpos
+        sub_count = min(pos, neg)
+        if best is not None and sub_count + min(vpos, vneg) > best[0]:
+            continue
+        m = 1 + max(abs(vx * r[0] + vy * r[1] + vz * r[2]) for r, _ in reps if r != v)
+        g = gcd(lx, ly, lz)
+        _, v_sub = _line_side((lx // g, ly // g, lz // g), pos, neg)
+        best = _off_wall(best, sub_count, v_sub, m, v, vpos, vneg)
+    return best
 
 
 def depth_count(W: list, d: int) -> tuple:
@@ -531,13 +643,18 @@ def depth_count(W: list, d: int) -> tuple:
     W is a multiset of nonzero integer vectors in dimension d: the
     differences from a query to the other points, whose depth is this
     count plus one when the query is itself a point.  Planar input takes
-    :func:`geom2d.depth2d_min_count`, every other dimension the wall
-    recursion; an empty W gives the count 0 and the first axis.
+    :func:`geom2d.depth2d_min_count`, 3-d input :func:`_min_open_count3`
+    (the wall recursion's count and witness, one flat planar pass per
+    wall), every other dimension the wall recursion
+    :func:`_min_open_count`; an empty W gives the count 0 and the first
+    axis.
     """
     if not W:
         return 0, (1,) + (0,) * (d - 1)
     if d == 2:
         return geom2d.depth2d_min_count(W)
+    if d == 3:
+        return _min_open_count3(W)
     return _min_open_count(W)
 
 

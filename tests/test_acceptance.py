@@ -1,4 +1,4 @@
-"""End-to-end acceptance gate: nine release criteria, one test each.
+"""End-to-end acceptance gate: ten release criteria, one test each.
 
 Run with ``pytest tests/test_acceptance.py -v`` to get one pass/fail
 line per criterion.  Everything here is seeded and deterministic.
@@ -207,3 +207,16 @@ def test_criterion_9_randomized_invariant_corpus():
             assert verify_partition(first.result, inst)
         else:
             assert not brute_tverberg(inst.points, Z2, 2, 1).found
+
+
+def test_criterion_10_z3_paper_bound():
+    # 43 points meet the paper's m=2, k=1 bound over Z^3, so every trial
+    # must succeed and verify.
+    config = ExperimentConfig(
+        spec=Z3, m=2, k=1, n_points=43, box_bound=3, trials=20, seed=43
+    )
+    assert tverberg_upper_bound(Z3, 2, 1, "paper") == 43
+    report = run_experiment(config)
+    assert report.summary["successes"] == 20
+    assert report.summary["theorem_violations"] == 0
+    assert report.summary["verify_failures"] == 0

@@ -116,6 +116,13 @@ def test_enumerate_matches_per_point_check():
     sheared3 = lattice_set(3, LatticeBasis(((1, 0, 0), (F(1, 2), 1, 0), (0, F(1, 3), 1))))
     diff3 = difference_set(3, (LatticeBasis(((2, 0, 0), (0, 2, 0), (0, 0, 2))),))
     plane3 = lattice_set(3, LatticeBasis(((1, 0, 0), (0, 1, 1)), dim=3))
+    # removed sublattices of lower rank, and one inside a sheared base
+    diff_line = difference_set(2, (LatticeBasis(((1, 1),), dim=2),
+                                   LatticeBasis(((3, 0), (0, 2)))))
+    diff_sheared = difference_set(2, (LatticeBasis(((2, 0), (1, 2))),),
+                                  LatticeBasis(((1, 0), (F(1, 2), 1))))
+    diff3_low = difference_set(3, (LatticeBasis(((2, 0, 0), (0, 1, 1)), dim=3),
+                                   LatticeBasis(((1, 1, 1),), dim=3)))
     cases = [
         (Z2, pts((-1, -1), (3, 0), (0, 3))),
         # boxes of more than 256 lattice points
@@ -151,6 +158,9 @@ def test_enumerate_matches_per_point_check():
         (sheared3, pts((-2, -1, 0), (3, 0, -1), (0, 3, 1), (1, 1, 3), (F(1, 2), 0, -2))),
         (sheared3, pts((0, 0, 0), (2, 0, 0), (1, 2, 0), (1, 1, F(5, 2)))),
         (diff3, pts((-2, -2, -1), (3, -1, 0), (0, 3, -2), (1, 0, 3))),
+        (diff_line, pts((-5, -4), (6, -3), (1, 7))),
+        (diff_sheared, pts((-6, -5), (7, -4), (2, 6))),
+        (diff3_low, pts((-3, -3, -2), (4, -1, -1), (0, 4, 3), (1, 1, 4))),
         # lower-dimensional hulls in Z^3 take per-point membership
         (Z3, pts((0, 0, 0), (3, 0, 0), (0, 3, 0), (1, 1, 0))),
         (Z3, pts((0, 0, 0), (2, 1, 1), (1, 2, 3), (3, 3, 4))),

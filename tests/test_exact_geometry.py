@@ -234,6 +234,23 @@ def test_depth_3d_axis_cross():
     res = depth((0, 0, 0), cross)
     assert res.verify(vec((0, 0, 0)), [vec(p) for p in cross])
     assert res.depth == 3
+    # the witness is the lexicographically smallest primitive normal among
+    # the minimizing ones that the wall recursion builds
+    square = [(0, 0, 0), (3, 0, 0), (0, 3, 0), (3, 3, 0), (1, 2, 0)]
+    simplex = [(0, 0, 0), (4, 0, 0), (0, 4, 0), (0, 0, 4), (1, 1, 1)]
+    for q, ps, value, normal, offset in [
+        ((0, 0, 0), cross, 3, (-1, -1, -1), 0),  # many tied minimizers
+        ((1, 0, 0), square, 1, (-23, -11, 0), -23),  # a coplanar set
+        ((0, 0, 0), [(-1, -1, -1), (1, 1, 1), (3, 3, 3)], 1, (-1, -1, -1), 0),
+        ((0, 0, 0), [(-1, -2, 0), (1, 2, 0)], 1, (-1, -2, 0), 0),  # a tie
+        ((1, 1, 1), simplex, 2, (-215, -125, -117), -457),  # q is a point
+        ((1, 1, 1), simplex + [(2, -1, 3), (-2, 3, 1)], 2,
+         (-15261, -22898, -15468), -53627),
+    ]:
+        res = depth(q, ps)
+        assert (res.depth, res.witness.normal, res.witness.offset) == \
+            (value, vec(normal), offset)
+        assert res.verify(vec(q), [vec(p) for p in ps])
 
 
 def test_depth_duplicates_collapse():

@@ -123,8 +123,11 @@ def test_run_experiment_forced_failure_box():
      "81d2041bbfa0da29edaa7d8bfb21abcf0a32a65013b064a324e1cf8b5f31ba5f"),
 ])
 def test_outcome_json_bytes_are_pinned(cfg, digest):
-    # The outcome JSON carries depth witness normals, certificates and
-    # candidates_scanned, none of which the CSV shows.
+    # The outcome JSON carries the parts, the witness points, their
+    # convex-combination certificates and the stats, and for
+    # no_partition_found the witness points found with their depths; the
+    # CSV shows only part sizes, witness counts and the least witness
+    # depth.  Depth witness normals appear in neither.
     h = hashlib.sha256()
     for t in range(cfg.trials):
         inst = generate_instance(cfg, t)

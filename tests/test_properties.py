@@ -3,7 +3,7 @@ import itertools
 from fractions import Fraction
 from math import ceil, floor
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from discrete_tverberg import jsonio
 from discrete_tverberg.discrete_sets import (
@@ -107,6 +107,34 @@ def test_planar_scan_agrees_with_wall_recursion(pts, q):
     scan_count, _ = depth2d_min_count(list(W))
     rec_count, _ = _min_open_count(list(W))
     assert scan_count == rec_count
+
+
+@st.composite
+def z3_vector_multiset(draw):
+    """Nonzero vectors of Z^3 drawn freely, in a plane through 0 or on a
+    line through 0, plus repeats, antipodes and multiples of them."""
+    c = st.integers(-50, 50)
+    shape = draw(st.sampled_from(["free", "plane", "line"]))
+    if shape == "free":
+        base = draw(st.lists(st.tuples(c, c, c), min_size=1, max_size=10))
+    else:
+        e1, e2 = draw(st.tuples(c, c, c)), draw(st.tuples(c, c, c))
+        small = st.integers(-3, 3)
+        coef = st.tuples(small, small if shape == "plane" else st.just(0))
+        base = [tuple(a * x + b * y for x, y in zip(e1, e2))
+                for a, b in draw(st.lists(coef, min_size=1, max_size=10))]
+    base = [w for w in base if any(w)]
+    assume(base)
+    extra = draw(st.lists(st.tuples(st.sampled_from(base),
+                                    st.sampled_from([1, -1, 2, -3])), max_size=6))
+    return draw(st.permutations(base + [tuple(t * x for x in w) for w, t in extra]))
+
+
+@settings(max_examples=400)
+@given(z3_vector_multiset())
+def test_3d_depth_kernel_matches_wall_recursion(W):
+    from discrete_tverberg.exact_geometry import _min_open_count, _min_open_count3
+    assert _min_open_count3(W) == _min_open_count(W)
 
 
 # ---------------------------------------------------------------------------
