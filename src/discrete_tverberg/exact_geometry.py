@@ -2,9 +2,10 @@
 
 All geometry runs over Fraction coordinates.  Planar inputs are scaled to
 integers and dispatched to :mod:`.geom2d`; higher dimensions use a phase-1
-simplex for membership.  Depth runs on integer difference vectors: in 3-d
-one wall per direction class, each wall's planar set solved in one flat
-pass; in 1-d and from 4-d up a generic wall recursion.  Every verdict
+simplex for membership.  Depth runs on integer difference vectors: planar
+input takes the scan of :mod:`.geom2d`, every other dimension one wall
+descent over direction classes that solves each plane in one pass (the
+generic wall recursion stays as its test reference).  Every verdict
 carries a certificate that can be re-checked independently of the code
 that produced it.
 
@@ -22,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import mul
 from typing import Optional, Sequence
 
 from . import geom2d
@@ -403,8 +405,9 @@ def centroid(points) -> Vec:
 
 
 def rank_of_vectors(vectors) -> int:
-    """Rank over the rationals, by Gaussian elimination."""
-    rows = [list(vec(v)) for v in vectors]
+    """Rank over the rationals of int or Fraction vectors, by fraction-free
+    Gaussian elimination."""
+    rows = [list(v) for v in vectors]
     rank = 0
     col = 0
     width = len(rows[0]) if rows else 0
@@ -416,10 +419,9 @@ def rank_of_vectors(vectors) -> int:
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
         prow = rows[rank]
         for r in range(rank + 1, len(rows)):
-            if rows[r][col] != 0:
-                f = rows[r][col] / prow[col]
-                for c in range(col, width):
-                    rows[r][c] -= f * prow[c]
+            f = rows[r][col]
+            if f != 0:
+                rows[r] = [prow[col] * x - f * y for x, y in zip(rows[r], prow)]
         rank += 1
         col += 1
     return rank
@@ -456,7 +458,7 @@ def affinely_independent(points) -> bool:
 
 
 def _idot(a: tuple, b: tuple) -> int:
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def _canon_primitive(w: tuple) -> tuple:
@@ -541,100 +543,126 @@ def _off_wall(best, sub_count, v_sub, m, u, pos, neg) -> tuple:
     return best
 
 
-def _canon3(x: int, y: int, z: int) -> tuple:
-    """``(key, t)`` with ``(x, y, z) = t * key``, key primitive with its
-    first nonzero coordinate positive."""
-    t = gcd(x, y, z)
-    if x < 0 or (x == 0 and (y < 0 or (y == 0 and z < 0))):
+def _canon(w: list) -> tuple:
+    """``(key, t)`` with ``w = t * key``, key primitive with its first
+    nonzero coordinate positive."""
+    t = gcd(*w)
+    if w < [0] * len(w):
         t = -t
-    return (x // t, y // t, z // t), t
+    return tuple([c // t for c in w]), t
 
 
-def _min_open_count3(W: list) -> tuple:
-    """:func:`_min_open_count` for vectors in Z^3: the same count and witness.
-
-    Keeps the top level of the wall recursion, one wall per direction class
-    u, and solves each wall's projected planar set in one flat pass
-    (:func:`_flat_wall`).  Vectors are handled per class: how many point
-    along and against it, and, for M, the largest multiple of it in W.
-    """
-    classes = {}  # canonical u -> [along u, against u, largest multiple]
-    for x, y, z in W:
-        key, t = _canon3(x, y, z)
-        c = classes.get(key)
-        if c is None:
-            classes[key] = c = [0, 0, 0]
+def _wall_descent(W: list) -> tuple:
+    """:func:`_min_open_count` in any dimension: the same count and witness."""
+    classes = {}  # direction class -> [along, against, largest multiple]
+    for w in W:
+        key, t = _canon(list(w))
+        c = classes.setdefault(key, [0, 0, 0])
         c[t < 0] += 1
         c[2] = max(c[2], abs(t))
-    if len(classes) == 1:
+    # the rank of the keys' d x c transpose takes at most d short pivots
+    count, witness = _descend(classes, rank_of_vectors(zip(*classes)))
+    return count, witness()
+
+
+def _descend(classes: dict, rank: int) -> tuple:
+    """``(count, witness thunk)`` of the wall recursion on direction classes
+    of the given rank: a line is :func:`_line_side`, a plane :func:`_planar`.
+
+    Above that each class u gets its wall once: the other classes projected
+    to ``canon(uu.r - (u.r).u)``, which are primitive, so the wall's largest
+    multiples are 1.  All walls are counted first; the witness is rebuilt
+    only from walls whose count plus ``min(along, against)`` is the
+    minimum, since no other wall's candidates can win :func:`_off_wall`.
+    """
+    if rank == 1:
         (rep, (pos, neg, _)), = classes.items()
-        return _line_side(rep, pos, neg)
-    best = None
+        count, side = _line_side(rep, pos, neg)
+        return count, lambda: side
+    if rank == 2:
+        return _planar(classes)
+    walls = []
+    zero = [0] * len(next(iter(classes)))
     for u, (upos, uneg, _) in classes.items():
-        ux, uy, uz = u
-        uu = ux * ux + uy * uy + uz * uz
-        plane = {}  # canonical projection p -> [along p, against p]
+        uu = _idot(u, u)
+        wall = {}
         m = 0
+        # _idot and _canon are inlined: this loop is most of a 3-d query
         for r, (pos, neg, t) in classes.items():
-            if r == u:
+            if r is u:
                 continue
-            rx, ry, rz = r
-            ur = ux * rx + uy * ry + uz * rz
+            ur = sum(map(mul, u, r))
             m = max(m, abs(ur) * t)
-            key, s = _canon3(uu * rx - ur * ux, uu * ry - ur * uy, uu * rz - ur * uz)
-            c = plane.get(key)
+            p = [uu * a - ur * b for a, b in zip(r, u)]
+            g = gcd(*p)
+            if p < zero:
+                g = -g
+                pos, neg = neg, pos
+            key = tuple(p) if g == 1 else tuple([c // g for c in p])
+            c = wall.get(key)
             if c is None:
-                plane[key] = c = [0, 0]
-            if s > 0:
+                wall[key] = [pos, neg, 1]
+            else:
                 c[0] += pos
                 c[1] += neg
-            else:
-                c[0] += neg
-                c[1] += pos
-        sub_count, v_sub = _flat_wall(u, plane)
-        best = _off_wall(best, sub_count, v_sub, m + 1, u, upos, uneg)
-    return best
+        sub_count, sub_witness = _descend(wall, rank - 1)
+        walls.append((sub_count + min(upos, uneg), sub_count, sub_witness, m + 1, u))
+    low = min(wall[0] for wall in walls)
+
+    def witness():
+        best = None
+        for total, sub_count, sub_witness, m, u in walls:
+            if total == low:
+                upos, uneg, _ = classes[u]
+                best = _off_wall(best, sub_count, sub_witness(), m, u, upos, uneg)
+        return best[1]
+    return low, witness
 
 
-def _flat_wall(u: tuple, plane: dict) -> tuple:
-    """The recursion's ``(count, witness)`` for a planar set inside ``u-perp``.
+def _planar(classes: dict) -> tuple:
+    """:func:`_descend` for classes that span a plane.
 
-    ``plane`` maps each canonical primitive class v to how many vectors
-    point along and against it.  Below v the recursion would meet only
-    vectors on the line ``canon(u x v)``, the side of each given by the
-    sign of ``p . (u x v)``, so the sub-count is the smaller side
-    (:func:`_line_side`, whose result does not depend on the line's
-    orientation).  M and the witnesses are computed only for classes whose
-    count ``sub + min(along, against)`` is at most the best so far:
-    witnesses compete only at equal counts, so the others cannot change
-    the result.
+    Below class v the recursion meets one line, the plane's normal to v;
+    each class lies on the side given by the sign of its 2-d cross product
+    with v, on two coordinates that embed the plane, so one pass counts
+    every class.  :func:`_line_side` does not depend on the line's
+    orientation; the witness orients it along ``vv.r - (v.r).v``.
     """
-    if len(plane) == 1:
-        (rep, (pos, neg)), = plane.items()
-        return _line_side(rep, pos, neg)
-    ux, uy, uz = u
-    reps = list(plane.items())
-    best = None
-    for v, (vpos, vneg) in reps:
-        vx, vy, vz = v
-        lx, ly, lz = uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx
+    a, b = list(classes)[:2]
+    i, j = next((i, j) for i in range(len(a)) for j in range(i + 1, len(a))
+                if a[i] * b[j] != a[j] * b[i])
+    flat = [(r[i], r[j], rpos, rneg) for r, (rpos, rneg, _) in classes.items()]
+    rows = []
+    for (v, (vpos, vneg, _)), (vi, vj, _, _) in zip(classes.items(), flat):
         pos = neg = 0
-        for (rx, ry, rz), (rpos, rneg) in reps:
-            s = lx * rx + ly * ry + lz * rz
+        for ri, rj, rpos, rneg in flat:
+            s = vi * rj - vj * ri
             if s > 0:
                 pos += rpos
                 neg += rneg
             elif s < 0:  # zero only for v itself
                 pos += rneg
                 neg += rpos
-        sub_count = min(pos, neg)
-        if best is not None and sub_count + min(vpos, vneg) > best[0]:
-            continue
-        m = 1 + max(abs(vx * r[0] + vy * r[1] + vz * r[2]) for r, _ in reps if r != v)
-        g = gcd(lx, ly, lz)
-        _, v_sub = _line_side((lx // g, ly // g, lz // g), pos, neg)
-        best = _off_wall(best, sub_count, v_sub, m, v, vpos, vneg)
-    return best
+        rows.append((min(pos, neg) + min(vpos, vneg), v, pos, neg))
+    low = min(row[0] for row in rows)
+
+    def witness():
+        best = None
+        for total, v, pos, neg in rows:
+            if total != low:
+                continue
+            r = next(r for r in classes if r is not v)
+            vv, vr = _idot(v, v), _idot(v, r)
+            line = _primitive_signed(tuple(vv * x - vr * y for x, y in zip(r, v)))
+            if v[i] * r[j] < v[j] * r[i]:
+                pos, neg = neg, pos
+            m = 1 + max(abs(_idot(v, r)) * t
+                        for r, (_, _, t) in classes.items() if r is not v)
+            vpos, vneg, _ = classes[v]
+            best = _off_wall(best, min(pos, neg), _line_side(line, pos, neg)[1],
+                             m, v, vpos, vneg)
+        return best[1]
+    return low, witness
 
 
 def depth_count(W: list, d: int) -> tuple:
@@ -643,19 +671,16 @@ def depth_count(W: list, d: int) -> tuple:
     W is a multiset of nonzero integer vectors in dimension d: the
     differences from a query to the other points, whose depth is this
     count plus one when the query is itself a point.  Planar input takes
-    :func:`geom2d.depth2d_min_count`, 3-d input :func:`_min_open_count3`
-    (the wall recursion's count and witness, one flat planar pass per
-    wall), every other dimension the wall recursion
-    :func:`_min_open_count`; an empty W gives the count 0 and the first
-    axis.
+    :func:`geom2d.depth2d_min_count`; every other dimension takes
+    :func:`_wall_descent`, which returns the wall recursion
+    :func:`_min_open_count`'s count and witness.  An empty W gives the
+    count 0 and the first axis.
     """
     if not W:
         return 0, (1,) + (0,) * (d - 1)
     if d == 2:
         return geom2d.depth2d_min_count(W)
-    if d == 3:
-        return _min_open_count3(W)
-    return _min_open_count(W)
+    return _wall_descent(W)
 
 
 def depth(query, points) -> DepthResult:

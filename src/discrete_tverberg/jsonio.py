@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import asdict
 from fractions import Fraction
 from typing import Any, Sequence
 
@@ -23,7 +24,7 @@ from .discrete_sets import (
 )
 from .exact_geometry import ConvexCombination, DepthResult, Halfspace
 from .tverberg import Instance, PartitionResult, TverbergOutcome
-from .vectors import Vec, frac, vec
+from .vectors import Vec, frac, require_int, vec
 
 
 # ---------------------------------------------------------------------------
@@ -215,8 +216,11 @@ def parse_result(raw: dict) -> PartitionResult:
     wits = raw.get("witnesses")
     if not isinstance(parts, list) or not isinstance(wits, list):
         raise ValueError("result needs \"parts\" and \"witnesses\" arrays")
+    if not all(isinstance(part, list) for part in parts):
+        raise ValueError("each part must be an array of point indices")
     return PartitionResult(
-        parts=tuple(tuple(int(i) for i in part) for part in parts),
+        parts=tuple(tuple(require_int(i, "a part index") for i in part)
+                    for part in parts),
         witnesses=tuple(parse_points(wits)),
         certificates=(),
         stats={},
@@ -239,6 +243,7 @@ def config_to_json(config) -> dict:
         "oracle_validate": config.oracle_validate,
         "bound_mode": config.bound_mode,
         "threads": config.threads,
+        "caps": asdict(config.caps),
     }
     if config.box is not None:
         out["box"] = [[format_scalar(lo), format_scalar(hi)]

@@ -45,7 +45,7 @@ from .exact_geometry import (
     extreme_points,
     membership,
 )
-from .vectors import Vec, common_denominator, vdot, vec
+from .vectors import Vec, common_denominator, require_int, vdot, vec
 
 
 @dataclass(frozen=True)
@@ -58,7 +58,7 @@ class Instance:
     def __post_init__(self):
         pts = tuple(vec(p) for p in self.points)
         object.__setattr__(self, "points", pts)
-        if self.m < 1 or self.k < 1:
+        if require_int(self.m, "m") < 1 or require_int(self.k, "k") < 1:
             raise ValueError("m and k must be at least 1")
         if len(set(pts)) != len(pts):
             raise ValueError("input points must be pairwise distinct")

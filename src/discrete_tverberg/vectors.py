@@ -27,6 +27,13 @@ def frac(value) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
+def require_int(value, what: str) -> int:
+    """``value`` if it is an int and not a bool, else ValueError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def vec(coords: Iterable) -> Vec:
     return tuple(frac(c) for c in coords)
 

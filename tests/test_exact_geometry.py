@@ -253,6 +253,28 @@ def test_depth_3d_axis_cross():
         assert res.verify(vec(q), [vec(p) for p in ps])
 
 
+def test_depth_4d_pinned_witnesses():
+    # the same rule in Z^4: the lexicographically smallest primitive normal
+    # among the wall recursion's minimizers, pinned from that recursion
+    cross = [tuple(s if i == j else 0 for j in range(4))
+             for i in range(4) for s in (1, -1)]
+    flat3 = [(0, 0, 0, 0), (3, 0, 0, 0), (0, 3, 0, 0), (0, 0, 3, 0),
+             (1, 1, 1, 0), (2, -1, 1, 0)]
+    for q, ps, value, normal, offset in [
+        ((0, 0, 0, 0), cross, 4, (-1, -1, -1, -1), 0),  # the axis cross
+        ((1, 1, 1, 0), flat3, 2, (-109, -52, 204, 0), 43),  # in a 3-flat
+        ((0, 0, 0, 0), [(-1, -1, -1, -1), (1, 1, 1, 1), (2, 2, 2, 2)], 1,
+         (-1, -1, -1, -1), 0),  # collinear
+        ((0, 0, 0, 0), [(-1, 2, 0, 1), (1, -2, 0, -1)], 1, (-1, 2, 0, 1), 0),  # a tie
+        ((0, 0, 0, 0), cross + [(1, 1, 1, 1), (-2, 1, 0, 1)], 4,
+         (-1303, -2461, 3903, -151), 0),
+    ]:
+        res = depth(q, ps)
+        assert (res.depth, res.witness.normal, res.witness.offset) == \
+            (value, vec(normal), offset)
+        assert res.verify(vec(q), [vec(p) for p in ps])
+
+
 def test_depth_duplicates_collapse():
     pts = [(0, 0), (0, 0), (4, 0), (0, 4)]
     res = depth((1, 1), pts)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from discrete_tverberg import jsonio
+from discrete_tverberg import cli, jsonio
 from discrete_tverberg.discrete_sets import LatticeBasis, difference_set, lattice_set
 from discrete_tverberg.harness import (
     ExperimentConfig,
@@ -16,6 +16,7 @@ from discrete_tverberg.harness import (
     run_experiment,
     trial_rng,
 )
+from discrete_tverberg.oracles import OracleCaps
 from discrete_tverberg.tverberg import tverberg_partition
 
 Z1 = lattice_set(1)
@@ -257,3 +258,39 @@ def test_cli_hollow_search(tmp_path):
     proc = run_cli(["hollow-search", spec, "--box", "[[0,1],[0,1]]", "--k", "1"])
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["size"] == 4
+
+
+def test_instance_m_and_k_must_be_integers(tmp_path):
+    # 2.0 used to run to a verdict with a float threshold, and "2" used to
+    # escape the CLI as a TypeError traceback
+    for key, bad in [("m", 2.0), ("m", "2"), ("k", 1.0), ("k", True)]:
+        raw = dict(INSTANCE_1D, **{key: bad})
+        with pytest.raises(ValueError):
+            jsonio.parse_instance(raw)
+        assert cli.main(["tverberg", write_json(tmp_path, "bad.json", raw)]) == 1
+
+
+def test_parse_result_takes_only_integer_part_indices():
+    ok = {"status": "ok", "parts": [[0, 1], [2]], "witnesses": [["1/1"]]}
+    assert jsonio.parse_result(ok).parts == ((0, 1), (2,))
+    for bad in (1.9, True, "3", None):
+        with pytest.raises(ValueError):
+            jsonio.parse_result(dict(ok, parts=[[0, bad], [2]]))
+    with pytest.raises(ValueError):
+        jsonio.parse_result(dict(ok, parts=[0, [2]]))
+
+
+def test_config_json_roundtrip_keeps_caps_and_box():
+    config = ExperimentConfig(spec=Z2, m=2, k=1, n_points=9, box_bound=8,
+                              trials=3, seed=4, caps=OracleCaps(partitions=7),
+                              box=((Fraction(-1), Fraction(2)), (Fraction(0), Fraction(3))))
+    assert jsonio.parse_config(jsonio.config_to_json(config)) == config
+
+
+def test_z4_smoke_run():
+    config = ExperimentConfig(spec=lattice_set(4), m=2, k=1, n_points=20,
+                              box_bound=1, trials=5, seed=4)
+    report = run_experiment(config)
+    assert report.summary["theorem_violations"] == 0
+    assert report.summary["verify_failures"] == 0
+    assert report.summary["construction_errors"] == 0

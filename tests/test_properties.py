@@ -85,8 +85,9 @@ def test_depth_monotone_under_removal(case, data):
         assert depth(q, kept).depth >= base - 1
 
 
-@settings(max_examples=60)
-@given(query_and_points(max_dim=3, max_size=9))
+@settings(max_examples=100)
+@given(st.one_of(query_and_points(max_dim=3, max_size=9),
+                 st.tuples(point(4), point_set(4, max_size=6))))
 def test_depth_agrees_with_brute_force(case):
     q, pts = case
     assert depth(q, pts).depth == brute_depth(q, pts)
@@ -110,31 +111,36 @@ def test_planar_scan_agrees_with_wall_recursion(pts, q):
 
 
 @st.composite
-def z3_vector_multiset(draw):
-    """Nonzero vectors of Z^3 drawn freely, in a plane through 0 or on a
-    line through 0, plus repeats, antipodes and multiples of them."""
+def vector_multiset(draw):
+    """Nonzero vectors of Z^d, d in {1, 3, 4}, drawn freely or as small
+    combinations of fewer than d vectors (on a line, a plane or a 3-flat
+    through 0), plus repeats, antipodes and multiples of them.  In 4-d the
+    draws are smaller, since the reference recursion grows as n^4."""
+    d = draw(st.sampled_from([1, 3, 4]))
+    size, repeats = (10, 6) if d < 4 else (6, 4)
     c = st.integers(-50, 50)
-    shape = draw(st.sampled_from(["free", "plane", "line"]))
-    if shape == "free":
-        base = draw(st.lists(st.tuples(c, c, c), min_size=1, max_size=10))
+    rank = draw(st.integers(1, d))
+    if rank == d:
+        base = draw(st.lists(st.tuples(*[c] * d), min_size=1, max_size=size))
     else:
-        e1, e2 = draw(st.tuples(c, c, c)), draw(st.tuples(c, c, c))
+        gens = draw(st.lists(st.tuples(*[c] * d), min_size=rank, max_size=rank))
         small = st.integers(-3, 3)
-        coef = st.tuples(small, small if shape == "plane" else st.just(0))
-        base = [tuple(a * x + b * y for x, y in zip(e1, e2))
-                for a, b in draw(st.lists(coef, min_size=1, max_size=10))]
+        coefs = draw(st.lists(st.tuples(*[small] * rank), min_size=1, max_size=size))
+        base = [tuple(sum(a * g[i] for a, g in zip(co, gens)) for i in range(d))
+                for co in coefs]
     base = [w for w in base if any(w)]
     assume(base)
     extra = draw(st.lists(st.tuples(st.sampled_from(base),
-                                    st.sampled_from([1, -1, 2, -3])), max_size=6))
+                                    st.sampled_from([1, -1, 2, -3])),
+                          max_size=repeats))
     return draw(st.permutations(base + [tuple(t * x for x in w) for w, t in extra]))
 
 
 @settings(max_examples=400)
-@given(z3_vector_multiset())
-def test_3d_depth_kernel_matches_wall_recursion(W):
-    from discrete_tverberg.exact_geometry import _min_open_count, _min_open_count3
-    assert _min_open_count3(W) == _min_open_count(W)
+@given(vector_multiset())
+def test_depth_kernel_matches_wall_recursion(W):
+    from discrete_tverberg.exact_geometry import _min_open_count, _wall_descent
+    assert _wall_descent(W) == _min_open_count(W)
 
 
 # ---------------------------------------------------------------------------
