@@ -67,7 +67,7 @@ def _note(msg: str) -> None:
 
 def _caps(args) -> OracleCaps:
     if getattr(args, "caps", None):
-        return OracleCaps(**json.loads(args.caps))
+        return jsonio.parse_caps(json.loads(args.caps))
     return OracleCaps()
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import ceil, floor, prod
+from math import prod
 from operator import mul
 from typing import Optional, Sequence
 
@@ -31,8 +31,9 @@ from .vectors import ONE, ZERO, Vec, int_scaled, vec
 class LatticeBasis:
     """Lattice B * Z^r given by r independent rational vectors in R^dim.
 
-    Precomputes a transform T with T @ B = [I_r; 0], so lattice coordinates
-    of any ambient point cost one matrix-vector product.
+    Keeps a transform T with T @ B = [I_r; 0] as integer rows over one
+    denominator D: every lattice-coordinate query goes through the integer
+    map :meth:`scaled_coords` and the congruence test :meth:`contains_scaled`.
     """
 
     def __init__(self, vectors: Sequence, dim: Optional[int] = None):
@@ -46,7 +47,7 @@ class LatticeBasis:
         if rank_of_vectors(vecs) != self.rank:
             raise ValueError("basis vectors are linearly dependent")
         self.vectors = tuple(vecs)
-        self._transform = self._reduce()
+        self._t_rows, self._t_den = int_scaled(self._reduce())
         self._int_vectors, self._den = int_scaled(vecs)
 
     @classmethod
@@ -74,24 +75,33 @@ class LatticeBasis:
                     rows[i] = [a - f * b for a, b in zip(rows[i], rows[cj])]
         return [row[r:] for row in rows]
 
+    def scaled_coords(self, x: Sequence[int]) -> list:
+        """The integer rows of ``D T x`` for an integer vector x."""
+        return [sum(map(mul, row, x)) for row in self._t_rows]
+
+    def contains_scaled(self, x: Sequence[int], den: int = 1) -> bool:
+        """Whether x / den lies in the lattice, x an integer vector: the rows
+        of ``D T x`` past the rank are 0 and the first rank rows are multiples
+        of ``D den`` (rank-deficient lattices included)."""
+        t = self.scaled_coords(x)
+        r, m = self.rank, self._t_den * den
+        return not any(t[r:]) and all(c % m == 0 for c in t[:r])
+
+    def _coords(self, x) -> tuple:
+        [xs], den = int_scaled([vec(x)])
+        return self.scaled_coords(xs), self._t_den * den
+
     def projected_coords(self, x) -> tuple:
         """First-r rows of T applied to x; exact on the lattice span."""
-        x = vec(x)
-        return tuple(
-            sum(self._transform[i][j] * x[j] for j in range(self.dim))
-            for i in range(self.rank)
-        )
+        t, m = self._coords(x)
+        return tuple(Fraction(c, m) for c in t[: self.rank])
 
     def to_lattice(self, x) -> Optional[tuple]:
         """Coordinates z with B z = x, or None when x is off the span."""
-        x = vec(x)
-        t = [
-            sum(self._transform[i][j] * x[j] for j in range(self.dim))
-            for i in range(self.dim)
-        ]
-        if any(t[i] != 0 for i in range(self.rank, self.dim)):
+        t, m = self._coords(x)
+        if any(t[self.rank:]):
             return None
-        return tuple(t[: self.rank])
+        return tuple(Fraction(c, m) for c in t[: self.rank])
 
     def from_lattice(self, z: Sequence) -> Vec:
         return tuple(
@@ -100,28 +110,8 @@ class LatticeBasis:
         )
 
     def contains(self, x) -> bool:
-        z = self.to_lattice(x)
-        return z is not None and all(c.denominator == 1 for c in z)
-
-    def integer_test(self):
-        """Predicate on integer vectors x: whether x lies in the lattice.
-
-        With T scaled to integers by the common denominator D of its
-        entries, x lies in the lattice iff the rows of ``D T x`` past the
-        rank are 0 and the first rank rows are multiples of D; this holds
-        for rank-deficient lattices too.
-        """
-        rows, den = int_scaled(self._transform)
-        r = self.rank
-
-        def test(x) -> bool:
-            for i, row in enumerate(rows):
-                t = sum(map(mul, row, x))
-                if (t % den if i < r else t) != 0:
-                    return False
-            return True
-
-        return test
+        [xs], den = int_scaled([vec(x)])
+        return self.contains_scaled(xs, den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LatticeBasis):
@@ -178,10 +168,8 @@ class DiscreteSetSpec:
 def _check_sublattice(base: LatticeBasis, sub: LatticeBasis) -> None:
     if sub.dim != base.dim:
         raise ValueError("sublattice dimension mismatch")
-    for v in sub.vectors:
-        z = base.to_lattice(v)
-        if z is None or any(c.denominator != 1 for c in z):
-            raise ValueError("sublattice basis vector is not a lattice member")
+    if not all(map(base.contains, sub.vectors)):
+        raise ValueError("sublattice basis vector is not a lattice member")
 
 
 def _as_basis(basis, dim: int):
@@ -212,11 +200,10 @@ def set_contains(spec: DiscreteSetSpec, point) -> bool:
     p = vec(point)
     if len(p) != spec.dim:
         raise ValueError("dimension mismatch")
-    if not spec.base.contains(p):
-        return False
-    if spec.variant == "difference":
-        return not any(sub.contains(p) for sub in spec.sublattices)
-    return True
+    [x], den = int_scaled([p])
+    return spec.base.contains_scaled(x, den) and not any(
+        sub.contains_scaled(x, den) for sub in spec.sublattices
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -254,16 +241,21 @@ def box_polytope(bounds: Sequence) -> PolytopeV:
 
 
 def lattice_box(lat: LatticeBasis, vertices: Sequence[Vec]) -> tuple:
-    """Lattice coordinates of the vertices, and one range of integers per
-    lattice coordinate for their bounding box (valid even off the lattice
-    span, since lattice coordinates are linear).
+    """``(coords, den, ranges)``: the lattice coordinates of the vertices as
+    integer tuples ``den * z``, and one range of integers per lattice
+    coordinate for their bounding box (valid even off the lattice span,
+    since lattice coordinates are linear).
+
+    The vertices are scaled to integers once; coordinates and ranges come
+    from :meth:`LatticeBasis.scaled_coords` and integer floor and ceiling.
     """
-    coords = [lat.projected_coords(v) for v in vertices]
+    ints, scale = int_scaled(vertices)
+    coords = [tuple(lat.scaled_coords(v)[: lat.rank]) for v in ints]
+    den = lat._t_den * scale
     ranges = [
-        range(ceil(min(c[j] for c in coords)), floor(max(c[j] for c in coords)) + 1)
-        for j in range(lat.rank)
+        range(_ceil_div(min(col), den), max(col) // den + 1) for col in zip(*coords)
     ]
-    return coords, ranges
+    return coords, den, ranges
 
 
 def enumerate_scaled_in_polytope(
@@ -274,14 +266,15 @@ def enumerate_scaled_in_polytope(
 
     Works on the integer bounding box of the polytope in lattice
     coordinates (:func:`lattice_box`).  On a full-rank lattice of
-    dimension at most 3 the integer-scaled hull image gets an integer
-    H-representation (:func:`hull_facets`) and the box is scanned line by
-    line along the last lattice coordinate, each facet bounding the line by
-    a floor or a ceiling.  Where no facets exist (a 3-d hull inside a plane
-    or a line, a rank-deficient lattice, dimension 4 and up) each box point
-    is tested by exact hull membership.  A difference set drops the
-    lattice coordinates that lie in a removed sublattice, by an integer
-    congruence test (:meth:`LatticeBasis.integer_test`).
+    dimension at most 3 the integer lattice coordinates of the vertices
+    get an integer H-representation (:func:`hull_facets`) and the box is
+    scanned line by line along the last lattice coordinate, each facet
+    bounding the line by a floor or a ceiling.  Where no facets exist (a
+    3-d hull inside a plane or a line, a rank-deficient lattice, dimension
+    4 and up) each box point is tested by exact hull membership.  A
+    difference set drops the lattice coordinates in a removed sublattice,
+    re-expressed once in lattice coordinates, by the congruence test
+    :meth:`LatticeBasis.contains_scaled`.
     """
     if not spec.enumerable:
         raise ValueError("enumeration is defined only for enumerable sets")
@@ -289,16 +282,13 @@ def enumerate_scaled_in_polytope(
         raise ValueError("dimension mismatch")
     lat = spec.base
     verts = list(dict.fromkeys(polytope.vertices))
-    coords, ranges = lattice_box(lat, verts)
+    coords, scale, ranges = lattice_box(lat, verts)
     total = prod(map(len, ranges))
     if cap is not None and total > cap:
         raise CapExceededError(
             f"enumeration box holds {total} candidates, cap is {cap}"
         )
-    facets = None
-    if lat.rank == lat.dim:
-        ints, scale = int_scaled(coords)
-        facets = hull_facets(ints)
+    facets = hull_facets(coords) if lat.rank == lat.dim else None
     if facets is not None:
         zs = _scan_lines(facets, scale, ranges)
     else:
@@ -307,11 +297,11 @@ def enumerate_scaled_in_polytope(
             if membership(lat.from_lattice(z), verts).inside
         )
     removed = [
-        LatticeBasis([lat.to_lattice(v) for v in sub.vectors], lat.rank).integer_test()
+        LatticeBasis([lat.to_lattice(v) for v in sub.vectors], lat.rank)
         for sub in spec.sublattices
     ]
     if removed:
-        zs = [z for z in zs if not any(test(z) for test in removed)]
+        zs = [z for z in zs if not any(sub.contains_scaled(z) for sub in removed)]
     rows = list(zip(*lat._int_vectors))
     out = [tuple(sum(map(mul, row, z)) for row in rows) for z in zs]
     out.sort()

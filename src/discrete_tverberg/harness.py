@@ -28,7 +28,7 @@ from .errors import (
 )
 from .oracles import OracleCaps, brute_tverberg, verify_partition
 from .tverberg import Instance, tverberg_partition
-from .vectors import Vec
+from .vectors import Vec, require_int
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -82,16 +82,15 @@ class ExperimentConfig:
     box: Optional[tuple] = None  # explicit (lo, hi) pairs; overrides box_bound
 
     def __post_init__(self):
-        if self.m < 1 or self.k < 1:
-            raise ValueError("m and k must be at least 1")
-        if self.n_points < self.m:
-            raise ValueError("n_points must be at least m")
-        if self.box_bound < 1:
-            raise ValueError("box_bound must be at least 1")
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
-        if self.threads < 1:
-            raise ValueError("threads must be at least 1")
+        for name in ("m", "k", "box_bound", "trials", "threads", "n_points"):
+            low = self.m if name == "n_points" else 1
+            if require_int(getattr(self, name), name) < low:
+                raise ValueError(f"{name} must be at least {low}")
+        require_int(self.seed, "seed")
+        if not isinstance(self.oracle_validate, bool):
+            raise ValueError("oracle_validate must be true or false")
+        if self.bound_mode not in ("paper", "best"):
+            raise ValueError(f"unknown bound mode {self.bound_mode!r}")
         if self.box is not None and len(self.box) != self.spec.dim:
             raise ValueError("box must have one (lo, hi) pair per dimension")
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from fractions import Fraction
 from typing import Any, Sequence
 
@@ -20,9 +20,9 @@ from .discrete_sets import (
     PolytopeV,
     difference_set,
     lattice_set,
-    mixed_set,
 )
 from .exact_geometry import ConvexCombination, DepthResult, Halfspace
+from .oracles import OracleCaps
 from .tverberg import Instance, PartitionResult, TverbergOutcome
 from .vectors import Vec, frac, require_int, vec
 
@@ -94,18 +94,16 @@ def parse_spec(raw: dict) -> DiscreteSetSpec:
     if not isinstance(raw, dict):
         raise ValueError("set spec must be an object")
     variant = raw.get("variant", "lattice")
-    dim = raw.get("dim")
-    if not isinstance(dim, int) or dim < 1:
-        raise ValueError("set spec needs an integer \"dim\" >= 1")
+    dim = require_int(raw.get("dim"), "set spec \"dim\"")
+    if dim < 1:
+        raise ValueError("set spec needs \"dim\" >= 1")
     if variant == "mixed":
-        a = raw.get("a")
-        b = raw.get("b")
-        if not isinstance(a, int) or not isinstance(b, int):
-            raise ValueError("mixed set spec needs integer \"a\" and \"b\"")
-        return mixed_set(a, b)
+        return DiscreteSetSpec(dim=dim, variant="mixed",
+                               a=require_int(raw.get("a"), "mixed set spec \"a\""),
+                               b=require_int(raw.get("b"), "mixed set spec \"b\""))
 
     def read_basis(rows) -> LatticeBasis:
-        return LatticeBasis(tuple(parse_point(r) for r in rows), dim=dim)
+        return LatticeBasis(tuple(parse_points(rows)), dim=dim)
 
     basis = read_basis(raw["basis"]) if "basis" in raw else None
     if variant == "lattice":
@@ -251,16 +249,28 @@ def config_to_json(config) -> dict:
     return out
 
 
+def parse_caps(raw) -> OracleCaps:
+    """Cap overrides: an object of known :class:`OracleCaps` fields with
+    integer values."""
+    if not isinstance(raw, dict):
+        raise ValueError("caps must be an object")
+    names = {f.name for f in fields(OracleCaps)}
+    for key, value in raw.items():
+        if key not in names:
+            raise ValueError(f"unknown cap {key!r}")
+        require_int(value, f"cap {key!r}")
+    return OracleCaps(**raw)
+
+
 def parse_config(raw: dict):
     from .harness import ExperimentConfig
-    from .oracles import OracleCaps
 
     if not isinstance(raw, dict):
         raise ValueError("config must be an object")
     for key in ("set", "m", "k", "n_points", "box_bound", "trials", "seed"):
         if key not in raw:
             raise ValueError(f"config is missing {key!r}")
-    caps = OracleCaps(**raw["caps"]) if "caps" in raw else OracleCaps()
+    caps = parse_caps(raw["caps"]) if "caps" in raw else OracleCaps()
     box = tuple(parse_box(raw["box"])) if "box" in raw else None
     return ExperimentConfig(
         spec=parse_spec(raw["set"]),

@@ -134,7 +134,7 @@ def _common_set_points(
     """Up to ``want`` points of S common to every hull, lexicographic."""
     base = min(
         range(len(hulls)),
-        key=lambda i: (prod(map(len, lattice_box(spec.base, hulls[i])[1])), i),
+        key=lambda i: (prod(map(len, lattice_box(spec.base, hulls[i])[2])), i),
     )
     candidates = enumerate_in_polytope(spec, PolytopeV(tuple(hulls[base])))
     others = [hulls[i] for i in range(len(hulls)) if i != base]

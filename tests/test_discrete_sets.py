@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from discrete_tverberg.discrete_sets import (
     DiscreteSetSpec,
@@ -21,7 +22,8 @@ from discrete_tverberg.discrete_sets import (
     tverberg_upper_bound,
 )
 from discrete_tverberg.errors import CapExceededError
-from discrete_tverberg.vectors import vec
+from discrete_tverberg.exact_geometry import rank_of_vectors
+from discrete_tverberg.vectors import common_denominator, vec
 
 F = Fraction
 
@@ -319,6 +321,40 @@ def test_lattice_basis_roundtrip():
     assert not set_contains(spec, (1, 2))
     assert basis.to_lattice(vec((1, 3))) == (F(1), F(1))
     assert basis.from_lattice((1, 1)) == vec((1, 3))
+
+
+# identity, sheared, rational-scaled and rank-deficient bases of the tests above
+KERNEL_BASES = [
+    LatticeBasis.identity(2),
+    LatticeBasis.identity(3),
+    LatticeBasis(((1, 0), (F(1, 2), 1))),
+    LatticeBasis(((1, 0, 0), (F(1, 2), 1, 0), (0, F(1, 3), 1))),
+    EVEN2.base,
+    LatticeBasis(((F(1, 2),),), dim=1),
+    LatticeBasis(((2, 0), (1, 2))),
+    LatticeBasis(((1, 2),), dim=2),
+    LatticeBasis(((1, 0, 0), (0, 1, 1)), dim=3),
+    LatticeBasis(((2, 0, 0), (0, 1, 1)), dim=3),
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(KERNEL_BASES), st.data())
+def test_lattice_kernel_matches_forward_map(basis, data):
+    # from_lattice does not use the transform T, so it is the reference
+    z = data.draw(st.tuples(*[st.integers(-6, 6)] * basis.rank))
+    x = basis.from_lattice(z)
+    assert basis.to_lattice(x) == z
+    assert basis.contains(x)
+    i = data.draw(st.integers(0, basis.dim - 1))
+    shifted = x[:i] + (x[i] + F(1, 2 * common_denominator(basis.vectors)),) + x[i + 1:]
+    assert not basis.contains(shifted)
+    if basis.rank < basis.dim:
+        off = data.draw(st.tuples(*[st.integers(-3, 3)] * basis.dim).filter(
+            lambda w: rank_of_vectors(basis.vectors + (w,)) > basis.rank))
+        moved = tuple(a + b for a, b in zip(x, off))
+        assert basis.to_lattice(moved) is None
+        assert not basis.contains(moved)
 
 
 def test_polytope_validation():

@@ -280,6 +280,34 @@ def test_parse_result_takes_only_integer_part_indices():
         jsonio.parse_result(dict(ok, parts=[0, [2]]))
 
 
+EXPERIMENT_CFG = {"set": {"variant": "lattice", "dim": 2}, "m": 2, "k": 1,
+                  "n_points": 9, "box_bound": 8, "trials": 3, "seed": 4}
+BAD_CAPS = [{"bogus": 1}, [1], {"partitions": "7"}, {"depth_points": True}]
+
+
+@pytest.mark.parametrize("args, raw", [
+    *[(["experiment"], dict(EXPERIMENT_CFG, **{key: bad})) for key, bad in [
+        ("m", "2"), ("m", 2.0), ("k", True), ("n_points", "9"), ("box_bound", 8.0),
+        ("trials", None), ("seed", "4"), ("threads", True),
+        ("oracle_validate", "yes"), ("bound_mode", "nope")]],
+    *[(["experiment"], dict(EXPERIMENT_CFG, caps=caps)) for caps in BAD_CAPS],
+    *[(["oracle", "depth", "--caps", json.dumps(caps), "[0, 0]"],
+       {"points": [[1, 0], [-1, 0]]}) for caps in BAD_CAPS],
+    *[(["bounds", "--m", "2"], spec) for spec in [
+        {"variant": "lattice", "dim": True},
+        {"variant": "mixed", "dim": 2, "a": True, "b": 1},
+        {"variant": "mixed", "dim": 5, "a": 1, "b": 1},
+        {"variant": "lattice", "dim": 2, "basis": 5},
+        {"variant": "difference", "dim": 1, "sublattices": [5]}]],
+])
+def test_cli_rejects_malformed_input(tmp_path, capsys, monkeypatch, args, raw):
+    # each input used to end in a traceback, run to exit 0, or fail only
+    # after every trial had run; a bad config must fail before any trial
+    monkeypatch.setattr(cli, "run_experiment", None)
+    assert cli.main(args + [write_json(tmp_path, "input.json", raw)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_config_json_roundtrip_keeps_caps_and_box():
     config = ExperimentConfig(spec=Z2, m=2, k=1, n_points=9, box_bound=8,
                               trials=3, seed=4, caps=OracleCaps(partitions=7),
