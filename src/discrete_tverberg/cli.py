@@ -36,7 +36,7 @@ from .oracles import (
     brute_tverberg,
     verify_partition,
 )
-from .tverberg import radon_partition, tverberg_partition
+from .tverberg import tverberg_partition
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -57,6 +57,12 @@ def _load(path: str):
         return json.load(fh)
 
 
+def _load_points(path: str) -> list:
+    """A point list, given bare or as the ``points`` field of an object."""
+    raw = _load(path)
+    return jsonio.parse_points(raw["points"] if isinstance(raw, dict) else raw)
+
+
 def _emit(obj) -> None:
     print(jsonio.dumps(obj))
 
@@ -75,8 +81,7 @@ def _caps(args) -> OracleCaps:
 # commands
 
 
-def cmd_tverberg(args) -> int:
-    instance = jsonio.parse_instance(_load(args.instance))
+def _partition(instance) -> int:
     t0 = time.perf_counter()
     outcome = tverberg_partition(instance)
     elapsed = time.perf_counter() - t0
@@ -96,26 +101,20 @@ def cmd_tverberg(args) -> int:
     return EXIT_OK
 
 
+def cmd_tverberg(args) -> int:
+    return _partition(jsonio.parse_instance(_load(args.instance)))
+
+
 def cmd_radon(args) -> int:
     instance = jsonio.parse_instance(_load(args.instance))
     if instance.m != 2:
         raise ValueError("radon requires an instance with m = 2")
-    outcome = radon_partition(instance)
-    if outcome.status == "ok":
-        check = verify_partition(outcome.result, instance)
-        if not check:
-            _emit({"status": "error", "error_type": "VerificationFailure",
-                   "message": f"independent re-check failed: {check.reason}"})
-            return EXIT_FAILURE
-    _emit(jsonio.outcome_to_json(outcome, instance))
-    _note(f"status: {outcome.status}")
-    return EXIT_OK
+    return _partition(instance)
 
 
 def cmd_depth(args) -> int:
     query = jsonio.parse_point(json.loads(args.point))
-    raw = _load(args.points)
-    pts = jsonio.parse_points(raw["points"] if isinstance(raw, dict) else raw)
+    pts = _load_points(args.points)
     result = depth(query, pts)
     _emit(jsonio.depth_result_to_json(result))
     _note(f"depth {result.depth} among {len(pts)} points")
@@ -134,8 +133,7 @@ def cmd_hollow_search(args) -> int:
 
 def cmd_hoffman_check(args) -> int:
     spec = jsonio.parse_spec(_load(args.set))
-    raw = _load(args.points)
-    pts = jsonio.parse_points(raw["points"] if isinstance(raw, dict) else raw)
+    pts = _load_points(args.points)
     hollow = is_k_hollow(pts, spec, args.k)
     hoffman = is_k_hoffman(pts, spec, args.k) if len(pts) >= 2 else True
     _emit({"k": args.k, "size": len(pts), "hollow": hollow, "hoffman": hoffman})
@@ -163,8 +161,7 @@ def cmd_bounds(args) -> int:
 
 def cmd_oracle_depth(args) -> int:
     query = jsonio.parse_point(json.loads(args.point))
-    raw = _load(args.points)
-    pts = jsonio.parse_points(raw["points"] if isinstance(raw, dict) else raw)
+    pts = _load_points(args.points)
     value = brute_depth(query, pts, _caps(args))
     _emit({"depth": value})
     return EXIT_OK

@@ -25,6 +25,7 @@ from typing import Optional, Sequence
 
 from .errors import CapExceededError
 from .exact_geometry import extreme_points, hull_facets, membership, rank_of_vectors
+from .linprog import pivot
 from .vectors import ONE, ZERO, Vec, int_scaled, vec
 
 
@@ -47,8 +48,8 @@ class LatticeBasis:
         if rank_of_vectors(vecs) != self.rank:
             raise ValueError("basis vectors are linearly dependent")
         self.vectors = tuple(vecs)
-        self._t_rows, self._t_den = int_scaled(self._reduce())
         self._int_vectors, self._den = int_scaled(vecs)
+        self._t_rows, self._t_den = self._reduce()
 
     @classmethod
     def identity(cls, dim: int) -> "LatticeBasis":
@@ -57,23 +58,22 @@ class LatticeBasis:
         ]
         return cls(rows, dim)
 
-    def _reduce(self) -> list:
+    def _reduce(self) -> tuple:
+        """``(rows, den)``: T as integer rows over one positive denominator,
+        from fraction-free Gauss-Jordan on ``[B_int | D_B I]`` with
+        ``B_int = D_B B``."""
         d, r = self.dim, self.rank
         rows = [
-            [self.vectors[j][i] for j in range(r)]
-            + [ONE if t == i else ZERO for t in range(d)]
+            [v[i] for v in self._int_vectors] + [self._den if t == i else 0 for t in range(d)]
             for i in range(d)
         ]
+        det = 1
         for cj in range(r):
-            pivot = next(i for i in range(cj, d) if rows[i][cj] != 0)
-            rows[cj], rows[pivot] = rows[pivot], rows[cj]
-            pv = rows[cj][cj]
-            rows[cj] = [x / pv for x in rows[cj]]
-            for i in range(d):
-                if i != cj and rows[i][cj] != 0:
-                    f = rows[i][cj]
-                    rows[i] = [a - f * b for a, b in zip(rows[i], rows[cj])]
-        return [row[r:] for row in rows]
+            i = next(i for i in range(cj, d) if rows[i][cj])
+            rows[cj], rows[i] = rows[i], rows[cj]
+            det = pivot(rows, cj, cj, det)
+        sign = -1 if det < 0 else 1
+        return [[sign * x for x in row[r:]] for row in rows], sign * det
 
     def scaled_coords(self, x: Sequence[int]) -> list:
         """The integer rows of ``D T x`` for an integer vector x."""
@@ -361,16 +361,14 @@ class HollowCertificate:
         return len(self.nonvertex_points) < self.k
 
     def verify(self, spec: DiscreteSetSpec) -> bool:
+        """Whether ``nonvertex_points`` lists exactly the points of S in
+        conv(points) other than its vertices."""
         pts = list(self.points)
         if not pts:
-            return True
+            return not self.nonvertex_points
         verts = set(extreme_points(pts))
-        for q in self.nonvertex_points:
-            if not set_contains(spec, q):
-                return False
-            if q in verts or not membership(q, pts).inside:
-                return False
-        return True
+        inside = enumerate_in_polytope(spec, PolytopeV(tuple(pts)))
+        return sorted(self.nonvertex_points) == [q for q in inside if q not in verts]
 
 
 def _require_in_set(spec: DiscreteSetSpec, points: list) -> None:

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from discrete_tverberg.discrete_sets import (
     DiscreteSetSpec,
+    HollowCertificate,
     LatticeBasis,
     PolytopeV,
     box_polytope,
@@ -125,6 +126,9 @@ def test_enumerate_matches_per_point_check():
                                   LatticeBasis(((1, 0), (F(1, 2), 1))))
     diff3_low = difference_set(3, (LatticeBasis(((2, 0, 0), (0, 1, 1)), dim=3),
                                    LatticeBasis(((1, 1, 1),), dim=3)))
+    # a base whose reduction swaps rows and ends on a negative determinant
+    diff_swapped = difference_set(2, (LatticeBasis(((0, 2), (-1, F(1, 2)))),),
+                                  LatticeBasis(((0, 1), (-1, F(1, 2)))))
     cases = [
         (Z2, pts((-1, -1), (3, 0), (0, 3))),
         # boxes of more than 256 lattice points
@@ -163,6 +167,7 @@ def test_enumerate_matches_per_point_check():
         (diff_line, pts((-5, -4), (6, -3), (1, 7))),
         (diff_sheared, pts((-6, -5), (7, -4), (2, 6))),
         (diff3_low, pts((-3, -3, -2), (4, -1, -1), (0, 4, 3), (1, 1, 4))),
+        (diff_swapped, pts((-5, -4), (6, -3), (1, 7))),
         # lower-dimensional hulls in Z^3 take per-point membership
         (Z3, pts((0, 0, 0), (3, 0, 0), (0, 3, 0), (1, 1, 0))),
         (Z3, pts((0, 0, 0), (2, 1, 1), (1, 2, 3), (3, 3, 4))),
@@ -194,6 +199,18 @@ def test_count_nonvertex_unit_square():
     count, cert = count_nonvertex(Z2, pts((0, 0), (1, 0), (0, 1), (1, 1)))
     assert count == 0
     assert cert.verify(Z2)
+
+
+def test_hollow_certificate_must_list_every_nonvertex_point():
+    square = pts((0, 0), (2, 0), (0, 2), (2, 2))
+    empty = HollowCertificate(tuple(square), 1, ())
+    assert empty.asserts_hollow
+    assert not empty.verify(Z2)
+    centre_only = HollowCertificate(tuple(square), 3, tuple(pts((1, 1))))
+    assert centre_only.asserts_hollow
+    assert not centre_only.verify(Z2)
+    count, cert = count_nonvertex(Z2, square)
+    assert count == 5 and cert.verify(Z2)
 
 
 def test_count_nonvertex_triangle():
@@ -335,6 +352,10 @@ KERNEL_BASES = [
     LatticeBasis(((1, 2),), dim=2),
     LatticeBasis(((1, 0, 0), (0, 1, 1)), dim=3),
     LatticeBasis(((2, 0, 0), (0, 1, 1)), dim=3),
+    # the reduction swaps rows, and ends on a negative determinant
+    LatticeBasis(((0, 1), (1, 0))),
+    LatticeBasis(((0, 1, 0), (-1, 0, 0), (0, 0, F(3, 2)))),
+    LatticeBasis(((0, 2, 1),), dim=3),
 ]
 
 

@@ -213,6 +213,23 @@ def test_cli_radon_rejects_wrong_m(tmp_path):
     assert proc.returncode == 1
 
 
+def test_cli_radon_prints_the_tverberg_outcome(tmp_path, capsys):
+    path = write_json(tmp_path, "inst.json", INSTANCE_1D)
+    assert cli.main(["radon", path]) == 0
+    radon = capsys.readouterr().out
+    assert cli.main(["tverberg", path]) == 0
+    assert capsys.readouterr().out == radon
+
+
+def test_cli_reads_bare_point_lists(tmp_path, capsys):
+    square = [[1, 0], [-1, 0], [0, 1], [0, -1]]
+    outs = []
+    for name, obj in (("bare.json", square), ("obj.json", {"points": square})):
+        assert cli.main(["depth", "[0, 0]", write_json(tmp_path, name, obj)]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+
+
 def test_cli_depth_and_oracle_agree(tmp_path):
     pts = write_json(tmp_path, "pts.json",
                      {"points": [[1, 0], [-1, 0], [0, 1], [0, -1]]})
