@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 from .errors import CapExceededError
 from .exact_geometry import extreme_points, hull_facets, membership, rank_of_vectors
 from .linprog import pivot
-from .vectors import ONE, ZERO, Vec, int_scaled, vec
+from .vectors import ONE, ZERO, Vec, frac, int_scaled, vec
 
 
 class LatticeBasis:
@@ -233,7 +233,7 @@ def box_polytope(bounds: Sequence) -> PolytopeV:
     """Axis box as a PolytopeV; bounds is a (lo, hi) pair per coordinate."""
     iv = []
     for lo, hi in bounds:
-        lo, hi = Fraction(lo), Fraction(hi)
+        lo, hi = frac(lo), frac(hi)
         if lo > hi:
             raise ValueError("empty box bound")
         iv.append((lo, hi))

@@ -2,12 +2,11 @@
 
 All geometry runs over Fraction coordinates.  Planar inputs are scaled to
 integers and dispatched to :mod:`.geom2d`; higher dimensions use a phase-1
-simplex for membership.  Depth runs on integer difference vectors: planar
-input takes the scan of :mod:`.geom2d`, every other dimension one wall
-descent over direction classes that solves each plane in one pass (the
-generic wall recursion stays as its test reference).  Every verdict
-carries a certificate that can be re-checked independently of the code
-that produced it.
+simplex for membership.  Depth runs on integer difference vectors in one
+kernel for every dimension: a wall descent over direction classes that
+solves each plane it reaches in one pass (the generic wall recursion
+stays as its test reference).  Every verdict carries a certificate that
+can be re-checked independently of the code that produced it.
 
 Conventions:
   * a separating halfspace keeps the point SET on the ``normal . x >= offset``
@@ -409,21 +408,22 @@ def rank_of_vectors(vectors) -> int:
     Gaussian elimination."""
     rows = [list(v) for v in vectors]
     rank = 0
-    col = 0
-    width = len(rows[0]) if rows else 0
-    while rank < len(rows) and col < width:
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if pivot is None:
-            col += 1
+    for col in range(len(rows[0]) if rows else 0):
+        for r in range(rank, len(rows)):
+            if rows[r][col] != 0:
+                break
+        else:
             continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        prow = rows[rank]
-        for r in range(rank + 1, len(rows)):
+        prow = rows[r]
+        rows[r] = rows[rank]
+        rows[rank] = prow
+        rank += 1
+        if rank == len(rows):
+            break
+        for r in range(rank, len(rows)):
             f = rows[r][col]
             if f != 0:
                 rows[r] = [prow[col] * x - f * y for x, y in zip(rows[r], prow)]
-        rank += 1
-        col += 1
     return rank
 
 
@@ -501,7 +501,9 @@ def _min_open_count(W: list) -> tuple:
     projected into the wall.  Witnesses rebuild as ``M * v_sub + sign * u``
     with M large enough to preserve every projected sign, which keeps them
     generic (nonzero against every w) at every level.  Ties resolve to the
-    lexicographically smallest primitive witness.
+    lexicographically smallest primitive witness.  No engine code calls
+    it: it is the reference that tests hold :func:`depth_count` to in 1-4
+    d.
     """
     keys = [_canon_primitive(w) for w in W]
     classes = {}
@@ -543,28 +545,6 @@ def _off_wall(best, sub_count, v_sub, m, u, pos, neg) -> tuple:
     return best
 
 
-def _canon(w: list) -> tuple:
-    """``(key, t)`` with ``w = t * key``, key primitive with its first
-    nonzero coordinate positive."""
-    t = gcd(*w)
-    if w < [0] * len(w):
-        t = -t
-    return tuple([c // t for c in w]), t
-
-
-def _wall_descent(W: list) -> tuple:
-    """:func:`_min_open_count` in any dimension: the same count and witness."""
-    classes = {}  # direction class -> [along, against, largest multiple]
-    for w in W:
-        key, t = _canon(list(w))
-        c = classes.setdefault(key, [0, 0, 0])
-        c[t < 0] += 1
-        c[2] = max(c[2], abs(t))
-    # the rank of the keys' d x c transpose takes at most d short pivots
-    count, witness = _descend(classes, rank_of_vectors(zip(*classes)))
-    return count, witness()
-
-
 def _descend(classes: dict, rank: int) -> tuple:
     """``(count, witness thunk)`` of the wall recursion on direction classes
     of the given rank: a line is :func:`_line_side`, a plane :func:`_planar`.
@@ -587,7 +567,8 @@ def _descend(classes: dict, rank: int) -> tuple:
         uu = _idot(u, u)
         wall = {}
         m = 0
-        # _idot and _canon are inlined: this loop is most of a 3-d query
+        # _idot and the canonical form are inlined: this loop is most of a
+        # 3-d query
         for r, (pos, neg, t) in classes.items():
             if r is u:
                 continue
@@ -625,62 +606,87 @@ def _planar(classes: dict) -> tuple:
     Below class v the recursion meets one line, the plane's normal to v;
     each class lies on the side given by the sign of its 2-d cross product
     with v, on two coordinates that embed the plane, so one pass counts
-    every class.  :func:`_line_side` does not depend on the line's
-    orientation; the witness orients it along ``vv.r - (v.r).v``.
+    every class.  The pass keeps only each class's total; the witness
+    recounts the sides of the tied classes.  :func:`_line_side` does not
+    depend on the line's orientation; the witness orients it along
+    ``vv.r - (v.r).v``.
     """
-    a, b = list(classes)[:2]
+    keys = iter(classes)
+    a, b = next(keys), next(keys)
     i, j = next((i, j) for i in range(len(a)) for j in range(i + 1, len(a))
                 if a[i] * b[j] != a[j] * b[i])
     flat = [(r[i], r[j], rpos, rneg) for r, (rpos, rneg, _) in classes.items()]
-    rows = []
-    for (v, (vpos, vneg, _)), (vi, vj, _, _) in zip(classes.items(), flat):
-        pos = neg = 0
+    n = sum(rpos + rneg for _, _, rpos, rneg in flat)
+    totals = []
+    for vi, vj, vpos, vneg in flat:
+        pos = 0  # the rest of the other classes' vectors are on the neg side
         for ri, rj, rpos, rneg in flat:
             s = vi * rj - vj * ri
             if s > 0:
                 pos += rpos
-                neg += rneg
             elif s < 0:  # zero only for v itself
                 pos += rneg
-                neg += rpos
-        rows.append((min(pos, neg) + min(vpos, vneg), v, pos, neg))
-    low = min(row[0] for row in rows)
+        neg = n - vpos - vneg - pos
+        # min(pos, neg) + min(vpos, vneg) without two calls per class
+        totals.append((pos if pos < neg else neg) + (vpos if vpos < vneg else vneg))
+    low = min(totals)
 
     def witness():
         best = None
-        for total, v, pos, neg in rows:
+        for (v, (vpos, vneg, _)), total in zip(classes.items(), totals):
             if total != low:
                 continue
+            vi, vj = v[i], v[j]
+            pos = m = 0
+            for r, (rpos, rneg, t) in classes.items():
+                s = vi * r[j] - vj * r[i]
+                if s:
+                    pos += rpos if s > 0 else rneg
+                    m = max(m, abs(sum(map(mul, v, r))) * t)
+            neg = n - vpos - vneg - pos
             r = next(r for r in classes if r is not v)
             vv, vr = _idot(v, v), _idot(v, r)
             line = _primitive_signed(tuple(vv * x - vr * y for x, y in zip(r, v)))
-            if v[i] * r[j] < v[j] * r[i]:
+            if vi * r[j] < vj * r[i]:
                 pos, neg = neg, pos
-            m = 1 + max(abs(_idot(v, r)) * t
-                        for r, (_, _, t) in classes.items() if r is not v)
-            vpos, vneg, _ = classes[v]
             best = _off_wall(best, min(pos, neg), _line_side(line, pos, neg)[1],
-                             m, v, vpos, vneg)
+                             m + 1, v, vpos, vneg)
         return best[1]
     return low, witness
 
 
 def depth_count(W: list, d: int) -> tuple:
-    """(min over generic v of #{w : v.w > 0}, integer witness v).
+    """(min over generic v of #{w : v.w > 0}, thunk of an integer witness v).
 
-    W is a multiset of nonzero integer vectors in dimension d: the
+    W is a multiset of nonzero integer tuples in dimension d: the
     differences from a query to the other points, whose depth is this
-    count plus one when the query is itself a point.  Planar input takes
-    :func:`geom2d.depth2d_min_count`; every other dimension takes
-    :func:`_wall_descent`, which returns the wall recursion
-    :func:`_min_open_count`'s count and witness.  An empty W gives the
-    count 0 and the first axis.
+    count plus one when the query is itself a point.  The vectors are
+    grouped into direction classes (primitive, first nonzero coordinate
+    positive), each with how many vectors point along and against it and
+    its largest multiple, and :func:`_descend` runs the wall recursion
+    :func:`_min_open_count` on them in every dimension: the same count,
+    and a thunk that builds the same witness only when called.  An empty
+    W gives the count 0 and the first axis.
     """
     if not W:
-        return 0, (1,) + (0,) * (d - 1)
-    if d == 2:
-        return geom2d.depth2d_min_count(W)
-    return _wall_descent(W)
+        return 0, lambda: (1,) + (0,) * (d - 1)
+    classes = {}  # direction class -> [along, against, largest multiple]
+    zero = (0,) * d
+    for w in W:
+        t = gcd(*w)
+        if w < zero:
+            t = -t
+        key = w if t == 1 else tuple([c // t for c in w])
+        c = classes.get(key)
+        if c is None:
+            classes[key] = [1, 0, t] if t > 0 else [0, 1, -t]
+        else:
+            c[t < 0] += 1
+            if abs(t) > c[2]:
+                c[2] = abs(t)
+    # the rank of the keys' d x c transpose takes at most d short pivots
+    rank = 1 if len(classes) == 1 else rank_of_vectors(zip(*classes))
+    return _descend(classes, rank)
 
 
 def depth(query, points) -> DepthResult:
@@ -696,5 +702,5 @@ def depth(query, points) -> DepthResult:
     z = 1 if query in set(pts) else 0
     W, _ = int_scaled([vsub(p, query) for p in pts if p != query])
     count, witness = depth_count(W, len(query))
-    normal = tuple(frac(c) for c in witness)
+    normal = tuple(frac(c) for c in witness())
     return DepthResult(z + count, Halfspace(normal, vdot(normal, query)))

@@ -7,7 +7,6 @@ pure-Python integer arithmetic.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 from typing import Optional, Sequence
 
 IntPt = tuple  # tuple[int, int]
@@ -120,71 +119,18 @@ def fan_combination(q: IntPt, hull: Sequence[IntPt]) -> Optional[list]:
     return None
 
 
-def _primitive2(v: IntPt) -> IntPt:
-    g = gcd(abs(v[0]), abs(v[1]))
-    if g > 1:
-        return (v[0] // g, v[1] // g)
-    return (v[0], v[1])
-
-
-def _witness_vector(r: IntPt, t: IntPt, W: Sequence[IntPt]) -> IntPt:
-    # Concrete direction realizing the count at "r nudged toward t":
-    # K*r + t with K past every |t.w| keeps sign(v.w) = sign(r.w) whenever
-    # r.w != 0 and equal to sign(t.w) on the boundary class.
-    k = 1
-    for w in W:
-        tw = abs(t[0] * w[0] + t[1] * w[1])
-        if tw >= k:
-            k = tw + 1
-    return _primitive2((k * r[0] + t[0], k * r[1] + t[1]))
-
-
-def depth2d_min_count(W: Sequence[IntPt]) -> tuple:
-    """Minimum over directions v of #{w in W : v.w > 0}, plus a witness v.
-
-    W holds nonzero integer vectors.  Candidate directions are the rays
-    orthogonal to each w, each evaluated just past the ray (the orthogonal
-    nudge breaks boundary ties exactly); every open sector of the circular
-    arrangement starts at such a ray, so the scan is exhaustive.  Ties
-    between minimizing candidates resolve to the lexicographically smallest
-    primitive witness vector.
-    """
-    rays = {}
-    for w in W:
-        rays.setdefault(_primitive2((-w[1], w[0])), None)
-        rays.setdefault(_primitive2((w[1], -w[0])), None)
-    best_count = None
-    best_witness = None
-    for r in rays:
-        t = (-r[1], r[0])
-        cnt = 0
-        for w in W:
-            rw = r[0] * w[0] + r[1] * w[1]
-            if rw > 0:
-                cnt += 1
-            elif rw == 0 and t[0] * w[0] + t[1] * w[1] > 0:
-                cnt += 1
-        if best_count is None or cnt < best_count:
-            best_count = cnt
-            best_witness = _witness_vector(r, t, W)
-        elif cnt == best_count:
-            wv = _witness_vector(r, t, W)
-            if wv < best_witness:
-                best_witness = wv
-    return best_count, best_witness
-
-
 def bulk_depth_values(points: Sequence[IntPt], queries: Sequence[IntPt]) -> list:
     """Depths of many query points against one deduplicated point set.
 
-    Values only, no witnesses: the count of :func:`depth2d_min_count` plus
-    the query itself when it is one of the points.  No engine code calls
-    it; it stays only because the benchmark's per-layer trace
-    (``perfbench/layers.py``) wraps it by name.
+    Values only, no witnesses: the count of
+    :func:`.exact_geometry.depth_count` plus the query itself when it is
+    one of the points.  No engine code calls it; it stays only because the
+    benchmark's per-layer trace (``perfbench/layers.py``) wraps it by name.
     """
+    from .exact_geometry import depth_count  # exact_geometry imports this module
+
     out = []
     for qx, qy in queries:
         W = [(x - qx, y - qy) for x, y in points if x != qx or y != qy]
-        z = len(points) - len(W)
-        out.append(z + depth2d_min_count(W)[0] if W else z)
+        out.append(len(points) - len(W) + depth_count(W, 2)[0])
     return out

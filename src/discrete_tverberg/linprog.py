@@ -146,13 +146,19 @@ class ExactSimplex:
 
         Keeps feasibility (min-ratio step).  Returns False when the column
         has no positive tableau entry, which cannot happen for systems
-        whose feasible region is bounded, but is reported rather than
-        assumed.
+        whose feasible region is bounded, and when a positive step would
+        lift an artificial that phase 1 left basic at level 0 (a negative
+        entry in its row) off zero, which would break ``Ax = b``.  Both are
+        reported rather than assumed.
         """
         if col in self.basis:
             return True
         row = self._ratio_row(col)
         if row is None:
+            return False
+        if self.rows[row][-1] and any(
+            self.rows[i][col] < 0 for i, j in enumerate(self.basis) if j >= self.n
+        ):
             return False
         self._pivot(row, col)
         return True

@@ -148,11 +148,11 @@ def find_deep_witnesses(
     visit stops at the first bound below the threshold, or below the k-th
     best exact depth once k candidates reached the threshold: no later
     candidate can then reach, or tie with, a chosen one.  Each visited
-    candidate gets its depth and integer witness normal from
-    :func:`depth_count`; only the chosen become Fraction points with a
-    :class:`DepthResult`.  On integral points the witness is the one
-    :func:`depth` returns; on other scales it may be another minimizing
-    halfspace.
+    candidate gets its depth and a witness thunk from :func:`depth_count`;
+    only the chosen build their integer witness normal and become Fraction
+    points with a :class:`DepthResult`.  On integral points the witness is
+    the one :func:`depth` returns; on other scales it may be another
+    minimizing halfspace.
     """
     pts = [vec(p) for p in points]
     candidates, den = enumerate_scaled_in_polytope(spec, PolytopeV(tuple(pts)))
@@ -164,7 +164,9 @@ def find_deep_witnesses(
     ))
     cand_ints = [tuple(scale // den * c for c in q) for q in candidates]
     bounds = _depth_upper_bounds(point_ints, cand_ints)
-    top = []  # (-depth, candidate index, witness normal), best first, at most k
+    # (-depth, candidate index, witness thunk), best first, at most k; the
+    # prefix is unique, so two thunks are never compared
+    top = []
     cutoff = threshold
     # candidates are sorted, and a reversed sort is still stable: equal
     # bounds keep lexicographic order
@@ -173,17 +175,17 @@ def find_deep_witnesses(
             break
         q = cand_ints[i]
         W = [tuple(map(sub, p, q)) for p in point_ints if p != q]
-        count, normal = depth_count(W, spec.dim)
+        count, witness = depth_count(W, spec.dim)
         value = count + len(point_ints) - len(W)
         if value >= threshold:
-            insort(top, (-value, i, normal))
+            insort(top, (-value, i, witness))
             del top[k:]
             if len(top) == k:
                 cutoff = -top[-1][0]
     chosen = []
-    for neg_value, i, normal in top:
+    for neg_value, i, witness in top:
         point = tuple(Fraction(c, den) for c in candidates[i])
-        normal = vec(normal)
+        normal = vec(witness())
         result = DepthResult(-neg_value, Halfspace(normal, vdot(normal, point)))
         chosen.append(DeepWitness(point, result))
     return WitnessSearch(tuple(chosen), len(chosen) < k, len(candidates))

@@ -86,6 +86,14 @@ def test_enumerate_odd_interval():
     assert got == pts((1,), (3,), (5,))
 
 
+def test_box_polytope_refuses_float_bounds():
+    with pytest.raises(TypeError):
+        box_polytope([(0.1, 2)])
+    with pytest.raises(TypeError):
+        box_polytope([(0, 1), (-1, 2.0)])
+    assert list(box_polytope([("1/2", 1)]).vertices) == pts((F(1, 2),), (1,))
+
+
 def test_enumerate_single_vertex():
     got = enumerate_in_polytope(Z2, PolytopeV((vec((5, 5)),)))
     assert got == pts((5, 5))

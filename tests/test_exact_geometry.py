@@ -12,6 +12,7 @@ from discrete_tverberg.exact_geometry import (
     depth,
     extreme_points,
     membership,
+    rank_of_vectors,
 )
 from discrete_tverberg.vectors import vec
 
@@ -178,6 +179,16 @@ def test_affine_rank_and_independence():
     assert affinely_independent([(7, 7)])
 
 
+def test_rank_of_vectors_passes_over_dependent_columns():
+    # in the transpose the third column is the sum of the first two, so
+    # elimination must pass over it to reach the fourth
+    keys = [(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)]
+    assert rank_of_vectors(zip(*keys)) == 3
+    assert rank_of_vectors(keys) == 3
+    assert rank_of_vectors([(0, 0), (0, F(1, 2)), (0, 3)]) == 1
+    assert rank_of_vectors([]) == 0
+
+
 def test_centroid_values():
     assert centroid([(0, 0), (2, 0), (0, 2)]) == vec((F(2, 3), F(2, 3)))
     assert centroid([(3, 4)]) == vec((3, 4))
@@ -246,6 +257,25 @@ def test_depth_3d_axis_cross():
         ((1, 1, 1), simplex, 2, (-215, -125, -117), -457),  # q is a point
         ((1, 1, 1), simplex + [(2, -1, 3), (-2, 3, 1)], 2,
          (-15261, -22898, -15468), -53627),
+    ]:
+        res = depth(q, ps)
+        assert (res.depth, res.witness.normal, res.witness.offset) == \
+            (value, vec(normal), offset)
+        assert res.verify(vec(q), [vec(p) for p in ps])
+
+
+def test_depth_2d_pinned_witnesses():
+    # the rule of every other dimension in Z^2: the lexicographically
+    # smallest primitive normal among the wall recursion's minimizers,
+    # pinned from that recursion
+    square = [(0, 0), (3, 0), (0, 3), (3, 3), (1, 2)]
+    for q, ps, value, normal, offset in [
+        ((0, 0), [(1, 0), (-1, 0), (0, 1), (0, -1)], 2, (-1, -1), 0),  # a cross
+        ((5, 5), square, 0, (-67, 182), 575),  # outside the hull
+        ((1, 1), [(0, 0), (4, 0), (0, 4), (1, 1)], 2, (-2, -1), -3),  # q is a point
+        ((1, 2), [(0, 0), (1, 2), (2, 4), (3, 6)], 2, (-1, -2), -5),  # collinear
+        ((0, 0), [(-1, -2), (1, 2)], 1, (-1, -2), 0),  # a tie
+        ((1, 1), square + [(2, -1), (-1, 2), (2, 2)], 3, (-11, -3), -14),
     ]:
         res = depth(q, ps)
         assert (res.depth, res.witness.normal, res.witness.offset) == \

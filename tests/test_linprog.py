@@ -4,7 +4,7 @@ from typing import Optional
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from discrete_tverberg.linprog import ExactSimplex, solve_feasibility
+from discrete_tverberg.linprog import ExactSimplex, FeasibilityResult, solve_feasibility
 
 F = Fraction
 ZERO, ONE = F(0), F(1)
@@ -80,6 +80,22 @@ def test_force_into_basis():
     assert x[0] > 0
     combo = [sum(x[j] * cols[j][i] for j in range(3)) for i in range(2)]
     assert combo == [F(2), F(2)]
+
+
+def test_force_into_basis_keeps_artificials_at_zero():
+    # phase 1 ends with artificials basic at level 0; column 1 has a
+    # negative entry in one of their rows, so a positive step into it
+    # would lift that artificial off zero
+    cols = [(1, 0, 0, 0), (1, 0, 0, -1), (0, 0, 0, 0)]
+    lp = ExactSimplex(cols, (1, 0, 0, 0))
+    assert lp.solve()
+    assert not lp.force_into_basis(1)
+    assert lp.solution() == [1, 0, 0]
+    # with b = 0 the step is 0, and the same column may enter
+    lp = ExactSimplex(cols, (0, 0, 0, 0))
+    assert lp.solve()
+    assert lp.force_into_basis(1)
+    assert lp.solution() == [0, 0, 0] and 1 in lp.basis
 
 
 def test_degenerate_redundant_columns_terminate():
@@ -212,6 +228,10 @@ class FractionSimplex:
         row = self._ratio_row(col)
         if row is None:
             return False
+        if self.rows[row][-1] and any(
+            self.rows[i][col] < 0 for i, j in enumerate(self.basis) if j >= self.n
+        ):
+            return False
         self._pivot(row, col)
         return True
 
@@ -262,3 +282,4 @@ def test_integer_tableau_pivots_like_fraction_tableau(system, data):
         assert tab.force_into_basis(j) == ref.force_into_basis(j)
         assert tab.basis == ref.basis
         assert tab.solution() == ref.solution()
+        assert_certificate(cols, rhs, FeasibilityResult(True, tab.solution(), None))

@@ -97,26 +97,25 @@ def test_depth_agrees_with_brute_force(case):
                 unique=True),
        st.tuples(coord(), coord()))
 def test_planar_scan_agrees_with_wall_recursion(pts, q):
-    from discrete_tverberg.exact_geometry import _min_open_count
+    from discrete_tverberg.exact_geometry import _min_open_count, depth_count
     from discrete_tverberg.vectors import int_scaled, vsub
     diffs = [vsub(vec(p), vec(q)) for p in dict.fromkeys(map(vec, pts))
              if vec(p) != vec(q)]
     if not diffs:
         return
     W, _ = int_scaled(diffs)
-    from discrete_tverberg.geom2d import depth2d_min_count
-    scan_count, _ = depth2d_min_count(list(W))
-    rec_count, _ = _min_open_count(list(W))
-    assert scan_count == rec_count
+    count, witness = depth_count(list(W), 2)
+    assert (count, witness()) == _min_open_count(list(W))
 
 
 @st.composite
 def vector_multiset(draw):
-    """Nonzero vectors of Z^d, d in {1, 3, 4}, drawn freely or as small
-    combinations of fewer than d vectors (on a line, a plane or a 3-flat
-    through 0), plus repeats, antipodes and multiples of them.  In 4-d the
-    draws are smaller, since the reference recursion grows as n^4."""
-    d = draw(st.sampled_from([1, 3, 4]))
+    """``(W, d)``: nonzero vectors of Z^d, d in {1, 2, 3, 4}, drawn freely
+    or as small combinations of fewer than d vectors (on a line, a plane or
+    a 3-flat through 0), plus repeats, antipodes and multiples of them.  In
+    4-d the draws are smaller, since the reference recursion grows as
+    n^4."""
+    d = draw(st.sampled_from([1, 2, 3, 4]))
     size, repeats = (10, 6) if d < 4 else (6, 4)
     c = st.integers(-50, 50)
     rank = draw(st.integers(1, d))
@@ -133,14 +132,17 @@ def vector_multiset(draw):
     extra = draw(st.lists(st.tuples(st.sampled_from(base),
                                     st.sampled_from([1, -1, 2, -3])),
                           max_size=repeats))
-    return draw(st.permutations(base + [tuple(t * x for x in w) for w, t in extra]))
+    W = draw(st.permutations(base + [tuple(t * x for x in w) for w, t in extra]))
+    return W, d
 
 
 @settings(max_examples=400)
 @given(vector_multiset())
-def test_depth_kernel_matches_wall_recursion(W):
-    from discrete_tverberg.exact_geometry import _min_open_count, _wall_descent
-    assert _wall_descent(W) == _min_open_count(W)
+def test_depth_kernel_matches_wall_recursion(case):
+    from discrete_tverberg.exact_geometry import _min_open_count, depth_count
+    W, d = case
+    count, witness = depth_count(W, d)
+    assert (count, witness()) == _min_open_count(W)
 
 
 # ---------------------------------------------------------------------------
