@@ -241,28 +241,30 @@ def box_polytope(bounds: Sequence) -> PolytopeV:
 
 
 def lattice_box(lat: LatticeBasis, vertices: Sequence[Vec]) -> tuple:
-    """``(coords, den, ranges)``: the lattice coordinates of the vertices as
-    integer tuples ``den * z``, and one range of integers per lattice
-    coordinate for their bounding box (valid even off the lattice span,
-    since lattice coordinates are linear).
+    """``(coords, den, ranges)``: the vertices v in the lattice frame, as
+    integer tuples ``den * T v`` (T maps B z to (z, 0)), and one range of
+    integers per lattice coordinate, the first ``rank`` entries, for their
+    bounding box (valid even off the lattice span, since T is linear).
 
     The vertices are scaled to integers once; coordinates and ranges come
     from :meth:`LatticeBasis.scaled_coords` and integer floor and ceiling.
     """
     ints, scale = int_scaled(vertices)
-    coords = [tuple(lat.scaled_coords(v)[: lat.rank]) for v in ints]
+    coords = [tuple(lat.scaled_coords(v)) for v in ints]
     den = lat._t_den * scale
     ranges = [
-        range(_ceil_div(min(col), den), max(col) // den + 1) for col in zip(*coords)
+        range(_ceil_div(min(col), den), max(col) // den + 1)
+        for col in list(zip(*coords))[: lat.rank]
     ]
     return coords, den, ranges
 
 
-def enumerate_scaled_in_polytope(
+def lattice_points_in_polytope(
     spec: DiscreteSetSpec, polytope: PolytopeV, cap: Optional[int] = None
 ) -> tuple:
-    """``(points, den)``: the points x of S inside the polytope as sorted
-    integer tuples ``den * x``, den the lattice basis' common denominator.
+    """``(zs, coords, den)``: the lattice coordinates z of the points B z of
+    S inside the polytope, in lexicographic order, and the distinct
+    vertices' ``coords`` and ``den`` from :func:`lattice_box`.
 
     Works on the integer bounding box of the polytope in lattice
     coordinates (:func:`lattice_box`).  On a full-rank lattice of
@@ -282,7 +284,7 @@ def enumerate_scaled_in_polytope(
         raise ValueError("dimension mismatch")
     lat = spec.base
     verts = list(dict.fromkeys(polytope.vertices))
-    coords, scale, ranges = lattice_box(lat, verts)
+    coords, den, ranges = lattice_box(lat, verts)
     total = prod(map(len, ranges))
     if cap is not None and total > cap:
         raise CapExceededError(
@@ -290,31 +292,31 @@ def enumerate_scaled_in_polytope(
         )
     facets = hull_facets(coords) if lat.rank == lat.dim else None
     if facets is not None:
-        zs = _scan_lines(facets, scale, ranges)
+        zs = _scan_lines(facets, den, ranges)
     else:
-        zs = (
+        zs = [
             z for z in itertools.product(*ranges)
             if membership(lat.from_lattice(z), verts).inside
-        )
+        ]
     removed = [
         LatticeBasis([lat.to_lattice(v) for v in sub.vectors], lat.rank)
         for sub in spec.sublattices
     ]
     if removed:
         zs = [z for z in zs if not any(sub.contains_scaled(z) for sub in removed)]
-    rows = list(zip(*lat._int_vectors))
-    out = [tuple(sum(map(mul, row, z)) for row in rows) for z in zs]
-    out.sort()
-    return out, lat._den
+    return zs, coords, den
 
 
 def enumerate_in_polytope(
     spec: DiscreteSetSpec, polytope: PolytopeV, cap: Optional[int] = None
 ) -> list:
     """All points of S inside the polytope, sorted lexicographically: the
-    Fraction view of :func:`enumerate_scaled_in_polytope`."""
-    points, den = enumerate_scaled_in_polytope(spec, polytope, cap)
-    return [tuple(Fraction(c, den) for c in p) for p in points]
+    points B z of :func:`lattice_points_in_polytope`."""
+    lat = spec.base
+    zs, _, _ = lattice_points_in_polytope(spec, polytope, cap)
+    rows = list(zip(*lat._int_vectors))
+    points = sorted(tuple(sum(map(mul, row, z)) for row in rows) for z in zs)
+    return [tuple(Fraction(c, lat._den) for c in p) for p in points]
 
 
 def _scan_lines(facets: list, den: int, ranges: list) -> list:

@@ -1,9 +1,9 @@
 """Exact convex-position tests, certificates, and halfspace depth.
 
 All geometry runs over Fraction coordinates.  Planar inputs are scaled to
-integers and dispatched to :mod:`.geom2d`; higher dimensions use a phase-1
-simplex for membership.  Depth runs on integer difference vectors in one
-kernel for every dimension: a wall descent over direction classes that
+integers and dispatched to :mod:`.geom2d`, whose hull edges also separate
+outside queries; higher dimensions use a phase-1 simplex for membership.
+Depth runs on integer difference vectors in one kernel for every dimension: a wall descent over direction classes that
 solves each plane it reaches in one pass (the generic wall recursion
 stays as its test reference).  Every verdict carries a certificate that
 can be re-checked independently of the code that produced it.
@@ -229,7 +229,16 @@ def _membership_2d(query: Vec, pts: list) -> MembershipCertificate:
     if combo is not None:
         terms = tuple((back[v], c) for v, c in combo)
         return MembershipCertificate(True, combination=ConvexCombination(terms))
-    n, c = geom2d.separating_halfspace2d(q_int, hull)
+    for n, c in geom2d.hull_edges(hull):
+        if n[0] * q_int[0] + n[1] * q_int[1] < c:
+            break
+    else:  # a point, or a segment with q on its line: a side of its box
+        n, c = next(
+            (n, c)
+            for n in ((1, 0), (-1, 0), (0, 1), (0, -1))
+            for c in [min(n[0] * x + n[1] * y for x, y in hull)]
+            if n[0] * q_int[0] + n[1] * q_int[1] < c
+        )
     return MembershipCertificate(
         False, separator=Halfspace((frac(n[0]), frac(n[1])), Fraction(c, den))
     )
@@ -375,21 +384,16 @@ def hull_facets(ints: Sequence[tuple]) -> Optional[list]:
     the points intersected with these halfspaces is the convex hull, or
     None when no such list is computed here: 3-d points that lie in one
     plane (a line or a point included), and every d >= 4.  In 1-d the box
-    is the hull; in 2-d the halfspaces are the counterclockwise edges of
-    :func:`geom2d.hull2d` (a segment's two edges bound its line, whose box
-    is the segment); in 3-d they are the primitive facet normals.
+    is the hull; in 2-d the halfspaces are :func:`geom2d.hull_edges`, which
+    also separate planar queries (a segment's two edges bound its line,
+    whose box is the segment); in 3-d they are the primitive facet normals.
+    The enumerator passes the vertices in its integer lattice frame.
     """
     d = len(ints[0])
     if d == 1:
         return []
     if d == 2:
-        hull = geom2d.hull2d(ints)
-        out = []
-        for a, b in zip(hull, hull[1:] + hull[:1]):
-            if a != b:
-                normal = (a[1] - b[1], b[0] - a[0])
-                out.append((normal, normal[0] * a[0] + normal[1] * a[1]))
-        return out
+        return geom2d.hull_edges(geom2d.hull2d(ints))
     if d == 3:
         return _facets3d(ints)
     return None

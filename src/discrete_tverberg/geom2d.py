@@ -1,8 +1,10 @@
 """Exact planar primitives on integer coordinates.
 
 The rational kernel scales 2-d inputs by a common denominator and hands the
-resulting integer points to these helpers.  Everything here is exact
-pure-Python integer arithmetic.
+resulting integer points to these helpers: the hull, its edges as integer
+halfspaces (which serve both as separators and as the enumerator's
+facets), and convex coefficients over a fan triangle.  Everything here is
+exact pure-Python integer arithmetic.
 """
 from __future__ import annotations
 
@@ -46,38 +48,19 @@ def _between_on_segment(q: IntPt, a: IntPt, b: IntPt) -> bool:
     return 0 <= t <= ux * ux + uy * uy
 
 
-def separating_halfspace2d(q: IntPt, hull: Sequence[IntPt]) -> tuple:
-    """Integer (normal, offset) with hull on the >= side and q strictly below.
+def hull_edges(hull: Sequence[IntPt]) -> list:
+    """Integer ``(normal, offset)`` per edge of a :func:`hull2d` hull, with
+    the hull on the ``normal . x >= offset`` side.
 
-    Precondition: q lies outside the hull.
+    A polygon has one per counterclockwise edge, a segment two (one per
+    side of its line), a point none.
     """
-    h = len(hull)
-    if h == 1:
-        a = hull[0]
-        n = (a[0] - q[0], a[1] - q[1])
-        return n, n[0] * a[0] + n[1] * a[1]
-    if h == 2:
-        a, b = hull
-        c = cross3(a, b, q)
-        if c < 0:
-            n = (-(b[1] - a[1]), b[0] - a[0])
-            return n, n[0] * a[0] + n[1] * a[1]
-        if c > 0:
-            n = (b[1] - a[1], -(b[0] - a[0]))
-            return n, n[0] * a[0] + n[1] * a[1]
-        u = (b[0] - a[0], b[1] - a[1])
-        t = u[0] * (q[0] - a[0]) + u[1] * (q[1] - a[1])
-        if t < 0:
-            return u, u[0] * a[0] + u[1] * a[1]
-        n = (-u[0], -u[1])
-        return n, n[0] * b[0] + n[1] * b[1]
-    for i in range(h):
-        a = hull[i]
-        b = hull[(i + 1) % h]
-        if cross3(a, b, q) < 0:
-            n = (-(b[1] - a[1]), b[0] - a[0])
-            return n, n[0] * a[0] + n[1] * a[1]
-    raise ValueError("point is inside the hull; no separator exists")
+    out = []
+    for a, b in zip(hull, hull[1:] + hull[:1]):
+        if a != b:
+            normal = (a[1] - b[1], b[0] - a[0])
+            out.append((normal, normal[0] * a[0] + normal[1] * a[1]))
+    return out
 
 
 def fan_combination(q: IntPt, hull: Sequence[IntPt]) -> Optional[list]:

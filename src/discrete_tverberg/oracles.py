@@ -210,7 +210,7 @@ def verify_partition(result: PartitionResult, instance: Instance) -> Verificatio
         if not part:
             return VerificationReport(False, "empty_part")
         for i in part:
-            if not isinstance(i, int) or not 0 <= i < n:
+            if isinstance(i, bool) or not isinstance(i, int) or not 0 <= i < n:
                 return VerificationReport(False, "bad_index")
             if i in seen:
                 return VerificationReport(False, "parts_overlap")
@@ -225,7 +225,7 @@ def verify_partition(result: PartitionResult, instance: Instance) -> Verificatio
     if len(set(wits)) != len(wits):
         return VerificationReport(False, "duplicate_witnesses")
     for w in wits:
-        if not set_contains(instance.spec, w):
+        if len(w) != instance.dim or not set_contains(instance.spec, w):
             return VerificationReport(False, "witness_not_in_set")
     for part in result.parts:
         hull = [instance.points[i] for i in part]

@@ -18,8 +18,6 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
 from operator import mul, sub
 from typing import Optional, Sequence
 
@@ -29,7 +27,7 @@ from .discrete_sets import (
     DiscreteSetSpec,
     PolytopeV,
     enumerate_in_polytope,
-    enumerate_scaled_in_polytope,
+    lattice_points_in_polytope,
     set_contains,
     tverberg_upper_bound,
 )
@@ -45,7 +43,7 @@ from .exact_geometry import (
     extreme_points,
     membership,
 )
-from .vectors import Vec, common_denominator, require_int, vdot, vec
+from .vectors import Vec, require_int, vdot, vec
 
 
 @dataclass(frozen=True)
@@ -104,11 +102,12 @@ class TverbergOutcome:
     witness_search: Optional[WitnessSearch] = None
 
 
-def _depth_upper_bounds(points: Sequence[tuple], queries: Sequence[tuple]) -> list:
-    """Per query q, the least #{p : u.p >= u.q} over the bound directions u.
+def _depth_upper_bounds(points: Sequence[tuple], zs: Sequence[tuple], den: int) -> list:
+    """Per lattice coordinate z, the least #{p : u.p >= den u.(z, 0)} over
+    the bound directions u.
 
-    points are distinct integer points, queries integer points; each u and
-    -u are counted from one sorted list of u.p.
+    points are distinct integer points of the lattice frame, scaled by
+    den; each u and -u are counted from one sorted list of u.p.
     """
     d = len(points[0])
     axes = [tuple(int(t == i) for t in range(d)) for i in range(d)]
@@ -117,11 +116,12 @@ def _depth_upper_bounds(points: Sequence[tuple], queries: Sequence[tuple]) -> li
         for u, v in itertools.combinations(axes, 2)
         for sign in (1, -1)
     ]
-    bounds = [len(points)] * len(queries)
+    bounds = [len(points)] * len(zs)
     for u in dirs:
         proj = sorted(sum(map(mul, u, p)) for p in points)
-        for i, q in enumerate(queries):
-            s = sum(map(mul, u, q))
+        scaled = [den * c for c in u]
+        for i, z in enumerate(zs):
+            s = sum(map(mul, scaled, z))
             ge = len(proj) - bisect_left(proj, s)
             bounds[i] = min(bounds[i], ge, bisect_right(proj, s))
     return bounds
@@ -137,58 +137,54 @@ def find_deep_witnesses(
     threshold, all that do are returned and the search is marked
     insufficient.
 
-    The search runs on integers: the candidates come from
-    :func:`enumerate_scaled_in_polytope`, and points and candidates are
-    scaled to one common denominator, which leaves depth unchanged.  Exact
-    depth is computed only for candidates that can still be ranked.  Each
-    candidate q gets the upper bound min over u of #{p : u.p >= u.q}, u
-    ranging over the +-axes and the +-pairwise sums and differences of
-    axes; the closed halfspace {u.x >= u.q} contains q, so its count is at
-    least depth(q).  Candidates are visited by (-bound, point), and the
-    visit stops at the first bound below the threshold, or below the k-th
-    best exact depth once k candidates reached the threshold: no later
-    candidate can then reach, or tie with, a chosen one.  Each visited
-    candidate gets its depth and a witness thunk from :func:`depth_count`;
-    only the chosen build their integer witness normal and become Fraction
-    points with a :class:`DepthResult`.  On integral points the witness is
-    the one :func:`depth` returns; on other scales it may be another
-    minimizing halfspace.
+    The search runs on integers in the lattice frame x -> T x of
+    :func:`lattice_points_in_polytope`, where the points are its vertex
+    coordinates and a candidate B z is den (z, 0); T is linear and
+    invertible, so depth is unchanged.  Exact depth is computed only for
+    candidates that can still be ranked.  Each candidate q gets the upper
+    bound min over u of #{p : u.p >= u.q}, u ranging over the +-axes and
+    the +-pairwise sums and differences of axes; the closed halfspace
+    {u.x >= u.q} contains q, so its count is at least depth(q).
+    Candidates are visited by descending bound, and the visit stops at the
+    first bound below the threshold, or below the k-th best exact depth
+    once k candidates reached the threshold: no later candidate can then
+    reach, or tie with, a chosen one.  Each visited candidate is scaled
+    into the frame and gets its depth and a witness thunk from
+    :func:`depth_count`; those reaching the threshold become ambient
+    points, which break ties, and only the chosen build their witness
+    normal v, as the ambient normal T^t v.  On the standard lattice T is
+    the identity and the witness is the one :func:`depth` returns.
     """
     pts = [vec(p) for p in points]
-    candidates, den = enumerate_scaled_in_polytope(spec, PolytopeV(tuple(pts)))
+    zs, coords, den = lattice_points_in_polytope(spec, PolytopeV(tuple(pts)))
     if k < 1:
-        return WitnessSearch((), False, len(candidates))
-    scale = lcm(den, common_denominator(pts))
-    point_ints = list(dict.fromkeys(
-        tuple(c.numerator * (scale // c.denominator) for c in p) for p in pts
-    ))
-    cand_ints = [tuple(scale // den * c for c in q) for q in candidates]
-    bounds = _depth_upper_bounds(point_ints, cand_ints)
-    # (-depth, candidate index, witness thunk), best first, at most k; the
+        return WitnessSearch((), False, len(zs))
+    lat = spec.base
+    bounds = _depth_upper_bounds(coords, zs, den)
+    pad = (0,) * (spec.dim - lat.rank)
+    # (-depth, ambient point, witness thunk), best first, at most k; the
     # prefix is unique, so two thunks are never compared
     top = []
     cutoff = threshold
-    # candidates are sorted, and a reversed sort is still stable: equal
-    # bounds keep lexicographic order
-    for i in sorted(range(len(candidates)), key=bounds.__getitem__, reverse=True):
+    for i in sorted(range(len(zs)), key=bounds.__getitem__, reverse=True):
         if bounds[i] < cutoff:
             break
-        q = cand_ints[i]
-        W = [tuple(map(sub, p, q)) for p in point_ints if p != q]
+        q = tuple(den * c for c in zs[i]) + pad
+        W = [tuple(map(sub, p, q)) for p in coords if p != q]
         count, witness = depth_count(W, spec.dim)
-        value = count + len(point_ints) - len(W)
+        value = count + len(coords) - len(W)
         if value >= threshold:
-            insort(top, (-value, i, witness))
+            insort(top, (-value, lat.from_lattice(zs[i]), witness))
             del top[k:]
             if len(top) == k:
                 cutoff = -top[-1][0]
     chosen = []
-    for neg_value, i, witness in top:
-        point = tuple(Fraction(c, den) for c in candidates[i])
-        normal = vec(witness())
+    for neg_value, point, witness in top:
+        v = witness()
+        normal = vec(sum(map(mul, v, col)) for col in zip(*lat._t_rows))
         result = DepthResult(-neg_value, Halfspace(normal, vdot(normal, point)))
         chosen.append(DeepWitness(point, result))
-    return WitnessSearch(tuple(chosen), len(chosen) < k, len(candidates))
+    return WitnessSearch(tuple(chosen), len(chosen) < k, len(zs))
 
 
 def colorful_cover(witness_points: Sequence, ground: Sequence) -> tuple:

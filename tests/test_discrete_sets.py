@@ -17,6 +17,7 @@ from discrete_tverberg.discrete_sets import (
     hollow_search,
     is_k_hoffman,
     is_k_hollow,
+    lattice_points_in_polytope,
     lattice_set,
     mixed_set,
     set_contains,
@@ -189,6 +190,11 @@ def test_enumerate_matches_per_point_check():
     for spec, verts in cases:
         got = enumerate_in_polytope(spec, PolytopeV(tuple(verts)))
         assert got == sorted(got)
+        zs, coords, den = lattice_points_in_polytope(spec, PolytopeV(tuple(verts)))
+        assert zs == sorted(zs)
+        assert sorted(map(spec.base.from_lattice, zs)) == got
+        assert [tuple(F(c, den) for c in x[: spec.rank]) for x in coords] == \
+            [spec.base.projected_coords(v) for v in dict.fromkeys(verts)]
         proj = [spec.base.projected_coords(v) for v in verts]
         box = [range(ceil(min(p[j] for p in proj)), floor(max(p[j] for p in proj)) + 1)
                for j in range(spec.rank)]

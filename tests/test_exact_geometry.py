@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from discrete_tverberg.exact_geometry import (
+    Halfspace,
     affine_hull,
     affine_rank,
     affinely_independent,
@@ -46,6 +47,8 @@ def test_membership_outside_with_separator():
     for p in SQUARE:
         assert sep.contains(vec(p))
     assert sep.strictly_excludes(vec((3, 0)))
+    # the first hull edge that the query violates
+    assert sep == Halfspace(vec((-1, 0)), -1)
 
 
 def test_membership_center_of_square():
@@ -70,9 +73,15 @@ def test_membership_degenerate_segment_and_point():
     assert membership((1, 1), seg).inside
     off = membership((1, 0), seg)
     assert not off.inside and off.verify(vec((1, 0)), [vec(p) for p in seg])
+    assert off.separator == Halfspace(vec((-2, 2)), 0)
     single = membership((5, 5), [(5, 5)])
     assert single.inside
     assert not membership((5, 4), [(5, 5)]).inside
+    # no edge separates these: a side of the bounding box does
+    for q, hull in [((3, 3), seg), ((-1, -1), seg), ((F(5, 2), F(5, 2)), seg),
+                    ((4, 9), [(5, 5)]), ((5, 4), [(5, 5)]), ((6, 5), [(5, 5)])]:
+        cert = membership(q, hull)
+        assert not cert.inside and cert.verify(vec(q), [vec(p) for p in hull])
 
 
 def test_membership_high_dimension_lp_path():

@@ -263,11 +263,14 @@ def test_cli_experiment_writes_csv(tmp_path):
 
 def test_cli_verify_failure_exit(tmp_path):
     inst_path = write_json(tmp_path, "inst.json", INSTANCE_1D)
-    bogus = {"status": "ok", "parts": [[0, 1], [2]], "witnesses": [["1/1"]]}
-    res_path = write_json(tmp_path, "res.json", bogus)
-    proc = run_cli(["oracle", "verify", inst_path, res_path])
-    assert proc.returncode == 2
-    assert json.loads(proc.stdout)["ok"] is False
+    # a witness outside a part's hull, and one of the wrong dimension
+    for parts, witness, reason in [([[0, 1], [2]], ["1/1"], "witness_outside_part_hull"),
+                                   ([[1], [0, 2]], ["1", "1"], "witness_not_in_set")]:
+        bogus = {"status": "ok", "parts": parts, "witnesses": [witness]}
+        res_path = write_json(tmp_path, "res.json", bogus)
+        proc = run_cli(["oracle", "verify", inst_path, res_path])
+        assert proc.returncode == 2
+        assert json.loads(proc.stdout) == {"ok": False, "reason": reason}
 
 
 def test_cli_hollow_search(tmp_path):

@@ -152,6 +152,27 @@ def test_verify_partition_rejects_empty_part():
     assert not check and check.reason == "empty_part"
 
 
+def readme_result():
+    inst = Instance(Z2, ((0, 0), (4, 0), (0, 4), (3, 3), (1, 1),
+                         (2, 0), (0, 2), (2, 2), (1, 2)), 2, 1)
+    return tverberg_partition(inst).result, inst
+
+
+def test_verify_partition_rejects_witness_of_wrong_dimension():
+    result, inst = readme_result()
+    bad = replace(result, witnesses=(vec((1, 1, 1)),))
+    check = verify_partition(bad, inst)
+    assert not check and check.reason == "witness_not_in_set"
+
+
+def test_verify_partition_rejects_bool_index():
+    result, inst = readme_result()
+    assert result.parts == ((4,), (0, 1, 2, 3, 5, 6, 7, 8))
+    bad = replace(result, parts=((4, True), (0, 1, 2, 3, 5, 6, 7, 8)))
+    check = verify_partition(bad, inst)
+    assert not check and check.reason == "bad_index"
+
+
 # ---------------------------------------------------------------------------
 # Hoffman max and Helly
 

@@ -294,8 +294,8 @@ def test_witness_search_matches_exhaustive_ranking(problem):
 
 
 def test_witness_search_on_points_off_the_set():
-    # vertices with thirds: the search scales points and candidates of S
-    # to one common denominator
+    # vertices with thirds: in the search's lattice frame the points are
+    # integers over one denominator that the candidates of S are scaled by
     cases = [
         (Z2, [(F(-7, 3), F(-5, 3)), (F(8, 3), F(-2, 3)), (F(1, 3), F(10, 3)),
               (F(1, 2), 0), (0, F(4, 3))]),
@@ -312,6 +312,21 @@ def test_witness_search_on_points_off_the_set():
                     exhaustive_witness_search(spec, points, threshold, k)
                 for w in search.witnesses:
                     assert w.depth_result.verify(w.point, points)
+
+
+def test_witness_search_off_a_rank_deficient_lattice():
+    # hulls that leave the lattice's line: in the lattice frame the points
+    # keep their coordinates past the rank, and depth is still exact
+    line = lattice_set(2, LatticeBasis(((1, 2),), dim=2))
+    for points in ([(-3, -4), (4, 5), (0, 6), (1, 1)],
+                   [(-2, -5), (3, 4), (2, 7), (-1, -1), (1, 3)]):
+        for threshold, k in [(1, 1), (2, 2), (3, 1)]:
+            search = find_deep_witnesses(points, line, threshold, k)
+            got = [(w.point, w.depth_result.depth) for w in search.witnesses]
+            assert (got, search.insufficient, search.candidates_scanned) == \
+                exhaustive_witness_search(line, points, threshold, k)
+            for w in search.witnesses:
+                assert w.depth_result.verify(w.point, points)
 
 
 SCAN_SETS_3D = [

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from discrete_tverberg import jsonio
-from discrete_tverberg.discrete_sets import lattice_set
+from discrete_tverberg.discrete_sets import LatticeBasis, lattice_set
 from discrete_tverberg.exact_geometry import depth, membership
 from discrete_tverberg.harness import ExperimentConfig, generate_instance
 from discrete_tverberg.tverberg import (
@@ -53,6 +53,19 @@ def test_find_deep_witnesses_square_threshold_one():
     (w,) = search.witnesses
     assert w.point == vec((0, 0))  # all four tie at depth 1, lex first wins
     assert w.depth_result.depth == 1
+
+
+def test_find_deep_witnesses_ties_break_by_ambient_point():
+    # (0,-1) and (0,0) tie at depth 2; in lattice coordinates (1,-1) and
+    # (0,0) the order is the other way round
+    sheared = lattice_set(2, LatticeBasis(((1, 0), (1, 1))))
+    P = pts((-3, 0), (-1, 2), (0, -1), (2, 1), (0, -2), (1, -1))
+    assert depth((0, 0), P).depth == depth((0, -1), P).depth == 2
+    search = find_deep_witnesses(P, sheared, 2, 1)
+    (w,) = search.witnesses
+    assert (w.point, w.depth_result.depth) == (vec((0, -1)), 2)
+    assert w.depth_result.verify(w.point, P)
+    assert search.candidates_scanned == 15
 
 
 def test_find_deep_witnesses_insufficient():
