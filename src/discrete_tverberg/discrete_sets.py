@@ -282,9 +282,18 @@ def lattice_points_in_polytope(
         raise ValueError("enumeration is defined only for enumerable sets")
     if polytope.dim != spec.dim:
         raise ValueError("dimension mismatch")
-    lat = spec.base
     verts = list(dict.fromkeys(polytope.vertices))
-    coords, den, ranges = lattice_box(lat, verts)
+    box = lattice_box(spec.base, verts)
+    return _lattice_points_in_box(spec, verts, box, cap), box[0], box[1]
+
+
+def _lattice_points_in_box(
+    spec: DiscreteSetSpec, verts: list, box: tuple, cap: Optional[int] = None
+) -> list:
+    """The zs of :func:`lattice_points_in_polytope` for the distinct
+    vertices ``verts`` and their :func:`lattice_box` ``box``."""
+    lat = spec.base
+    coords, den, ranges = box
     total = prod(map(len, ranges))
     if cap is not None and total > cap:
         raise CapExceededError(
@@ -304,7 +313,7 @@ def lattice_points_in_polytope(
     ]
     if removed:
         zs = [z for z in zs if not any(sub.contains_scaled(z) for sub in removed)]
-    return zs, coords, den
+    return zs
 
 
 def enumerate_in_polytope(
@@ -312,8 +321,12 @@ def enumerate_in_polytope(
 ) -> list:
     """All points of S inside the polytope, sorted lexicographically: the
     points B z of :func:`lattice_points_in_polytope`."""
-    lat = spec.base
     zs, _, _ = lattice_points_in_polytope(spec, polytope, cap)
+    return _ambient_points(spec.base, zs)
+
+
+def _ambient_points(lat: LatticeBasis, zs: list) -> list:
+    """The points B z, sorted lexicographically."""
     rows = list(zip(*lat._int_vectors))
     points = sorted(tuple(sum(map(mul, row, z)) for row in rows) for z in zs)
     return [tuple(Fraction(c, lat._den) for c in p) for p in points]

@@ -549,7 +549,7 @@ def _off_wall(best, sub_count, v_sub, m, u, pos, neg) -> tuple:
     return best
 
 
-def _descend(classes: dict, rank: int) -> tuple:
+def _descend(classes: dict, rank: int, floor: int) -> tuple:
     """``(count, witness thunk)`` of the wall recursion on direction classes
     of the given rank: a line is :func:`_line_side`, a plane :func:`_planar`.
 
@@ -558,13 +558,21 @@ def _descend(classes: dict, rank: int) -> tuple:
     multiples are 1.  All walls are counted first; the witness is rebuilt
     only from walls whose count plus ``min(along, against)`` is the
     minimum, since no other wall's candidates can win :func:`_off_wall`.
+
+    The floor contract: the count is exact whenever it is at least
+    ``floor``; otherwise the result is some value below ``floor``, with no
+    witness (None) if the descent stopped.  Each wall is descended with the floor less
+    ``min(along, against)``, and the descent stops at the first wall whose
+    total falls below the floor, since the minimum is then below it too.
+    A result that stopped nowhere counted every wall exactly, so it is the
+    floor-0 count with the same thunk.  A line is always exact.
     """
     if rank == 1:
         (rep, (pos, neg, _)), = classes.items()
         count, side = _line_side(rep, pos, neg)
         return count, lambda: side
     if rank == 2:
-        return _planar(classes)
+        return _planar(classes, floor)
     walls = []
     zero = [0] * len(next(iter(classes)))
     for u, (upos, uneg, _) in classes.items():
@@ -590,8 +598,11 @@ def _descend(classes: dict, rank: int) -> tuple:
             else:
                 c[0] += pos
                 c[1] += neg
-        sub_count, sub_witness = _descend(wall, rank - 1)
-        walls.append((sub_count + min(upos, uneg), sub_count, sub_witness, m + 1, u))
+        near = min(upos, uneg)
+        sub_count, sub_witness = _descend(wall, rank - 1, floor - near)
+        if sub_count + near < floor:
+            return sub_count + near, None
+        walls.append((sub_count + near, sub_count, sub_witness, m + 1, u))
     low = min(wall[0] for wall in walls)
 
     def witness():
@@ -604,8 +615,10 @@ def _descend(classes: dict, rank: int) -> tuple:
     return low, witness
 
 
-def _planar(classes: dict) -> tuple:
-    """:func:`_descend` for classes that span a plane.
+def _planar(classes: dict, floor: int) -> tuple:
+    """:func:`_descend` for classes that span a plane, with its floor
+    contract: the pass stops at the first class whose total is below the
+    floor and returns that total and no witness.
 
     Below class v the recursion meets one line, the plane's normal to v;
     each class lies on the side given by the sign of its 2-d cross product
@@ -632,7 +645,10 @@ def _planar(classes: dict) -> tuple:
                 pos += rneg
         neg = n - vpos - vneg - pos
         # min(pos, neg) + min(vpos, vneg) without two calls per class
-        totals.append((pos if pos < neg else neg) + (vpos if vpos < vneg else vneg))
+        total = (pos if pos < neg else neg) + (vpos if vpos < vneg else vneg)
+        if total < floor:
+            return total, None
+        totals.append(total)
     low = min(totals)
 
     def witness():
@@ -659,7 +675,7 @@ def _planar(classes: dict) -> tuple:
     return low, witness
 
 
-def depth_count(W: list, d: int) -> tuple:
+def depth_count(W: list, d: int, floor: int = 0) -> tuple:
     """(min over generic v of #{w : v.w > 0}, thunk of an integer witness v).
 
     W is a multiset of nonzero integer tuples in dimension d: the
@@ -671,6 +687,11 @@ def depth_count(W: list, d: int) -> tuple:
     :func:`_min_open_count` on them in every dimension: the same count,
     and a thunk that builds the same witness only when called.  An empty
     W gives the count 0 and the first axis.
+
+    With a ``floor`` the count is exact, with the same thunk, whenever it
+    is at least ``floor``; below that the result is some value below
+    ``floor`` whose thunk may be None, since the descent stops at its first
+    wall below the floor.  The default floor 0 is always exact.
     """
     if not W:
         return 0, lambda: (1,) + (0,) * (d - 1)
@@ -690,7 +711,7 @@ def depth_count(W: list, d: int) -> tuple:
                 c[2] = abs(t)
     # the rank of the keys' d x c transpose takes at most d short pivots
     rank = 1 if len(classes) == 1 else rank_of_vectors(zip(*classes))
-    return _descend(classes, rank)
+    return _descend(classes, rank, floor)
 
 
 def depth(query, points) -> DepthResult:

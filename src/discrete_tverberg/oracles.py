@@ -20,6 +20,8 @@ from .discrete_sets import (
     is_k_hoffman,
     lattice_box,
     set_contains,
+    _ambient_points,
+    _lattice_points_in_box,
 )
 from .errors import CapExceededError
 from .exact_geometry import membership
@@ -131,12 +133,17 @@ def _partitions_rgs(n: int, m: int):
 def _common_set_points(
     hulls: Sequence[Sequence[Vec]], spec: DiscreteSetSpec, want: int
 ) -> list:
-    """Up to ``want`` points of S common to every hull, lexicographic."""
-    base = min(
-        range(len(hulls)),
-        key=lambda i: (prod(map(len, lattice_box(spec.base, hulls[i])[2])), i),
+    """Up to ``want`` points of S common to every hull, lexicographic.
+
+    Candidates come from the hull with the smallest lattice box, enumerated
+    from the box already built to compare them.
+    """
+    verts = [list(dict.fromkeys(hull)) for hull in hulls]
+    boxes = [lattice_box(spec.base, v) for v in verts]
+    base = min(range(len(hulls)), key=lambda i: (prod(map(len, boxes[i][2])), i))
+    candidates = _ambient_points(
+        spec.base, _lattice_points_in_box(spec, verts[base], boxes[base])
     )
-    candidates = enumerate_in_polytope(spec, PolytopeV(tuple(hulls[base])))
     others = [hulls[i] for i in range(len(hulls)) if i != base]
     found = []
     for q in candidates:
@@ -170,6 +177,8 @@ def brute_tverberg(
     n = len(pts)
     if m < 1 or k < 1:
         raise ValueError("m and k must be at least 1")
+    if any(len(p) != spec.dim for p in pts):
+        raise ValueError("point dimension does not match the ground set")
     if m > n:
         return BruteTverbergReport(None, None, 0)
     total = _stirling2(n, m)

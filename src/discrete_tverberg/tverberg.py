@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
+from math import inf
 from operator import mul, sub
 from typing import Optional, Sequence
 
@@ -102,28 +103,45 @@ class TverbergOutcome:
     witness_search: Optional[WitnessSearch] = None
 
 
-def _depth_upper_bounds(points: Sequence[tuple], zs: Sequence[tuple], den: int) -> list:
+def _depth_upper_bounds(
+    points: Sequence[tuple], zs: Sequence[tuple], den: int, t: int
+) -> list:
     """Per lattice coordinate z, the least #{p : u.p >= den u.(z, 0)} over
-    the bound directions u.
+    the bound directions u, for every z whose least count is at least t;
+    every other z gets t - 1.
 
     points are distinct integer points of the lattice frame, scaled by
-    den; each u and -u are counted from one sorted list of u.p.
+    den; each u and -u are counted from one sorted list proj of u.p, so a
+    count of at least t on both sides needs
+    ``proj[t - 1] <= den u.(z, 0) <= proj[n - t]``.  A z dropped at its
+    first direction outside that window is not counted further.
     """
+    n = len(points)
+    if t > n:
+        return [t - 1] * len(zs)
     d = len(points[0])
-    axes = [tuple(int(t == i) for t in range(d)) for i in range(d)]
+    axes = [tuple(int(j == i) for j in range(d)) for i in range(d)]
     dirs = axes + [
         tuple(a + sign * b for a, b in zip(u, v))
         for u, v in itertools.combinations(axes, 2)
         for sign in (1, -1)
     ]
-    bounds = [len(points)] * len(zs)
+    bounds = [n] * len(zs)
+    alive = range(len(zs))
     for u in dirs:
         proj = sorted(sum(map(mul, u, p)) for p in points)
+        lo, hi = (proj[t - 1], proj[n - t]) if t > 0 else (-inf, inf)
         scaled = [den * c for c in u]
-        for i, z in enumerate(zs):
-            s = sum(map(mul, scaled, z))
-            ge = len(proj) - bisect_left(proj, s)
+        kept = []
+        for i in alive:
+            s = sum(map(mul, scaled, zs[i]))
+            if s < lo or s > hi:
+                bounds[i] = t - 1
+                continue
+            kept.append(i)
+            ge = n - bisect_left(proj, s)
             bounds[i] = min(bounds[i], ge, bisect_right(proj, s))
+        alive = kept
     return bounds
 
 
@@ -145,22 +163,28 @@ def find_deep_witnesses(
     bound min over u of #{p : u.p >= u.q}, u ranging over the +-axes and
     the +-pairwise sums and differences of axes; the closed halfspace
     {u.x >= u.q} contains q, so its count is at least depth(q).
+    Only candidates whose bound reaches the threshold get an exact bound.
     Candidates are visited by descending bound, and the visit stops at the
     first bound below the threshold, or below the k-th best exact depth
     once k candidates reached the threshold: no later candidate can then
     reach, or tie with, a chosen one.  Each visited candidate is scaled
-    into the frame and gets its depth and a witness thunk from
-    :func:`depth_count`; those reaching the threshold become ambient
-    points, which break ties, and only the chosen build their witness
-    normal v, as the ambient normal T^t v.  On the standard lattice T is
-    the identity and the witness is the one :func:`depth` returns.
+    into the frame and its depth is asked of :func:`depth_count` with a
+    floor: the cutoff (the threshold, or the k-th best depth once there
+    are k), plus one when there are k and the candidate's ambient point is
+    lexicographically after the k-th's, since a tie then cannot displace
+    it.  Below the floor the query stops at its first wall below it and
+    the candidate is dropped; at or above it the depth is exact and the
+    candidate is ranked with its witness thunk.  Only the chosen build
+    their witness normal v, as the ambient normal T^t v.  On the standard
+    lattice T is the identity and the witness is the one :func:`depth`
+    returns.
     """
     pts = [vec(p) for p in points]
     zs, coords, den = lattice_points_in_polytope(spec, PolytopeV(tuple(pts)))
     if k < 1:
         return WitnessSearch((), False, len(zs))
     lat = spec.base
-    bounds = _depth_upper_bounds(coords, zs, den)
+    bounds = _depth_upper_bounds(coords, zs, den, threshold)
     pad = (0,) * (spec.dim - lat.rank)
     # (-depth, ambient point, witness thunk), best first, at most k; the
     # prefix is unique, so two thunks are never compared
@@ -169,12 +193,16 @@ def find_deep_witnesses(
     for i in sorted(range(len(zs)), key=bounds.__getitem__, reverse=True):
         if bounds[i] < cutoff:
             break
+        point = lat.from_lattice(zs[i])
+        # a tie with the k-th witness displaces it only from before it
+        need = cutoff + 1 if len(top) == k and point > top[-1][1] else cutoff
         q = tuple(den * c for c in zs[i]) + pad
         W = [tuple(map(sub, p, q)) for p in coords if p != q]
-        count, witness = depth_count(W, spec.dim)
-        value = count + len(coords) - len(W)
-        if value >= threshold:
-            insort(top, (-value, lat.from_lattice(zs[i]), witness))
+        on_vertex = len(coords) - len(W)
+        count, witness = depth_count(W, spec.dim, need - on_vertex)
+        value = count + on_vertex
+        if value >= need:
+            insort(top, (-value, point, witness))
             del top[k:]
             if len(top) == k:
                 cutoff = -top[-1][0]

@@ -1,4 +1,4 @@
-"""End-to-end acceptance gate: ten release criteria, one test each.
+"""End-to-end acceptance gate: eleven release criteria, one test each.
 
 Run with ``pytest tests/test_acceptance.py -v`` to get one pass/fail
 line per criterion.  Everything here is seeded and deterministic.
@@ -220,3 +220,19 @@ def test_criterion_10_z3_paper_bound():
     assert report.summary["successes"] == 20
     assert report.summary["theorem_violations"] == 0
     assert report.summary["verify_failures"] == 0
+
+
+def test_criterion_11_z3_double_witness_paper_bound():
+    # 86 points meet the paper's m=2, k=2 bound over Z^3: two common
+    # lattice witnesses in every trial, each at depth at least 7.
+    config = ExperimentConfig(
+        spec=Z3, m=2, k=2, n_points=86, box_bound=4, trials=3, seed=5
+    )
+    assert tverberg_upper_bound(Z3, 2, 2, "paper") == 86
+    report = run_experiment(config)
+    assert report.summary["successes"] == 3
+    assert report.summary["theorem_violations"] == 0
+    assert report.summary["verify_failures"] == 0
+    assert report.summary["construction_errors"] == 0
+    assert all(r.witness_count >= 2 for r in report.records)
+    assert all(r.min_witness_depth >= 7 for r in report.records)

@@ -95,6 +95,11 @@ def test_brute_tverberg_k2():
     assert len(report.witnesses) == 2
 
 
+def test_brute_tverberg_rejects_points_of_another_dimension():
+    with pytest.raises(ValueError):
+        brute_tverberg(((0, 0), (1, 1), (2, 2)), Z1, 2, 1)
+
+
 def test_brute_tverberg_m_exceeds_n():
     report = brute_tverberg(((0,), (1,)), Z1, 3, 1)
     assert not report.found

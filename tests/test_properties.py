@@ -3,6 +3,7 @@ import itertools
 from fractions import Fraction
 from math import ceil, floor
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from discrete_tverberg import jsonio
@@ -143,6 +144,20 @@ def test_depth_kernel_matches_wall_recursion(case):
     W, d = case
     count, witness = depth_count(W, d)
     assert (count, witness()) == _min_open_count(W)
+
+
+@settings(max_examples=400)
+@given(vector_multiset(), st.data())
+def test_depth_kernel_floor_is_exact_at_or_above_it(case, data):
+    from discrete_tverberg.exact_geometry import _min_open_count, depth_count
+    W, d = case
+    bar = data.draw(st.integers(0, len(W) + 1), label="floor")
+    exact = _min_open_count(W)
+    count, witness = depth_count(W, d, bar)
+    if exact[0] >= bar:
+        assert (count, witness()) == exact
+    else:
+        assert count < bar
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +306,35 @@ def test_witness_search_matches_exhaustive_ranking(problem):
         # on integral inputs the search's witness halfspace is depth()'s
         if spec.base == LatticeBasis.identity(spec.dim):
             assert w.depth_result == depth(w.point, points)
+
+
+GRID2 = [(x, y) for x in range(-2, 3) for y in range(-2, 3)]
+CUBE3 = list(itertools.product(range(-1, 2), repeat=3))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("zs, basis, thresholds", [
+    pytest.param(GRID2, ((1, 0), (0, 1)), (1, 9), id="grid"),
+    pytest.param(GRID2, ((1, 0), (1, 1)), (1, 9), id="sheared-grid"),
+    pytest.param(CUBE3, ((1, 0, 0), (0, 1, 0), (0, 0, 1)), (1, 6), id="cube"),
+    pytest.param(CUBE3, ((1, 0, 0), (-1, 1, 0), (0, -1, 1)), (1, 6), id="sheared-cube"),
+])
+def test_witness_search_ties_at_the_cutoff(zs, basis, thresholds, k):
+    # centrally symmetric grids B z: the depths below the centre's tie at
+    # 8 (grid) and 5 (cube), and the higher threshold leaves only the
+    # centre.  On the sheared bases a candidate tied with the k-th witness
+    # but lexicographically before it is visited after it, so the floor
+    # must be one more than the cutoff for the later candidates only.
+    spec = lattice_set(len(basis), LatticeBasis(basis))
+    points = [tuple(sum(c * b[i] for c, b in zip(z, basis)) for i in range(len(basis)))
+              for z in zs]
+    for threshold in thresholds:
+        search = find_deep_witnesses(points, spec, threshold, k)
+        got = [(w.point, w.depth_result.depth) for w in search.witnesses]
+        assert (got, search.insufficient, search.candidates_scanned) == \
+            exhaustive_witness_search(spec, points, threshold, k)
+        for w in search.witnesses:
+            assert w.depth_result.verify(w.point, points)
 
 
 def test_witness_search_on_points_off_the_set():
