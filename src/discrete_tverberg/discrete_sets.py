@@ -267,15 +267,14 @@ def lattice_points_in_polytope(
     vertices' ``coords`` and ``den`` from :func:`lattice_box`.
 
     Works on the integer bounding box of the polytope in lattice
-    coordinates (:func:`lattice_box`).  On a full-rank lattice of
-    dimension at most 3 the integer lattice coordinates of the vertices
-    get an integer H-representation (:func:`hull_facets`) and the box is
-    scanned line by line along the last lattice coordinate, each facet
-    bounding the line by a floor or a ceiling.  Where no facets exist (a
-    3-d hull inside a plane or a line, a rank-deficient lattice, dimension
-    4 and up) each box point is tested by exact hull membership.  A
-    difference set drops the lattice coordinates in a removed sublattice,
-    re-expressed once in lattice coordinates, by the congruence test
+    coordinates (:func:`lattice_box`).  The integer lattice coordinates of
+    the vertices get their integer H-representation (:func:`hull_facets`),
+    and the box is scanned line by line along the last lattice coordinate,
+    each halfspace bounding the line by a floor or a ceiling; a point of S
+    is ``den (z, 0)`` in that frame, so on a rank-deficient lattice only
+    the first ``rank`` entries of a normal count.  A difference set drops
+    the lattice coordinates in a removed sublattice, re-expressed once in
+    lattice coordinates, by the congruence test
     :meth:`LatticeBasis.contains_scaled`.
     """
     if not spec.enumerable:
@@ -284,14 +283,14 @@ def lattice_points_in_polytope(
         raise ValueError("dimension mismatch")
     verts = list(dict.fromkeys(polytope.vertices))
     box = lattice_box(spec.base, verts)
-    return _lattice_points_in_box(spec, verts, box, cap), box[0], box[1]
+    return _lattice_points_in_box(spec, box, cap), box[0], box[1]
 
 
 def _lattice_points_in_box(
-    spec: DiscreteSetSpec, verts: list, box: tuple, cap: Optional[int] = None
+    spec: DiscreteSetSpec, box: tuple, cap: Optional[int] = None
 ) -> list:
-    """The zs of :func:`lattice_points_in_polytope` for the distinct
-    vertices ``verts`` and their :func:`lattice_box` ``box``."""
+    """The zs of :func:`lattice_points_in_polytope` for the
+    :func:`lattice_box` ``box`` of the distinct vertices."""
     lat = spec.base
     coords, den, ranges = box
     total = prod(map(len, ranges))
@@ -299,14 +298,7 @@ def _lattice_points_in_box(
         raise CapExceededError(
             f"enumeration box holds {total} candidates, cap is {cap}"
         )
-    facets = hull_facets(coords) if lat.rank == lat.dim else None
-    if facets is not None:
-        zs = _scan_lines(facets, den, ranges)
-    else:
-        zs = [
-            z for z in itertools.product(*ranges)
-            if membership(lat.from_lattice(z), verts).inside
-        ]
+    zs = _scan_lines(hull_facets(coords), den, ranges)
     removed = [
         LatticeBasis([lat.to_lattice(v) for v in sub.vectors], lat.rank)
         for sub in spec.sublattices
@@ -336,13 +328,18 @@ def _scan_lines(facets: list, den: int, ranges: list) -> list:
     """Integer points of the box inside every facet, in lexicographic order.
 
     z is inside the facet ``(normal, offset)`` when
-    ``normal . (den * z) >= offset``.  Each line of the box along the last
-    coordinate is cut by every facet: a positive last normal component
+    ``normal . (den * (z, 0)) >= offset``: a normal may be longer than the
+    box's k coordinates, since a point of S is (z, 0) in the lattice frame,
+    and its entries past k are not read.  Each line of the box along its
+    last coordinate is cut by every facet: a positive last normal component
     gives a ceiling lower bound, a negative one a floor upper bound, and a
     zero one keeps or empties the whole line.
     """
     *heads, last = ranges
-    rows = [(tuple(den * c for c in n[:-1]), den * n[-1], off) for n, off in facets]
+    k = len(ranges)
+    rows = [
+        (tuple([den * c for c in n[:k - 1]]), den * n[k - 1], off) for n, off in facets
+    ]
     out = []
     for head in itertools.product(*heads):
         lo, hi = last.start, last.stop - 1

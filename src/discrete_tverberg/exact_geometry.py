@@ -1,12 +1,16 @@
 """Exact convex-position tests, certificates, and halfspace depth.
 
-All geometry runs over Fraction coordinates.  Planar inputs are scaled to
-integers and dispatched to :mod:`.geom2d`, whose hull edges also separate
-outside queries; higher dimensions use a phase-1 simplex for membership.
-Depth runs on integer difference vectors in one kernel for every dimension: a wall descent over direction classes that
-solves each plane it reaches in one pass (the generic wall recursion
-stays as its test reference).  Every verdict carries a certificate that
-can be re-checked independently of the code that produced it.
+All geometry runs over Fraction coordinates.  Membership of planar inputs
+is scaled to integers and dispatched to :mod:`.geom2d`, whose hull edges
+also separate outside queries; membership in higher dimensions uses a
+phase-1 simplex.  Hulls are exact integer H-representations in every
+dimension and every flat (:func:`hull_facets`, beneath-beyond from 3-d),
+which also give the extreme points without an LP.  Depth runs on integer
+difference vectors in one kernel for every dimension: a wall descent over
+direction classes that solves each plane it reaches in one pass (the
+generic wall recursion stays as its test reference).  Every verdict
+carries a certificate that can be re-checked independently of the code
+that produced it.
 
 Conventions:
   * a separating halfspace keeps the point SET on the ``normal . x >= offset``
@@ -19,14 +23,16 @@ Conventions:
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
-from operator import mul
+from operator import mul, sub
 from typing import Optional, Sequence
 
 from . import geom2d
-from .linprog import ExactSimplex, solve_feasibility
+from .linprog import ExactSimplex, pivot, solve_feasibility
 from .vectors import (
     ONE,
     ZERO,
@@ -314,89 +320,129 @@ def anchored_reduce(query, anchor, points) -> AnchoredReduction:
 
 
 def extreme_points(points) -> list:
-    """Points that are vertices of the hull, in first-seen input order.
-
-    Duplicates are treated as one point.
-    """
+    """The vertices of the hull, in first-seen input order, duplicates as
+    one point: the points at which the normals of the tight
+    :func:`hull_facets` halfspaces have rank d.  No LP is solved."""
     pts = _dedup(_as_points(points))
     if len(pts) <= 1:
         return pts
-    d = len(pts[0])
-    if d == 1:
-        xs = [p[0] for p in pts]
-        ext = {(min(xs),), (max(xs),)}
-        return [p for p in pts if p in ext]
-    if d == 2:
-        ints, _ = int_scaled(pts)
-        on_hull = set(geom2d.hull2d(ints))
-        return [p for i, p in zip(ints, pts) if i in on_hull]
-    out = []
-    for i, p in enumerate(pts):
-        others = pts[:i] + pts[i + 1:]
-        if not membership(p, others).inside:
-            out.append(p)
-    return out
+    ints, _ = int_scaled(pts)
+    facets = hull_facets(ints)
+    return [
+        p for p, x in zip(pts, ints)
+        if rank_of_vectors([n for n, c in facets if _idot(n, x) == c]) == len(x)
+    ]
 
 
-def _facets3d(pts: list) -> Optional[list]:
-    # A plane through three points supports the hull when no point lies
-    # strictly on one of its sides; three non-collinear points on it make
-    # its face a facet.  Each triple stops at the first point on either side
-    # once the other side has been seen.
-    found = {}
-    n = len(pts)
-    for i in range(n):
-        ax, ay, az = a = pts[i]
-        for j in range(i + 1, n):
-            ux, uy, uz = pts[j][0] - ax, pts[j][1] - ay, pts[j][2] - az
-            for k in range(j + 1, n):
-                vx, vy, vz = pts[k][0] - ax, pts[k][1] - ay, pts[k][2] - az
-                normal = (uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx)
-                if normal == (0, 0, 0):
-                    continue
-                nx, ny, nz = normal
-                offset = nx * ax + ny * ay + nz * az
-                above = below = False
-                for px, py, pz in pts:
-                    s = nx * px + ny * py + nz * pz - offset
-                    if s > 0:
-                        if below:
-                            break
-                        above = True
-                    elif s < 0:
-                        if above:
-                            break
-                        below = True
-                else:
-                    if not (above or below):
-                        return None  # every point on one plane
-                    sign = -1 if below else 1
-                    g = gcd(nx, ny, nz) * sign
-                    found.setdefault((tuple(c // g for c in normal), offset // g), None)
-    return list(found) or None
+def hull_facets(ints: Sequence[tuple]) -> list:
+    """The integer H-representation of the hull of distinct integer points.
 
-
-def hull_facets(ints: Sequence[tuple]) -> Optional[list]:
-    """Integer halfspaces that cut the points' bounding box to their hull.
-
-    ``ints`` are distinct integer points.  Returns ``[(normal, offset)]``
-    with ``normal . x >= offset`` on the hull, such that the bounding box of
-    the points intersected with these halfspaces is the convex hull, or
-    None when no such list is computed here: 3-d points that lie in one
-    plane (a line or a point included), and every d >= 4.  In 1-d the box
-    is the hull; in 2-d the halfspaces are :func:`geom2d.hull_edges`, which
-    also separate planar queries (a segment's two edges bound its line,
-    whose box is the segment); in 3-d they are the primitive facet normals.
-    The enumerator passes the vertices in its integer lattice frame.
+    Returns primitive ``(normal, offset)`` pairs, with ``normal . x >=
+    offset`` on the hull, whose intersection is the hull in every d: never
+    None.  One elimination pass (:func:`_echelon`) finds the affine rank r,
+    r + 1 affinely independent points and r pivot coordinates, on which the
+    points' flat projects injectively.  On those coordinates the hull is
+    an interval at r = 1, the :func:`geom2d.hull_edges` of
+    :func:`geom2d.hull2d` at r = 2 and :func:`_beneath_beyond` from r = 3.
+    At r = d these are the unique facets; a flat (r < d) lifts them with
+    zeros and adds each of d - r integer equations (:func:`_kernel`) as two
+    opposite halfspaces.
     """
-    d = len(ints[0])
-    if d == 1:
-        return []
-    if d == 2:
-        return geom2d.hull_edges(geom2d.hull2d(ints))
-    if d == 3:
-        return _facets3d(ints)
-    return None
+    origin = ints[0]
+    d = len(origin)
+    picked, cols = _echelon(tuple(map(sub, p, origin)) for p in ints[1:])
+    r = len(picked)
+    pts = ints if r == d else [tuple(p[c] for c in cols) for p in ints]
+    if r == 1:
+        xs = [x for x, in pts]
+        facets = [((1,), min(xs)), ((-1,), -max(xs))]
+    elif r == 2:
+        facets = [
+            ((n[0] // g, n[1] // g), c // g)
+            for n, c in geom2d.hull_edges(geom2d.hull2d(pts)) for g in [gcd(*n)]
+        ]
+    elif r:
+        facets = _beneath_beyond(pts, [pts[0]] + [pts[i + 1] for i in picked])
+    else:
+        facets = []
+    if r == d:
+        return facets
+    facets = [
+        (tuple(n[cols.index(j)] if j in cols else 0 for j in range(d)), c)
+        for n, c in facets
+    ]
+    for e in _kernel([tuple(map(sub, ints[i + 1], origin)) for i in picked], d):
+        c = sum(map(mul, e, origin))
+        facets += [(e, c), (tuple([-a for a in e]), -c)]
+    return facets
+
+
+def _beneath_beyond(pts: list, simplex: list) -> list:
+    """Facets of the hull of distinct integer points in d >= 3 dimensions,
+    ``simplex`` d + 1 affinely independent ones among them.
+
+    The boundary is kept as simplices: d vertex indices and the facet's
+    primitive normal, the :func:`_kernel` of d - 1 differences, oriented
+    toward ``inner``, d + 1 times the centroid of the first simplex.  The
+    other points come farthest from that centroid first (then in
+    lexicographic order), so that more of them are inside when they come.
+    A facet is visible from a point strictly beyond it; the ridges that
+    appear once among the visible facets are the horizon, and each spans a
+    new facet with the point.  Coplanar simplices merge at the end.
+    """
+    d = len(pts[0])
+    first = set(simplex)
+    inner = [sum(col) for col in zip(*simplex)]
+    pts = simplex + sorted(
+        (p for p in pts if p not in first),
+        key=lambda p: (-sum(((d + 1) * x - y) ** 2 for x, y in zip(p, inner)), p),
+    )
+
+    def facet(verts: tuple) -> tuple:
+        a = pts[verts[0]]
+        [n] = _kernel([[x - y for x, y in zip(pts[v], a)] for v in verts[1:]], d)
+        c = sum(map(mul, n, a))
+        if sum(map(mul, n, inner)) < (d + 1) * c:
+            n, c = tuple([-x for x in n]), -c
+        return verts, n, c
+
+    facets = [facet(f) for f in combinations(range(d + 1), d)]
+    for i in range(d + 1, len(pts)):
+        p = pts[i]
+        visible, kept = [], []
+        for f in facets:
+            (visible if sum(map(mul, f[1], p)) < f[2] else kept).append(f)
+        if visible:
+            ridges = Counter(r for f in visible for r in combinations(f[0], d - 1))
+            facets = kept + [facet(r + (i,)) for r, t in ridges.items() if t == 1]
+    return list(dict.fromkeys((n, c) for _, n, c in facets))
+
+
+def _kernel(rows: list, d: int) -> list:
+    """Primitive integer vectors spanning the orthogonal complement in Z^d
+    of the independent integer ``rows`` (a list that this rewrites).
+
+    Fraction-free Gauss-Jordan (:func:`.linprog.pivot`) leaves row i with
+    the denominator ``det`` in its pivot column c_i and zeros in the other
+    pivot columns, so each free column f gives a kernel vector: ``det`` at
+    f and ``-row_i[f]`` at c_i.
+    """
+    det, cols = 1, []
+    for i, row in enumerate(rows):
+        c = 0
+        while not row[c]:
+            c += 1
+        det = pivot(rows, i, c, det)
+        cols.append(c)
+    out = []
+    for f in range(d):
+        if f not in cols:
+            x = [0] * d
+            x[f] = det
+            for c, row in zip(cols, rows):
+                x[c] = -row[f]
+            out.append(_primitive_signed(tuple(x)))
+    return out
 
 
 def centroid(points) -> Vec:
@@ -407,28 +453,33 @@ def centroid(points) -> Vec:
     return tuple(Fraction(sum(p[i] for p in pts), n) for i in range(len(pts[0])))
 
 
-def rank_of_vectors(vectors) -> int:
-    """Rank over the rationals of int or Fraction vectors, by fraction-free
-    Gaussian elimination."""
-    rows = [list(v) for v in vectors]
-    rank = 0
-    for col in range(len(rows[0]) if rows else 0):
-        for r in range(rank, len(rows)):
-            if rows[r][col] != 0:
+def _echelon(vectors) -> tuple:
+    """``(picked, cols)``: the indices, in order, of the vectors outside the
+    span of the earlier ones, and the pivot column of each, by one
+    fraction-free elimination pass; the picked vectors are nonsingular on
+    their pivot columns.  Stops once the rank is the vectors' length."""
+    rows, picked = [], []
+    for i, v in enumerate(vectors):
+        for c, row in rows:
+            f = v[c]
+            if f:
+                p = row[c]
+                v = [p * a - f * b for a, b in zip(v, row)]
+        for c, a in enumerate(v):
+            if a:
+                rows.append((c, v))
+                picked.append(i)
                 break
         else:
             continue
-        prow = rows[r]
-        rows[r] = rows[rank]
-        rows[rank] = prow
-        rank += 1
-        if rank == len(rows):
+        if len(rows) == len(v):
             break
-        for r in range(rank, len(rows)):
-            f = rows[r][col]
-            if f != 0:
-                rows[r] = [prow[col] * x - f * y for x, y in zip(rows[r], prow)]
-    return rank
+    return picked, [c for c, _ in rows]
+
+
+def rank_of_vectors(vectors) -> int:
+    """Rank over the rationals of int or Fraction vectors (:func:`_echelon`)."""
+    return len(_echelon(vectors)[0])
 
 
 def affine_hull(points) -> AffineHull:
@@ -437,12 +488,9 @@ def affine_hull(points) -> AffineHull:
     if not pts:
         raise ValueError("affine hull of an empty point set")
     origin = pts[0]
-    basis = []
-    for p in pts[1:]:
-        candidate = vsub(p, origin)
-        if rank_of_vectors(basis + [candidate]) > len(basis):
-            basis.append(candidate)
-    return AffineHull(origin, tuple(basis), len(basis))
+    diffs = [vsub(p, origin) for p in pts[1:]]
+    basis = tuple(diffs[i] for i in _echelon(diffs)[0])
+    return AffineHull(origin, basis, len(basis))
 
 
 def affine_rank(points) -> int:
@@ -477,9 +525,7 @@ def _canon_primitive(w: tuple) -> tuple:
 
 
 def _primitive_signed(w: tuple) -> tuple:
-    g = 0
-    for c in w:
-        g = gcd(g, abs(c))
+    g = gcd(*w)
     return w if g == 1 else tuple(c // g for c in w)
 
 

@@ -142,7 +142,7 @@ def _common_set_points(
     boxes = [lattice_box(spec.base, v) for v in verts]
     base = min(range(len(hulls)), key=lambda i: (prod(map(len, boxes[i][2])), i))
     candidates = _ambient_points(
-        spec.base, _lattice_points_in_box(spec, verts[base], boxes[base])
+        spec.base, _lattice_points_in_box(spec, boxes[base])
     )
     others = [hulls[i] for i in range(len(hulls)) if i != base]
     found = []

@@ -1,15 +1,16 @@
 """Property-based checks: certificates, depth laws, hollow machinery."""
 import itertools
 from fractions import Fraction
-from math import ceil, floor
+from math import ceil, floor, gcd
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from discrete_tverberg import jsonio
+from discrete_tverberg import exact_geometry, jsonio, linprog
 from discrete_tverberg.discrete_sets import (
     LatticeBasis,
     PolytopeV,
+    _scan_lines,
     difference_set,
     enumerate_in_polytope,
     helly_upper_bound,
@@ -19,10 +20,13 @@ from discrete_tverberg.discrete_sets import (
     set_contains,
 )
 from discrete_tverberg.exact_geometry import (
+    affine_rank,
     affinely_independent,
     anchored_reduce,
     caratheodory_reduce,
     depth,
+    extreme_points,
+    hull_facets,
     membership,
 )
 from discrete_tverberg.oracles import brute_depth, brute_tverberg, verify_partition
@@ -408,6 +412,235 @@ def test_z3_enumeration_matches_per_point_membership(spec, points):
         if set_contains(spec, x) and membership(x, verts).inside
     ]
     assert got == sorted(expected)
+
+
+Z4 = lattice_set(4)
+PLANE3 = lattice_set(3, LatticeBasis(((1, 0, 0), (0, 1, 1)), dim=3))
+LINE3 = lattice_set(3, LatticeBasis(((1, 2, -1),), dim=3))
+PLANE3_MINUS = difference_set(
+    3, (LatticeBasis(((2, 0, 0), (0, 2, 2)), dim=3),), PLANE3.base
+)
+
+
+@st.composite
+def enumeration_problem(draw):
+    """A 4-d or rank-deficient ground set and vertices: 4-8 points of Z^4
+    in a small box, or vertices for a plane or a line lattice in Z^3
+    drawn on its span, off it, or both."""
+    spec = draw(st.sampled_from((Z4, PLANE3, LINE3, PLANE3_MINUS)))
+    if spec is Z4:
+        c = st.integers(-1, 1)
+        return spec, draw(st.lists(st.tuples(c, c, c, c), min_size=4, max_size=8,
+                                   unique=True))
+    gens = spec.base.vectors
+    c = st.integers(-2, 2)
+    on = [tuple(sum(a * g[i] for a, g in zip(z, gens)) for i in range(3))
+          for z in draw(st.lists(st.tuples(*[c] * len(gens)), max_size=5))]
+    off = draw(st.lists(st.tuples(c, c, c), max_size=5))
+    where = draw(st.sampled_from(("on", "off", "both")))
+    points = {"on": on, "off": off, "both": on + off}[where]
+    assume(points)
+    return spec, points
+
+
+@settings(max_examples=60, deadline=None)
+@given(enumeration_problem())
+def test_z4_and_rank_deficient_enumeration_matches_per_point_membership(problem):
+    spec, points = problem
+    verts = [vec(p) for p in points]
+    got = enumerate_in_polytope(spec, PolytopeV(tuple(verts)))
+    proj = [spec.base.projected_coords(v) for v in verts]
+    box = [range(ceil(min(p[j] for p in proj)), floor(max(p[j] for p in proj)) + 1)
+           for j in range(spec.rank)]
+    expected = [
+        x for x in map(spec.base.from_lattice, itertools.product(*box))
+        if set_contains(spec, x) and membership(x, verts).inside
+    ]
+    assert got == sorted(expected)
+
+
+def test_enumeration_and_extreme_points_solve_no_lp(monkeypatch):
+    # every LP goes through ExactSimplex.solve; membership's goes through
+    # exact_geometry.solve_feasibility first
+    calls, feasibility = [], []
+    solve, feasible = linprog.ExactSimplex.solve, exact_geometry.solve_feasibility
+
+    def counted(tab):
+        calls.append(tab)
+        return solve(tab)
+
+    def counted_feasibility(*args):
+        feasibility.append(args)
+        return feasible(*args)
+
+    monkeypatch.setattr(linprog.ExactSimplex, "solve", counted)
+    monkeypatch.setattr(exact_geometry, "solve_feasibility", counted_feasibility)
+    simplex4 = [(0, 0, 0, 0), (3, 0, 0, 0), (0, 3, 0, 0), (0, 0, 3, 0), (0, 0, 0, 3)]
+    cases = [
+        (Z4, simplex4 + [(1, 1, 1, 0)]),
+        (Z4, [(0, 0, 0, 0), (2, 2, 0, 0), (0, 2, 2, 1)]),  # a plane in Z^4
+        (PLANE3, [(-3, -3, -2), (4, -1, -1), (0, 4, 5), (1, 2, 1), (0, 0, -3)]),
+        (PLANE3, [(-2, 0, 0), (2, 1, 1), (0, 3, 3)]),  # on the lattice's plane
+        (LINE3, [(-3, -4, 1), (4, 5, -2), (0, 6, 3), (1, 1, 1)]),
+        (LINE3, [(-2, -4, 2), (3, 6, -3)]),  # on the lattice's line
+        (PLANE3_MINUS, [(-3, -3, -2), (4, -1, -1), (0, 4, 5)]),
+    ]
+    for spec, points in cases:
+        assert enumerate_in_polytope(spec, PolytopeV(tuple(map(vec, points))))
+        extreme_points(points)
+    assert calls == [] and feasibility == []
+    membership((1, 1, 1, 1), simplex4)  # the counters see a 4-d LP
+    assert len(calls) == 1 and len(feasibility) == 1
+
+
+# ---------------------------------------------------------------------------
+# integer hulls
+
+
+def _facets3d(pts: list):
+    """Reference for 3-d :func:`hull_facets`: a plane through three points
+    supports the hull when no point lies strictly on one of its sides, and
+    three non-collinear points on it make its face a facet.  Each triple
+    stops at the first point on either side once the other side has been
+    seen.  None when every point lies on one plane."""
+    found = {}
+    n = len(pts)
+    for i in range(n):
+        ax, ay, az = a = pts[i]
+        for j in range(i + 1, n):
+            ux, uy, uz = pts[j][0] - ax, pts[j][1] - ay, pts[j][2] - az
+            for k in range(j + 1, n):
+                vx, vy, vz = pts[k][0] - ax, pts[k][1] - ay, pts[k][2] - az
+                normal = (uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx)
+                if normal == (0, 0, 0):
+                    continue
+                nx, ny, nz = normal
+                offset = nx * ax + ny * ay + nz * az
+                above = below = False
+                for px, py, pz in pts:
+                    s = nx * px + ny * py + nz * pz - offset
+                    if s > 0:
+                        if below:
+                            break
+                        above = True
+                    elif s < 0:
+                        if above:
+                            break
+                        below = True
+                else:
+                    if not (above or below):
+                        return None  # every point on one plane
+                    sign = -1 if below else 1
+                    g = gcd(nx, ny, nz) * sign
+                    found.setdefault((tuple(c // g for c in normal), offset // g), None)
+    return list(found) or None
+
+
+@st.composite
+def z3_hull_points(draw):
+    """Distinct points of Z^3 with a full-dimensional hull, scaled by 6 so
+    that midpoints of pairs (on edges, when the pair is one) and centroids
+    of triples (on facets, when the triple is on one) are integers, then
+    sheared by a unimodular upper-triangular map."""
+    c = st.integers(-3, 3)
+    base = draw(st.lists(st.tuples(c, c, c), min_size=4, max_size=10, unique=True))
+    assume(affine_rank(base) == 3)
+    pick = st.sampled_from(base)
+    pairs = draw(st.lists(st.tuples(pick, pick), max_size=4))
+    triples = draw(st.lists(st.tuples(pick, pick, pick), max_size=3))
+    pts = [tuple(6 * x for x in p) for p in base]
+    pts += [tuple(3 * (x + y) for x, y in zip(p, q)) for p, q in pairs]
+    pts += [tuple(2 * (x + y + z) for x, y, z in zip(p, q, r)) for p, q, r in triples]
+    a, b, e = draw(st.tuples(*[st.integers(-2, 2)] * 3))
+    return list(dict.fromkeys((x + a * y + b * z, y + e * z, z) for x, y, z in pts))
+
+
+@settings(max_examples=200, deadline=None)
+@given(z3_hull_points())
+def test_hull_facets_match_the_triple_scan_in_3d(pts):
+    facets = hull_facets(pts)
+    assert len(facets) == len(set(facets))
+    assert set(facets) == set(_facets3d(pts))
+
+
+@st.composite
+def flat_point_set(draw):
+    """Distinct points of Z^d, d in 1-4, in a box small enough to test each
+    of its points by membership: anywhere, or on a flat of any smaller
+    dimension r (the origin plus 0-2 times each of r generators; 0-1 in
+    4-d)."""
+    d = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        c = st.integers(*{1: (-5, 5), 2: (-3, 3), 3: (-2, 2), 4: (0, 2)}[d])
+        return draw(st.lists(st.tuples(*[c] * d), min_size=1, max_size=8, unique=True))
+    r = draw(st.integers(0, d - 1))
+    unit = st.integers(-1, 1)
+    origin = draw(st.tuples(*[st.integers(-2, 2)] * d))
+    gens = draw(st.lists(st.tuples(*[unit] * d), min_size=r, max_size=r))
+    coef = st.integers(0, 1 if d == 4 else 2)
+    coefs = draw(st.lists(st.tuples(*[coef] * r), min_size=1, max_size=8))
+    return list(dict.fromkeys(
+        tuple(o + sum(a * g[i] for a, g in zip(z, gens)) for i, o in enumerate(origin))
+        for z in coefs
+    ))
+
+
+def check_h_representation(pts: list) -> None:
+    """The halfspaces hold on every point; each one whose opposite is not
+    listed (not an equation of the flat) is tight on r affinely
+    independent points; and the scan of the points' box keeps exactly the
+    box points in their hull."""
+    r = affine_rank(pts)
+    facets = hull_facets(pts)
+    assert len(facets) == len(set(facets))
+    for n, c in facets:
+        assert gcd(*n) == 1
+        assert all(sum(a * b for a, b in zip(n, p)) >= c for p in pts)
+        if (tuple(-a for a in n), -c) not in facets:
+            tight = [p for p in pts if sum(a * b for a, b in zip(n, p)) == c]
+            assert affine_rank(tight) == r - 1
+    box = [range(min(col), max(col) + 1) for col in zip(*pts)]
+    assert _scan_lines(facets, 1, box) == [
+        z for z in itertools.product(*box) if membership(z, pts).inside
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(flat_point_set())
+def test_hull_facets_are_an_h_representation(pts):
+    check_h_representation(pts)
+
+
+@pytest.mark.parametrize("pts", [
+    pytest.param([(1, -2, 3)], id="point-in-Z3"),
+    pytest.param([(0, 0, 0, 0)], id="point-in-Z4"),
+    pytest.param([(-2, -1, 0), (0, 0, 1), (4, 2, 3), (2, 1, 2)], id="line-in-Z3"),
+    pytest.param([(0, 0, 0), (3, 0, 1), (0, 3, 2), (3, 3, 3), (1, 1, 1)],
+                 id="plane-in-Z3"),
+    pytest.param([(0, 0, 0, 0), (2, 0, 1, 1), (0, 2, 1, -1), (2, 2, 2, 0), (1, 1, 1, 0)],
+                 id="plane-in-Z4"),
+    pytest.param([(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
+                  (1, 1, 1, 1), (1, 1, 0, 0)], id="full-Z4"),
+])
+def test_hull_facets_of_named_flats(pts):
+    check_h_representation(pts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(flat_point_set(), st.data())
+def test_extreme_points_match_the_lp_definition(pts, data):
+    # rational inputs, repeats and any input order; a point is a vertex
+    # when it is not in the hull of the others (by LP from 3-d up)
+    den = data.draw(st.integers(1, 3), label="denominator")
+    pts = [tuple(F(x, den) for x in p) for p in pts]
+    pts = data.draw(st.permutations(pts + data.draw(st.lists(st.sampled_from(pts),
+                                                             max_size=3))))
+    uniq = list(dict.fromkeys(pts))
+    expected = uniq if len(uniq) == 1 else [
+        p for i, p in enumerate(uniq)
+        if not membership(p, uniq[:i] + uniq[i + 1:]).inside
+    ]
+    assert extreme_points(pts) == expected
 
 
 # ---------------------------------------------------------------------------
