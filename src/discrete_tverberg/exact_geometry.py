@@ -1,11 +1,11 @@
 """Exact convex-position tests, certificates, and halfspace depth.
 
-All geometry runs over Fraction coordinates.  Membership of planar inputs
-is scaled to integers and dispatched to :mod:`.geom2d`, whose hull edges
-also separate outside queries; membership in higher dimensions uses a
-phase-1 simplex.  Hulls are exact integer H-representations in every
-dimension and every flat (:func:`hull_facets`, beneath-beyond from 3-d),
-which also give the extreme points without an LP.  Depth runs on integer
+The public functions take rational points and return Fraction
+certificates; the work runs on the points scaled once to integers.
+Membership is one integer kernel (:func:`_convex_weights`) in every
+dimension.  Hulls are exact integer H-representations in every dimension
+and every flat (:func:`hull_facets`, beneath-beyond from 3-d), which also
+give the extreme points without an LP.  Depth runs on integer
 difference vectors in one kernel for every dimension: a wall descent over
 direction classes that solves each plane it reaches in one pass (the
 generic wall recursion stays as its test reference).  Every verdict
@@ -190,93 +190,86 @@ class AffineHull:
 # membership
 
 
-def _lifted_columns(pts: Sequence[Vec]):
-    return [tuple(p) + (ONE,) for p in pts]
+def _convex_weights(q: tuple, pts: Sequence[tuple], den: int):
+    """``q in conv(pts)`` on integers: convex weights as ``(index,
+    Fraction)`` pairs, or a separating :class:`Halfspace` in the caller's
+    frame.  q and the distinct pts are ``den`` times the caller's points.
 
-
-def _membership_lp(query: Vec, pts: list) -> MembershipCertificate:
-    res = solve_feasibility(_lifted_columns(pts), tuple(query) + (ONE,))
+    1-d is an interval, 2-d the :mod:`.geom2d` fan and hull edges, and from
+    3-d a phase-1 LP on the columns ``(p, den)``: ``den`` times the system
+    ``(x, 1)``, so no weight depends on den, nor a separator but a 2-d one,
+    a hull edge, which another den scales by a positive factor.
+    """
+    d = len(q)
+    if d == 1:
+        (x,) = q
+        xs = [p[0] for p in pts]
+        lo, hi = min(xs), max(xs)
+        if x < lo:
+            return Halfspace((ONE,), Fraction(lo, den))
+        if x > hi:
+            return Halfspace((-ONE,), Fraction(-hi, den))
+        below, i = max((v, i) for i, v in enumerate(xs) if v <= x)
+        if below == x:
+            return [(i, ONE)]
+        above, j = min((v, j) for j, v in enumerate(xs) if v >= x)
+        lam = Fraction(above - x, above - below)
+        return [(i, lam), (j, 1 - lam)]
+    if d == 2:
+        hull = geom2d.hull2d(pts)
+        combo = geom2d.fan_combination(q, hull)
+        if combo is not None:
+            index = {p: i for i, p in enumerate(pts)}
+            return [(index[v], c) for v, c in combo]
+        for n, c in geom2d.hull_edges(hull):
+            if n[0] * q[0] + n[1] * q[1] < c:
+                break
+        else:  # a point, or a segment with q on its line: a side of its box
+            n, c = next(
+                (n, c)
+                for n in ((1, 0), (-1, 0), (0, 1), (0, -1))
+                for c in [min(n[0] * x + n[1] * y for x, y in hull)]
+                if n[0] * q[0] + n[1] * q[1] < c
+            )
+        return Halfspace((frac(n[0]), frac(n[1])), Fraction(c, den))
+    res = solve_feasibility([p + (den,) for p in pts], q + (den,))
     if res.feasible:
-        terms = tuple((pts[j], c) for j, c in enumerate(res.solution) if c > 0)
-        return MembershipCertificate(True, combination=ConvexCombination(terms))
-    y = res.farkas
-    # y . (a, 1) <= 0 for every point while y . (query, 1) > 0, so -y_head
+        return [(j, c) for j, c in enumerate(res.solution) if c > 0]
+    # y . (p, den) <= 0 for every point while y . (q, den) > 0, so -y_head
     # puts the set weakly above y_tail and the query strictly below.
-    normal = tuple(-c for c in y[:-1])
-    return MembershipCertificate(False, separator=Halfspace(normal, y[-1]))
+    return Halfspace(tuple(-c for c in res.farkas[:-1]), res.farkas[-1])
 
 
-def _membership_1d(query: Vec, pts: list) -> MembershipCertificate:
-    q = query[0]
-    xs = sorted(p[0] for p in pts)
-    lo, hi = xs[0], xs[-1]
-    if q < lo:
-        return MembershipCertificate(False, separator=Halfspace((ONE,), lo))
-    if q > hi:
-        return MembershipCertificate(False, separator=Halfspace((-ONE,), -hi))
-    below = max(x for x in xs if x <= q)
-    if below == q:
-        comb = ConvexCombination((((q,), ONE),))
-        return MembershipCertificate(True, combination=comb)
-    above = min(x for x in xs if x >= q)
-    lam = Fraction(above - q, above - below)
-    comb = ConvexCombination((((below,), lam), ((above,), 1 - lam)))
-    return MembershipCertificate(True, combination=comb)
-
-
-def _membership_2d(query: Vec, pts: list) -> MembershipCertificate:
-    ints, den = int_scaled(pts + [query])
-    q_int = ints[-1]
-    back = {}
-    for ip, p in zip(ints[:-1], pts):
-        back.setdefault(ip, p)
-    hull = geom2d.hull2d(ints[:-1])
-    combo = geom2d.fan_combination(q_int, hull)
-    if combo is not None:
-        terms = tuple((back[v], c) for v, c in combo)
-        return MembershipCertificate(True, combination=ConvexCombination(terms))
-    for n, c in geom2d.hull_edges(hull):
-        if n[0] * q_int[0] + n[1] * q_int[1] < c:
-            break
-    else:  # a point, or a segment with q on its line: a side of its box
-        n, c = next(
-            (n, c)
-            for n in ((1, 0), (-1, 0), (0, 1), (0, -1))
-            for c in [min(n[0] * x + n[1] * y for x, y in hull)]
-            if n[0] * q_int[0] + n[1] * q_int[1] < c
-        )
-    return MembershipCertificate(
-        False, separator=Halfspace((frac(n[0]), frac(n[1])), Fraction(c, den))
-    )
-
-
-def membership(query, points) -> MembershipCertificate:
-    """Decide ``query in conv(points)`` with a certificate either way."""
-    query = vec(query)
-    pts = _dedup(_as_points(points))
+def _certificate(query: Vec, pts: list) -> MembershipCertificate:
+    """:func:`membership` of a coerced query and distinct coerced points."""
     if not pts:
         raise ValueError("membership against an empty point set")
     _check_dims(query, pts)
-    d = len(query)
-    if d == 1:
-        return _membership_1d(query, pts)
-    if d == 2:
-        return _membership_2d(query, pts)
-    return _membership_lp(query, pts)
+    ints, den = int_scaled(pts + [query])
+    res = _convex_weights(ints[-1], ints[:-1], den)
+    if isinstance(res, Halfspace):
+        return MembershipCertificate(False, separator=res)
+    terms = tuple((pts[j], c) for j, c in res)
+    return MembershipCertificate(True, combination=ConvexCombination(terms))
+
+
+def membership(query, points) -> MembershipCertificate:
+    """Decide ``query in conv(points)`` with a certificate either way, by
+    one integer scaling around :func:`_convex_weights`."""
+    return _certificate(vec(query), _dedup(_as_points(points)))
 
 
 def caratheodory_reduce(query, points):
     """Support of at most ``dim + 1`` affinely independent points for query.
 
-    Returns ``(support_points, combination)``.  Raises ``ValueError`` when
-    the query lies outside the hull.
+    Returns ``(support_points, combination)``, the query alone if it is a
+    point.  Raises ``ValueError`` when the query lies outside the hull.
     """
     query = vec(query)
     pts = _dedup(_as_points(points))
     if query in set(pts):
-        comb = ConvexCombination(((query, ONE),))
-        return [query], comb
-    cert = membership(query, pts)
+        return [query], ConvexCombination(((query, ONE),))
+    cert = _certificate(query, pts)
     if not cert.inside:
         raise ValueError("query lies outside the convex hull")
     return cert.combination.support(), cert.combination
@@ -303,7 +296,7 @@ def anchored_reduce(query, anchor, points) -> AnchoredReduction:
     if query in set(pts):
         return AnchoredReduction(((query, ONE),), ZERO, False)
     d = len(query)
-    columns = _lifted_columns([anchor] + pts)
+    columns = [p + (ONE,) for p in [anchor] + pts]
     tab = ExactSimplex(columns, tuple(query) + (ONE,))
     if not tab.solve():
         raise ValueError("query lies outside the anchored hull")

@@ -40,14 +40,6 @@ def hull2d(pts: Sequence[IntPt]) -> list:
     return lo[:-1] + hi[:-1]
 
 
-def _between_on_segment(q: IntPt, a: IntPt, b: IntPt) -> bool:
-    if cross3(a, b, q) != 0:
-        return False
-    ux, uy = b[0] - a[0], b[1] - a[1]
-    t = ux * (q[0] - a[0]) + uy * (q[1] - a[1])
-    return 0 <= t <= ux * ux + uy * uy
-
-
 def hull_edges(hull: Sequence[IntPt]) -> list:
     """Integer ``(normal, offset)`` per edge of a :func:`hull2d` hull, with
     the hull on the ``normal . x >= offset`` side.
@@ -66,24 +58,21 @@ def hull_edges(hull: Sequence[IntPt]) -> list:
 def fan_combination(q: IntPt, hull: Sequence[IntPt]) -> Optional[list]:
     """Convex coefficients for q over hull vertices, or None if outside.
 
-    Returns [(vertex, Fraction coefficient)] with positive coefficients
-    summing to one; at most three vertices appear (a fan triangle).
+    q and the vertices are integer tuples.  Returns [(vertex, Fraction
+    coefficient)] with positive coefficients summing to one; at most three
+    vertices appear (a fan triangle).
     """
     h = len(hull)
     if h == 1:
-        return [(tuple(hull[0]), Fraction(1))] if tuple(q) == tuple(hull[0]) else None
+        return [(q, Fraction(1))] if q == hull[0] else None
     if h == 2:
         a, b = hull
-        if not _between_on_segment(q, a, b):
-            return None
         ux, uy = b[0] - a[0], b[1] - a[1]
-        t = Fraction(ux * (q[0] - a[0]) + uy * (q[1] - a[1]), ux * ux + uy * uy)
-        out = []
-        if 1 - t > 0:
-            out.append((tuple(a), 1 - t))
-        if t > 0:
-            out.append((tuple(b), t))
-        return out
+        t = ux * (q[0] - a[0]) + uy * (q[1] - a[1])
+        if cross3(a, b, q) or not 0 <= t <= ux * ux + uy * uy:
+            return None
+        t = Fraction(t, ux * ux + uy * uy)
+        return [(v, c) for v, c in ((a, 1 - t), (b, t)) if c > 0]
     v0 = hull[0]
     for i in range(1, h - 1):
         vi = hull[i]
@@ -94,11 +83,7 @@ def fan_combination(q: IntPt, hull: Sequence[IntPt]) -> Optional[list]:
         beta = Fraction(cross3(v0, q, vj), det)
         gamma = Fraction(cross3(v0, vi, q), det)
         alpha = 1 - beta - gamma
-        out = []
-        for v, coeff in ((v0, alpha), (vi, beta), (vj, gamma)):
-            if coeff > 0:
-                out.append((tuple(v), coeff))
-        return out
+        return [(v, c) for v, c in ((v0, alpha), (vi, beta), (vj, gamma)) if c > 0]
     return None
 
 

@@ -5,8 +5,11 @@ least (m-1)kd + 1), then peel off m-1 small parts whose hulls keep all k
 witnesses, leaving the rest as the final part.  Each peel costs every
 witness at most kd depth (at most d when k = 1, where parts are affinely
 independent Caratheodory supports), so the witnesses stay inside every
-remainder hull by arithmetic; the engine nevertheless re-verifies each
-containment exactly and retries with different anchors before giving up.
+remainder hull by arithmetic.  The peel scales the points and witnesses
+to integers once and solves each witness over each remainder once: that
+combination is the exact check that the witness stayed inside, for k = 1
+the next part, and for the last remainder its certificate.  Extraction
+for k >= 2 retries with different anchors before giving up.
 
 Status semantics: a returned outcome is either a fully certified
 partition or an honest "no_partition_found" (possible only below the
@@ -18,6 +21,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
+from fractions import Fraction
 from math import inf
 from operator import mul, sub
 from typing import Optional, Sequence
@@ -34,8 +38,10 @@ from .discrete_sets import (
 )
 from .errors import PartitionConstructionError, TheoremViolationError
 from .exact_geometry import (
+    ConvexCombination,
     DepthResult,
     Halfspace,
+    _convex_weights,
     anchored_reduce,
     caratheodory_reduce,
     centroid,
@@ -44,7 +50,7 @@ from .exact_geometry import (
     extreme_points,
     membership,
 )
-from .vectors import Vec, require_int, vdot, vec
+from .vectors import ONE, Vec, int_scaled, require_int, vdot, vec
 
 
 @dataclass(frozen=True)
@@ -186,14 +192,14 @@ def find_deep_witnesses(
     lat = spec.base
     bounds = _depth_upper_bounds(coords, zs, den, threshold)
     pad = (0,) * (spec.dim - lat.rank)
-    # (-depth, ambient point, witness thunk), best first, at most k; the
-    # prefix is unique, so two thunks are never compared
+    # (-depth, ambient point times lat._den, witness thunk), best first, at
+    # most k; the prefix is unique, so two thunks are never compared
     top = []
     cutoff = threshold
     for i in sorted(range(len(zs)), key=bounds.__getitem__, reverse=True):
         if bounds[i] < cutoff:
             break
-        point = lat.from_lattice(zs[i])
+        point = tuple(sum(map(mul, row, zs[i])) for row in zip(*lat._int_vectors))
         # a tie with the k-th witness displaces it only from before it
         need = cutoff + 1 if len(top) == k and point > top[-1][1] else cutoff
         q = tuple(den * c for c in zs[i]) + pad
@@ -207,7 +213,8 @@ def find_deep_witnesses(
             if len(top) == k:
                 cutoff = -top[-1][0]
     chosen = []
-    for neg_value, point, witness in top:
+    for neg_value, scaled, witness in top:
+        point = tuple(Fraction(c, lat._den) for c in scaled)
         v = witness()
         normal = vec(sum(map(mul, v, col)) for col in zip(*lat._t_rows))
         result = DepthResult(-neg_value, Halfspace(normal, vdot(normal, point)))
@@ -274,18 +281,6 @@ def extract_part(
     return colorful_cover(witness_points, remaining)
 
 
-def _certify(witnesses: Sequence[Vec], part: Sequence[Vec]) -> tuple:
-    certs = []
-    for w in witnesses:
-        _, comb = caratheodory_reduce(w, part)
-        if not comb.verify(w):
-            raise PartitionConstructionError(
-                f"certificate for witness {w} failed to verify"
-            )
-        certs.append(comb)
-    return tuple(certs)
-
-
 def tverberg_partition(instance: Instance) -> TverbergOutcome:
     """Certified m-partition with >= k common S-points in all part hulls.
 
@@ -316,35 +311,58 @@ def tverberg_partition(instance: Instance) -> TverbergOutcome:
             witness_search=search,
         )
     witnesses = [w.point for w in search.witnesses]
-    index_of = {p: i for i, p in enumerate(instance.points)}
-    remaining = list(instance.points)
+    ints, den = int_scaled(pts + witnesses)
+    targets = ints[len(pts):]
+
+    def certify(indices: Sequence[int]) -> tuple:
+        """Each witness's combination over the input points at the sorted
+        ``indices``, as :func:`caratheodory_reduce` gives it; raises
+        PartitionConstructionError when a witness is outside their hull."""
+        sub = [ints[i] for i in indices]
+        certs = []
+        for w, q in zip(witnesses, targets):
+            weights = [(sub.index(q), ONE)] if q in sub else _convex_weights(q, sub, den)
+            if isinstance(weights, Halfspace):
+                raise PartitionConstructionError(
+                    f"witness {w} is outside the hull of input points {indices}"
+                )
+            comb = ConvexCombination(tuple((pts[indices[j]], c) for j, c in weights))
+            if not comb.verify(w):
+                raise PartitionConstructionError(
+                    f"certificate for witness {w} failed to verify"
+                )
+            certs.append(comb)
+        return tuple(certs)
+
+    index_of = {p: i for i, p in enumerate(pts)}
+    remaining = list(range(len(pts)))
+    # the witnesses' combinations over the remainder check that they stayed
+    # inside; for k = 1 they give the next part, and at the end the last one's
+    combos = certify(remaining) if k == 1 or m == 1 else None
     parts_idx = []
     flags = []
     for _ in range(m - 1):
-        try:
-            part, fb = extract_part(witnesses, remaining, k, d)
-        except ValueError as exc:
-            raise PartitionConstructionError(
-                f"extraction failed on remainder of {len(remaining)} points: {exc}"
-            ) from exc
-        part_set = set(part)
-        remaining = [p for p in remaining if p not in part_set]
+        if k == 1:
+            part, fb = {index_of[p] for p in combos[0].support()}, False
+        else:
+            try:
+                cover, fb = extract_part(witnesses, [pts[i] for i in remaining], k, d)
+            except ValueError as exc:
+                raise PartitionConstructionError(
+                    f"extraction failed on remainder of {len(remaining)} points: {exc}"
+                ) from exc
+            part = {index_of[p] for p in cover}
+        remaining = [i for i in remaining if i not in part]
         if not remaining:
             raise PartitionConstructionError(
                 "extraction consumed every remaining point"
             )
-        for w in witnesses:
-            if not membership(w, remaining).inside:
-                raise PartitionConstructionError(
-                    f"witness {w} left the hull of the remaining points "
-                    f"after extracting {sorted(part)}"
-                )
-        parts_idx.append(tuple(sorted(index_of[p] for p in part)))
+        combos = certify(remaining)
+        parts_idx.append(tuple(sorted(part)))
         flags.append(fb)
-    parts_idx.append(tuple(sorted(index_of[p] for p in remaining)))
+    parts_idx.append(tuple(remaining))
     flags.append(False)
-    part_points = [[instance.points[i] for i in idxs] for idxs in parts_idx]
-    certificates = tuple(_certify(witnesses, part) for part in part_points)
+    certificates = tuple(certify(idxs) for idxs in parts_idx[:-1]) + (combos,)
     stats = {
         "part_sizes": [len(idxs) for idxs in parts_idx],
         "witness_depths": [w.depth_result.depth for w in search.witnesses],

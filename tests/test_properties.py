@@ -164,6 +164,62 @@ def test_depth_kernel_floor_is_exact_at_or_above_it(case, data):
         assert count < bar
 
 
+@st.composite
+def kernel_problem(draw):
+    """``(q, pts, c)``: distinct rational points in 1-4 d, a query that is
+    a convex combination of them (so 3-4 d has inside cases) or free, and a
+    further scale c."""
+    d = draw(st.integers(1, 4))
+    x = st.fractions(-5, 5, max_denominator=4)
+    pts = draw(st.lists(st.tuples(*[x] * d), min_size=1, max_size=7,
+                        unique=True))
+    if draw(st.booleans()):
+        w = draw(st.lists(st.integers(0, 3), min_size=len(pts),
+                          max_size=len(pts)))
+        assume(any(w))
+        q = tuple(sum(a * p[i] for a, p in zip(w, pts)) / sum(w)
+                  for i in range(d))
+    else:
+        q = draw(st.tuples(*[x] * d))
+    return q, pts, draw(st.integers(2, 6))
+
+
+@settings(max_examples=300)
+@given(kernel_problem())
+def test_membership_kernel_matches_lp_and_ignores_scale(problem):
+    from discrete_tverberg.exact_geometry import (
+        ConvexCombination,
+        Halfspace,
+        _convex_weights,
+    )
+    from discrete_tverberg.vectors import int_scaled
+    q, pts, c = problem
+    ints, den = int_scaled(pts + [q])
+    got = _convex_weights(ints[-1], ints[:-1], den)
+    if isinstance(got, Halfspace):
+        assert got.verify_separation(q, pts)
+    else:
+        assert ConvexCombination(tuple((pts[j], w) for j, w in got)).verify(q)
+    if len(q) >= 3:
+        # the reference: the phase-1 LP on the Fraction columns (x, 1)
+        ref = linprog.solve_feasibility([p + (F(1),) for p in pts], q + (F(1),))
+        if ref.feasible:
+            assert got == [(j, w) for j, w in enumerate(ref.solution) if w > 0]
+        else:
+            y = ref.farkas
+            assert got == Halfspace(tuple(-a for a in y[:-1]), y[-1])
+    scaled = _convex_weights(tuple(c * a for a in ints[-1]),
+                             [tuple(c * a for a in p) for p in ints[:-1]],
+                             c * den)
+    if isinstance(got, Halfspace) and len(q) == 2:
+        r = next(a / b for a, b in zip(scaled.normal, got.normal) if b)
+        assert r > 0
+        assert scaled == Halfspace(tuple(r * a for a in got.normal),
+                                   r * got.offset)
+    else:
+        assert scaled == got
+
+
 # ---------------------------------------------------------------------------
 # support reductions
 

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from discrete_tverberg import jsonio
+from discrete_tverberg import jsonio, tverberg
 from discrete_tverberg.discrete_sets import LatticeBasis, lattice_set
 from discrete_tverberg.exact_geometry import depth, membership
 from discrete_tverberg.harness import ExperimentConfig, generate_instance
@@ -192,6 +192,32 @@ def test_partition_certificates_and_witness_membership():
             assert cert.verify(w)
             # certificate support stays within the part
             assert all(p in hull for p, _ in cert.terms)
+
+
+@pytest.mark.parametrize("spec, m, n_points, box_bound, seed", [
+    (Z2, 3, 25, 20, 11),
+    (lattice_set(3), 2, 15, 2, 5),
+])
+def test_peel_solves_no_membership_twice(monkeypatch, spec, m, n_points,
+                                         box_bound, seed):
+    # every (witness, point tuple) problem reaches the integer kernel at
+    # most once inside one tverberg_partition
+    solved = []
+    kernel = tverberg._convex_weights
+
+    def recorder(q, points, den):
+        solved.append((q, tuple(points)))
+        return kernel(q, points, den)
+
+    monkeypatch.setattr(tverberg, "_convex_weights", recorder)
+    cfg = ExperimentConfig(spec=spec, m=m, k=1, n_points=n_points,
+                           box_bound=box_bound, trials=6, seed=seed)
+    for trial in range(cfg.trials):
+        solved.clear()
+        out = tverberg_partition(generate_instance(cfg, trial))
+        assert out.status == "ok"
+        assert solved
+        assert len(set(solved)) == len(solved)
 
 
 def test_partition_depth_accounting():
