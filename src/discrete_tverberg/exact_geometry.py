@@ -276,36 +276,49 @@ def caratheodory_reduce(query, points):
 
 
 def anchored_reduce(query, anchor, points) -> AnchoredReduction:
-    """Write ``query`` over ``anchor`` plus at most ``dim`` set points.
+    """Write ``query`` over ``anchor`` plus at most ``dim`` set points, by
+    one integer scaling around :func:`_anchored_weights`.
 
     Raises ``ValueError`` if query is not in ``conv(points + [anchor])``.
-
-    A basic solution supports at most ``dim + 1`` lifted columns, so once
-    the anchor column sits in the basis at most ``dim`` set points carry
-    weight.  When the solved basis excludes the anchor it is pivoted in by
-    a ratio test; if no pivot entry is positive the ``dim + 1``-point
-    support is returned with ``fallback=True`` instead of failing, and the
-    caller compensates (the partition engine re-verifies hulls directly).
     """
     query = vec(query)
     anchor = vec(anchor)
     pts = _dedup(_as_points(points))
     _check_dims(query, pts + [anchor])
-    if query == anchor:
-        return AnchoredReduction((), ONE, False)
-    if query in set(pts):
-        return AnchoredReduction(((query, ONE),), ZERO, False)
-    d = len(query)
-    columns = [p + (ONE,) for p in [anchor] + pts]
-    tab = ExactSimplex(columns, tuple(query) + (ONE,))
-    if not tab.solve():
+    ints, den = int_scaled(pts + [anchor, query])
+    res = _anchored_weights(ints[-1], ints[-2], ints[:-2], den)
+    if res is None:
         raise ValueError("query lies outside the anchored hull")
+    terms, coeff, fallback = res
+    return AnchoredReduction(tuple((pts[j], c) for j, c in terms), coeff, fallback)
+
+
+def _anchored_weights(q: tuple, a: tuple, pts: Sequence[tuple], den: int):
+    """``q`` over the anchor ``a`` plus at most ``dim`` of the distinct
+    ``pts``, all integers ``den`` times the caller's: ``(terms, anchor
+    weight, fallback)``, terms as ``(index, Fraction)`` pairs, or None when
+    q is outside ``conv(pts + [a])``.
+
+    The LP on the columns ``(a, den)`` and ``(p, den)`` is ``den`` times the
+    system ``(x, 1)``, so no pivot or weight depends on den.  A basic
+    solution has at most ``dim + 1`` columns; when the anchor's is not among
+    them it is pivoted in by a ratio test, leaving at most ``dim`` points,
+    or if no entry is positive the ``dim + 1`` are returned as a fallback.
+    """
+    if q == a:
+        return [], ONE, False
+    if q in pts:
+        return [(pts.index(q), ONE)], ZERO, False
+    d = len(q)
+    tab = ExactSimplex([p + (den,) for p in [a, *pts]], q + (den,))
+    if not tab.solve():
+        return None
     x = tab.solution()
     if sum(1 for c in x[1:] if c > 0) > d and x[0] == 0:
         if tab.force_into_basis(0):
             x = tab.solution()
-    terms = tuple((pts[j - 1], c) for j, c in enumerate(x) if j > 0 and c > 0)
-    return AnchoredReduction(terms, x[0], len(terms) > d)
+    terms = [(j - 1, c) for j, c in enumerate(x) if j > 0 and c > 0]
+    return terms, x[0], len(terms) > d
 
 
 # ---------------------------------------------------------------------------
@@ -314,15 +327,20 @@ def anchored_reduce(query, anchor, points) -> AnchoredReduction:
 
 def extreme_points(points) -> list:
     """The vertices of the hull, in first-seen input order, duplicates as
-    one point: the points at which the normals of the tight
-    :func:`hull_facets` halfspaces have rank d.  No LP is solved."""
+    one point, by one integer scaling around :func:`_vertices`."""
     pts = _dedup(_as_points(points))
     if len(pts) <= 1:
         return pts
-    ints, _ = int_scaled(pts)
+    return [pts[i] for i in _vertices(int_scaled(pts)[0])]
+
+
+def _vertices(ints: Sequence[tuple]) -> list:
+    """The indices, in order, of the vertices of the hull of two or more
+    distinct integer points: the points at which the normals of the tight
+    :func:`hull_facets` halfspaces have rank d.  No LP is solved."""
     facets = hull_facets(ints)
     return [
-        p for p, x in zip(pts, ints)
+        i for i, x in enumerate(ints)
         if rank_of_vectors([n for n, c in facets if _idot(n, x) == c]) == len(x)
     ]
 

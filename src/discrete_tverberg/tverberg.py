@@ -3,13 +3,13 @@
 The pipeline: find k points of S deep inside the input hull (depth at
 least (m-1)kd + 1), then peel off m-1 small parts whose hulls keep all k
 witnesses, leaving the rest as the final part.  Each peel costs every
-witness at most kd depth (at most d when k = 1, where parts are affinely
-independent Caratheodory supports), so the witnesses stay inside every
-remainder hull by arithmetic.  The peel scales the points and witnesses
-to integers once and solves each witness over each remainder once: that
-combination is the exact check that the witness stayed inside, for k = 1
-the next part, and for the last remainder its certificate.  Extraction
-for k >= 2 retries with different anchors before giving up.
+witness at most kd depth (at most d when k = 1, where a part is one
+Caratheodory support), so the witnesses stay inside every remainder hull
+by arithmetic.  The peel scales the points and witnesses to integers
+once and takes the same steps for every k: each witness is solved over
+the remainder, which checks that it stayed inside, and over the part
+that covers the witnesses (:func:`_cover`), which accepts and certifies
+the part; the last remainder's solves are its certificates.
 
 Status semantics: a returned outcome is either a fully certified
 partition or an honest "no_partition_found" (possible only below the
@@ -26,8 +26,9 @@ from math import inf
 from operator import mul, sub
 from typing import Optional, Sequence
 
-# depth and enumerate_in_polytope are not called here; the benchmark's
-# per-layer trace (perfbench/layers.py) wraps them under these names.
+# depth, enumerate_in_polytope, membership, caratheodory_reduce and
+# anchored_reduce are not called here; the benchmark's per-layer trace
+# (perfbench/layers.py) looks them up under these names, with extract_part.
 from .discrete_sets import (
     DiscreteSetSpec,
     PolytopeV,
@@ -41,13 +42,14 @@ from .exact_geometry import (
     ConvexCombination,
     DepthResult,
     Halfspace,
+    _anchored_weights,
+    _check_dims,
     _convex_weights,
+    _vertices,
     anchored_reduce,
     caratheodory_reduce,
-    centroid,
     depth,
     depth_count,
-    extreme_points,
     membership,
 )
 from .vectors import ONE, Vec, int_scaled, require_int, vdot, vec
@@ -222,63 +224,90 @@ def find_deep_witnesses(
     return WitnessSearch(tuple(chosen), len(chosen) < k, len(zs))
 
 
+def _weights(targets: Sequence[tuple], sub: Sequence[tuple], den: int) -> list:
+    """Each target's convex weights over the distinct points ``sub`` as
+    :func:`caratheodory_reduce` gives them, all integers ``den`` times the
+    caller's, up to the first target outside ``conv(sub)``, whose entry is
+    then its separating :class:`Halfspace`."""
+    out = []
+    for q in targets:
+        out.append([(sub.index(q), ONE)] if q in sub else _convex_weights(q, sub, den))
+        if isinstance(out[-1], Halfspace):
+            break
+    return out
+
+
+def _cover(targets: list, sub: list, den: int, weights: list):
+    """``(cover, fallback, certificates)`` for integer targets inside the
+    distinct integer points ``sub``, both ``den`` times the caller's, given
+    their :func:`_weights` over sub; None if no cover is found.
+
+    ``cover`` lists indices into sub in the order they were found; the
+    targets' :func:`_weights` over its sorted points accept it and are its
+    certificates.  One distinct target is covered by its support.  Two or
+    more aim at ``|cover| <= n d`` for their n hull vertices by writing
+    each over an anchor plus at most d points (:func:`_anchored_weights`),
+    the anchor being the vertices' centroid (their sum in the frame scaled
+    by n), then each vertex.  The last resort, a fallback, is the vertices'
+    supports (at most n (d + 1) points, always a cover).
+    """
+    over = dict(zip(targets, weights))
+    ext = sorted(over)
+    if len(ext) > 1:
+        ext = [ext[i] for i in _vertices(ext)]
+
+    def covers():
+        n = len(ext)
+        if n > 1:
+            sub_n = [tuple([n * c for c in p]) for p in sub]
+            ext_n = [tuple([n * c for c in y]) for y in ext]
+            for a in [tuple(map(sum, zip(*ext)))] + ext_n:
+                cover, fallback = {}, False
+                for y in ext_n:
+                    res = _anchored_weights(y, a, sub_n, n * den)
+                    if res is None:
+                        return
+                    cover.update(dict.fromkeys(j for j, _ in res[0]))
+                    fallback = fallback or res[2]
+                yield cover, fallback
+        yield dict.fromkeys(j for y in ext for j, _ in over[y]), n > 1
+
+    for cover, fallback in covers():
+        if cover:
+            certificates = _weights(targets, [sub[j] for j in sorted(cover)], den)
+            if not isinstance(certificates[-1], Halfspace):
+                return list(cover), fallback, certificates
+    return None
+
+
 def colorful_cover(witness_points: Sequence, ground: Sequence) -> tuple:
-    """Small B within ground with all witness points in conv(B).
+    """Small B within ground with all witness points in conv(B): their
+    :func:`_cover`, by one integer scaling.
 
-    Targets |B| <= n*d for n hull vertices of the witness set by writing
-    each vertex over an interior anchor plus <= d ground points; if every
-    anchored reduction meets its target, a strict separator of any witness
-    from conv(B) would have to cut the anchor averaging argument, which is
-    impossible, and the exact verification below confirms it.  Anchors are
-    retried and the final fallback is a plain Caratheodory support per
-    vertex (<= n*(d+1) points, always valid).
-
-    Returns ``(points, fallback)``.
+    Returns ``(points, fallback)``, the points in the order they were found.
     """
     P = [vec(p) for p in witness_points]
-    A = [vec(a) for a in ground]
-    if not P:
-        raise ValueError("empty witness set")
-    for p in P:
-        if not membership(p, A).inside:
-            raise ValueError("witness set is not inside the ground hull")
-    uniq = sorted(set(P))
-    if len(uniq) == 1:
-        support, _ = caratheodory_reduce(uniq[0], A)
-        return support, False
-    ext = sorted(extreme_points(uniq))
-    d = len(P[0])
-    anchors = [centroid(ext)] + ext
-    for anchor in anchors:
-        cover: dict = {}
-        fallback = False
-        for y in ext:
-            red = anchored_reduce(y, anchor, A)
-            fallback = fallback or red.fallback
-            for b in red.points:
-                cover.setdefault(b, None)
-        chosen = list(cover)
-        if chosen and all(membership(y, chosen).inside for y in ext):
-            return chosen, fallback
-    cover = {}
-    for y in ext:
-        support, _ = caratheodory_reduce(y, A)
-        for b in support:
-            cover.setdefault(b, None)
-    return list(cover), True
+    A = list(dict.fromkeys(vec(a) for a in ground))
+    if not P or not A:
+        raise ValueError("empty witness or ground set")
+    _check_dims(P[0], A + P)
+    ints, den = int_scaled(A + P)
+    sub, targets = ints[:len(A)], ints[len(A):]
+    weights = _weights(targets, sub, den)
+    if isinstance(weights[-1], Halfspace):
+        raise ValueError("witness set is not inside the ground hull")
+    found = _cover(targets, sub, den, weights)
+    if found is None:
+        raise ValueError("no cover of the witness set was found")
+    return [A[j] for j in found[0]], found[1]
 
 
 def extract_part(
     witness_points: Sequence, remaining: Sequence, k: int, d: int
 ) -> tuple:
-    """One part: hull covers the witnesses, size <= d+1 (k=1) or <= k(d+1).
-
-    Returns ``(points, fallback)``.
-    """
-    if k == 1:
-        support, _ = caratheodory_reduce(vec(witness_points[0]), remaining)
-        return support, False
-    return colorful_cover(witness_points, remaining)
+    """``(points, fallback)``: a part whose hull covers the first witness
+    (k=1, size <= d+1) or all of them (size <= k(d+1))."""
+    return colorful_cover(witness_points[:1] if k == 1 else witness_points, remaining)
 
 
 def tverberg_partition(instance: Instance) -> TverbergOutcome:
@@ -290,8 +319,7 @@ def tverberg_partition(instance: Instance) -> TverbergOutcome:
     when extraction invalidates a witness and no retry policy recovers.
     """
     spec, pts, m, k = instance.spec, list(instance.points), instance.m, instance.k
-    d = instance.dim
-    threshold = (m - 1) * k * d + 1
+    threshold = (m - 1) * k * instance.dim + 1
     search = find_deep_witnesses(pts, spec, threshold, k)
     bound = tverberg_upper_bound(spec, m, k, "paper")
     if search.insufficient:
@@ -314,19 +342,16 @@ def tverberg_partition(instance: Instance) -> TverbergOutcome:
     ints, den = int_scaled(pts + witnesses)
     targets = ints[len(pts):]
 
-    def certify(indices: Sequence[int]) -> tuple:
-        """Each witness's combination over the input points at the sorted
-        ``indices``, as :func:`caratheodory_reduce` gives it; raises
-        PartitionConstructionError when a witness is outside their hull."""
-        sub = [ints[i] for i in indices]
+    def certify(indices: Sequence[int], weights: list) -> tuple:
+        """The witnesses' :func:`_weights` over the input points at the sorted
+        ``indices`` as combinations; PartitionConstructionError if they fail."""
         certs = []
-        for w, q in zip(witnesses, targets):
-            weights = [(sub.index(q), ONE)] if q in sub else _convex_weights(q, sub, den)
-            if isinstance(weights, Halfspace):
+        for w, res in zip(witnesses, weights):
+            if isinstance(res, Halfspace):
                 raise PartitionConstructionError(
                     f"witness {w} is outside the hull of input points {indices}"
                 )
-            comb = ConvexCombination(tuple((pts[indices[j]], c) for j, c in weights))
+            comb = ConvexCombination(tuple((pts[indices[j]], c) for j, c in res))
             if not comb.verify(w):
                 raise PartitionConstructionError(
                     f"certificate for witness {w} failed to verify"
@@ -334,46 +359,39 @@ def tverberg_partition(instance: Instance) -> TverbergOutcome:
             certs.append(comb)
         return tuple(certs)
 
-    index_of = {p: i for i, p in enumerate(pts)}
-    remaining = list(range(len(pts)))
-    # the witnesses' combinations over the remainder check that they stayed
-    # inside; for k = 1 they give the next part, and at the end the last one's
-    combos = certify(remaining) if k == 1 or m == 1 else None
-    parts_idx = []
-    flags = []
-    for _ in range(m - 1):
-        if k == 1:
-            part, fb = {index_of[p] for p in combos[0].support()}, False
-        else:
-            try:
-                cover, fb = extract_part(witnesses, [pts[i] for i in remaining], k, d)
-            except ValueError as exc:
-                raise PartitionConstructionError(
-                    f"extraction failed on remainder of {len(remaining)} points: {exc}"
-                ) from exc
-            part = {index_of[p] for p in cover}
+    # each witness is solved once over each remainder, which checks that it
+    # stayed inside, and once over each part, which certifies the part
+    remaining, sub = list(range(len(pts))), ints[:len(pts)]
+    parts = []  # (sorted input indices, fallback flag, certificates)
+    while True:
+        weights = _weights(targets, sub, den)
+        combos = certify(remaining, weights)
+        if len(parts) == m - 1:
+            break
+        found = _cover(targets, sub, den, weights)
+        if found is None:
+            raise PartitionConstructionError(
+                f"extraction failed on remainder of {len(remaining)} points"
+            )
+        cover, fallback, part_weights = found
+        part = sorted(remaining[j] for j in cover)
+        parts.append((tuple(part), fallback, certify(part, part_weights)))
         remaining = [i for i in remaining if i not in part]
         if not remaining:
             raise PartitionConstructionError(
                 "extraction consumed every remaining point"
             )
-        combos = certify(remaining)
-        parts_idx.append(tuple(sorted(part)))
-        flags.append(fb)
-    parts_idx.append(tuple(remaining))
-    flags.append(False)
-    certificates = tuple(certify(idxs) for idxs in parts_idx[:-1]) + (combos,)
+        sub = [ints[i] for i in remaining]
+    parts_idx, flags, certificates = zip(*parts, (tuple(remaining), False, combos))
     stats = {
         "part_sizes": [len(idxs) for idxs in parts_idx],
         "witness_depths": [w.depth_result.depth for w in search.witnesses],
-        "fallback_flags": flags,
+        "fallback_flags": list(flags),
         "candidates_scanned": search.candidates_scanned,
         "threshold": threshold,
         "guarantee_bound": bound,
     }
-    result = PartitionResult(
-        tuple(parts_idx), tuple(witnesses), certificates, stats
-    )
+    result = PartitionResult(parts_idx, tuple(witnesses), certificates, stats)
     return TverbergOutcome("ok", result=result, witness_search=search)
 
 

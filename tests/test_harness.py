@@ -122,6 +122,17 @@ def test_run_experiment_forced_failure_box():
     (ExperimentConfig(spec=difference_set(2, (LatticeBasis(((2, 0), (0, 2))),)),
                       m=2, k=2, n_points=20, box_bound=9, trials=8, seed=7),
      "81d2041bbfa0da29edaa7d8bfb21abcf0a32a65013b064a324e1cf8b5f31ba5f"),
+    # k >= 2 shapes: three parts, three witnesses, Z^3, a sheared basis
+    (ExperimentConfig(spec=Z2, m=3, k=2, n_points=40, box_bound=12, trials=8, seed=3),
+     "b7e81690d5913a96e432cba072af27c1023f0d76791d835fc40201b09d07d4d2"),
+    (ExperimentConfig(spec=Z2, m=2, k=3, n_points=45, box_bound=12, trials=8, seed=4),
+     "dee6e78e4834364f363514014414ea981a88a51889513f481a3e3171161b75d6"),
+    (ExperimentConfig(spec=lattice_set(3), m=2, k=2, n_points=40, box_bound=3,
+                      trials=4, seed=9),
+     "a6f87b4667b9635e6f1eb11b8069e0dd4646d0fb0992144205bf769f4a17076d"),
+    (ExperimentConfig(spec=lattice_set(2, LatticeBasis(((1, 0), (Fraction(1, 2), 1)))),
+                      m=2, k=2, n_points=30, box_bound=6, trials=8, seed=2),
+     "78209cbc209d9a7c31f29d696e89a7771d7dd5892530583d721230b9c4c85c6a"),
 ])
 def test_outcome_json_bytes_are_pinned(cfg, digest):
     # The outcome JSON carries the parts, the witness points, their

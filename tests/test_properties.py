@@ -220,6 +220,70 @@ def test_membership_kernel_matches_lp_and_ignores_scale(problem):
         assert scaled == got
 
 
+@st.composite
+def anchored_problem(draw):
+    """``(q, a, pts, c)``: distinct rational points in 1-4 d, all of them or
+    in a hyperplane or on a line, an anchor that is one of them or their
+    centroid, a query that is a convex combination of the points and the
+    anchor or free, and a further scale c."""
+    d = draw(st.integers(1, 4))
+    x = st.fractions(-5, 5, max_denominator=4)
+    pts = draw(st.lists(st.tuples(*[x] * d), min_size=1, max_size=10,
+                        unique=True))
+    shape = draw(st.sampled_from(["full", "hyperplane", "line"]))
+    if shape == "hyperplane" and d > 1:
+        pts = [p[:-1] + (sum(p[:-1]),) for p in pts]
+    elif shape == "line":
+        pts = [tuple(p[0] * (i + 1) + 1 for i in range(d)) for p in pts]
+    pts = list(dict.fromkeys(pts))
+    if draw(st.booleans()):
+        a = draw(st.sampled_from(pts))
+    else:
+        a = tuple(sum(p[i] for p in pts) / len(pts) for i in range(d))
+    if draw(st.integers(0, 3)):  # inside three times in four
+        w = draw(st.lists(st.integers(0, 3), min_size=len(pts) + 1,
+                          max_size=len(pts) + 1))
+        assume(any(w))
+        q = tuple(sum(c * p[i] for c, p in zip(w, [a] + pts)) / sum(w)
+                  for i in range(d))
+    else:
+        q = draw(st.tuples(*[x] * d))
+    return q, a, pts, draw(st.integers(2, 6))
+
+
+@settings(max_examples=200)
+@given(anchored_problem())
+def test_anchored_kernel_matches_lp_and_ignores_scale(problem):
+    from discrete_tverberg.exact_geometry import _anchored_weights
+    from discrete_tverberg.vectors import int_scaled
+    q, a, pts, c = problem
+    d = len(q)
+    # the reference: the phase-1 LP on the Fraction columns (x, 1), anchor
+    # first, with the anchor pivoted in when more than d points carry weight
+    if q == a:
+        ref = ([], 1, False)
+    elif q in pts:
+        ref = ([(pts.index(q), 1)], 0, False)
+    else:
+        tab = linprog.ExactSimplex([p + (F(1),) for p in [a] + pts], q + (F(1),))
+        ref = None
+        if tab.solve():
+            x = tab.solution()
+            if sum(1 for w in x[1:] if w > 0) > d and x[0] == 0:
+                if tab.force_into_basis(0):
+                    x = tab.solution()
+            terms = [(j - 1, w) for j, w in enumerate(x) if j > 0 and w > 0]
+            ref = (terms, x[0], len(terms) > d)
+    ints, den = int_scaled(pts + [a, q])
+    got = _anchored_weights(ints[-1], ints[-2], ints[:-2], den)
+    assert got == ref
+    scaled = _anchored_weights(tuple(c * v for v in ints[-1]),
+                               tuple(c * v for v in ints[-2]),
+                               [tuple(c * v for v in p) for p in ints[:-2]],
+                               c * den)
+    assert scaled == got
+
+
 # ---------------------------------------------------------------------------
 # support reductions
 

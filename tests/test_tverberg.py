@@ -2,12 +2,15 @@ from fractions import Fraction
 
 import pytest
 
-from discrete_tverberg import jsonio, tverberg
-from discrete_tverberg.discrete_sets import LatticeBasis, lattice_set
+from discrete_tverberg import exact_geometry, jsonio, tverberg
+from discrete_tverberg.discrete_sets import LatticeBasis, difference_set, lattice_set
+from discrete_tverberg.errors import PartitionConstructionError
 from discrete_tverberg.exact_geometry import depth, membership
 from discrete_tverberg.harness import ExperimentConfig, generate_instance
 from discrete_tverberg.tverberg import (
+    DeepWitness,
     Instance,
+    WitnessSearch,
     colorful_cover,
     extract_part,
     find_deep_witnesses,
@@ -124,6 +127,19 @@ def test_extract_part_k1_size_bound():
     assert membership((0, 0), part).inside
 
 
+def test_cover_falls_back_to_supports_when_every_anchor_fails(monkeypatch):
+    # anchored reductions that cover nothing leave every anchor's cover
+    # empty; the last resort is the vertices' Caratheodory supports, flagged
+    monkeypatch.setattr(tverberg, "_anchored_weights",
+                        lambda q, a, points, den: ([], F(1), False))
+    P = pts((0, 0), (1, 0))
+    A = pts((-2, -1), (-2, 1), (3, -1), (3, 1), (0, 2), (1, -2))
+    cover, fallback = colorful_cover(P, A)
+    assert fallback
+    supports = [membership(q, A).combination.support() for q in P]
+    assert cover == list(dict.fromkeys(p for support in supports for p in support))
+
+
 def test_extract_part_k2_size_bounds():
     P = pts((0, 0), (1, 0))
     A = pts((-2, -1), (-2, 1), (3, -1), (3, 1), (0, 2), (1, -2))
@@ -194,23 +210,35 @@ def test_partition_certificates_and_witness_membership():
             assert all(p in hull for p, _ in cert.terms)
 
 
-@pytest.mark.parametrize("spec, m, n_points, box_bound, seed", [
-    (Z2, 3, 25, 20, 11),
-    (lattice_set(3), 2, 15, 2, 5),
+# the k = 1 cases keep their ids from before k was a parameter, so test
+# histories line up
+@pytest.mark.parametrize("spec, m, k, n_points, box_bound, seed", [
+    pytest.param(Z2, 3, 1, 25, 20, 11, id="spec0-3-25-20-11"),
+    pytest.param(lattice_set(3), 2, 1, 15, 2, 5, id="spec1-2-15-2-5"),
+    pytest.param(Z2, 2, 2, 26, 15, 23, id="z2-m2-k2-n26"),
+    pytest.param(Z2, 3, 2, 40, 12, 3, id="z2-m3-k2-n40"),
+    pytest.param(difference_set(2, (LatticeBasis(((2, 0), (0, 2))),)), 2, 2, 20, 9, 7,
+                 id="even-removed-m2-k2-n20"),
 ])
-def test_peel_solves_no_membership_twice(monkeypatch, spec, m, n_points,
+def test_peel_solves_no_membership_twice(monkeypatch, spec, m, k, n_points,
                                          box_bound, seed):
     # every (witness, point tuple) problem reaches the integer kernel at
-    # most once inside one tverberg_partition
+    # most once inside one tverberg_partition, whether the peel or a public
+    # function calls it; problems are keyed in the caller's frame, in point
+    # order
     solved = []
-    kernel = tverberg._convex_weights
 
-    def recorder(q, points, den):
-        solved.append((q, tuple(points)))
-        return kernel(q, points, den)
+    def recording(kernel):
+        def recorder(q, points, den):
+            solved.append((tuple(F(c, den) for c in q),
+                           tuple(tuple(F(c, den) for c in p) for p in points)))
+            return kernel(q, points, den)
+        return recorder
 
-    monkeypatch.setattr(tverberg, "_convex_weights", recorder)
-    cfg = ExperimentConfig(spec=spec, m=m, k=1, n_points=n_points,
+    for module in (tverberg, exact_geometry):
+        monkeypatch.setattr(module, "_convex_weights",
+                            recording(module._convex_weights))
+    cfg = ExperimentConfig(spec=spec, m=m, k=k, n_points=n_points,
                            box_bound=box_bound, trials=6, seed=seed)
     for trial in range(cfg.trials):
         solved.clear()
@@ -218,6 +246,18 @@ def test_peel_solves_no_membership_twice(monkeypatch, spec, m, n_points,
         assert out.status == "ok"
         assert solved
         assert len(set(solved)) == len(solved)
+
+
+@pytest.mark.parametrize("witnesses", [((0, 0),), ((0, 0), (2, 0))])
+def test_peel_rejects_a_witness_that_leaves_the_remainder(monkeypatch, witnesses):
+    # witnesses too shallow for the peel: the first part takes hull vertices
+    # that they need, and the check over the remainder must say so
+    inst = Instance(Z2, ((0, 0), (2, 0), (0, 2), (2, 2), (1, 1)), 2, len(witnesses))
+    search = WitnessSearch(tuple(DeepWitness(vec(w), None) for w in witnesses),
+                           False, 0)
+    monkeypatch.setattr(tverberg, "find_deep_witnesses", lambda *args: search)
+    with pytest.raises(PartitionConstructionError, match="outside the hull"):
+        tverberg_partition(inst)
 
 
 def test_partition_depth_accounting():
