@@ -19,4 +19,4 @@ class TheoremViolationError(RuntimeError):
 
 
 class PartitionConstructionError(RuntimeError):
-    """Partition verification failed after every retry policy."""
+    """A part or remainder failed to certify a witness: a bug, not retried."""

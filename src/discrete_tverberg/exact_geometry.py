@@ -166,8 +166,8 @@ class AnchoredReduction:
     """Support found by :func:`anchored_reduce`.
 
     ``y = anchor_coeff * anchor + sum(c * b for b, c in terms)``; ``points``
-    lists the set points used.  ``fallback`` marks supports that exceeded
-    the dimension target.
+    lists the set points used.  ``fallback`` would mark a support of more
+    than ``dim`` points, which :func:`_anchored_weights` never returns.
     """
 
     terms: tuple  # ((Vec, Fraction), ...) over set points, coefficients > 0
@@ -301,9 +301,10 @@ def _anchored_weights(q: tuple, a: tuple, pts: Sequence[tuple], den: int):
 
     The LP on the columns ``(a, den)`` and ``(p, den)`` is ``den`` times the
     system ``(x, 1)``, so no pivot or weight depends on den.  A basic
-    solution has at most ``dim + 1`` columns; when the anchor's is not among
-    them it is pivoted in by a ratio test, leaving at most ``dim`` points,
-    or if no entry is positive the ``dim + 1`` are returned as a fallback.
+    solution has at most ``dim + 1`` columns.  With more than ``dim`` points
+    at positive levels none is artificial, and the anchor's column, its
+    affine coordinates over them, sums to 1: a ratio test pivots it in,
+    leaving at most ``dim`` points, so ``fallback`` is never set.
     """
     if q == a:
         return [], ONE, False
@@ -315,8 +316,8 @@ def _anchored_weights(q: tuple, a: tuple, pts: Sequence[tuple], den: int):
         return None
     x = tab.solution()
     if sum(1 for c in x[1:] if c > 0) > d and x[0] == 0:
-        if tab.force_into_basis(0):
-            x = tab.solution()
+        tab.force_into_basis(0)
+        x = tab.solution()
     terms = [(j - 1, c) for j, c in enumerate(x) if j > 0 and c > 0]
     return terms, x[0], len(terms) > d
 
@@ -331,6 +332,7 @@ def extreme_points(points) -> list:
     pts = _dedup(_as_points(points))
     if len(pts) <= 1:
         return pts
+    _check_dims(pts[0], pts)
     return [pts[i] for i in _vertices(int_scaled(pts)[0])]
 
 
@@ -460,8 +462,8 @@ def centroid(points) -> Vec:
     pts = _as_points(points)
     if not pts:
         raise ValueError("centroid of an empty point set")
-    n = len(pts)
-    return tuple(Fraction(sum(p[i] for p in pts), n) for i in range(len(pts[0])))
+    _check_dims(pts[0], pts)
+    return tuple(Fraction(sum(col), len(pts)) for col in zip(*pts))
 
 
 def _echelon(vectors) -> tuple:
@@ -498,6 +500,7 @@ def affine_hull(points) -> AffineHull:
     pts = _dedup(_as_points(points))
     if not pts:
         raise ValueError("affine hull of an empty point set")
+    _check_dims(pts[0], pts)
     origin = pts[0]
     diffs = [vsub(p, origin) for p in pts[1:]]
     basis = tuple(diffs[i] for i in _echelon(diffs)[0])

@@ -24,7 +24,7 @@ from .discrete_sets import (
     _lattice_points_in_box,
 )
 from .errors import CapExceededError
-from .exact_geometry import membership
+from .exact_geometry import _check_dims, membership
 from .tverberg import Instance, PartitionResult
 from .vectors import ZERO, Vec, int_scaled, vec
 
@@ -59,6 +59,7 @@ def brute_depth(query, points, caps: OracleCaps = DEFAULT_CAPS) -> int:
     query = vec(query)
     pts = list(dict.fromkeys(vec(p) for p in points))
     d = len(query)
+    _check_dims(query, pts)
     if len(pts) > caps.depth_points:
         raise CapExceededError(f"{len(pts)} points exceed depth cap {caps.depth_points}")
     if d > caps.depth_dim:
@@ -273,6 +274,7 @@ def hoffman_family(points: Sequence) -> list:
     pts = [vec(p) for p in points]
     if len(pts) < 2:
         raise ValueError("need at least two points")
+    _check_dims(pts[0], pts)
     return [
         PolytopeV(tuple(pts[:i] + pts[i + 1:])) for i in range(len(pts))
     ]
@@ -308,6 +310,8 @@ def brute_helly_check(
         )
     if k < 1 or h < 1:
         raise ValueError("k and h must be at least 1")
+    if any(p.dim != spec.dim for p in family):
+        raise ValueError("polytope dimension does not match the ground set")
     hulls = [list(p.vertices) for p in family]
     checked = 0
     violating = None

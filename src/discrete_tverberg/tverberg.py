@@ -8,8 +8,8 @@ Caratheodory support), so the witnesses stay inside every remainder hull
 by arithmetic.  The peel scales the points and witnesses to integers
 once and takes the same steps for every k: each witness is solved over
 the remainder, which checks that it stayed inside, and over the part
-that covers the witnesses (:func:`_cover`), which accepts and certifies
-the part; the last remainder's solves are its certificates.
+that covers the witnesses (:func:`_cover`, which always does), which
+certifies the part; the last remainder's solves are its certificates.
 
 Status semantics: a returned outcome is either a fully certified
 partition or an honest "no_partition_found" (possible only below the
@@ -237,47 +237,36 @@ def _weights(targets: Sequence[tuple], sub: Sequence[tuple], den: int) -> list:
     return out
 
 
-def _cover(targets: list, sub: list, den: int, weights: list):
+def _cover(targets: list, sub: list, den: int, weights: list) -> tuple:
     """``(cover, fallback, certificates)`` for integer targets inside the
     distinct integer points ``sub``, both ``den`` times the caller's, given
-    their :func:`_weights` over sub; None if no cover is found.
+    their :func:`_weights` over sub: indices into sub in the order found,
+    and the targets' weights over the sorted cover.
 
-    ``cover`` lists indices into sub in the order they were found; the
-    targets' :func:`_weights` over its sorted points accept it and are its
-    certificates.  One distinct target is covered by its support.  Two or
-    more aim at ``|cover| <= n d`` for their n hull vertices by writing
-    each over an anchor plus at most d points (:func:`_anchored_weights`),
-    the anchor being the vertices' centroid (their sum in the frame scaled
-    by n), then each vertex.  The last resort, a fallback, is the vertices'
-    supports (at most n (d + 1) points, always a cover).
+    One distinct target is covered by its support; two or more by at most
+    n d points, each of their n hull vertices y written over their centroid
+    a plus at most d points (:func:`_anchored_weights`, scaled by n).  This
+    always covers: (1) no y is a, so each ``y = alpha_y a + sum_j c_yj p_j``
+    has ``alpha_y < 1``; (2) averaging over y, ``(1 - mean alpha) a = (1/n)
+    sum_y sum_j c_yj p_j``, so a is in the cover's hull; (3) so is every y,
+    hence every target; (4) no reduction is None, as each y is a target in
+    conv(sub).  No reduction sets ``fallback`` (:func:`_anchored_weights`).
     """
-    over = dict(zip(targets, weights))
-    ext = sorted(over)
-    if len(ext) > 1:
+    ext = sorted(set(targets))
+    if len(ext) == 1:
+        cover, fallback = dict.fromkeys(j for j, _ in weights[0]), False
+    else:
         ext = [ext[i] for i in _vertices(ext)]
-
-    def covers():
         n = len(ext)
-        if n > 1:
-            sub_n = [tuple([n * c for c in p]) for p in sub]
-            ext_n = [tuple([n * c for c in y]) for y in ext]
-            for a in [tuple(map(sum, zip(*ext)))] + ext_n:
-                cover, fallback = {}, False
-                for y in ext_n:
-                    res = _anchored_weights(y, a, sub_n, n * den)
-                    if res is None:
-                        return
-                    cover.update(dict.fromkeys(j for j, _ in res[0]))
-                    fallback = fallback or res[2]
-                yield cover, fallback
-        yield dict.fromkeys(j for y in ext for j, _ in over[y]), n > 1
-
-    for cover, fallback in covers():
-        if cover:
-            certificates = _weights(targets, [sub[j] for j in sorted(cover)], den)
-            if not isinstance(certificates[-1], Halfspace):
-                return list(cover), fallback, certificates
-    return None
+        a = tuple(map(sum, zip(*ext)))
+        sub_n = [tuple([n * c for c in p]) for p in sub]
+        cover, fallback = {}, False
+        for y in ext:
+            y = tuple([n * c for c in y])
+            terms, _, flag = _anchored_weights(y, a, sub_n, n * den)
+            cover.update(dict.fromkeys(j for j, _ in terms))
+            fallback = fallback or flag
+    return list(cover), fallback, _weights(targets, [sub[j] for j in sorted(cover)], den)
 
 
 def colorful_cover(witness_points: Sequence, ground: Sequence) -> tuple:
@@ -296,17 +285,15 @@ def colorful_cover(witness_points: Sequence, ground: Sequence) -> tuple:
     weights = _weights(targets, sub, den)
     if isinstance(weights[-1], Halfspace):
         raise ValueError("witness set is not inside the ground hull")
-    found = _cover(targets, sub, den, weights)
-    if found is None:
-        raise ValueError("no cover of the witness set was found")
-    return [A[j] for j in found[0]], found[1]
+    cover, fallback, _ = _cover(targets, sub, den, weights)
+    return [A[j] for j in cover], fallback
 
 
 def extract_part(
     witness_points: Sequence, remaining: Sequence, k: int, d: int
 ) -> tuple:
     """``(points, fallback)``: a part whose hull covers the first witness
-    (k=1, size <= d+1) or all of them (size <= k(d+1))."""
+    (k=1, size <= d+1) or all of them (size <= kd)."""
     return colorful_cover(witness_points[:1] if k == 1 else witness_points, remaining)
 
 
@@ -316,7 +303,7 @@ def tverberg_partition(instance: Instance) -> TverbergOutcome:
     Deterministic: identical instances give identical outcomes.  Raises
     TheoremViolationError when the witness search falls short despite the
     instance meeting the proven size bound, and PartitionConstructionError
-    when extraction invalidates a witness and no retry policy recovers.
+    when a witness fails to certify: a bug, which no retry hides.
     """
     spec, pts, m, k = instance.spec, list(instance.points), instance.m, instance.k
     threshold = (m - 1) * k * instance.dim + 1
@@ -368,12 +355,7 @@ def tverberg_partition(instance: Instance) -> TverbergOutcome:
         combos = certify(remaining, weights)
         if len(parts) == m - 1:
             break
-        found = _cover(targets, sub, den, weights)
-        if found is None:
-            raise PartitionConstructionError(
-                f"extraction failed on remainder of {len(remaining)} points"
-            )
-        cover, fallback, part_weights = found
+        cover, fallback, part_weights = _cover(targets, sub, den, weights)
         part = sorted(remaining[j] for j in cover)
         parts.append((tuple(part), fallback, certify(part, part_weights)))
         remaining = [i for i in remaining if i not in part]

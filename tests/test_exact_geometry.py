@@ -204,6 +204,19 @@ def test_centroid_values():
     assert centroid([(0,), (4,)]) == vec((2,))
 
 
+@pytest.mark.parametrize("fn, points", [
+    (extreme_points, [(0, 0), (1,), (0, 1)]),
+    (centroid, [(0, 0), (1,)]),
+    (affine_rank, [(0, 0), (1,), (0, 1)]),
+    (affinely_independent, [(0, 0), (1,)]),
+])
+def test_mixed_dimension_points_raise(fn, points):
+    # zip used to truncate them: affine_rank read 1, affinely_independent
+    # True; extreme_points and centroid raised IndexError
+    with pytest.raises(ValueError):
+        fn(points)
+
+
 # ---------------------------------------------------------------------------
 # depth
 

@@ -133,6 +133,9 @@ def test_run_experiment_forced_failure_box():
     (ExperimentConfig(spec=lattice_set(2, LatticeBasis(((1, 0), (Fraction(1, 2), 1)))),
                       m=2, k=2, n_points=30, box_bound=6, trials=8, seed=2),
      "78209cbc209d9a7c31f29d696e89a7771d7dd5892530583d721230b9c4c85c6a"),
+    # k >= 2 on a line: the witnesses' hull is an interval
+    (ExperimentConfig(spec=Z1, m=4, k=3, n_points=40, box_bound=60, trials=8, seed=1),
+     "d28bf9f69d62876da0b4b0781b9f5fab7599042f091f6895e000e61ed93a9a7a"),
 ])
 def test_outcome_json_bytes_are_pinned(cfg, digest):
     # The outcome JSON carries the parts, the witness points, their
@@ -248,6 +251,15 @@ def test_cli_depth_and_oracle_agree(tmp_path):
     orc = run_cli(["oracle", "depth", "[0, 0]", pts])
     assert eng.returncode == 0 and orc.returncode == 0
     assert json.loads(eng.stdout)["depth"] == json.loads(orc.stdout)["depth"] == 2
+
+
+def test_cli_depth_and_oracle_reject_mixed_dimensions(tmp_path, capsys):
+    # the oracle used to zip the 3-d point down to the query's 2 coordinates
+    # and report depth 1 with exit 0
+    pts = write_json(tmp_path, "pts.json", {"points": [[1, 0, 5], [-1, 0]]})
+    for args in (["depth"], ["oracle", "depth"]):
+        assert cli.main(args + ["[0, 0]", pts]) == 1
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_cli_bounds(tmp_path):

@@ -59,6 +59,12 @@ def test_brute_depth_caps():
         brute_depth((0,) * 5, [(1,) * 5])
 
 
+def test_brute_depth_rejects_mixed_dimensions():
+    # zip used to cut (1, 0, 5) to (1, 0), for a depth of 1
+    with pytest.raises(ValueError):
+        brute_depth((0, 0), [(1, 0, 5), (-1, 0)])
+
+
 def test_brute_depth_degenerate_collinear():
     # all points on a line through the query
     assert brute_depth((0, 0), [(1, 1), (2, 2), (-1, -1)]) == 1
@@ -236,3 +242,16 @@ def test_helly_family_cap():
 def test_hoffman_family_rejects_tiny_input():
     with pytest.raises(ValueError):
         hoffman_family(pts((0, 0)))
+
+
+def test_hoffman_family_rejects_mixed_dimensions():
+    with pytest.raises(ValueError):
+        hoffman_family(pts((0, 0), (1,)))
+
+
+def test_helly_rejects_polytopes_of_another_dimension():
+    segment = PolytopeV(tuple(pts((0,), (2,))))
+    tri = PolytopeV(tuple(pts((0, 0), (2, 0), (0, 2))))
+    for family in ([segment, tri], [segment]):
+        with pytest.raises(ValueError):
+            brute_helly_check(family, Z2, 1, 1)

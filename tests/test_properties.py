@@ -306,9 +306,52 @@ def test_anchored_reduce_bounds(pts, q, y):
     if not membership(y, pts + [q]).inside:
         return
     red = anchored_reduce(y, q, pts)
-    limit = 2 if not red.fallback else 3
-    assert len(red.points) <= limit
+    assert not red.fallback
+    assert len(red.points) <= 2
     assert membership(y, list(red.points) + [q]).inside
+
+
+@st.composite
+def cover_problem(draw):
+    """Integer points in 1-4 d, full, on a hyperplane or on a line, and 2-5
+    distinct convex combinations of them with weights in (1/den) Z."""
+    d = draw(st.integers(1, 4))
+    pts = draw(st.lists(point(d), min_size=2, max_size=9, unique=True))
+    shape = draw(st.sampled_from(["full", "hyperplane", "line"]))
+    if shape == "hyperplane" and d > 1:
+        pts = [p[:-1] + (sum(p[:-1]),) for p in pts]
+    elif shape == "line":
+        pts = [tuple(p[0] * (i + 1) + 1 for i in range(d)) for p in pts]
+    pts = list(dict.fromkeys(pts))
+    den = draw(st.sampled_from([1, 2, 6]))
+    picks = st.lists(st.sampled_from(pts), min_size=den, max_size=den)
+    targets = []
+    for chosen in draw(st.lists(picks, min_size=2, max_size=5)):
+        targets.append(tuple(F(sum(col), den) for col in zip(*chosen)))
+    targets = list(dict.fromkeys(targets))
+    assume(len(targets) >= 2)
+    return pts, targets
+
+
+@settings(max_examples=200, deadline=None)
+@given(cover_problem())
+def test_cover_of_two_or_more_targets_is_anchored_at_their_centroid(problem):
+    # the covering lemma: reductions of the targets' hull vertices over
+    # their centroid always cover, with at most d points per vertex and no
+    # fallback (an anchor at a vertex fails this on most inputs)
+    from discrete_tverberg.exact_geometry import ConvexCombination, Halfspace
+    from discrete_tverberg.tverberg import _cover, _weights
+    from discrete_tverberg.vectors import int_scaled
+    pts, targets = problem
+    ints, den = int_scaled(pts + targets)
+    sub, scaled = ints[:len(pts)], ints[len(pts):]
+    cover, fallback, certificates = _cover(scaled, sub, den, _weights(scaled, sub, den))
+    assert not fallback
+    assert not any(isinstance(c, Halfspace) for c in certificates)
+    assert len(cover) <= len(extreme_points(targets)) * len(pts[0])
+    part = [pts[j] for j in sorted(cover)]
+    for t, weights in zip(targets, certificates):
+        assert ConvexCombination(tuple((part[j], c) for j, c in weights)).verify(t)
 
 
 # ---------------------------------------------------------------------------

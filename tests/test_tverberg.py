@@ -127,26 +127,11 @@ def test_extract_part_k1_size_bound():
     assert membership((0, 0), part).inside
 
 
-def test_cover_falls_back_to_supports_when_every_anchor_fails(monkeypatch):
-    # anchored reductions that cover nothing leave every anchor's cover
-    # empty; the last resort is the vertices' Caratheodory supports, flagged
-    monkeypatch.setattr(tverberg, "_anchored_weights",
-                        lambda q, a, points, den: ([], F(1), False))
-    P = pts((0, 0), (1, 0))
-    A = pts((-2, -1), (-2, 1), (3, -1), (3, 1), (0, 2), (1, -2))
-    cover, fallback = colorful_cover(P, A)
-    assert fallback
-    supports = [membership(q, A).combination.support() for q in P]
-    assert cover == list(dict.fromkeys(p for support in supports for p in support))
-
-
 def test_extract_part_k2_size_bounds():
     P = pts((0, 0), (1, 0))
     A = pts((-2, -1), (-2, 1), (3, -1), (3, 1), (0, 2), (1, -2))
     part, fallback = colorful_cover(P, A)
-    assert len(part) <= 6  # hard cap n*(d+1)
-    if not fallback:
-        assert len(part) <= 4  # target n*d
+    assert not fallback and len(part) <= 4  # n*d, anchored at the centroid
 
 
 # ---------------------------------------------------------------------------
