@@ -87,8 +87,15 @@ class LatticeBasis:
         r, m = self.rank, self._t_den * den
         return not any(t[r:]) and all(c % m == 0 for c in t[:r])
 
-    def _coords(self, x) -> tuple:
+    def _scaled(self, x) -> tuple:
+        """``(xs, den)`` with xs = den x an integer vector of this dimension."""
         [xs], den = int_scaled([vec(x)])
+        if len(xs) != self.dim:
+            raise ValueError("point dimension does not match the lattice")
+        return xs, den
+
+    def _coords(self, x) -> tuple:
+        xs, den = self._scaled(x)
         return self.scaled_coords(xs), self._t_den * den
 
     def projected_coords(self, x) -> tuple:
@@ -104,14 +111,15 @@ class LatticeBasis:
         return tuple(Fraction(c, m) for c in t[: self.rank])
 
     def from_lattice(self, z: Sequence) -> Vec:
+        if len(z) != self.rank:
+            raise ValueError("lattice coordinates do not match the rank")
         return tuple(
             Fraction(sum(v[i] * c for v, c in zip(self._int_vectors, z)), self._den)
             for i in range(self.dim)
         )
 
     def contains(self, x) -> bool:
-        [xs], den = int_scaled([vec(x)])
-        return self.contains_scaled(xs, den)
+        return self.contains_scaled(*self._scaled(x))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LatticeBasis):

@@ -80,6 +80,8 @@ class ConvexCombination:
         dim = len(self.terms[0][0])
         acc = [ZERO] * dim
         for v, c in self.terms:
+            if len(v) != dim:
+                raise ValueError("combination terms of mixed dimension")
             for i in range(dim):
                 acc[i] += c * v[i]
         return tuple(acc)
@@ -166,13 +168,11 @@ class AnchoredReduction:
     """Support found by :func:`anchored_reduce`.
 
     ``y = anchor_coeff * anchor + sum(c * b for b, c in terms)``; ``points``
-    lists the set points used.  ``fallback`` would mark a support of more
-    than ``dim`` points, which :func:`_anchored_weights` never returns.
+    lists the at most ``dim`` set points used.
     """
 
     terms: tuple  # ((Vec, Fraction), ...) over set points, coefficients > 0
     anchor_coeff: Fraction
-    fallback: bool
 
     @property
     def points(self) -> tuple:
@@ -289,27 +289,27 @@ def anchored_reduce(query, anchor, points) -> AnchoredReduction:
     res = _anchored_weights(ints[-1], ints[-2], ints[:-2], den)
     if res is None:
         raise ValueError("query lies outside the anchored hull")
-    terms, coeff, fallback = res
-    return AnchoredReduction(tuple((pts[j], c) for j, c in terms), coeff, fallback)
+    terms, coeff = res
+    return AnchoredReduction(tuple((pts[j], c) for j, c in terms), coeff)
 
 
 def _anchored_weights(q: tuple, a: tuple, pts: Sequence[tuple], den: int):
     """``q`` over the anchor ``a`` plus at most ``dim`` of the distinct
     ``pts``, all integers ``den`` times the caller's: ``(terms, anchor
-    weight, fallback)``, terms as ``(index, Fraction)`` pairs, or None when
-    q is outside ``conv(pts + [a])``.
+    weight)``, terms as ``(index, Fraction)`` pairs, or None when q is
+    outside ``conv(pts + [a])``.
 
     The LP on the columns ``(a, den)`` and ``(p, den)`` is ``den`` times the
     system ``(x, 1)``, so no pivot or weight depends on den.  A basic
     solution has at most ``dim + 1`` columns.  With more than ``dim`` points
     at positive levels none is artificial, and the anchor's column, its
     affine coordinates over them, sums to 1: a ratio test pivots it in,
-    leaving at most ``dim`` points, so ``fallback`` is never set.
+    leaving at most ``dim`` points.
     """
     if q == a:
-        return [], ONE, False
+        return [], ONE
     if q in pts:
-        return [(pts.index(q), ONE)], ZERO, False
+        return [(pts.index(q), ONE)], ZERO
     d = len(q)
     tab = ExactSimplex([p + (den,) for p in [a, *pts]], q + (den,))
     if not tab.solve():
@@ -318,8 +318,7 @@ def _anchored_weights(q: tuple, a: tuple, pts: Sequence[tuple], den: int):
     if sum(1 for c in x[1:] if c > 0) > d and x[0] == 0:
         tab.force_into_basis(0)
         x = tab.solution()
-    terms = [(j - 1, c) for j, c in enumerate(x) if j > 0 and c > 0]
-    return terms, x[0], len(terms) > d
+    return [(j - 1, c) for j, c in enumerate(x) if j > 0 and c > 0], x[0]
 
 
 # ---------------------------------------------------------------------------

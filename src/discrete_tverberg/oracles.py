@@ -1,9 +1,13 @@
 """Brute-force ground truth for every decision the engine makes.
 
-Everything here trades speed for independence: no code path below shares
-the engine's depth recursion, witness ranking, or extraction logic.  Caps
-are explicit and exceeding one raises instead of silently truncating, so
-a cap can never masquerade as a negative verdict.
+Everything here trades speed for a second derivation: no code path below
+shares the engine's depth recursion, witness ranking, or extraction
+logic.  The oracles are not fully independent, though: ``verify_partition``,
+``brute_tverberg`` and ``brute_depth`` decide membership with the engine's
+:func:`membership` (its kernel ``_convex_weights``), and ``brute_tverberg``
+enumerates with the engine's ``_lattice_points_in_box``.  Caps are explicit
+and exceeding one raises instead of silently truncating, so a cap can
+never masquerade as a negative verdict.
 """
 from __future__ import annotations
 

@@ -238,10 +238,10 @@ def _weights(targets: Sequence[tuple], sub: Sequence[tuple], den: int) -> list:
 
 
 def _cover(targets: list, sub: list, den: int, weights: list) -> tuple:
-    """``(cover, fallback, certificates)`` for integer targets inside the
-    distinct integer points ``sub``, both ``den`` times the caller's, given
-    their :func:`_weights` over sub: indices into sub in the order found,
-    and the targets' weights over the sorted cover.
+    """``(cover, certificates)`` for integer targets inside the distinct
+    integer points ``sub``, both ``den`` times the caller's, given their
+    :func:`_weights` over sub: indices into sub in the order found, and the
+    targets' weights over the sorted cover.
 
     One distinct target is covered by its support; two or more by at most
     n d points, each of their n hull vertices y written over their centroid
@@ -250,30 +250,29 @@ def _cover(targets: list, sub: list, den: int, weights: list) -> tuple:
     has ``alpha_y < 1``; (2) averaging over y, ``(1 - mean alpha) a = (1/n)
     sum_y sum_j c_yj p_j``, so a is in the cover's hull; (3) so is every y,
     hence every target; (4) no reduction is None, as each y is a target in
-    conv(sub).  No reduction sets ``fallback`` (:func:`_anchored_weights`).
+    conv(sub).
     """
     ext = sorted(set(targets))
     if len(ext) == 1:
-        cover, fallback = dict.fromkeys(j for j, _ in weights[0]), False
+        cover = dict.fromkeys(j for j, _ in weights[0])
     else:
         ext = [ext[i] for i in _vertices(ext)]
         n = len(ext)
         a = tuple(map(sum, zip(*ext)))
         sub_n = [tuple([n * c for c in p]) for p in sub]
-        cover, fallback = {}, False
+        cover = {}
         for y in ext:
             y = tuple([n * c for c in y])
-            terms, _, flag = _anchored_weights(y, a, sub_n, n * den)
+            terms, _ = _anchored_weights(y, a, sub_n, n * den)
             cover.update(dict.fromkeys(j for j, _ in terms))
-            fallback = fallback or flag
-    return list(cover), fallback, _weights(targets, [sub[j] for j in sorted(cover)], den)
+    return list(cover), _weights(targets, [sub[j] for j in sorted(cover)], den)
 
 
-def colorful_cover(witness_points: Sequence, ground: Sequence) -> tuple:
+def colorful_cover(witness_points: Sequence, ground: Sequence) -> list:
     """Small B within ground with all witness points in conv(B): their
     :func:`_cover`, by one integer scaling.
 
-    Returns ``(points, fallback)``, the points in the order they were found.
+    Returns the points in the order they were found.
     """
     P = [vec(p) for p in witness_points]
     A = list(dict.fromkeys(vec(a) for a in ground))
@@ -285,15 +284,15 @@ def colorful_cover(witness_points: Sequence, ground: Sequence) -> tuple:
     weights = _weights(targets, sub, den)
     if isinstance(weights[-1], Halfspace):
         raise ValueError("witness set is not inside the ground hull")
-    cover, fallback, _ = _cover(targets, sub, den, weights)
-    return [A[j] for j in cover], fallback
+    cover, _ = _cover(targets, sub, den, weights)
+    return [A[j] for j in cover]
 
 
 def extract_part(
     witness_points: Sequence, remaining: Sequence, k: int, d: int
-) -> tuple:
-    """``(points, fallback)``: a part whose hull covers the first witness
-    (k=1, size <= d+1) or all of them (size <= kd)."""
+) -> list:
+    """The points of a part whose hull covers the first witness (k=1, size
+    <= d+1) or all of them (size <= kd)."""
     return colorful_cover(witness_points[:1] if k == 1 else witness_points, remaining)
 
 
@@ -349,26 +348,25 @@ def tverberg_partition(instance: Instance) -> TverbergOutcome:
     # each witness is solved once over each remainder, which checks that it
     # stayed inside, and once over each part, which certifies the part
     remaining, sub = list(range(len(pts))), ints[:len(pts)]
-    parts = []  # (sorted input indices, fallback flag, certificates)
+    parts = []  # (sorted input indices, certificates)
     while True:
         weights = _weights(targets, sub, den)
         combos = certify(remaining, weights)
         if len(parts) == m - 1:
             break
-        cover, fallback, part_weights = _cover(targets, sub, den, weights)
+        cover, part_weights = _cover(targets, sub, den, weights)
         part = sorted(remaining[j] for j in cover)
-        parts.append((tuple(part), fallback, certify(part, part_weights)))
+        parts.append((tuple(part), certify(part, part_weights)))
         remaining = [i for i in remaining if i not in part]
         if not remaining:
             raise PartitionConstructionError(
                 "extraction consumed every remaining point"
             )
         sub = [ints[i] for i in remaining]
-    parts_idx, flags, certificates = zip(*parts, (tuple(remaining), False, combos))
+    parts_idx, certificates = zip(*parts, (tuple(remaining), combos))
     stats = {
         "part_sizes": [len(idxs) for idxs in parts_idx],
         "witness_depths": [w.depth_result.depth for w in search.witnesses],
-        "fallback_flags": list(flags),
         "candidates_scanned": search.candidates_scanned,
         "threshold": threshold,
         "guarantee_bound": bound,

@@ -39,11 +39,13 @@ def vec(coords: Iterable) -> Vec:
 
 
 def vsub(a: Vec, b: Vec) -> Vec:
-    return tuple(x - y for x, y in zip(a, b))
+    """a - b; ValueError when the lengths differ."""
+    return tuple(x - y for x, y in zip(a, b, strict=True))
 
 
 def vdot(a: Vec, b: Vec) -> Fraction:
-    return sum((x * y for x, y in zip(a, b)), ZERO)
+    """a . b; ValueError when the lengths differ."""
+    return sum((x * y for x, y in zip(a, b, strict=True)), ZERO)
 
 
 def is_zero(a: Vec) -> bool:

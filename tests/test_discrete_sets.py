@@ -354,6 +354,19 @@ def test_lattice_basis_roundtrip():
     assert basis.from_lattice((1, 1)) == vec((1, 3))
 
 
+@pytest.mark.parametrize("method, arg", [
+    ("contains", (1, 0, 5)),
+    ("to_lattice", (1, 0, 5)),
+    ("projected_coords", (1, 0, 5)),
+    ("from_lattice", (1, 2, 3)),
+], ids=["contains", "to_lattice", "projected_coords", "from_lattice"])
+def test_lattice_basis_rejects_wrong_dimension(method, arg):
+    # each used to drop the extra coordinate: contains gave True, the maps (1, 0)
+    # or (1, 2)
+    with pytest.raises(ValueError):
+        getattr(LatticeBasis(((1, 0), (0, 1))), method)(arg)
+
+
 # identity, sheared, rational-scaled and rank-deficient bases of the tests above
 KERNEL_BASES = [
     LatticeBasis.identity(2),

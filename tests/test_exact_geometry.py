@@ -3,7 +3,9 @@ from fractions import Fraction
 import pytest
 
 from discrete_tverberg.exact_geometry import (
+    ConvexCombination,
     Halfspace,
+    MembershipCertificate,
     affine_hull,
     affine_rank,
     affinely_independent,
@@ -15,7 +17,7 @@ from discrete_tverberg.exact_geometry import (
     membership,
     rank_of_vectors,
 )
-from discrete_tverberg.vectors import vec
+from discrete_tverberg.vectors import vdot, vec, vsub
 
 F = Fraction
 SQUARE = [(0, 0), (1, 0), (0, 1), (1, 1)]
@@ -130,7 +132,6 @@ def test_caratheodory_rejects_outside_point():
 def test_anchored_scalar_multiple():
     red = anchored_reduce((1, 0), (0, 0), [(2, 0), (0, 2), (0, -2)])
     assert red.points == (vec((2, 0)),)
-    assert not red.fallback
 
 
 def test_anchored_identity():
@@ -215,6 +216,27 @@ def test_mixed_dimension_points_raise(fn, points):
     # True; extreme_points and centroid raised IndexError
     with pytest.raises(ValueError):
         fn(points)
+
+
+MIXED_TERMS = (((1, 0), F(1, 2)), ((-1, 0, 7), F(1, 2)))
+
+
+@pytest.mark.parametrize("check", [
+    lambda: vdot((1, 0), (1, 0, 5)),
+    lambda: vsub((1, 0, 5), (1, 0)),
+    lambda: Halfspace((1, 0), 0).verify_separation((-1, 0), [(1, 0, 5), (2, 0)]),
+    lambda: depth((0, 0), [(1, 0), (-1, 0)]).verify((0, 0), [(1, 0, 7), (-1, 0)]),
+    lambda: ConvexCombination(MIXED_TERMS).verify((0, 0)),
+    lambda: ConvexCombination(MIXED_TERMS[::-1]).verify((0, 0)),
+    lambda: MembershipCertificate(True, ConvexCombination(MIXED_TERMS)).verify(
+        (0, 0), [(1, 0), (-1, 0, 7)]),
+], ids=["vdot", "vsub", "separation", "depth", "combination",
+        "combination_swapped", "membership_certificate"])
+def test_verifiers_reject_mixed_dimensions(check):
+    # each used to return True by truncating the longer point, and the
+    # swapped combination raised IndexError
+    with pytest.raises(ValueError):
+        check()
 
 
 # ---------------------------------------------------------------------------

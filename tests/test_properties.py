@@ -261,9 +261,9 @@ def test_anchored_kernel_matches_lp_and_ignores_scale(problem):
     # the reference: the phase-1 LP on the Fraction columns (x, 1), anchor
     # first, with the anchor pivoted in when more than d points carry weight
     if q == a:
-        ref = ([], 1, False)
+        ref = ([], 1)
     elif q in pts:
-        ref = ([(pts.index(q), 1)], 0, False)
+        ref = ([(pts.index(q), 1)], 0)
     else:
         tab = linprog.ExactSimplex([p + (F(1),) for p in [a] + pts], q + (F(1),))
         ref = None
@@ -272,11 +272,11 @@ def test_anchored_kernel_matches_lp_and_ignores_scale(problem):
             if sum(1 for w in x[1:] if w > 0) > d and x[0] == 0:
                 if tab.force_into_basis(0):
                     x = tab.solution()
-            terms = [(j - 1, w) for j, w in enumerate(x) if j > 0 and w > 0]
-            ref = (terms, x[0], len(terms) > d)
+            ref = ([(j - 1, w) for j, w in enumerate(x) if j > 0 and w > 0], x[0])
     ints, den = int_scaled(pts + [a, q])
     got = _anchored_weights(ints[-1], ints[-2], ints[:-2], den)
     assert got == ref
+    assert got is None or len(got[0]) <= d
     scaled = _anchored_weights(tuple(c * v for v in ints[-1]),
                                tuple(c * v for v in ints[-2]),
                                [tuple(c * v for v in p) for p in ints[:-2]],
@@ -306,7 +306,6 @@ def test_anchored_reduce_bounds(pts, q, y):
     if not membership(y, pts + [q]).inside:
         return
     red = anchored_reduce(y, q, pts)
-    assert not red.fallback
     assert len(red.points) <= 2
     assert membership(y, list(red.points) + [q]).inside
 
@@ -337,16 +336,15 @@ def cover_problem(draw):
 @given(cover_problem())
 def test_cover_of_two_or_more_targets_is_anchored_at_their_centroid(problem):
     # the covering lemma: reductions of the targets' hull vertices over
-    # their centroid always cover, with at most d points per vertex and no
-    # fallback (an anchor at a vertex fails this on most inputs)
+    # their centroid always cover, with at most d points per vertex (an
+    # anchor at a vertex fails this on most inputs)
     from discrete_tverberg.exact_geometry import ConvexCombination, Halfspace
     from discrete_tverberg.tverberg import _cover, _weights
     from discrete_tverberg.vectors import int_scaled
     pts, targets = problem
     ints, den = int_scaled(pts + targets)
     sub, scaled = ints[:len(pts)], ints[len(pts):]
-    cover, fallback, certificates = _cover(scaled, sub, den, _weights(scaled, sub, den))
-    assert not fallback
+    cover, certificates = _cover(scaled, sub, den, _weights(scaled, sub, den))
     assert not any(isinstance(c, Halfspace) for c in certificates)
     assert len(cover) <= len(extreme_points(targets)) * len(pts[0])
     part = [pts[j] for j in sorted(cover)]

@@ -95,17 +95,16 @@ def test_find_deep_witnesses_k2_distinct():
 def test_colorful_cover_subset_case():
     P = pts((0, 0), (1, 0))
     A = pts((-1, -1), (-1, 1), (2, -1), (2, 1))
-    cover, fallback = colorful_cover(P, A)
+    cover = colorful_cover(P, A)
     assert len(cover) <= 4
     for p in P:
         assert membership(p, cover).inside
 
 
 def test_colorful_cover_single_point():
-    cover, fallback = colorful_cover(pts((0, 0)), pts((1, 1), (-1, 1), (0, -2)))
+    cover = colorful_cover(pts((0, 0)), pts((1, 1), (-1, 1), (0, -2)))
     assert len(cover) <= 3
     assert membership((0, 0), cover).inside
-    assert not fallback
 
 
 def test_colorful_cover_rejects_outside_witness():
@@ -114,13 +113,12 @@ def test_colorful_cover_rejects_outside_witness():
 
 
 def test_extract_part_1d():
-    part, fallback = extract_part(pts((1,)), pts((0,), (2,), (5,)), 1, 1)
+    part = extract_part(pts((1,)), pts((0,), (2,), (5,)), 1, 1)
     assert sorted(part) == pts((0,), (2,))
-    assert not fallback
 
 
 def test_extract_part_k1_size_bound():
-    part, _ = extract_part(
+    part = extract_part(
         pts((0, 0)), pts((1, 1), (-1, 1), (1, -1), (-1, -1)), 1, 2
     )
     assert len(part) <= 3
@@ -130,8 +128,10 @@ def test_extract_part_k1_size_bound():
 def test_extract_part_k2_size_bounds():
     P = pts((0, 0), (1, 0))
     A = pts((-2, -1), (-2, 1), (3, -1), (3, 1), (0, 2), (1, -2))
-    part, fallback = colorful_cover(P, A)
-    assert not fallback and len(part) <= 4  # n*d, anchored at the centroid
+    part = colorful_cover(P, A)
+    assert len(part) <= 4  # n*d, anchored at the centroid
+    assert all(membership(p, part).inside for p in P)
+    assert extract_part(P, A, 2, 2) == part
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +272,8 @@ def test_partition_stats_shape():
     assert stats["part_sizes"] == [1, 2]
     assert stats["witness_depths"] == [2]
     assert stats["threshold"] == 2
-    assert len(stats["fallback_flags"]) == 2
+    assert set(stats) == {"part_sizes", "witness_depths", "candidates_scanned",
+                          "threshold", "guarantee_bound"}
 
 
 def test_engine_runs_without_numpy():
