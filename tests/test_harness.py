@@ -101,53 +101,83 @@ def test_run_experiment_forced_failure_box():
     assert rep.summary["success_rate"] == "0/1"
 
 
-@pytest.mark.parametrize("cfg, digest", [
+def _with_fallback_flags(js):
+    # The outcome JSON as it was while ok outcomes carried the never-set
+    # "fallback_flags" stat (one False per part, after "witness_depths").
+    stats = js.get("stats", {})
+    if "part_sizes" not in stats:
+        return js
+    flagged = {}
+    for key, value in stats.items():
+        flagged[key] = value
+        if key == "witness_depths":
+            flagged["fallback_flags"] = [False] * len(stats["part_sizes"])
+    return {**js, "stats": flagged}
+
+
+@pytest.mark.parametrize("cfg, flagged_digest, digest", [
     (ExperimentConfig(spec=lattice_set(3), m=2, k=1, n_points=15, box_bound=2,
                       trials=3, seed=5),
+     "ac8dab27b5e3da1c62d92bc5b523bcff03e7b61217d12b30993bac8a55d93582",
      "b34c1152bf6026a2e16ca6e53ba1c6601767b685e3ae3938a3e256dd5790dbbe"),
     (ExperimentConfig(spec=Z2, m=3, k=1, n_points=25, box_bound=20,
                       trials=20, seed=11),
+     "1e15920a4461d9fa8f4524c9dd6016019f948e06e4773da21f056ad55b820078",
      "53c1b56a886213071ac1af99917b407b9ae290b36fee12513fbc297653ebd76a"),
     (ExperimentConfig(spec=Z2, m=2, k=2, n_points=26, box_bound=15,
                       trials=20, seed=23),
+     "8bb5807a3572b5009a54f081ab0d1d9399216d9982d4c06b69567f7df4982f26",
      "e6dab32b97a4ee617cfb76e59671ac2671d88b53f627e77ab2d899bddf5fe89f"),
     # ground sets whose points are not all integral
     (ExperimentConfig(spec=lattice_set(2, LatticeBasis(((1, 0), (Fraction(1, 2), 1)))),
                       m=2, k=1, n_points=9, box_bound=4, trials=8, seed=7),
+     "9c659feaf2be04e6d2fac181f0aa7c3af6b2c0689072608b0fb7297d9cf08afd",
      "29741e5053a0bf883a81aa3f6a59d4ca339a7febb166c093f2d619a6d3850b06"),
     (ExperimentConfig(spec=lattice_set(2, LatticeBasis(((Fraction(1, 2), 0),
                                                          (0, Fraction(1, 3))))),
                       m=3, k=1, n_points=25, box_bound=3, trials=8, seed=7),
+     "f65659ec6f08a553875697b1ffe264c8d32fddd524459571fb73be30abf510c9",
      "96b3e30fbc54e6e687579d5c5e6a141b09ccbb0ef3ebf8dfa1bc98e14b171445"),
     (ExperimentConfig(spec=difference_set(2, (LatticeBasis(((2, 0), (0, 2))),)),
                       m=2, k=2, n_points=20, box_bound=9, trials=8, seed=7),
+     "81d2041bbfa0da29edaa7d8bfb21abcf0a32a65013b064a324e1cf8b5f31ba5f",
      "4f40a9c7fd75e4c165cdce24f050a222c5887e976d6fc05911fa9e485d615f72"),
     # k >= 2 shapes: three parts, three witnesses, Z^3, a sheared basis
     (ExperimentConfig(spec=Z2, m=3, k=2, n_points=40, box_bound=12, trials=8, seed=3),
+     "b7e81690d5913a96e432cba072af27c1023f0d76791d835fc40201b09d07d4d2",
      "71e2d452747229256905e59d9c889855f981d3dc1a69209d0b12b9b4680cdb3b"),
     (ExperimentConfig(spec=Z2, m=2, k=3, n_points=45, box_bound=12, trials=8, seed=4),
+     "dee6e78e4834364f363514014414ea981a88a51889513f481a3e3171161b75d6",
      "6ee8a6cf2bd29878ec2d893759f4661ee31a73f132cfe9b8019103c69babc844"),
     (ExperimentConfig(spec=lattice_set(3), m=2, k=2, n_points=40, box_bound=3,
                       trials=4, seed=9),
+     "a6f87b4667b9635e6f1eb11b8069e0dd4646d0fb0992144205bf769f4a17076d",
      "495257f3503cf27467d15cfda132eb584238b67515396236a9e5d03e2f0793cb"),
     (ExperimentConfig(spec=lattice_set(2, LatticeBasis(((1, 0), (Fraction(1, 2), 1)))),
                       m=2, k=2, n_points=30, box_bound=6, trials=8, seed=2),
+     "78209cbc209d9a7c31f29d696e89a7771d7dd5892530583d721230b9c4c85c6a",
      "32a6b180cca918a10b5d213f5a0866137ca5424f040ab3a75e894106394ee3d5"),
     # k >= 2 on a line: the witnesses' hull is an interval
     (ExperimentConfig(spec=Z1, m=4, k=3, n_points=40, box_bound=60, trials=8, seed=1),
+     "d28bf9f69d62876da0b4b0781b9f5fab7599042f091f6895e000e61ed93a9a7a",
      "dbfa6b332d2985d1ec01fa31c8b53d1dfc79c3ac9b30e22fdc45cb6a57452471"),
 ])
-def test_outcome_json_bytes_are_pinned(cfg, digest):
+def test_outcome_json_bytes_are_pinned(cfg, flagged_digest, digest):
     # The outcome JSON carries the parts, the witness points, their
     # convex-combination certificates and the stats, and for
     # no_partition_found the witness points found with their depths; the
     # CSV shows only part sizes, witness counts and the least witness
-    # depth.  Depth witness normals appear in neither.
-    h = hashlib.sha256()
+    # depth.  Depth witness normals appear in neither.  flagged_digest pins
+    # the bytes from before the fallback flag was deleted, so the deletion
+    # is checked to have changed nothing else.
+    h, flagged = hashlib.sha256(), hashlib.sha256()
     for t in range(cfg.trials):
         inst = generate_instance(cfg, t)
-        h.update(jsonio.dumps(jsonio.outcome_to_json(tverberg_partition(inst), inst)).encode())
+        js = jsonio.outcome_to_json(tverberg_partition(inst), inst)
+        h.update(jsonio.dumps(js).encode())
+        flagged.update(jsonio.dumps(_with_fallback_flags(js)).encode())
     assert h.hexdigest() == digest
+    assert flagged.hexdigest() == flagged_digest
 
 
 def test_config_validation():
