@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import prod
-from operator import mul
+from operator import mul, sub
 from typing import Optional, Sequence
 
 from .errors import CapExceededError
@@ -267,23 +267,20 @@ def lattice_box(lat: LatticeBasis, vertices: Sequence[Vec]) -> tuple:
     return coords, den, ranges
 
 
-def lattice_points_in_polytope(
+def lattice_lines_in_polytope(
     spec: DiscreteSetSpec, polytope: PolytopeV, cap: Optional[int] = None
 ) -> tuple:
-    """``(zs, coords, den)``: the lattice coordinates z of the points B z of
-    S inside the polytope, in lexicographic order, and the distinct
-    vertices' ``coords`` and ``den`` from :func:`lattice_box`.
+    """``(lines, coords, den)``: the lattice coordinates z of the polytope's
+    points of the base lattice, as the lines ``(head, lo, hi)`` of
+    :func:`_scan_lines`, and the distinct vertices' ``coords`` and ``den``
+    from :func:`lattice_box`.
 
-    Works on the integer bounding box of the polytope in lattice
-    coordinates (:func:`lattice_box`).  The integer lattice coordinates of
-    the vertices get their integer H-representation (:func:`hull_facets`),
-    and the box is scanned line by line along the last lattice coordinate,
-    each halfspace bounding the line by a floor or a ceiling; a point of S
-    is ``den (z, 0)`` in that frame, so on a rank-deficient lattice only
-    the first ``rank`` entries of a normal count.  A difference set drops
-    the lattice coordinates in a removed sublattice, re-expressed once in
-    lattice coordinates, by the congruence test
-    :meth:`LatticeBasis.contains_scaled`.
+    The integer H-representation of the vertices' lattice coordinates
+    (:func:`hull_facets`) cuts their integer bounding box, which holds at
+    most ``cap`` points, line by line along the last lattice coordinate; a
+    point of S is ``den (z, 0)`` in that frame, so on a rank-deficient
+    lattice only the first ``rank`` entries of a normal count.  The lines
+    keep the points a difference set removes (:func:`_points_on_lines`).
     """
     if not spec.enumerable:
         raise ValueError("enumeration is defined only for enumerable sets")
@@ -291,26 +288,31 @@ def lattice_points_in_polytope(
         raise ValueError("dimension mismatch")
     verts = list(dict.fromkeys(polytope.vertices))
     box = lattice_box(spec.base, verts)
-    return _lattice_points_in_box(spec, box, cap), box[0], box[1]
+    return _lines_in_box(box, cap), box[0], box[1]
 
 
-def _lattice_points_in_box(
-    spec: DiscreteSetSpec, box: tuple, cap: Optional[int] = None
-) -> list:
-    """The zs of :func:`lattice_points_in_polytope` for the
+def _lines_in_box(box: tuple, cap: Optional[int] = None) -> list:
+    """The lines of :func:`lattice_lines_in_polytope` for the
     :func:`lattice_box` ``box`` of the distinct vertices."""
-    lat = spec.base
     coords, den, ranges = box
     total = prod(map(len, ranges))
     if cap is not None and total > cap:
         raise CapExceededError(
             f"enumeration box holds {total} candidates, cap is {cap}"
         )
-    zs = _scan_lines(hull_facets(coords), den, ranges)
+    return _scan_lines(hull_facets(coords), den, ranges)
+
+
+def _points_on_lines(spec: DiscreteSetSpec, lines: list) -> list:
+    """The lattice coordinates of S on the lines, in their order: those in a
+    removed sublattice, re-expressed once in lattice coordinates, fail
+    :meth:`LatticeBasis.contains_scaled`."""
+    lat = spec.base
     removed = [
         LatticeBasis([lat.to_lattice(v) for v in sub.vectors], lat.rank)
         for sub in spec.sublattices
     ]
+    zs = [head + (z,) for head, lo, hi in lines for z in range(lo, hi + 1)]
     if removed:
         zs = [z for z in zs if not any(sub.contains_scaled(z) for sub in removed)]
     return zs
@@ -320,9 +322,9 @@ def enumerate_in_polytope(
     spec: DiscreteSetSpec, polytope: PolytopeV, cap: Optional[int] = None
 ) -> list:
     """All points of S inside the polytope, sorted lexicographically: the
-    points B z of :func:`lattice_points_in_polytope`."""
-    zs, _, _ = lattice_points_in_polytope(spec, polytope, cap)
-    return _ambient_points(spec.base, zs)
+    points B z for the z of :func:`lattice_lines_in_polytope` in S."""
+    lines, _, _ = lattice_lines_in_polytope(spec, polytope, cap)
+    return _ambient_points(spec.base, _points_on_lines(spec, lines))
 
 
 def _ambient_points(lat: LatticeBasis, zs: list) -> list:
@@ -332,35 +334,48 @@ def _ambient_points(lat: LatticeBasis, zs: list) -> list:
     return [tuple(Fraction(c, lat._den) for c in p) for p in points]
 
 
+def _clip_line(lo: int, hi: int, cuts) -> tuple:
+    """The integers z of ``[lo, hi]`` with ``a z >= b`` for every ``(a, b)``
+    in cuts, as ``(lo, hi)``, empty when ``hi < lo``: a positive a raises
+    lo to a ceiling, a negative one lowers hi to a floor, and a zero one
+    keeps the interval or empties it."""
+    for a, b in cuts:
+        if a > 0:
+            b = -(-b // a)
+            if b > lo:
+                lo = b
+        elif a < 0:
+            b //= a
+            if b < hi:
+                hi = b
+        elif b > 0:
+            return lo, lo - 1
+    return lo, hi
+
+
 def _scan_lines(facets: list, den: int, ranges: list) -> list:
-    """Integer points of the box inside every facet, in lexicographic order.
+    """The nonempty lines ``(head, lo, hi)`` of the box inside every facet,
+    in lexicographic order of head: its integer points are
+    ``head + (z,)``, lo <= z <= hi.
 
     z is inside the facet ``(normal, offset)`` when
     ``normal . (den * (z, 0)) >= offset``: a normal may be longer than the
     box's k coordinates, since a point of S is (z, 0) in the lattice frame,
     and its entries past k are not read.  Each line of the box along its
-    last coordinate is cut by every facet: a positive last normal component
-    gives a ceiling lower bound, a negative one a floor upper bound, and a
-    zero one keeps or empties the whole line.
+    last coordinate is cut by every facet (:func:`_clip_line`).
     """
     *heads, last = ranges
     k = len(ranges)
-    rows = [
-        (tuple([den * c for c in n[:k - 1]]), den * n[k - 1], off) for n, off in facets
-    ]
+    n_heads = [tuple([den * c for c in n[:k - 1]]) for n, _ in facets]
+    lasts = [den * n[k - 1] for n, _ in facets]
+    offsets = [off for _, off in facets]
     out = []
     for head in itertools.product(*heads):
-        lo, hi = last.start, last.stop - 1
-        for n_head, n_last, off in rows:
-            rhs = off - sum(map(mul, n_head, head))
-            if n_last > 0:
-                lo = max(lo, -(-rhs // n_last))
-            elif n_last < 0:
-                hi = min(hi, rhs // n_last)
-            elif rhs > 0:
-                break
-        else:
-            out.extend(head + (z,) for z in range(lo, hi + 1))
+        dots = [sum(map(mul, n, head)) for n in n_heads]
+        cuts = zip(lasts, map(sub, offsets, dots))
+        lo, hi = _clip_line(last.start, last.stop - 1, cuts)
+        if lo <= hi:
+            out.append((head, lo, hi))
     return out
 
 

@@ -526,17 +526,6 @@ def _idot(a: tuple, b: tuple) -> int:
     return sum(map(mul, a, b))
 
 
-def _canon_primitive(w: tuple) -> tuple:
-    g = 0
-    for c in w:
-        g = gcd(g, abs(c))
-    out = tuple(c // g for c in w)
-    for c in out:
-        if c != 0:
-            return out if c > 0 else tuple(-x for x in out)
-    raise ValueError("zero vector has no direction")
-
-
 def _primitive_signed(w: tuple) -> tuple:
     g = gcd(*w)
     return w if g == 1 else tuple(c // g for c in w)
@@ -552,43 +541,6 @@ def _line_side(rep: tuple, pos: int, neg: int) -> tuple:
     if neg < pos:
         return neg, flip
     return pos, min(rep, flip)
-
-
-def _min_open_count(W: list) -> tuple:
-    """(min over generic v of #{w : v.w > 0}, integer witness v).
-
-    W is a nonempty multiset of nonzero integer vectors.  When all vectors
-    share a line the two directions are compared directly.  Otherwise the
-    minimum is attained just off some wall ``u-perp``: side counts of u's
-    parallel class plus the recursive minimum of the other vectors
-    projected into the wall.  Witnesses rebuild as ``M * v_sub + sign * u``
-    with M large enough to preserve every projected sign, which keeps them
-    generic (nonzero against every w) at every level.  Ties resolve to the
-    lexicographically smallest primitive witness.  No engine code calls
-    it: it is the reference that tests hold :func:`depth_count` to in 1-4
-    d.
-    """
-    keys = [_canon_primitive(w) for w in W]
-    classes = {}
-    for key, w in zip(keys, W):
-        classes.setdefault(key, []).append(w)
-    if len(classes) == 1:
-        (rep, members), = classes.items()
-        pos = sum(1 for w in members if _idot(w, rep) > 0)
-        return _line_side(rep, pos, len(members) - pos)
-    best = None
-    for u, members in classes.items():
-        uu = _idot(u, u)
-        nonpar = [(w, _idot(u, w)) for key, w in zip(keys, W) if key != u]
-        projected = [
-            _primitive_signed(tuple(uu * w[i] - uw * u[i] for i in range(len(u))))
-            for w, uw in nonpar
-        ]
-        sub_count, v_sub = _min_open_count(projected)
-        m = 1 + max(abs(uw) for _, uw in nonpar)
-        pos = sum(1 for w in members if _idot(w, u) > 0)
-        best = _off_wall(best, sub_count, v_sub, m, u, pos, len(members) - pos)
-    return best
 
 
 def _off_wall(best, sub_count, v_sub, m, u, pos, neg) -> tuple:
@@ -742,10 +694,15 @@ def depth_count(W: list, d: int, floor: int = 0) -> tuple:
     count plus one when the query is itself a point.  The vectors are
     grouped into direction classes (primitive, first nonzero coordinate
     positive), each with how many vectors point along and against it and
-    its largest multiple, and :func:`_descend` runs the wall recursion
-    :func:`_min_open_count` on them in every dimension: the same count,
-    and a thunk that builds the same witness only when called.  An empty
-    W gives the count 0 and the first axis.
+    its largest multiple, and :func:`_descend` runs the wall recursion on
+    them in every dimension.  The minimum is attained just off some wall
+    ``u-perp``: the side counts of u's class plus the minimum of the other
+    vectors projected into the wall.  The witness is ``M v_sub +- u``, with
+    M large enough to keep every projected sign, and ties resolve to the
+    lexicographically smallest primitive witness; the thunk builds it only
+    when called.  (The tests hold this to the plain recursion on the
+    vectors, ``_min_open_count`` in ``tests/test_properties.py``.)  An
+    empty W gives the count 0 and the first axis.
 
     With a ``floor`` the count is exact, with the same thunk, whenever it
     is at least ``floor``; below that the result is some value below

@@ -5,7 +5,7 @@ shares the engine's depth recursion, witness ranking, or extraction
 logic.  The oracles are not fully independent, though: ``verify_partition``,
 ``brute_tverberg`` and ``brute_depth`` decide membership with the engine's
 :func:`membership` (its kernel ``_convex_weights``), and ``brute_tverberg``
-enumerates with the engine's ``_lattice_points_in_box``.  Caps are explicit
+enumerates with the engine's line scan ``_lines_in_box``.  Caps are explicit
 and exceeding one raises instead of silently truncating, so a cap can
 never masquerade as a negative verdict.
 """
@@ -25,7 +25,8 @@ from .discrete_sets import (
     lattice_box,
     set_contains,
     _ambient_points,
-    _lattice_points_in_box,
+    _lines_in_box,
+    _points_on_lines,
 )
 from .errors import CapExceededError
 from .exact_geometry import _check_dims, membership
@@ -147,7 +148,7 @@ def _common_set_points(
     boxes = [lattice_box(spec.base, v) for v in verts]
     base = min(range(len(hulls)), key=lambda i: (prod(map(len, boxes[i][2])), i))
     candidates = _ambient_points(
-        spec.base, _lattice_points_in_box(spec, boxes[base])
+        spec.base, _points_on_lines(spec, _lines_in_box(boxes[base]))
     )
     others = [hulls[i] for i in range(len(hulls)) if i != base]
     found = []

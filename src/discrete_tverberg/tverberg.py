@@ -22,18 +22,20 @@ import itertools
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf
 from operator import mul, sub
 from typing import Optional, Sequence
 
 # depth, enumerate_in_polytope, membership, caratheodory_reduce and
-# anchored_reduce are not called here; the benchmark's per-layer trace
-# (perfbench/layers.py) looks them up under these names, with extract_part.
+# anchored_reduce are imported only for the benchmark's per-layer trace
+# (perfbench/layers.py), which wraps them, and extract_part, under these
+# names; nothing here calls them.
 from .discrete_sets import (
     DiscreteSetSpec,
     PolytopeV,
+    _clip_line,
+    _points_on_lines,
     enumerate_in_polytope,
-    lattice_points_in_polytope,
+    lattice_lines_in_polytope,
     set_contains,
     tverberg_upper_bound,
 )
@@ -111,46 +113,56 @@ class TverbergOutcome:
     witness_search: Optional[WitnessSearch] = None
 
 
-def _depth_upper_bounds(
-    points: Sequence[tuple], zs: Sequence[tuple], den: int, t: int
-) -> list:
-    """Per lattice coordinate z, the least #{p : u.p >= den u.(z, 0)} over
-    the bound directions u, for every z whose least count is at least t;
-    every other z gets t - 1.
-
-    points are distinct integer points of the lattice frame, scaled by
-    den; each u and -u are counted from one sorted list proj of u.p, so a
-    count of at least t on both sides needs
-    ``proj[t - 1] <= den u.(z, 0) <= proj[n - t]``.  A z dropped at its
-    first direction outside that window is not counted further.
+def _bound_levels(lines: list, coords: list, den: int, rank: int, lowest: int):
+    """Yield ``(t, level)`` from the top level down to ``lowest``: level
+    lazily yields the lattice coordinates z of bound t on the hull lines
+    ``(head, lo, hi)`` in lexicographic order, once the higher levels are
+    read.  With proj_u the sorted u.p over the n distinct coords, the bound
+    is at least t exactly when ``proj_u[t - 1] <= den u.(z, 0) <=
+    proj_u[n - t]`` for each u: two cuts per u on a line (:func:`_clip_line`).
+    Above the top some window is empty; a level cuts only the lines whose
+    head is in the first axis's window; a line's head dot products are
+    taken when it is first cut.
     """
-    n = len(points)
-    if t > n:
-        return [t - 1] * len(zs)
-    d = len(points[0])
+    n, d = len(coords), len(coords[0])
     axes = [tuple(int(j == i) for j in range(d)) for i in range(d)]
     dirs = axes + [
         tuple(a + sign * b for a, b in zip(u, v))
         for u, v in itertools.combinations(axes, 2)
         for sign in (1, -1)
     ]
-    bounds = [n] * len(zs)
-    alive = range(len(zs))
-    for u in dirs:
-        proj = sorted(sum(map(mul, u, p)) for p in points)
-        lo, hi = (proj[t - 1], proj[n - t]) if t > 0 else (-inf, inf)
-        scaled = [den * c for c in u]
-        kept = []
-        for i in alive:
-            s = sum(map(mul, scaled, zs[i]))
-            if s < lo or s > hi:
-                bounds[i] = t - 1
+    projs = [sorted(sum(map(mul, u, p)) for p in coords) for u in dirs]
+    top = next(t for t in range(n, 0, -1) if all(p[t - 1] <= p[n - t] for p in projs))
+    # the cuts u.x >= proj_u[t - 1] and -u.x >= -proj_u[n - t] of each u
+    lasts = [c * den * u[rank - 1] for u in dirs for c in (1, -1)]
+    dots = {}  # each cut line's head dot products, taken once
+    firsts = [den * head[0] for head, _, _ in lines] if rank > 1 else None
+    inner = [(0, -1)] * len(lines)  # each line's interval of Q_(t+1)
+
+    def level(t):
+        offsets = [x for p in projs for x in (p[t - 1], -p[n - t])]
+        span = range(len(lines))
+        if firsts is not None:  # the heads are sorted by their first entry
+            span = range(bisect_left(firsts, offsets[0]),
+                         bisect_right(firsts, -offsets[1]))
+        for i in span:
+            head, lo, hi = lines[i]
+            if i not in dots:
+                # map stops at the head's end; u's last entry is in lasts
+                h = [den * sum(map(mul, u, head)) for u in dirs]
+                dots[i] = [x for s in h for x in (s, -s)]
+            lo, hi = _clip_line(lo, hi, zip(lasts, map(sub, offsets, dots[i])))
+            if lo > hi:
                 continue
-            kept.append(i)
-            ge = n - bisect_left(proj, s)
-            bounds[i] = min(bounds[i], ge, bisect_right(proj, s))
-        alive = kept
-    return bounds
+            a, b = inner[i]
+            inner[i] = lo, hi
+            if a > b:
+                a = b = hi + 1
+            for z in itertools.chain(range(lo, a), range(b + 1, hi + 1)):
+                yield head + (z,)
+
+    for t in range(top, max(lowest, 1) - 1, -1):
+        yield t, level(t)
 
 
 def find_deep_witnesses(
@@ -161,59 +173,70 @@ def find_deep_witnesses(
     Candidates are ranked by depth (descending) with lexicographic point
     order breaking ties.  When fewer than k candidates reach the
     threshold, all that do are returned and the search is marked
-    insufficient.
+    insufficient.  ``candidates_scanned`` is the number of lattice points
+    of S in the hull, counted line by line.
 
     The search runs on integers in the lattice frame x -> T x of
-    :func:`lattice_points_in_polytope`, where the points are its vertex
+    :func:`lattice_lines_in_polytope`, where the points are its vertex
     coordinates and a candidate B z is den (z, 0); T is linear and
     invertible, so depth is unchanged.  Exact depth is computed only for
     candidates that can still be ranked.  Each candidate q gets the upper
     bound min over u of #{p : u.p >= u.q}, u ranging over the +-axes and
     the +-pairwise sums and differences of axes; the closed halfspace
-    {u.x >= u.q} contains q, so its count is at least depth(q).
-    Only candidates whose bound reaches the threshold get an exact bound.
-    Candidates are visited by descending bound, and the visit stops at the
-    first bound below the threshold, or below the k-th best exact depth
-    once k candidates reached the threshold: no later candidate can then
-    reach, or tie with, a chosen one.  Each visited candidate is scaled
-    into the frame and its depth is asked of :func:`depth_count` with a
-    floor: the cutoff (the threshold, or the k-th best depth once there
-    are k), plus one when there are k and the candidate's ambient point is
-    lexicographically after the k-th's, since a tie then cannot displace
-    it.  Below the floor the query stops at its first wall below it and
-    the candidate is dropped; at or above it the depth is exact and the
-    candidate is ranked with its witness thunk.  Only the chosen build
-    their witness normal v, as the ambient normal T^t v.  On the standard
-    lattice T is the identity and the witness is the one :func:`depth`
-    returns.
+    {u.x >= u.q} contains q, so its count is at least depth(q).  The
+    candidates whose bound is at least t form the level polytope Q_t, the
+    hull cut by two integer halfspaces per u, and Q_(t+1) is inside Q_t.
+    So on each hull line the candidates of bound t are Q_t's interval less
+    Q_(t+1)'s, and walking the levels down, each level's lines in
+    lexicographic order (:func:`_bound_levels`), visits the candidates in
+    the order of a stable sort by descending bound, without bounding the
+    others.  The visit stops at the first bound below the threshold, or
+    below the k-th best exact depth once k candidates reached the
+    threshold: no later candidate can then reach, or tie with, a chosen
+    one.  Each visited candidate is scaled into the frame and its depth is
+    asked of :func:`depth_count` with a floor: the cutoff (the threshold,
+    or the k-th best depth once there are k), plus one when there are k
+    and the candidate's ambient point is lexicographically after the
+    k-th's, since a tie then cannot displace it.  Below the floor the
+    query stops at its first wall below it and the candidate is dropped;
+    at or above it the depth is exact and the candidate is ranked with its
+    witness thunk.  Only the chosen build their witness normal v, as the
+    ambient normal T^t v.  On the standard lattice T is the identity and
+    the witness is the one :func:`depth` returns.
     """
     pts = [vec(p) for p in points]
-    zs, coords, den = lattice_points_in_polytope(spec, PolytopeV(tuple(pts)))
+    lines, coords, den = lattice_lines_in_polytope(spec, PolytopeV(tuple(pts)))
+    scanned = (len(_points_on_lines(spec, lines)) if spec.sublattices
+               else sum(hi - lo + 1 for _, lo, hi in lines))
     if k < 1:
-        return WitnessSearch((), False, len(zs))
+        return WitnessSearch((), False, scanned)
     lat = spec.base
-    bounds = _depth_upper_bounds(coords, zs, den, threshold)
     pad = (0,) * (spec.dim - lat.rank)
     # (-depth, ambient point times lat._den, witness thunk), best first, at
     # most k; the prefix is unique, so two thunks are never compared
     top = []
     cutoff = threshold
-    for i in sorted(range(len(zs)), key=bounds.__getitem__, reverse=True):
-        if bounds[i] < cutoff:
-            break
-        point = tuple(sum(map(mul, row, zs[i])) for row in zip(*lat._int_vectors))
-        # a tie with the k-th witness displaces it only from before it
-        need = cutoff + 1 if len(top) == k and point > top[-1][1] else cutoff
-        q = tuple(den * c for c in zs[i]) + pad
-        W = [tuple(map(sub, p, q)) for p in coords if p != q]
-        on_vertex = len(coords) - len(W)
-        count, witness = depth_count(W, spec.dim, need - on_vertex)
-        value = count + on_vertex
-        if value >= need:
-            insort(top, (-value, point, witness))
-            del top[k:]
-            if len(top) == k:
-                cutoff = -top[-1][0]
+    for bound, level in _bound_levels(lines, coords, den, lat.rank, threshold):
+        if bound < cutoff:
+            break  # before the level's lines are cut
+        for z in level:
+            if bound < cutoff:
+                break
+            point = tuple(sum(map(mul, row, z)) for row in zip(*lat._int_vectors))
+            if any(r.contains_scaled(point, lat._den) for r in spec.sublattices):
+                continue  # removed from a difference set
+            # a tie with the k-th witness displaces it only from before it
+            need = cutoff + 1 if len(top) == k and point > top[-1][1] else cutoff
+            q = tuple(den * c for c in z) + pad
+            W = [tuple(map(sub, p, q)) for p in coords if p != q]
+            on_vertex = len(coords) - len(W)
+            count, witness = depth_count(W, spec.dim, need - on_vertex)
+            value = count + on_vertex
+            if value >= need:
+                insort(top, (-value, point, witness))
+                del top[k:]
+                if len(top) == k:
+                    cutoff = -top[-1][0]
     chosen = []
     for neg_value, scaled, witness in top:
         point = tuple(Fraction(c, lat._den) for c in scaled)
@@ -221,7 +244,7 @@ def find_deep_witnesses(
         normal = vec(sum(map(mul, v, col)) for col in zip(*lat._t_rows))
         result = DepthResult(-neg_value, Halfspace(normal, vdot(normal, point)))
         chosen.append(DeepWitness(point, result))
-    return WitnessSearch(tuple(chosen), len(chosen) < k, len(zs))
+    return WitnessSearch(tuple(chosen), len(chosen) < k, scanned)
 
 
 def _weights(targets: Sequence[tuple], sub: Sequence[tuple], den: int) -> list:

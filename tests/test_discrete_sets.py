@@ -8,6 +8,7 @@ from discrete_tverberg.discrete_sets import (
     HollowCertificate,
     LatticeBasis,
     PolytopeV,
+    _points_on_lines,
     box_polytope,
     count_nonvertex,
     difference_set,
@@ -17,7 +18,7 @@ from discrete_tverberg.discrete_sets import (
     hollow_search,
     is_k_hoffman,
     is_k_hollow,
-    lattice_points_in_polytope,
+    lattice_lines_in_polytope,
     lattice_set,
     mixed_set,
     set_contains,
@@ -190,7 +191,8 @@ def test_enumerate_matches_per_point_check():
     for spec, verts in cases:
         got = enumerate_in_polytope(spec, PolytopeV(tuple(verts)))
         assert got == sorted(got)
-        zs, coords, den = lattice_points_in_polytope(spec, PolytopeV(tuple(verts)))
+        lines, coords, den = lattice_lines_in_polytope(spec, PolytopeV(tuple(verts)))
+        zs = _points_on_lines(spec, lines)
         assert zs == sorted(zs)
         assert sorted(map(spec.base.from_lattice, zs)) == got
         assert [tuple(F(c, den) for c in x[: spec.rank]) for x in coords] == \

@@ -1,37 +1,53 @@
 """Property-based checks: certificates, depth laws, hollow machinery."""
 import itertools
+from bisect import bisect_left, bisect_right, insort
 from fractions import Fraction
-from math import ceil, floor, gcd
+from math import ceil, floor, gcd, inf
+from operator import mul, sub
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from discrete_tverberg import exact_geometry, jsonio, linprog
+from discrete_tverberg import exact_geometry, jsonio, linprog, tverberg
 from discrete_tverberg.discrete_sets import (
     LatticeBasis,
     PolytopeV,
+    _points_on_lines,
     _scan_lines,
     difference_set,
     enumerate_in_polytope,
     helly_upper_bound,
     is_k_hoffman,
     is_k_hollow,
+    lattice_lines_in_polytope,
     lattice_set,
     set_contains,
 )
 from discrete_tverberg.exact_geometry import (
+    DepthResult,
+    Halfspace,
+    _idot,
+    _line_side,
+    _off_wall,
+    _primitive_signed,
     affine_rank,
     affinely_independent,
     anchored_reduce,
     caratheodory_reduce,
     depth,
+    depth_count,
     extreme_points,
     hull_facets,
     membership,
 )
 from discrete_tverberg.oracles import brute_depth, brute_tverberg, verify_partition
-from discrete_tverberg.tverberg import Instance, find_deep_witnesses, tverberg_partition
-from discrete_tverberg.vectors import vec
+from discrete_tverberg.tverberg import (
+    DeepWitness,
+    Instance,
+    find_deep_witnesses,
+    tverberg_partition,
+)
+from discrete_tverberg.vectors import vdot, vec
 
 F = Fraction
 Z1 = lattice_set(1)
@@ -98,11 +114,57 @@ def test_depth_agrees_with_brute_force(case):
     assert depth(q, pts).depth == brute_depth(q, pts)
 
 
+def _canon_primitive(w: tuple) -> tuple:
+    g = 0
+    for c in w:
+        g = gcd(g, abs(c))
+    out = tuple(c // g for c in w)
+    for c in out:
+        if c != 0:
+            return out if c > 0 else tuple(-x for x in out)
+    raise ValueError("zero vector has no direction")
+
+
+def _min_open_count(W: list) -> tuple:
+    """Reference for :func:`depth_count`: (min over generic v of
+    #{w : v.w > 0}, integer witness v) by the plain wall recursion.
+
+    W is a nonempty multiset of nonzero integer vectors.  When all vectors
+    share a line the two directions are compared directly.  Otherwise the
+    minimum is attained just off some wall ``u-perp``: side counts of u's
+    parallel class plus the recursive minimum of the other vectors
+    projected into the wall.  Witnesses rebuild as ``M * v_sub + sign * u``
+    with M large enough to preserve every projected sign, which keeps them
+    generic (nonzero against every w) at every level.  Ties resolve to the
+    lexicographically smallest primitive witness.
+    """
+    keys = [_canon_primitive(w) for w in W]
+    classes = {}
+    for key, w in zip(keys, W):
+        classes.setdefault(key, []).append(w)
+    if len(classes) == 1:
+        (rep, members), = classes.items()
+        pos = sum(1 for w in members if _idot(w, rep) > 0)
+        return _line_side(rep, pos, len(members) - pos)
+    best = None
+    for u, members in classes.items():
+        uu = _idot(u, u)
+        nonpar = [(w, _idot(u, w)) for key, w in zip(keys, W) if key != u]
+        projected = [
+            _primitive_signed(tuple(uu * w[i] - uw * u[i] for i in range(len(u))))
+            for w, uw in nonpar
+        ]
+        sub_count, v_sub = _min_open_count(projected)
+        m = 1 + max(abs(uw) for _, uw in nonpar)
+        pos = sum(1 for w in members if _idot(w, u) > 0)
+        best = _off_wall(best, sub_count, v_sub, m, u, pos, len(members) - pos)
+    return best
+
+
 @given(st.lists(st.tuples(coord(), coord()), min_size=1, max_size=10,
                 unique=True),
        st.tuples(coord(), coord()))
 def test_planar_scan_agrees_with_wall_recursion(pts, q):
-    from discrete_tverberg.exact_geometry import _min_open_count, depth_count
     from discrete_tverberg.vectors import int_scaled, vsub
     diffs = [vsub(vec(p), vec(q)) for p in dict.fromkeys(map(vec, pts))
              if vec(p) != vec(q)]
@@ -144,7 +206,6 @@ def vector_multiset(draw):
 @settings(max_examples=400)
 @given(vector_multiset())
 def test_depth_kernel_matches_wall_recursion(case):
-    from discrete_tverberg.exact_geometry import _min_open_count, depth_count
     W, d = case
     count, witness = depth_count(W, d)
     assert (count, witness()) == _min_open_count(W)
@@ -153,7 +214,6 @@ def test_depth_kernel_matches_wall_recursion(case):
 @settings(max_examples=400)
 @given(vector_multiset(), st.data())
 def test_depth_kernel_floor_is_exact_at_or_above_it(case, data):
-    from discrete_tverberg.exact_geometry import _min_open_count, depth_count
     W, d = case
     bar = data.draw(st.integers(0, len(W) + 1), label="floor")
     exact = _min_open_count(W)
@@ -538,6 +598,119 @@ def test_witness_search_off_a_rank_deficient_lattice():
                 assert w.depth_result.verify(w.point, points)
 
 
+def _depth_upper_bounds(points, zs, den, t):
+    """Per lattice coordinate z, the least #{p : u.p >= den u.(z, 0)} over
+    the bound directions u, for every z whose least count is at least t;
+    every other z gets t - 1.
+
+    points are distinct integer points of the lattice frame, scaled by
+    den; each u and -u are counted from one sorted list proj of u.p, so a
+    count of at least t on both sides needs
+    ``proj[t - 1] <= den u.(z, 0) <= proj[n - t]``.  A z dropped at its
+    first direction outside that window is not counted further.
+    """
+    n = len(points)
+    if t > n:
+        return [t - 1] * len(zs)
+    d = len(points[0])
+    axes = [tuple(int(j == i) for j in range(d)) for i in range(d)]
+    dirs = axes + [
+        tuple(a + sign * b for a, b in zip(u, v))
+        for u, v in itertools.combinations(axes, 2)
+        for sign in (1, -1)
+    ]
+    bounds = [n] * len(zs)
+    alive = range(len(zs))
+    for u in dirs:
+        proj = sorted(sum(map(mul, u, p)) for p in points)
+        lo, hi = (proj[t - 1], proj[n - t]) if t > 0 else (-inf, inf)
+        scaled = [den * c for c in u]
+        kept = []
+        for i in alive:
+            s = sum(map(mul, scaled, zs[i]))
+            if s < lo or s > hi:
+                bounds[i] = t - 1
+                continue
+            kept.append(i)
+            ge = n - bisect_left(proj, s)
+            bounds[i] = min(bounds[i], ge, bisect_right(proj, s))
+        alive = kept
+    return bounds
+
+
+def sorted_bound_search(points, spec, threshold, k, count):
+    """Reference for :func:`find_deep_witnesses`: ``(witnesses,
+    insufficient, candidates_scanned)`` from bounding every hull point and
+    visiting them in a stable sort by descending bound, with the same
+    floors, each depth asked of ``count``."""
+    lines, coords, den = lattice_lines_in_polytope(
+        spec, PolytopeV(tuple(vec(p) for p in points)))
+    zs = _points_on_lines(spec, lines)
+    if k < 1:
+        return (), False, len(zs)
+    lat = spec.base
+    bounds = _depth_upper_bounds(coords, zs, den, threshold)
+    pad = (0,) * (spec.dim - lat.rank)
+    top = []
+    cutoff = threshold
+    for i in sorted(range(len(zs)), key=bounds.__getitem__, reverse=True):
+        if bounds[i] < cutoff:
+            break
+        point = tuple(sum(map(mul, row, zs[i])) for row in zip(*lat._int_vectors))
+        need = cutoff + 1 if len(top) == k and point > top[-1][1] else cutoff
+        q = tuple(den * c for c in zs[i]) + pad
+        W = [tuple(map(sub, p, q)) for p in coords if p != q]
+        on_vertex = len(coords) - len(W)
+        value, witness = count(W, spec.dim, need - on_vertex)
+        value += on_vertex
+        if value >= need:
+            insort(top, (-value, point, witness))
+            del top[k:]
+            if len(top) == k:
+                cutoff = -top[-1][0]
+    chosen = []
+    for neg_value, scaled, witness in top:
+        point = tuple(F(c, lat._den) for c in scaled)
+        v = witness()
+        normal = vec(sum(map(mul, v, col)) for col in zip(*lat._t_rows))
+        result = DepthResult(-neg_value, Halfspace(normal, vdot(normal, point)))
+        chosen.append(DeepWitness(point, result))
+    return tuple(chosen), len(chosen) < k, len(zs)
+
+
+@st.composite
+def level_walk_problem(draw):
+    """A :func:`witness_problem` whose vertices may include up to two
+    points off the set, in thirds, with a threshold from 0 to n + 1."""
+    spec, points, _, k = draw(witness_problem())
+    x = st.fractions(-4, 4, max_denominator=3)
+    points = points + draw(st.lists(st.tuples(*[x] * spec.dim), max_size=2))
+    threshold = draw(st.integers(0, len(set(map(vec, points))) + 1))
+    return spec, points, threshold, k
+
+
+@settings(max_examples=300, deadline=None)
+@given(level_walk_problem())
+def test_level_walk_asks_the_sorted_searchs_depth_queries(problem):
+    # the same depth_count calls, W and floor included, in the same order,
+    # and the same witnesses, shortfall and count
+    spec, points, threshold, k = problem
+
+    def recorder(calls):
+        def count(W, d, floor=0):
+            calls.append((W, d, floor))
+            return depth_count(W, d, floor)
+        return count
+
+    walked, sorted_calls = [], []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tverberg, "depth_count", recorder(walked))
+        search = find_deep_witnesses(points, spec, threshold, k)
+    expected = sorted_bound_search(points, spec, threshold, k, recorder(sorted_calls))
+    assert walked == sorted_calls
+    assert (search.witnesses, search.insufficient, search.candidates_scanned) == expected
+
+
 SCAN_SETS_3D = [
     lattice_set(3),
     lattice_set(3, LatticeBasis(((1, 0, 0), (F(1, 2), 1, 0), (0, F(1, 3), 1)))),
@@ -761,7 +934,8 @@ def check_h_representation(pts: list) -> None:
             tight = [p for p in pts if sum(a * b for a, b in zip(n, p)) == c]
             assert affine_rank(tight) == r - 1
     box = [range(min(col), max(col) + 1) for col in zip(*pts)]
-    assert _scan_lines(facets, 1, box) == [
+    lines = _scan_lines(facets, 1, box)
+    assert [head + (z,) for head, lo, hi in lines for z in range(lo, hi + 1)] == [
         z for z in itertools.product(*box) if membership(z, pts).inside
     ]
 

@@ -88,6 +88,37 @@ def test_find_deep_witnesses_k2_distinct():
     assert w1.depth_result.depth >= w2.depth_result.depth >= 2
 
 
+@pytest.mark.parametrize("points, spec", [
+    pytest.param([(0, 0), (1, 0), (0, 1)], lattice_set(3), id="dimension-mismatch"),
+    pytest.param([(0, 0), (1, 0, 0), (0, 1)], Z2, id="mixed-dimension"),
+])
+def test_find_deep_witnesses_rejects_wrong_dimensions(points, spec):
+    with pytest.raises(ValueError):
+        find_deep_witnesses(points, spec, 1, 1)
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_find_deep_witnesses_below_one_witness_counts_the_hull(k):
+    # the search returns early but still counts the hull: 6 points of Z^2,
+    # 3 once the difference set removes 2Z^2
+    triangle = pts((0, 0), (2, 0), (0, 2))
+    assert find_deep_witnesses(triangle, Z2, 1, k) == WitnessSearch((), False, 6)
+    minus = difference_set(2, (LatticeBasis(((2, 0), (0, 2))),))
+    assert find_deep_witnesses(triangle, minus, 1, k) == WitnessSearch((), False, 3)
+
+
+def test_coordinate_1000_instance_asks_no_depth(monkeypatch):
+    # 1001^2 lattice points in the hull, counted by line lengths; the
+    # threshold's level polytope holds none of them, so no depth is asked
+    calls = []
+    monkeypatch.setattr(tverberg, "depth_count", lambda *args: calls.append(args))
+    inst = Instance(Z2, ((0, 0), (1000, 0), (0, 1000), (1000, 1000), (500, 499)), 2, 1)
+    outcome = tverberg_partition(inst)
+    assert outcome.status == "no_partition_found"
+    assert outcome.witness_search.candidates_scanned == 1_002_001
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # covers and parts
 
