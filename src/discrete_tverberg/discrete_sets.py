@@ -32,9 +32,9 @@ from .vectors import ONE, ZERO, Vec, frac, int_scaled, vec
 class LatticeBasis:
     """Lattice B * Z^r given by r independent rational vectors in R^dim.
 
-    Keeps a transform T with T @ B = [I_r; 0] as integer rows over one
-    denominator D: every lattice-coordinate query goes through the integer
-    map :meth:`scaled_coords` and the congruence test :meth:`contains_scaled`.
+    Keeps B and a transform T with T @ B = [I_r; 0] as integer rows over
+    denominators D_B and D, read only by :meth:`scaled_coords`,
+    :meth:`scaled_point`, :meth:`ambient_normal` and :meth:`contains_scaled`.
     """
 
     def __init__(self, vectors: Sequence, dim: Optional[int] = None):
@@ -48,7 +48,8 @@ class LatticeBasis:
         if rank_of_vectors(vecs) != self.rank:
             raise ValueError("basis vectors are linearly dependent")
         self.vectors = tuple(vecs)
-        self._int_vectors, self._den = int_scaled(vecs)
+        ints, self._den = int_scaled(vecs)
+        self._int_rows = list(zip(*ints))  # D_B B, row by row
         self._t_rows, self._t_den = self._reduce()
 
     @classmethod
@@ -64,7 +65,7 @@ class LatticeBasis:
         ``B_int = D_B B``."""
         d, r = self.dim, self.rank
         rows = [
-            [v[i] for v in self._int_vectors] + [self._den if t == i else 0 for t in range(d)]
+            list(self._int_rows[i]) + [self._den if t == i else 0 for t in range(d)]
             for i in range(d)
         ]
         det = 1
@@ -78,6 +79,14 @@ class LatticeBasis:
     def scaled_coords(self, x: Sequence[int]) -> list:
         """The integer rows of ``D T x`` for an integer vector x."""
         return [sum(map(mul, row, x)) for row in self._t_rows]
+
+    def scaled_point(self, z: Sequence[int]) -> tuple:
+        """The integers ``D_B B z`` for integer lattice coordinates z."""
+        return tuple(sum(map(mul, row, z)) for row in self._int_rows)
+
+    def ambient_normal(self, v: Sequence[int]) -> Vec:
+        """``D T^t v``, the ambient normal of the lattice-frame normal v."""
+        return vec(sum(map(mul, v, col)) for col in zip(*self._t_rows))
 
     def contains_scaled(self, x: Sequence[int], den: int = 1) -> bool:
         """Whether x / den lies in the lattice, x an integer vector: the rows
@@ -113,10 +122,7 @@ class LatticeBasis:
     def from_lattice(self, z: Sequence) -> Vec:
         if len(z) != self.rank:
             raise ValueError("lattice coordinates do not match the rank")
-        return tuple(
-            Fraction(sum(v[i] * c for v, c in zip(self._int_vectors, z)), self._den)
-            for i in range(self.dim)
-        )
+        return tuple(Fraction(c, self._den) for c in self.scaled_point(z))
 
     def contains(self, x) -> bool:
         return self.contains_scaled(*self._scaled(x))
@@ -148,8 +154,8 @@ class DiscreteSetSpec:
                 object.__setattr__(self, "base", LatticeBasis.identity(self.dim))
             if self.base.dim != self.dim:
                 raise ValueError("lattice dimension does not match spec dimension")
-            for sub in self.sublattices:
-                _check_sublattice(self.base, sub)
+            removed = [_re_expressed(self.base, sub) for sub in self.sublattices]
+            object.__setattr__(self, "_removed", removed)
             if self.variant == "lattice" and self.sublattices:
                 raise ValueError("plain lattice cannot carry sublattices")
             if self.variant == "difference" and not self.sublattices:
@@ -172,12 +178,18 @@ class DiscreteSetSpec:
             return self.base.rank
         return self.dim
 
+    def removes(self, z: Sequence[int]) -> bool:
+        """Whether the base lattice's point B z is in a removed sublattice."""
+        return any(sub.contains_scaled(z) for sub in self._removed)
 
-def _check_sublattice(base: LatticeBasis, sub: LatticeBasis) -> None:
+
+def _re_expressed(base: LatticeBasis, sub: LatticeBasis) -> LatticeBasis:
+    """sub in base's lattice coordinates; ValueError unless a sublattice."""
     if sub.dim != base.dim:
         raise ValueError("sublattice dimension mismatch")
     if not all(map(base.contains, sub.vectors)):
         raise ValueError("sublattice basis vector is not a lattice member")
+    return LatticeBasis([base.to_lattice(v) for v in sub.vectors], base.rank)
 
 
 def _as_basis(basis, dim: int):
@@ -304,17 +316,10 @@ def _lines_in_box(box: tuple, cap: Optional[int] = None) -> list:
 
 
 def _points_on_lines(spec: DiscreteSetSpec, lines: list) -> list:
-    """The lattice coordinates of S on the lines, in their order: those in a
-    removed sublattice, re-expressed once in lattice coordinates, fail
-    :meth:`LatticeBasis.contains_scaled`."""
-    lat = spec.base
-    removed = [
-        LatticeBasis([lat.to_lattice(v) for v in sub.vectors], lat.rank)
-        for sub in spec.sublattices
-    ]
+    """The lattice coordinates of S on the lines, in their order."""
     zs = [head + (z,) for head, lo, hi in lines for z in range(lo, hi + 1)]
-    if removed:
-        zs = [z for z in zs if not any(sub.contains_scaled(z) for sub in removed)]
+    if spec.sublattices:
+        zs = [z for z in zs if not spec.removes(z)]
     return zs
 
 
@@ -329,8 +334,7 @@ def enumerate_in_polytope(
 
 def _ambient_points(lat: LatticeBasis, zs: list) -> list:
     """The points B z, sorted lexicographically."""
-    rows = list(zip(*lat._int_vectors))
-    points = sorted(tuple(sum(map(mul, row, z)) for row in rows) for z in zs)
+    points = sorted(map(lat.scaled_point, zs))
     return [tuple(Fraction(c, lat._den) for c in p) for p in points]
 
 

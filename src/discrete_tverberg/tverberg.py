@@ -5,11 +5,11 @@ least (m-1)kd + 1), then peel off m-1 small parts whose hulls keep all k
 witnesses, leaving the rest as the final part.  Each peel costs every
 witness at most kd depth (at most d when k = 1, where a part is one
 Caratheodory support), so the witnesses stay inside every remainder hull
-by arithmetic.  The peel scales the points and witnesses to integers
-once and takes the same steps for every k: each witness is solved over
-the remainder, which checks that it stayed inside, and over the part
-that covers the witnesses (:func:`_cover`, which always does), which
-certifies the part; the last remainder's solves are its certificates.
+by arithmetic.  The peel works on the instance's lattice coordinates,
+mapped once, with the same steps for every k: each witness is solved
+over the remainder, which checks that it stayed inside, and over the
+part that covers the witnesses (:func:`_cover`, which always does),
+which certifies the part; the last remainder's solves are its certificates.
 
 Status semantics: a returned outcome is either a fully certified
 partition or an honest "no_partition_found" (possible only below the
@@ -21,7 +21,6 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import mul, sub
 from typing import Optional, Sequence
 
@@ -33,8 +32,8 @@ from .discrete_sets import (
     DiscreteSetSpec,
     PolytopeV,
     _clip_line,
-    _points_on_lines,
     enumerate_in_polytope,
+    lattice_box,
     lattice_lines_in_polytope,
     set_contains,
     tverberg_upper_bound,
@@ -206,14 +205,16 @@ def find_deep_witnesses(
     """
     pts = [vec(p) for p in points]
     lines, coords, den = lattice_lines_in_polytope(spec, PolytopeV(tuple(pts)))
-    scanned = (len(_points_on_lines(spec, lines)) if spec.sublattices
-               else sum(hi - lo + 1 for _, lo, hi in lines))
+    scanned = sum(hi - lo + 1 for _, lo, hi in lines)
+    if spec.sublattices:
+        scanned -= sum(spec.removes(head + (z,))
+                       for head, lo, hi in lines for z in range(lo, hi + 1))
     if k < 1:
         return WitnessSearch((), False, scanned)
     lat = spec.base
     pad = (0,) * (spec.dim - lat.rank)
-    # (-depth, ambient point times lat._den, witness thunk), best first, at
-    # most k; the prefix is unique, so two thunks are never compared
+    # (-depth, scaled ambient point, z, witness thunk), best first, at most
+    # k; the prefix is unique, so two thunks are never compared
     top = []
     cutoff = threshold
     for bound, level in _bound_levels(lines, coords, den, lat.rank, threshold):
@@ -222,9 +223,9 @@ def find_deep_witnesses(
         for z in level:
             if bound < cutoff:
                 break
-            point = tuple(sum(map(mul, row, z)) for row in zip(*lat._int_vectors))
-            if any(r.contains_scaled(point, lat._den) for r in spec.sublattices):
+            if spec.removes(z):
                 continue  # removed from a difference set
+            point = lat.scaled_point(z)
             # a tie with the k-th witness displaces it only from before it
             need = cutoff + 1 if len(top) == k and point > top[-1][1] else cutoff
             q = tuple(den * c for c in z) + pad
@@ -233,15 +234,14 @@ def find_deep_witnesses(
             count, witness = depth_count(W, spec.dim, need - on_vertex)
             value = count + on_vertex
             if value >= need:
-                insort(top, (-value, point, witness))
+                insort(top, (-value, point, z, witness))
                 del top[k:]
                 if len(top) == k:
                     cutoff = -top[-1][0]
     chosen = []
-    for neg_value, scaled, witness in top:
-        point = tuple(Fraction(c, lat._den) for c in scaled)
-        v = witness()
-        normal = vec(sum(map(mul, v, col)) for col in zip(*lat._t_rows))
+    for neg_value, _, z, witness in top:
+        point = lat.from_lattice(z)
+        normal = lat.ambient_normal(witness())
         result = DepthResult(-neg_value, Halfspace(normal, vdot(normal, point)))
         chosen.append(DeepWitness(point, result))
     return WitnessSearch(tuple(chosen), len(chosen) < k, scanned)
@@ -348,7 +348,8 @@ def tverberg_partition(instance: Instance) -> TverbergOutcome:
             witness_search=search,
         )
     witnesses = [w.point for w in search.witnesses]
-    ints, den = int_scaled(pts + witnesses)
+    coords, den, _ = lattice_box(spec.base, pts + witnesses)
+    ints = [c[:spec.rank] for c in coords]
     targets = ints[len(pts):]
 
     def certify(indices: Sequence[int], weights: list) -> tuple:

@@ -1,8 +1,12 @@
+import ast
 from fractions import Fraction
+from operator import mul
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from discrete_tverberg import discrete_sets
 from discrete_tverberg.discrete_sets import (
     DiscreteSetSpec,
     HollowCertificate,
@@ -26,7 +30,7 @@ from discrete_tverberg.discrete_sets import (
 )
 from discrete_tverberg.errors import CapExceededError
 from discrete_tverberg.exact_geometry import rank_of_vectors
-from discrete_tverberg.vectors import common_denominator, vec
+from discrete_tverberg.vectors import common_denominator, vdot, vec
 
 F = Fraction
 
@@ -396,6 +400,9 @@ def test_lattice_kernel_matches_forward_map(basis, data):
     x = basis.from_lattice(z)
     assert basis.to_lattice(x) == z
     assert basis.contains(x)
+    # v . (T x) = (T^t v) . x, T over its denominator
+    v = data.draw(st.tuples(*[st.integers(-3, 3)] * basis.dim))
+    assert vdot(basis.ambient_normal(v), x) == basis._t_den * sum(map(mul, v, z))
     i = data.draw(st.integers(0, basis.dim - 1))
     shifted = x[:i] + (x[i] + F(1, 2 * common_denominator(basis.vectors)),) + x[i + 1:]
     assert not basis.contains(shifted)
@@ -405,6 +412,22 @@ def test_lattice_kernel_matches_forward_map(basis, data):
         moved = tuple(a + b for a, b in zip(x, off))
         assert basis.to_lattice(moved) is None
         assert not basis.contains(moved)
+
+
+def test_lattice_frame_is_read_only_in_discrete_sets():
+    # the private rows of LatticeBasis and the spec's removed sublattices in
+    # lattice coordinates: every other module goes through their methods
+    private = {name for obj in (Z3.base, ODD) for name in vars(obj)
+               if name.startswith("_")}
+    package = Path(discrete_sets.__file__).parent
+    readers = sorted(
+        (path.name, node.attr)
+        for path in package.glob("*.py") if path.name != "discrete_sets.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr in private
+    )
+    assert readers == []
+    assert {"_den", "_t_rows", "_t_den", "_removed"} <= private
 
 
 def test_polytope_validation():

@@ -474,6 +474,53 @@ def test_1d_partitions_sound(vals):
         assert not brute_tverberg(inst.points, Z1, 2, 1).found
 
 
+SHEARS = [
+    LatticeBasis(((1, 0), (F(1, 2), 1))),
+    LatticeBasis(((1, 0, 0), (F(1, 2), 1, 0), (0, F(1, 3), 1))),
+]
+
+
+@st.composite
+def re_expressed_instance(draw):
+    """A shear B, distinct integer points z and m, k, such that the
+    instances z over Z^d and B z over B Z^d are isomorphic."""
+    basis = draw(st.sampled_from(SHEARS))
+    if basis.dim == 2:
+        c, sizes, shapes = st.integers(-3, 3), (8, 18), [(2, 1), (3, 1), (2, 2)]
+    else:
+        c, sizes, shapes = st.integers(-1, 1), (14, 22), [(2, 1)]
+    zs = draw(st.lists(st.tuples(*[c] * basis.dim), min_size=sizes[0],
+                       max_size=sizes[1], unique=True))
+    m, k = draw(st.sampled_from(shapes))
+    return basis, zs, m, k
+
+
+@settings(max_examples=100, deadline=None)
+@given(re_expressed_instance())
+def test_re_expression_over_a_basis_keeps_the_outcome(problem):
+    # every decision is invariant under z -> B z: the same verdict and
+    # counts, and, once the tie-break picks the same witnesses (the ranking
+    # is lexicographic on the ambient point), the same parts and weights
+    basis, zs, m, k = problem
+    d = basis.dim
+    plain = tverberg_partition(Instance(lattice_set(d), zs, m, k))
+    mapped = tverberg_partition(
+        Instance(lattice_set(d, basis), [basis.from_lattice(z) for z in zs], m, k))
+    assert (plain.status, plain.reason) == (mapped.status, mapped.reason)
+    searches = (plain.witness_search, mapped.witness_search)
+    assert len({s.candidates_scanned for s in searches}) == 1
+    assert len({tuple(w.depth_result.depth for w in s.witnesses) for s in searches}) == 1
+    if plain.status != "ok":
+        return
+    p, q = plain.result, mapped.result
+    assert {**p.stats, "part_sizes": None} == {**q.stats, "part_sizes": None}
+    if [basis.to_lattice(w) for w in q.witnesses] == list(p.witnesses):
+        assert p.parts == q.parts
+        for row_p, row_q in zip(p.certificates, q.certificates):
+            for cp, cq in zip(row_p, row_q):
+                assert [(basis.to_lattice(x), c) for x, c in cq.terms] == list(cp.terms)
+
+
 # Ground sets for the witness search, with the matrix whose columns map
 # small integer coordinates to its input points.  Points of the rank-1
 # lattice are drawn from the plane around it.
@@ -656,7 +703,7 @@ def sorted_bound_search(points, spec, threshold, k, count):
     for i in sorted(range(len(zs)), key=bounds.__getitem__, reverse=True):
         if bounds[i] < cutoff:
             break
-        point = tuple(sum(map(mul, row, zs[i])) for row in zip(*lat._int_vectors))
+        point = lat.scaled_point(zs[i])
         need = cutoff + 1 if len(top) == k and point > top[-1][1] else cutoff
         q = tuple(den * c for c in zs[i]) + pad
         W = [tuple(map(sub, p, q)) for p in coords if p != q]

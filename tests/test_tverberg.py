@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from discrete_tverberg.discrete_sets import LatticeBasis, difference_set, lattic
 from discrete_tverberg.errors import PartitionConstructionError
 from discrete_tverberg.exact_geometry import depth, membership
 from discrete_tverberg.harness import ExperimentConfig, generate_instance
+from discrete_tverberg.oracles import verify_partition
 from discrete_tverberg.tverberg import (
     DeepWitness,
     Instance,
@@ -117,6 +119,22 @@ def test_coordinate_1000_instance_asks_no_depth(monkeypatch):
     assert outcome.status == "no_partition_found"
     assert outcome.witness_search.candidates_scanned == 1_002_001
     assert calls == []
+
+
+def test_difference_set_hull_is_counted_without_listing_it():
+    # 17,253 points of Z^2 minus 2Z^2 in the hull, counted line by line with
+    # the spec's removed-point test: a list of them would take about 1.6 MiB,
+    # the count takes about 0.02 MiB
+    minus = difference_set(2, (LatticeBasis(((2, 0), (0, 2))),))
+    inst = Instance(minus, ((1, 0), (151, 0), (0, 151), (151, 151), (75, 74)), 2, 1)
+    tracemalloc.start()
+    try:
+        outcome = tverberg_partition(inst)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert outcome.witness_search.candidates_scanned == 17_253
+    assert peak < 256 * 1024
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +280,29 @@ def test_peel_solves_no_membership_twice(monkeypatch, spec, m, k, n_points,
         assert out.status == "ok"
         assert solved
         assert len(set(solved)) == len(solved)
+
+
+@pytest.mark.parametrize("k, n_points", [(1, 12), (2, 24)])
+def test_peel_on_a_plane_lattice_solves_in_its_rank(monkeypatch, k, n_points):
+    # the peel runs on the lattice coordinates z of the plane's points
+    # (x, y, y), so every membership problem is 2-d, not 3-d
+    calls = []
+    kernel = tverberg._convex_weights
+
+    def recorder(q, points, den):
+        calls.append((q, *points))
+        return kernel(q, points, den)
+
+    monkeypatch.setattr(tverberg, "_convex_weights", recorder)
+    cfg = ExperimentConfig(spec=lattice_set(3, ((1, 0, 0), (0, 1, 1))), m=2, k=k,
+                           n_points=n_points, box_bound=3, trials=15, seed=3)
+    for trial in range(cfg.trials):
+        inst = generate_instance(cfg, trial)
+        out = tverberg_partition(inst)
+        assert out.status == "ok"
+        assert verify_partition(out.result, inst)
+    assert calls
+    assert all(len(p) == 2 for call in calls for p in call)
 
 
 @pytest.mark.parametrize("witnesses", [((0, 0),), ((0, 0), (2, 0))])
