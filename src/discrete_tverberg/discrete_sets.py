@@ -214,16 +214,36 @@ def mixed_set(a: int, b: int) -> DiscreteSetSpec:
     return DiscreteSetSpec(dim=a + b, variant="mixed", a=a, b=b)
 
 
-def set_contains(spec: DiscreteSetSpec, point) -> bool:
+def _coords_in_set(spec: DiscreteSetSpec, points: list) -> list:
+    """Each point's lattice coordinates z (B z = x) if it is in S, else None,
+    by one :func:`lattice_box` map: its rows past the rank are 0, the others
+    multiples of den, and ``spec.removes(z)`` is false."""
     if not spec.enumerable:
         raise ValueError("pointwise membership is defined only for enumerable sets")
-    p = vec(point)
-    if len(p) != spec.dim:
-        raise ValueError("dimension mismatch")
-    [x], den = int_scaled([p])
-    return spec.base.contains_scaled(x, den) and not any(
-        sub.contains_scaled(x, den) for sub in spec.sublattices
-    )
+    if any(len(p) != spec.dim for p in points):
+        raise ValueError("point dimension does not match the ground set")
+    coords, den, _ = lattice_box(spec.base, points)
+    r, out = spec.rank, []
+    for t in coords:
+        z = tuple(c // den for c in t[:r])
+        inside = not any(t[r:]) and all(c % den == 0 for c in t[:r])
+        out.append(z if inside and not spec.removes(z) else None)
+    return out
+
+
+def lattice_coords(spec: DiscreteSetSpec, points) -> list:
+    """The integer lattice coordinates z, B z = x, of points x of S, all
+    mapped at once; ValueError naming the first point not in S."""
+    pts = [vec(p) for p in points]
+    zs = _coords_in_set(spec, pts)
+    if None in zs:
+        raise ValueError(f"point {pts[zs.index(None)]} is not in the ground set")
+    return zs
+
+
+def set_contains(spec: DiscreteSetSpec, point) -> bool:
+    """Whether the point is in S, by the map of :func:`lattice_coords`."""
+    return _coords_in_set(spec, [vec(point)])[0] is not None
 
 
 # ---------------------------------------------------------------------------
@@ -410,12 +430,6 @@ class HollowCertificate:
         return sorted(self.nonvertex_points) == [q for q in inside if q not in verts]
 
 
-def _require_in_set(spec: DiscreteSetSpec, points: list) -> None:
-    for p in points:
-        if not set_contains(spec, p):
-            raise ValueError(f"point {p} is not a member of the ground set")
-
-
 def count_nonvertex(
     spec: DiscreteSetSpec, points, cap: Optional[int] = None
 ) -> tuple:
@@ -428,7 +442,7 @@ def count_nonvertex(
     pts = [vec(p) for p in points]
     if not pts:
         raise ValueError("empty point set")
-    _require_in_set(spec, pts)
+    lattice_coords(spec, pts)
     verts = set(extreme_points(pts))
     inside = enumerate_in_polytope(spec, PolytopeV(tuple(pts)), cap=cap)
     nonvertex = tuple(q for q in inside if q not in verts)
@@ -452,7 +466,7 @@ def is_k_hoffman(points, spec: DiscreteSetSpec, k: int, cap: Optional[int] = Non
         raise ValueError("Hoffman predicate needs at least two points")
     if len(pts) != len(set(pts)):
         raise ValueError("duplicate points")
-    _require_in_set(spec, pts)
+    lattice_coords(spec, pts)
     survivors = 0
     for q in enumerate_in_polytope(spec, PolytopeV(tuple(pts)), cap=cap):
         if all(

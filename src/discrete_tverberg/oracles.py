@@ -5,9 +5,10 @@ shares the engine's depth recursion, witness ranking, or extraction
 logic.  The oracles are not fully independent, though: ``verify_partition``,
 ``brute_tverberg`` and ``brute_depth`` decide membership with the engine's
 :func:`membership` (its kernel ``_convex_weights``), and ``brute_tverberg``
-enumerates with the engine's line scan ``_lines_in_box``.  Caps are explicit
-and exceeding one raises instead of silently truncating, so a cap can
-never masquerade as a negative verdict.
+enumerates with the engine's line scan ``_lines_in_box``.  A witness is in S
+for ``verify_partition`` by S's ambient definition, not by ``lattice_coords``.
+Caps are explicit and exceeding one raises instead of silently truncating,
+so a cap can never masquerade as a negative verdict.
 """
 from __future__ import annotations
 
@@ -23,7 +24,6 @@ from .discrete_sets import (
     enumerate_in_polytope,
     is_k_hoffman,
     lattice_box,
-    set_contains,
     _ambient_points,
     _lines_in_box,
     _points_on_lines,
@@ -239,8 +239,10 @@ def verify_partition(result: PartitionResult, instance: Instance) -> Verificatio
         return VerificationReport(False, "too_few_witnesses")
     if len(set(wits)) != len(wits):
         return VerificationReport(False, "duplicate_witnesses")
-    for w in wits:
-        if len(w) != instance.dim or not set_contains(instance.spec, w):
+    base, removed = instance.spec.base, instance.spec.sublattices
+    for w in wits:  # S by its ambient definition, not by lattice_coords
+        if len(w) != instance.dim or not base.contains(w) or any(
+                sub.contains(w) for sub in removed):
             return VerificationReport(False, "witness_not_in_set")
     for part in result.parts:
         hull = [instance.points[i] for i in part]

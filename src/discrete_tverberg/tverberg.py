@@ -5,11 +5,12 @@ least (m-1)kd + 1), then peel off m-1 small parts whose hulls keep all k
 witnesses, leaving the rest as the final part.  Each peel costs every
 witness at most kd depth (at most d when k = 1, where a part is one
 Caratheodory support), so the witnesses stay inside every remainder hull
-by arithmetic.  The peel works on the instance's lattice coordinates,
-mapped once, with the same steps for every k: each witness is solved
-over the remainder, which checks that it stayed inside, and over the
-part that covers the witnesses (:func:`_cover`, which always does),
-which certifies the part; the last remainder's solves are its certificates.
+by arithmetic.  The peel works on the lattice coordinates the instance
+kept from its validation (:func:`lattice_coords`), maps only the
+witnesses, and takes the same steps for every k: each witness is solved
+over the remainder, which checks that it stayed inside, and over the part
+that covers the witnesses (:func:`_cover`, which always does), which
+certifies the part; the last remainder's solves are its certificates.
 
 Status semantics: a returned outcome is either a fully certified
 partition or an honest "no_partition_found" (possible only below the
@@ -33,9 +34,8 @@ from .discrete_sets import (
     PolytopeV,
     _clip_line,
     enumerate_in_polytope,
-    lattice_box,
+    lattice_coords,
     lattice_lines_in_polytope,
-    set_contains,
     tverberg_upper_bound,
 )
 from .errors import PartitionConstructionError, TheoremViolationError
@@ -68,13 +68,12 @@ class Instance:
         object.__setattr__(self, "points", pts)
         if require_int(self.m, "m") < 1 or require_int(self.k, "k") < 1:
             raise ValueError("m and k must be at least 1")
+        if not pts:
+            raise ValueError("an instance needs at least one point")
         if len(set(pts)) != len(pts):
             raise ValueError("input points must be pairwise distinct")
-        if any(len(p) != self.spec.dim for p in pts):
-            raise ValueError("point dimension does not match the ground set")
-        for p in pts:
-            if not set_contains(self.spec, p):
-                raise ValueError(f"input point {p} is not in the ground set")
+        # each point's lattice coordinates, kept for the peel
+        object.__setattr__(self, "_coords", tuple(lattice_coords(self.spec, pts)))
 
     @property
     def dim(self) -> int:
@@ -203,8 +202,7 @@ def find_deep_witnesses(
     ambient normal T^t v.  On the standard lattice T is the identity and
     the witness is the one :func:`depth` returns.
     """
-    pts = [vec(p) for p in points]
-    lines, coords, den = lattice_lines_in_polytope(spec, PolytopeV(tuple(pts)))
+    lines, coords, den = lattice_lines_in_polytope(spec, PolytopeV(tuple(points)))
     scanned = sum(hi - lo + 1 for _, lo, hi in lines)
     if spec.sublattices:
         scanned -= sum(spec.removes(head + (z,))
@@ -348,9 +346,7 @@ def tverberg_partition(instance: Instance) -> TverbergOutcome:
             witness_search=search,
         )
     witnesses = [w.point for w in search.witnesses]
-    coords, den, _ = lattice_box(spec.base, pts + witnesses)
-    ints = [c[:spec.rank] for c in coords]
-    targets = ints[len(pts):]
+    ints, targets = instance._coords, lattice_coords(spec, witnesses)
 
     def certify(indices: Sequence[int], weights: list) -> tuple:
         """The witnesses' :func:`_weights` over the input points at the sorted
@@ -371,14 +367,14 @@ def tverberg_partition(instance: Instance) -> TverbergOutcome:
 
     # each witness is solved once over each remainder, which checks that it
     # stayed inside, and once over each part, which certifies the part
-    remaining, sub = list(range(len(pts))), ints[:len(pts)]
+    remaining, sub = list(range(len(pts))), ints
     parts = []  # (sorted input indices, certificates)
     while True:
-        weights = _weights(targets, sub, den)
+        weights = _weights(targets, sub, 1)
         combos = certify(remaining, weights)
         if len(parts) == m - 1:
             break
-        cover, part_weights = _cover(targets, sub, den, weights)
+        cover, part_weights = _cover(targets, sub, 1, weights)
         part = sorted(remaining[j] for j in cover)
         parts.append((tuple(part), certify(part, part_weights)))
         remaining = [i for i in remaining if i not in part]

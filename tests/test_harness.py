@@ -351,6 +351,14 @@ def test_instance_m_and_k_must_be_integers(tmp_path):
         assert cli.main(["tverberg", write_json(tmp_path, "bad.json", raw)]) == 1
 
 
+def test_cli_rejects_an_empty_instance(tmp_path, capsys):
+    # used to exit 1 with the witness search's "a polytope needs at least
+    # one vertex"
+    raw = dict(INSTANCE_1D, points=[])
+    assert cli.main(["tverberg", write_json(tmp_path, "empty.json", raw)]) == 1
+    assert "an instance needs at least one point" in capsys.readouterr().err
+
+
 def test_parse_result_takes_only_integer_part_indices():
     ok = {"status": "ok", "parts": [[0, 1], [2]], "witnesses": [["1/1"]]}
     assert jsonio.parse_result(ok).parts == ((0, 1), (2,))

@@ -1,5 +1,6 @@
 """Property-based checks: certificates, depth laws, hollow machinery."""
 import itertools
+import re
 from bisect import bisect_left, bisect_right, insort
 from fractions import Fraction
 from math import ceil, floor, gcd, inf
@@ -19,6 +20,7 @@ from discrete_tverberg.discrete_sets import (
     helly_upper_bound,
     is_k_hoffman,
     is_k_hollow,
+    lattice_coords,
     lattice_lines_in_polytope,
     lattice_set,
     set_contains,
@@ -838,6 +840,72 @@ def test_z4_and_rank_deficient_enumeration_matches_per_point_membership(problem)
         if set_contains(spec, x) and membership(x, verts).inside
     ]
     assert got == sorted(expected)
+
+
+# ---------------------------------------------------------------------------
+# ground-set membership
+
+
+def ambient_member(spec, x):
+    """x in S by its definition: in the base lattice, in no removed sublattice."""
+    return spec.base.contains(x) and not any(sub.contains(x) for sub in spec.sublattices)
+
+
+SHEAR2 = ((1, 0), (F(1, 2), 1))
+MEMBERSHIP_SETS = [
+    lattice_set(2, SHEAR2),
+    lattice_set(2, ((F(1, 2), 0), (0, F(1, 3)))),
+    difference_set(2, (LatticeBasis(((2, 0), (1, 2))),), SHEAR2),
+    difference_set(2, (LatticeBasis(((2, 0), (0, 2))), LatticeBasis(((3, 0), (0, 3))))),
+    lattice_set(3, ((1, 0, 0), (F(1, 2), 1, 0), (0, F(1, 3), 1))),
+    PLANE3,
+    LINE3,
+    PLANE3_MINUS,
+]
+
+
+@st.composite
+def membership_problem(draw):
+    """A ground set and 1-6 points, each a lattice point B z, B z shifted by
+    a small rational, or a rational point anywhere (mostly off the span of a
+    rank-deficient lattice)."""
+    spec = draw(st.sampled_from(MEMBERSHIP_SETS))
+    small = st.builds(F, st.integers(-2, 2), st.integers(1, 4))
+    anywhere = st.builds(F, st.integers(-9, 9), st.integers(1, 3))
+    points = []
+    kinds = ("lattice", "shifted", "anywhere")
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=6)):
+        x = spec.base.from_lattice(draw(st.tuples(*[st.integers(-3, 3)] * spec.rank)))
+        if kind == "shifted":
+            x = tuple(c + draw(small) for c in x)
+        elif kind == "anywhere":
+            x = draw(st.tuples(*[anywhere] * spec.dim))
+        points.append(x)
+    return spec, points
+
+
+@settings(max_examples=150, deadline=None)
+@given(membership_problem())
+def test_lattice_coords_decide_membership_as_the_ambient_definition(problem):
+    # set_contains, lattice_coords and Instance decide S on lattice
+    # coordinates, by one map; the reference tests the ambient sublattices
+    spec, points = problem
+    inside = [ambient_member(spec, x) for x in points]
+    assert [set_contains(spec, x) for x in points] == inside
+    members = [x for x, ok in zip(points, inside) if ok]
+    zs = lattice_coords(spec, members)
+    assert all(type(c) is int for z in zs for c in z)
+    assert [spec.base.from_lattice(z) for z in zs] == members
+    if not all(inside):
+        first = points[inside.index(False)]
+        with pytest.raises(ValueError, match=re.escape(f"point {first} is not in")):
+            lattice_coords(spec, points)
+    for x, ok in zip(points, inside):
+        if ok:
+            Instance(spec, (x,), 1, 1)
+        else:
+            with pytest.raises(ValueError, match="not in the ground set"):
+                Instance(spec, (x,), 1, 1)
 
 
 def test_enumeration_and_extreme_points_solve_no_lp(monkeypatch):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from discrete_tverberg import exact_geometry, jsonio, tverberg
+from discrete_tverberg import discrete_sets, exact_geometry, jsonio, tverberg
 from discrete_tverberg.discrete_sets import LatticeBasis, difference_set, lattice_set
 from discrete_tverberg.errors import PartitionConstructionError
 from discrete_tverberg.exact_geometry import depth, membership
@@ -41,6 +41,14 @@ def test_instance_validation():
 
 # ---------------------------------------------------------------------------
 # witness search
+
+
+def test_instance_needs_a_point():
+    # an empty instance used to reach the search and fail there, with the
+    # polytope's "needs at least one vertex"
+    with pytest.raises(ValueError, match="an instance needs at least one point"):
+        Instance(lattice_set(2), (), 2, 1)
+
 
 
 def test_find_deep_witnesses_1d():
@@ -335,6 +343,34 @@ def test_partition_depth_accounting():
         removed += len(part_pts)
         assert depth(w, rest).depth >= d0 - removed
         assert depth(w, rest).depth >= 1
+
+
+@pytest.mark.parametrize("spec, m, k, n_points, seed", [
+    pytest.param(Z2, 3, 1, 25, 77, id="z2-m3-k1"),
+    pytest.param(lattice_set(2, ((1, 0), (F(1, 2), 1))), 2, 2, 30, 2, id="shear-m2-k2"),
+    pytest.param(difference_set(2, (LatticeBasis(((2, 0), (0, 2))),)), 2, 2, 20, 5,
+                 id="difference-m2-k2"),
+])
+def test_partition_maps_the_instance_only_in_the_search(monkeypatch, spec, m, k,
+                                                        n_points, seed):
+    # the peel solves on the lattice coordinates the instance kept from its
+    # validation and maps only the witnesses: the one other map of the
+    # points is the witness search's
+    cfg = ExperimentConfig(spec=spec, m=m, k=k, n_points=n_points, box_bound=8,
+                           trials=1, seed=seed)
+    inst = generate_instance(cfg, 0)
+    calls = []
+    real = discrete_sets.lattice_box
+
+    def recording(lat, vertices):
+        calls.append(list(vertices))
+        return real(lat, vertices)
+
+    monkeypatch.setattr(discrete_sets, "lattice_box", recording)
+    monkeypatch.setattr(tverberg, "lattice_box", recording, raising=False)
+    out = tverberg_partition(inst)
+    assert out.status == "ok"
+    assert calls == [list(inst.points), list(out.result.witnesses)]
 
 
 def test_partition_stats_shape():
