@@ -24,7 +24,7 @@ from operator import mul, sub
 from typing import Optional, Sequence
 
 from .errors import CapExceededError
-from .exact_geometry import extreme_points, hull_facets, membership, rank_of_vectors
+from .exact_geometry import extreme_points, hull_facets, membership
 from .linprog import pivot
 from .vectors import ONE, ZERO, Vec, frac, int_scaled, vec
 
@@ -34,7 +34,8 @@ class LatticeBasis:
 
     Keeps B and a transform T with T @ B = [I_r; 0] as integer rows over
     denominators D_B and D, read only by :meth:`scaled_coords`,
-    :meth:`scaled_point`, :meth:`ambient_normal` and :meth:`contains_scaled`.
+    :meth:`scaled_point`, :meth:`ambient_normal` and :meth:`_lattice_z`, the
+    one congruence test; a point enters the frame only by :func:`lattice_box`.
     """
 
     def __init__(self, vectors: Sequence, dim: Optional[int] = None):
@@ -45,8 +46,6 @@ class LatticeBasis:
         if any(len(v) != self.dim for v in vecs):
             raise ValueError("basis vectors of mixed dimension")
         self.rank = len(vecs)
-        if rank_of_vectors(vecs) != self.rank:
-            raise ValueError("basis vectors are linearly dependent")
         self.vectors = tuple(vecs)
         ints, self._den = int_scaled(vecs)
         self._int_rows = list(zip(*ints))  # D_B B, row by row
@@ -62,7 +61,7 @@ class LatticeBasis:
     def _reduce(self) -> tuple:
         """``(rows, den)``: T as integer rows over one positive denominator,
         from fraction-free Gauss-Jordan on ``[B_int | D_B I]`` with
-        ``B_int = D_B B``."""
+        ``B_int = D_B B``; ValueError on a dependent basis (a pivotless column)."""
         d, r = self.dim, self.rank
         rows = [
             list(self._int_rows[i]) + [self._den if t == i else 0 for t in range(d)]
@@ -70,7 +69,9 @@ class LatticeBasis:
         ]
         det = 1
         for cj in range(r):
-            i = next(i for i in range(cj, d) if rows[i][cj])
+            i = next((i for i in range(cj, d) if rows[i][cj]), None)
+            if i is None:
+                raise ValueError("basis vectors are linearly dependent")
             rows[cj], rows[i] = rows[i], rows[cj]
             det = pivot(rows, cj, cj, det)
         sign = -1 if det < 0 else 1
@@ -88,36 +89,29 @@ class LatticeBasis:
         """``D T^t v``, the ambient normal of the lattice-frame normal v."""
         return vec(sum(map(mul, v, col)) for col in zip(*self._t_rows))
 
-    def contains_scaled(self, x: Sequence[int], den: int = 1) -> bool:
-        """Whether x / den lies in the lattice, x an integer vector: the rows
-        of ``D T x`` past the rank are 0 and the first rank rows are multiples
-        of ``D den`` (rank-deficient lattices included)."""
-        t = self.scaled_coords(x)
-        r, m = self.rank, self._t_den * den
-        return not any(t[r:]) and all(c % m == 0 for c in t[:r])
+    def _lattice_z(self, t: Sequence[int], m: int) -> Optional[tuple]:
+        """The integer z with ``t = m (z, 0)``, or None when the frame rows
+        t past the rank are not 0 or the others not multiples of m."""
+        r = self.rank
+        if any(t[r:]) or any(c % m for c in t[:r]):
+            return None
+        return tuple(c // m for c in t[:r])
 
-    def _scaled(self, x) -> tuple:
-        """``(xs, den)`` with xs = den x an integer vector of this dimension."""
-        [xs], den = int_scaled([vec(x)])
-        if len(xs) != self.dim:
-            raise ValueError("point dimension does not match the lattice")
-        return xs, den
-
-    def _coords(self, x) -> tuple:
-        xs, den = self._scaled(x)
-        return self.scaled_coords(xs), self._t_den * den
+    def contains_scaled(self, x: Sequence[int]) -> bool:
+        """Whether the integer vector x lies in the lattice."""
+        return self._lattice_z(self.scaled_coords(x), self._t_den) is not None
 
     def projected_coords(self, x) -> tuple:
         """First-r rows of T applied to x; exact on the lattice span."""
-        t, m = self._coords(x)
-        return tuple(Fraction(c, m) for c in t[: self.rank])
+        [t], den, _ = lattice_box(self, [vec(x)])
+        return tuple(Fraction(c, den) for c in t[: self.rank])
 
     def to_lattice(self, x) -> Optional[tuple]:
         """Coordinates z with B z = x, or None when x is off the span."""
-        t, m = self._coords(x)
+        [t], den, _ = lattice_box(self, [vec(x)])
         if any(t[self.rank:]):
             return None
-        return tuple(Fraction(c, m) for c in t[: self.rank])
+        return tuple(Fraction(c, den) for c in t[: self.rank])
 
     def from_lattice(self, z: Sequence) -> Vec:
         if len(z) != self.rank:
@@ -125,7 +119,8 @@ class LatticeBasis:
         return tuple(Fraction(c, self._den) for c in self.scaled_point(z))
 
     def contains(self, x) -> bool:
-        return self.contains_scaled(*self._scaled(x))
+        [t], den, _ = lattice_box(self, [vec(x)])
+        return self._lattice_z(t, den) is not None
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LatticeBasis):
@@ -184,12 +179,13 @@ class DiscreteSetSpec:
 
 
 def _re_expressed(base: LatticeBasis, sub: LatticeBasis) -> LatticeBasis:
-    """sub in base's lattice coordinates; ValueError unless a sublattice."""
-    if sub.dim != base.dim:
-        raise ValueError("sublattice dimension mismatch")
-    if not all(map(base.contains, sub.vectors)):
+    """sub in base's lattice coordinates, by one :func:`lattice_box` map of
+    its basis; ValueError unless a sublattice."""
+    coords, den, _ = lattice_box(base, sub.vectors)
+    zs = [base._lattice_z(t, den) for t in coords]
+    if None in zs:
         raise ValueError("sublattice basis vector is not a lattice member")
-    return LatticeBasis([base.to_lattice(v) for v in sub.vectors], base.rank)
+    return LatticeBasis(zs, base.rank)
 
 
 def _as_basis(basis, dim: int):
@@ -216,19 +212,13 @@ def mixed_set(a: int, b: int) -> DiscreteSetSpec:
 
 def _coords_in_set(spec: DiscreteSetSpec, points: list) -> list:
     """Each point's lattice coordinates z (B z = x) if it is in S, else None,
-    by one :func:`lattice_box` map: its rows past the rank are 0, the others
-    multiples of den, and ``spec.removes(z)`` is false."""
+    by one :func:`lattice_box` map and :meth:`LatticeBasis._lattice_z`, with
+    ``spec.removes(z)`` false."""
     if not spec.enumerable:
         raise ValueError("pointwise membership is defined only for enumerable sets")
-    if any(len(p) != spec.dim for p in points):
-        raise ValueError("point dimension does not match the ground set")
     coords, den, _ = lattice_box(spec.base, points)
-    r, out = spec.rank, []
-    for t in coords:
-        z = tuple(c // den for c in t[:r])
-        inside = not any(t[r:]) and all(c % den == 0 for c in t[:r])
-        out.append(z if inside and not spec.removes(z) else None)
-    return out
+    zs = [spec.base._lattice_z(t, den) for t in coords]
+    return [None if z is None or spec.removes(z) else z for z in zs]
 
 
 def lattice_coords(spec: DiscreteSetSpec, points) -> list:
@@ -286,9 +276,13 @@ def lattice_box(lat: LatticeBasis, vertices: Sequence[Vec]) -> tuple:
     integers per lattice coordinate, the first ``rank`` entries, for their
     bounding box (valid even off the lattice span, since T is linear).
 
-    The vertices are scaled to integers once; coordinates and ranges come
-    from :meth:`LatticeBasis.scaled_coords` and integer floor and ceiling.
+    The one way a point enters a lattice's frame (ValueError on a vertex of
+    another dimension): the vertices are scaled to integers once, and
+    coordinates and ranges come from :meth:`LatticeBasis.scaled_coords` and
+    integer floor and ceiling.
     """
+    if any(len(v) != lat.dim for v in vertices):
+        raise ValueError("point dimension does not match the lattice")
     ints, scale = int_scaled(vertices)
     coords = [tuple(lat.scaled_coords(v)) for v in ints]
     den = lat._t_den * scale
@@ -316,8 +310,6 @@ def lattice_lines_in_polytope(
     """
     if not spec.enumerable:
         raise ValueError("enumeration is defined only for enumerable sets")
-    if polytope.dim != spec.dim:
-        raise ValueError("dimension mismatch")
     verts = list(dict.fromkeys(polytope.vertices))
     box = lattice_box(spec.base, verts)
     return _lines_in_box(box, cap), box[0], box[1]

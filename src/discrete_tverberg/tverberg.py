@@ -366,13 +366,13 @@ def tverberg_partition(instance: Instance) -> TverbergOutcome:
         return tuple(certs)
 
     # each witness is solved once over each remainder, which checks that it
-    # stayed inside, and once over each part, which certifies the part
+    # stayed inside, and once over each part, which certifies the part; only
+    # the last remainder's solves are certified, as they are its certificates
     remaining, sub = list(range(len(pts))), ints
     parts = []  # (sorted input indices, certificates)
     while True:
         weights = _weights(targets, sub, 1)
-        combos = certify(remaining, weights)
-        if len(parts) == m - 1:
+        if len(parts) == m - 1 or isinstance(weights[-1], Halfspace):
             break
         cover, part_weights = _cover(targets, sub, 1, weights)
         part = sorted(remaining[j] for j in cover)
@@ -383,7 +383,8 @@ def tverberg_partition(instance: Instance) -> TverbergOutcome:
                 "extraction consumed every remaining point"
             )
         sub = [ints[i] for i in remaining]
-    parts_idx, certificates = zip(*parts, (tuple(remaining), combos))
+    parts.append((tuple(remaining), certify(remaining, weights)))
+    parts_idx, certificates = zip(*parts)
     stats = {
         "part_sizes": [len(idxs) for idxs in parts_idx],
         "witness_depths": [w.depth_result.depth for w in search.witnesses],

@@ -22,6 +22,7 @@ from discrete_tverberg.discrete_sets import (
     hollow_search,
     is_k_hoffman,
     is_k_hollow,
+    lattice_box,
     lattice_lines_in_polytope,
     lattice_set,
     mixed_set,
@@ -414,11 +415,19 @@ def test_lattice_kernel_matches_forward_map(basis, data):
         assert not basis.contains(moved)
 
 
+def test_lattice_box_rejects_wrong_dimension():
+    with pytest.raises(ValueError, match="dimension does not match the lattice"):
+        lattice_box(LatticeBasis(((1, 0), (0, 1))), [vec((1, 2, 3))])
+    with pytest.raises(ValueError, match="dimension does not match the lattice"):
+        lattice_box(LatticeBasis(((1, 0), (0, 1))), [vec((0, 0)), vec((1,))])
+
+
 def test_lattice_frame_is_read_only_in_discrete_sets():
-    # the private rows of LatticeBasis and the spec's removed sublattices in
-    # lattice coordinates: every other module goes through their methods
-    private = {name for obj in (Z3.base, ODD) for name in vars(obj)
-               if name.startswith("_")}
+    # the private rows and methods of LatticeBasis (its elimination and its
+    # one congruence test) and the spec's removed sublattices in lattice
+    # coordinates: every other module goes through their public methods
+    private = {name for obj in (Z3.base, ODD, LatticeBasis) for name in vars(obj)
+               if name.startswith("_") and not name.startswith("__")}
     package = Path(discrete_sets.__file__).parent
     readers = sorted(
         (path.name, node.attr)
@@ -427,7 +436,7 @@ def test_lattice_frame_is_read_only_in_discrete_sets():
         if isinstance(node, ast.Attribute) and node.attr in private
     )
     assert readers == []
-    assert {"_den", "_t_rows", "_t_den", "_removed"} <= private
+    assert {"_den", "_t_rows", "_t_den", "_removed", "_reduce", "_lattice_z"} <= private
 
 
 def test_polytope_validation():

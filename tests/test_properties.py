@@ -846,9 +846,29 @@ def test_z4_and_rank_deficient_enumeration_matches_per_point_membership(problem)
 # ground-set membership
 
 
+def lattice_solution(basis, x):
+    """The z with B z = x by Fraction Gauss-Jordan elimination, or None when
+    x is off the span of B; independent of the lattice's transform T."""
+    r = basis.rank
+    rows = [list(col) + [F(c)] for col, c in zip(zip(*basis.vectors), x, strict=True)]
+    for j in range(r):
+        p = next(i for i in range(j, len(rows)) if rows[i][j])
+        rows[j], rows[p] = rows[p], rows[j]
+        rows[j] = [c / rows[j][j] for c in rows[j]]
+        for i, row in enumerate(rows):
+            if i != j and row[j]:
+                rows[i] = [a - row[j] * b for a, b in zip(row, rows[j])]
+    if any(row[r] for row in rows[r:]):
+        return None
+    return [row[r] for row in rows[:r]]
+
+
 def ambient_member(spec, x):
-    """x in S by its definition: in the base lattice, in no removed sublattice."""
-    return spec.base.contains(x) and not any(sub.contains(x) for sub in spec.sublattices)
+    """x in S by its definition: B z = x for an integer z, and x in no removed
+    sublattice."""
+    z = lattice_solution(spec.base, x)
+    return (z is not None and all(c.denominator == 1 for c in z)
+            and not any(sub.contains(x) for sub in spec.sublattices))
 
 
 SHEAR2 = ((1, 0), (F(1, 2), 1))
@@ -888,7 +908,8 @@ def membership_problem(draw):
 @given(membership_problem())
 def test_lattice_coords_decide_membership_as_the_ambient_definition(problem):
     # set_contains, lattice_coords and Instance decide S on lattice
-    # coordinates, by one map; the reference tests the ambient sublattices
+    # coordinates, by one map; the reference solves B z = x itself and tests
+    # the ambient sublattices
     spec, points = problem
     inside = [ambient_member(spec, x) for x in points]
     assert [set_contains(spec, x) for x in points] == inside

@@ -290,6 +290,31 @@ def test_peel_solves_no_membership_twice(monkeypatch, spec, m, k, n_points,
         assert len(set(solved)) == len(solved)
 
 
+@pytest.mark.parametrize("m, k, n_points, box_bound, seed", [
+    pytest.param(3, 1, 25, 20, 11, id="z2-m3-k1"),
+    pytest.param(2, 2, 26, 15, 23, id="z2-m2-k2"),
+])
+def test_peel_certifies_only_what_it_returns(monkeypatch, m, k, n_points,
+                                             box_bound, seed):
+    # one certificate check per (part, witness): the remainders before the
+    # last are solved, but their combinations are not certificates
+    checks = []
+    real = exact_geometry.ConvexCombination.verify
+
+    def counting(self, point):
+        checks.append(point)
+        return real(self, point)
+
+    monkeypatch.setattr(exact_geometry.ConvexCombination, "verify", counting)
+    cfg = ExperimentConfig(spec=Z2, m=m, k=k, n_points=n_points,
+                           box_bound=box_bound, trials=4, seed=seed)
+    for trial in range(cfg.trials):
+        checks.clear()
+        out = tverberg_partition(generate_instance(cfg, trial))
+        assert out.status == "ok"
+        assert len(checks) == m * k
+
+
 @pytest.mark.parametrize("k, n_points", [(1, 12), (2, 24)])
 def test_peel_on_a_plane_lattice_solves_in_its_rank(monkeypatch, k, n_points):
     # the peel runs on the lattice coordinates z of the plane's points
