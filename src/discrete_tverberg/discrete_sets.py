@@ -101,18 +101,6 @@ class LatticeBasis:
         """Whether the integer vector x lies in the lattice."""
         return self._lattice_z(self.scaled_coords(x), self._t_den) is not None
 
-    def projected_coords(self, x) -> tuple:
-        """First-r rows of T applied to x; exact on the lattice span."""
-        [t], den, _ = lattice_box(self, [vec(x)])
-        return tuple(Fraction(c, den) for c in t[: self.rank])
-
-    def to_lattice(self, x) -> Optional[tuple]:
-        """Coordinates z with B z = x, or None when x is off the span."""
-        [t], den, _ = lattice_box(self, [vec(x)])
-        if any(t[self.rank:]):
-            return None
-        return tuple(Fraction(c, den) for c in t[: self.rank])
-
     def from_lattice(self, z: Sequence) -> Vec:
         if len(z) != self.rank:
             raise ValueError("lattice coordinates do not match the rank")

@@ -1,10 +1,11 @@
 """Randomized experiment harness with replayable, seed-stable output.
 
 Randomness comes from splitmix64 only: each trial derives its own stream
-from (seed, trial_index), so records are identical whether trials run
-sequentially or across processes, and a single trial can be replayed
-without running the ones before it.  CSV output is byte-deterministic;
-wall-clock time is kept on the in-memory records but never in the CSV.
+from (seed, trial_index), so :func:`run_trial` replays any trial without
+running the ones before it, and a caller may split the indices of one
+config over processes and get the records :func:`run_experiment` makes
+in one loop.  CSV output is byte-deterministic; wall-clock time is kept on
+the in-memory records but never in the CSV.
 """
 from __future__ import annotations
 
@@ -77,12 +78,11 @@ class ExperimentConfig:
     seed: int
     oracle_validate: bool = False
     bound_mode: str = "best"
-    threads: int = 1
     caps: OracleCaps = field(default_factory=OracleCaps)
     box: Optional[tuple] = None  # explicit (lo, hi) pairs; overrides box_bound
 
     def __post_init__(self):
-        for name in ("m", "k", "box_bound", "trials", "threads", "n_points"):
+        for name in ("m", "k", "box_bound", "trials", "n_points"):
             low = self.m if name == "n_points" else 1
             if require_int(getattr(self, name), name) < low:
                 raise ValueError(f"{name} must be at least {low}")
@@ -216,11 +216,6 @@ def records_to_csv(records: Sequence[TrialRecord]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _worker(args) -> TrialRecord:
-    config, trial_index, pool = args
-    return run_trial(config, trial_index, pool)
-
-
 @dataclass(frozen=True)
 class ExperimentReport:
     records: tuple
@@ -230,19 +225,7 @@ class ExperimentReport:
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     pool = sample_pool(config)
-    indices = range(config.trials)
-    if config.threads > 1:
-        import concurrent.futures
-
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=config.threads
-        ) as pex:
-            records = list(
-                pex.map(_worker, [(config, i, pool) for i in indices], chunksize=4)
-            )
-    else:
-        records = [run_trial(config, i, pool) for i in indices]
-    records.sort(key=lambda r: r.trial_index)
+    records = [run_trial(config, i, pool) for i in range(config.trials)]
 
     ok = [r for r in records if r.status == "ok"]
     depths = [r.min_witness_depth for r in ok if r.min_witness_depth is not None]

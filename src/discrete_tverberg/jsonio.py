@@ -240,7 +240,6 @@ def config_to_json(config) -> dict:
         "seed": config.seed,
         "oracle_validate": config.oracle_validate,
         "bound_mode": config.bound_mode,
-        "threads": config.threads,
         "caps": asdict(config.caps),
     }
     if config.box is not None:
@@ -267,7 +266,12 @@ def parse_config(raw: dict):
 
     if not isinstance(raw, dict):
         raise ValueError("config must be an object")
-    for key in ("set", "m", "k", "n_points", "box_bound", "trials", "seed"):
+    required = ("set", "m", "k", "n_points", "box_bound", "trials", "seed")
+    known = required + ("oracle_validate", "bound_mode", "caps", "box")
+    for key in raw:
+        if key not in known:
+            raise ValueError(f"unknown config key {key!r}")
+    for key in required:
         if key not in raw:
             raise ValueError(f"config is missing {key!r}")
     caps = parse_caps(raw["caps"]) if "caps" in raw else OracleCaps()
@@ -282,7 +286,6 @@ def parse_config(raw: dict):
         seed=raw["seed"],
         oracle_validate=raw.get("oracle_validate", False),
         bound_mode=raw.get("bound_mode", "best"),
-        threads=raw.get("threads", 1),
         caps=caps,
         box=box,
     )

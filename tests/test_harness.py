@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import subprocess
@@ -13,7 +14,10 @@ from discrete_tverberg.harness import (
     ExperimentConfig,
     SplitMix64,
     generate_instance,
+    records_to_csv,
     run_experiment,
+    run_trial,
+    sample_pool,
     trial_rng,
 )
 from discrete_tverberg.oracles import OracleCaps
@@ -81,14 +85,34 @@ def test_run_experiment_csv_determinism():
     assert len(rows) == 7
 
 
-def test_run_experiment_parallel_matches_sequential():
+@pytest.mark.parametrize("oracle_validate", [False, True], ids=["plain", "oracle"])
+def test_each_trial_replays_alone(oracle_validate):
+    # trial i draws only from its own stream, so a caller may split the
+    # indices over processes: trials run one by one, last index first, give
+    # run_experiment's rows (CSV, since wall_time_s differs)
     cfg = ExperimentConfig(spec=Z2, m=2, k=1, n_points=9, box_bound=8,
-                           trials=4, seed=31)
-    seq = run_experiment(cfg)
-    par_cfg = ExperimentConfig(spec=Z2, m=2, k=1, n_points=9, box_bound=8,
-                               trials=4, seed=31, threads=2)
-    par = run_experiment(par_cfg)
-    assert seq.csv_text == par.csv_text
+                           trials=5, seed=31, oracle_validate=oracle_validate)
+    pool = sample_pool(cfg)
+    records = [run_trial(cfg, i, pool) for i in reversed(range(cfg.trials))]
+    assert records_to_csv(records[::-1]) == run_experiment(cfg).csv_text
+
+
+def test_src_starts_no_process_or_thread():
+    # trials run in one loop; splitting them by index is the caller's choice
+    banned = {"concurrent", "multiprocessing", "threading", "subprocess"}
+    package = Path(cli.__file__).parent
+    imports = sorted(
+        (path.name, name)
+        for path in package.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        for name in (
+            [alias.name for alias in node.names] if isinstance(node, ast.Import)
+            else [node.module] if isinstance(node, ast.ImportFrom) and node.module
+            else []
+        )
+        if name.split(".")[0] in banned
+    )
+    assert imports == []
 
 
 def test_run_experiment_forced_failure_box():
@@ -322,6 +346,26 @@ def test_cli_experiment_writes_csv(tmp_path):
     assert len(rows) == 4
 
 
+@pytest.mark.parametrize("raw", [
+    # the README instance
+    {"set": {"variant": "lattice", "dim": 2}, "m": 2, "k": 1,
+     "points": [[0, 0], [4, 0], [0, 4], [3, 3], [1, 1], [2, 0], [0, 2], [2, 2], [1, 2]]},
+    *[jsonio.instance_to_json(generate_instance(cfg, 0)) for cfg in (
+        ExperimentConfig(spec=Z2, m=2, k=2, n_points=26, box_bound=15, trials=1, seed=23),
+        ExperimentConfig(spec=difference_set(2, (LatticeBasis(((2, 0), (0, 2))),)),
+                         m=2, k=1, n_points=14, box_bound=6, trials=1, seed=7))],
+], ids=["readme", "z2-k2", "z2-minus-2z2"])
+def test_cli_oracle_verify_accepts_the_engines_output(tmp_path, capsys, raw):
+    inst_path = write_json(tmp_path, "inst.json", raw)
+    assert cli.main(["tverberg", inst_path]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out)["status"] == "ok"
+    res_path = tmp_path / "res.json"
+    res_path.write_text(out)
+    assert cli.main(["oracle", "verify", inst_path, str(res_path)]) == 0
+    assert json.loads(capsys.readouterr().out) == {"ok": True, "reason": None}
+
+
 def test_cli_verify_failure_exit(tmp_path):
     inst_path = write_json(tmp_path, "inst.json", INSTANCE_1D)
     # a witness outside a part's hull, and one of the wrong dimension
@@ -395,6 +439,17 @@ def test_cli_rejects_malformed_input(tmp_path, capsys, monkeypatch, args, raw):
     monkeypatch.setattr(cli, "run_experiment", None)
     assert cli.main(args + [write_json(tmp_path, "input.json", raw)]) == 1
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("threads", 2), ("trails", 3)])
+def test_cli_experiment_names_an_unknown_config_key(tmp_path, capsys, monkeypatch,
+                                                    key, value):
+    # "threads" selected a process pool that is gone; a misspelt key used to
+    # be ignored; both now stop the run before any trial
+    monkeypatch.setattr(cli, "run_experiment", None)
+    path = write_json(tmp_path, "cfg.json", dict(EXPERIMENT_CFG, **{key: value}))
+    assert cli.main(["experiment", path]) == 1
+    assert f"unknown config key {key!r}" in capsys.readouterr().err
 
 
 def test_config_json_roundtrip_keeps_caps_and_box():

@@ -4,7 +4,7 @@ import re
 from bisect import bisect_left, bisect_right, insort
 from fractions import Fraction
 from math import ceil, floor, gcd, inf
-from operator import mul, sub
+from operator import add, mul, sub
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -42,6 +42,7 @@ from discrete_tverberg.exact_geometry import (
     hull_facets,
     membership,
 )
+from discrete_tverberg.harness import ExperimentConfig, generate_instance
 from discrete_tverberg.oracles import brute_depth, brute_tverberg, verify_partition
 from discrete_tverberg.tverberg import (
     DeepWitness,
@@ -50,6 +51,7 @@ from discrete_tverberg.tverberg import (
     tverberg_partition,
 )
 from discrete_tverberg.vectors import vdot, vec
+from test_discrete_sets import frame_coords
 
 F = Fraction
 Z1 = lattice_set(1)
@@ -516,11 +518,76 @@ def test_re_expression_over_a_basis_keeps_the_outcome(problem):
         return
     p, q = plain.result, mapped.result
     assert {**p.stats, "part_sizes": None} == {**q.stats, "part_sizes": None}
-    if [basis.to_lattice(w) for w in q.witnesses] == list(p.witnesses):
+    if [frame_coords(basis, w) for w in q.witnesses] == list(p.witnesses):
         assert p.parts == q.parts
         for row_p, row_q in zip(p.certificates, q.certificates):
             for cp, cq in zip(row_p, row_q):
-                assert [(basis.to_lattice(x), c) for x, c in cq.terms] == list(cp.terms)
+                assert [(frame_coords(basis, x), c) for x, c in cq.terms] == list(cp.terms)
+
+
+# Automorphisms of Z^d that act on the first two coordinates; each also
+# maps 2Z^2, so Z^2 minus 2Z^2, onto itself.
+UNIMODULAR = {
+    "shear": lambda x: (x[0] + x[1],) + x[1:],
+    "swap": lambda x: (x[1], x[0]) + x[2:],
+    "quarter_turn": lambda x: (-x[1], x[0]) + x[2:],
+}
+Z2_MINUS_2Z2 = difference_set(2, (LatticeBasis(((2, 0), (0, 2))),))
+
+
+def outcome_invariants(outcome):
+    """What a lattice automorphism keeps: the verdict and its reason, the
+    witnesses' depths (deepest first), the candidate count and the
+    threshold.  Witness points and parts may follow other lexicographic
+    ties."""
+    search = outcome.witness_search
+    threshold = outcome.result.stats["threshold"] if outcome.result else None
+    return (outcome.status, outcome.reason,
+            [w.depth_result.depth for w in search.witnesses],
+            search.candidates_scanned, threshold)
+
+
+@st.composite
+def automorphism_problem(draw):
+    """Distinct points of Z^2, Z^3 or Z^2 minus 2Z^2 in a small box, m and
+    k, and one map: a unimodular one, or a translation by a lattice vector
+    (an even one for the difference set, whose removed 2Z^2 it must fix)."""
+    spec = draw(st.sampled_from((Z2, lattice_set(3), Z2_MINUS_2Z2)))
+    if spec.dim == 2:
+        c, sizes, shapes = st.integers(-4, 4), (5, 16), [(2, 1), (3, 1), (2, 2)]
+    else:
+        c, sizes, shapes = st.integers(-2, 2), (6, 16), [(2, 1)]
+    points = draw(st.lists(st.tuples(*[c] * spec.dim).filter(
+        lambda x: set_contains(spec, x)), min_size=sizes[0], max_size=sizes[1],
+        unique=True))
+    m, k = draw(st.sampled_from(shapes))
+    name = draw(st.sampled_from(sorted(UNIMODULAR) + ["translation"]))
+    if name != "translation":
+        return spec, points, m, k, name, UNIMODULAR[name]
+    step = 2 if spec.sublattices else 1
+    t = draw(st.tuples(*[st.integers(-9, 9).map(lambda a: step * a)] * spec.dim))
+    return spec, points, m, k, f"translation by {t}", lambda x: tuple(map(add, x, t))
+
+
+def assert_automorphism_keeps_the_outcome(spec, points, m, k, name, f):
+    plain = tverberg_partition(Instance(spec, points, m, k))
+    mapped = tverberg_partition(Instance(spec, [f(x) for x in points], m, k))
+    assert outcome_invariants(mapped) == outcome_invariants(plain), name
+
+
+@settings(max_examples=60, deadline=None)
+@given(automorphism_problem())
+def test_lattice_automorphisms_keep_the_outcome(problem):
+    assert_automorphism_keeps_the_outcome(*problem)
+
+
+def test_lattice_automorphisms_keep_a_paper_bound_z3_outcome():
+    cfg = ExperimentConfig(spec=lattice_set(3), m=2, k=1, n_points=43, box_bound=3,
+                           trials=1, seed=5)
+    points = generate_instance(cfg, 0).points
+    maps = {**UNIMODULAR, "translation": lambda x: (x[0] + 5, x[1] - 2, x[2] + 7)}
+    for name, f in maps.items():
+        assert_automorphism_keeps_the_outcome(cfg.spec, points, 2, 1, name, f)
 
 
 # Ground sets for the witness search, with the matrix whose columns map
@@ -787,7 +854,7 @@ def z3_point_set(draw):
 def test_z3_enumeration_matches_per_point_membership(spec, points):
     verts = [vec(p) for p in points]
     got = enumerate_in_polytope(spec, PolytopeV(tuple(verts)))
-    proj = [spec.base.projected_coords(v) for v in verts]
+    proj = [frame_coords(spec.base, v) for v in verts]
     box = [range(ceil(min(p[j] for p in proj)), floor(max(p[j] for p in proj)) + 1)
            for j in range(3)]
     expected = [
@@ -832,7 +899,7 @@ def test_z4_and_rank_deficient_enumeration_matches_per_point_membership(problem)
     spec, points = problem
     verts = [vec(p) for p in points]
     got = enumerate_in_polytope(spec, PolytopeV(tuple(verts)))
-    proj = [spec.base.projected_coords(v) for v in verts]
+    proj = [frame_coords(spec.base, v) for v in verts]
     box = [range(ceil(min(p[j] for p in proj)), floor(max(p[j] for p in proj)) + 1)
            for j in range(spec.rank)]
     expected = [
