@@ -24,8 +24,7 @@ from operator import mul, sub
 from typing import Optional, Sequence
 
 from .errors import CapExceededError
-from .exact_geometry import extreme_points, hull_facets, membership
-from .linprog import pivot
+from .exact_geometry import _echelon, extreme_points, hull_facets, membership
 from .vectors import ONE, ZERO, Vec, frac, int_scaled, vec
 
 
@@ -60,22 +59,18 @@ class LatticeBasis:
 
     def _reduce(self) -> tuple:
         """``(rows, den)``: T as integer rows over one positive denominator,
-        from fraction-free Gauss-Jordan on ``[B_int | D_B I]`` with
-        ``B_int = D_B B``; ValueError on a dependent basis (a pivotless column)."""
+        the I part of the :func:`_echelon` rows of ``[D_B B | D_B I]``, those
+        that pivot on B's columns first, in column order, so that ``T B =
+        den [I_r; 0]``; ValueError on a dependent basis (fewer such rows)."""
         d, r = self.dim, self.rank
-        rows = [
-            list(self._int_rows[i]) + [self._den if t == i else 0 for t in range(d)]
-            for i in range(d)
-        ]
-        det = 1
-        for cj in range(r):
-            i = next((i for i in range(cj, d) if rows[i][cj]), None)
-            if i is None:
-                raise ValueError("basis vectors are linearly dependent")
-            rows[cj], rows[i] = rows[i], rows[cj]
-            det = pivot(rows, cj, cj, det)
+        _, cols, rows, det = _echelon(
+            row + tuple(self._den if t == i else 0 for t in range(d))
+            for i, row in enumerate(self._int_rows)
+        )
+        if sum(c < r for c in cols) < r:
+            raise ValueError("basis vectors are linearly dependent")
         sign = -1 if det < 0 else 1
-        return [[sign * x for x in row[r:]] for row in rows], sign * det
+        return [[sign * x for x in row[r:]] for _, row in sorted(zip(cols, rows))], sign * det
 
     def scaled_coords(self, x: Sequence[int]) -> list:
         """The integer rows of ``D T x`` for an integer vector x."""
@@ -471,6 +466,8 @@ def hollow_search(
     walks subsets in decreasing size and returns the first k-hollow one
     (combinations in lexicographic ground order, so the result is
     deterministic); it refuses ground sets larger than ``ground_cap``.
+    Greedy mode makes one pass over the ground set: a non-vertex of conv(P)
+    stays one in every larger hull, so a point refused once stays refused.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -488,17 +485,11 @@ def hollow_search(
         return HollowCertificate((), k, ())
     if mode == "greedy":
         chosen: list = []
-        grown = True
-        while grown:
-            grown = False
-            for q in ground:
-                if q in chosen:
-                    continue
-                count, _ = count_nonvertex(spec, chosen + [q])
-                if count < k:
-                    chosen.append(q)
-                    chosen.sort()
-                    grown = True
+        for q in ground:
+            count, _ = count_nonvertex(spec, chosen + [q])
+            if count < k:
+                chosen.append(q)
+                chosen.sort()
         _, cert = count_nonvertex(spec, chosen) if chosen else (0, HollowCertificate((), k, ()))
         return replace(cert, k=k)
     raise ValueError(f"unknown mode {mode!r}")

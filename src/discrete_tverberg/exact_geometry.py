@@ -32,6 +32,8 @@ from operator import mul, sub
 from typing import Optional, Sequence
 
 from . import geom2d
+# nothing here calls solve_feasibility: the per-layer trace (perfbench/layers.py)
+# wraps this name
 from .linprog import ExactSimplex, pivot, solve_feasibility
 from .vectors import (
     ONE,
@@ -232,12 +234,13 @@ def _convex_weights(q: tuple, pts: Sequence[tuple], den: int):
                 if n[0] * q[0] + n[1] * q[1] < c
             )
         return Halfspace((frac(n[0]), frac(n[1])), Fraction(c, den))
-    res = solve_feasibility([p + (den,) for p in pts], q + (den,))
-    if res.feasible:
-        return [(j, c) for j, c in enumerate(res.solution) if c > 0]
+    tab = ExactSimplex([p + (den,) for p in pts], q + (den,))
+    if tab.solve():
+        return [(j, c) for j, c in enumerate(tab.solution()) if c > 0]
     # y . (p, den) <= 0 for every point while y . (q, den) > 0, so -y_head
     # puts the set weakly above y_tail and the query strictly below.
-    return Halfspace(tuple(-c for c in res.farkas[:-1]), res.farkas[-1])
+    y = tab.farkas()
+    return Halfspace(tuple(-c for c in y[:-1]), y[-1])
 
 
 def _certificate(query: Vec, pts: list) -> MembershipCertificate:
@@ -316,7 +319,8 @@ def _anchored_weights(q: tuple, a: tuple, pts: Sequence[tuple], den: int):
         return None
     x = tab.solution()
     if sum(1 for c in x[1:] if c > 0) > d and x[0] == 0:
-        tab.force_into_basis(0)
+        if not tab.force_into_basis(0):
+            raise AssertionError("the anchor's column did not enter the basis")
         x = tab.solution()
     return [(j - 1, c) for j, c in enumerate(x) if j > 0 and c > 0], x[0]
 
@@ -342,7 +346,7 @@ def _vertices(ints: Sequence[tuple]) -> list:
     facets = hull_facets(ints)
     return [
         i for i, x in enumerate(ints)
-        if rank_of_vectors([n for n, c in facets if _idot(n, x) == c]) == len(x)
+        if len(_echelon(n for n, c in facets if _idot(n, x) == c)[0]) == len(x)
     ]
 
 
@@ -357,12 +361,13 @@ def hull_facets(ints: Sequence[tuple]) -> list:
     an interval at r = 1, the :func:`geom2d.hull_edges` of
     :func:`geom2d.hull2d` at r = 2 and :func:`_beneath_beyond` from r = 3.
     At r = d these are the unique facets; a flat (r < d) lifts them with
-    zeros and adds each of d - r integer equations (:func:`_kernel`) as two
-    opposite halfspaces.
+    zeros and adds each of d - r integer equations (the pass's
+    :func:`_kernel`) as two opposite halfspaces.
     """
     origin = ints[0]
     d = len(origin)
-    picked, cols = _echelon(tuple(map(sub, p, origin)) for p in ints[1:])
+    echelon = _echelon(tuple(map(sub, p, origin)) for p in ints[1:])
+    picked, cols = echelon[:2]
     r = len(picked)
     pts = ints if r == d else [tuple(p[c] for c in cols) for p in ints]
     if r == 1:
@@ -383,7 +388,7 @@ def hull_facets(ints: Sequence[tuple]) -> list:
         (tuple(n[cols.index(j)] if j in cols else 0 for j in range(d)), c)
         for n, c in facets
     ]
-    for e in _kernel([tuple(map(sub, ints[i + 1], origin)) for i in picked], d):
+    for e in _kernel(echelon, d):
         c = sum(map(mul, e, origin))
         facets += [(e, c), (tuple([-a for a in e]), -c)]
     return facets
@@ -412,7 +417,7 @@ def _beneath_beyond(pts: list, simplex: list) -> list:
 
     def facet(verts: tuple) -> tuple:
         a = pts[verts[0]]
-        [n] = _kernel([[x - y for x, y in zip(pts[v], a)] for v in verts[1:]], d)
+        [n] = _kernel(_echelon([x - y for x, y in zip(pts[v], a)] for v in verts[1:]), d)
         c = sum(map(mul, n, a))
         if sum(map(mul, n, inner)) < (d + 1) * c:
             n, c = tuple([-x for x in n]), -c
@@ -430,22 +435,13 @@ def _beneath_beyond(pts: list, simplex: list) -> list:
     return list(dict.fromkeys((n, c) for _, n, c in facets))
 
 
-def _kernel(rows: list, d: int) -> list:
+def _kernel(echelon: tuple, d: int) -> list:
     """Primitive integer vectors spanning the orthogonal complement in Z^d
-    of the independent integer ``rows`` (a list that this rewrites).
-
-    Fraction-free Gauss-Jordan (:func:`.linprog.pivot`) leaves row i with
-    the denominator ``det`` in its pivot column c_i and zeros in the other
-    pivot columns, so each free column f gives a kernel vector: ``det`` at
-    f and ``-row_i[f]`` at c_i.
+    of the vectors of an :func:`_echelon` result: its row i holds ``det`` in
+    its pivot column c_i and zeros in the other pivot columns, so each free
+    column f gives a kernel vector: ``det`` at f and ``-row_i[f]`` at c_i.
     """
-    det, cols = 1, []
-    for i, row in enumerate(rows):
-        c = 0
-        while not row[c]:
-            c += 1
-        det = pivot(rows, i, c, det)
-        cols.append(c)
+    _, cols, rows, det = echelon
     out = []
     for f in range(d):
         if f not in cols:
@@ -466,32 +462,36 @@ def centroid(points) -> Vec:
 
 
 def _echelon(vectors) -> tuple:
-    """``(picked, cols)``: the indices, in order, of the vectors outside the
-    span of the earlier ones, and the pivot column of each, by one
-    fraction-free elimination pass; the picked vectors are nonsingular on
-    their pivot columns.  Stops once the rank is the vectors' length."""
-    rows, picked = [], []
+    """``(picked, cols, rows, det)``: the indices, in order, of the integer
+    vectors outside the span of the earlier ones, the pivot column of each,
+    and the picked vectors reduced over ``det``, their determinant on the
+    pivot columns: row i is ``det`` at column ``cols[i]`` and 0 at the other
+    pivot columns.  One fraction-free Gauss-Jordan pass: each vector, as it
+    comes, is brought over ``det``, cleared on the pivot columns so far, and
+    pivoted in at its first nonzero entry (:func:`.linprog.pivot`).  Stops
+    once the rank is the vectors' length."""
+    picked, cols, rows, det = [], [], [], 1
     for i, v in enumerate(vectors):
-        for c, row in rows:
+        w = [det * a for a in v]
+        for c, row in zip(cols, rows):
             f = v[c]
             if f:
-                p = row[c]
-                v = [p * a - f * b for a, b in zip(v, row)]
-        for c, a in enumerate(v):
-            if a:
-                rows.append((c, v))
-                picked.append(i)
-                break
-        else:
+                w = [a - f * b for a, b in zip(w, row)]
+        c = next((c for c, a in enumerate(w) if a), None)
+        if c is None:
             continue
-        if len(rows) == len(v):
+        picked.append(i)
+        cols.append(c)
+        rows.append(w)
+        det = pivot(rows, len(rows) - 1, c, det)
+        if len(rows) == len(w):
             break
-    return picked, [c for c, _ in rows]
+    return picked, cols, rows, det
 
 
 def rank_of_vectors(vectors) -> int:
     """Rank over the rationals of int or Fraction vectors (:func:`_echelon`)."""
-    return len(_echelon(vectors)[0])
+    return len(_echelon(int_scaled(list(vectors))[0])[0])
 
 
 def affine_hull(points) -> AffineHull:
@@ -502,7 +502,7 @@ def affine_hull(points) -> AffineHull:
     _check_dims(pts[0], pts)
     origin = pts[0]
     diffs = [vsub(p, origin) for p in pts[1:]]
-    basis = tuple(diffs[i] for i in _echelon(diffs)[0])
+    basis = tuple(diffs[i] for i in _echelon(int_scaled(diffs)[0])[0])
     return AffineHull(origin, basis, len(basis))
 
 
@@ -725,8 +725,10 @@ def depth_count(W: list, d: int, floor: int = 0) -> tuple:
             c[t < 0] += 1
             if abs(t) > c[2]:
                 c[2] = abs(t)
-    # the rank of the keys' d x c transpose takes at most d short pivots
-    rank = 1 if len(classes) == 1 else rank_of_vectors(zip(*classes))
+    # distinct classes are pairwise independent: up to 2, the rank is min(c, d)
+    rank = min(len(classes), d)
+    if rank > 2:
+        rank = len(_echelon(classes)[0])
     return _descend(classes, rank, floor)
 
 

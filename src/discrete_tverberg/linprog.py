@@ -6,18 +6,20 @@ breaks ratio ties).  Bland's rule guarantees finite termination with no
 genericity assumptions, which matters here because the geometry this backs
 is routinely degenerate (collinear lattice points, repeated coordinates).
 
-The tableau is kept on integers: the columns and the right-hand side are
-scaled by one common denominator, and each row, the phase-1 reduced costs
-included, holds ``det`` times its rational value, ``det`` being the
-determinant of the current basis.  A pivot is one fraction-free
-Gauss-Jordan step, :func:`pivot` (Bareiss 1968), whose pivot entry becomes
-the new ``det``.  Simplex pivot entries are positive, so ``det`` stays
-positive: the entering test reads the signs of integers and the ratio test
-compares cross-multiplied integers.  The scaling leaves the phase-1 duals,
-the ratios and every sign the simplex reads unchanged, so it makes the
-pivots of the rational tableau of the unscaled system and returns the same
-solutions and Farkas vectors; only :meth:`ExactSimplex.solution` and
-:meth:`ExactSimplex.farkas` build Fractions.
+Only :func:`solve_feasibility` coerces (floats are refused);
+:class:`ExactSimplex` takes ints or Fractions as given and scales the
+columns and the right-hand side once by their common denominator.  Each
+tableau row, the phase-1 reduced costs included, holds ``det`` times its
+rational value, ``det`` being the determinant of the current basis.  A
+pivot is one fraction-free Gauss-Jordan step, :func:`pivot` (Bareiss
+1968), whose pivot entry becomes the new ``det``.  Simplex pivot entries
+are positive, so ``det`` stays positive: the entering test reads the signs
+of integers and the ratio test compares cross-multiplied integers.  The
+scaling leaves the phase-1 duals, the ratios and every sign the simplex
+reads unchanged, so it makes the pivots of the rational tableau of the
+unscaled system and returns the same solutions and Farkas vectors; only
+:meth:`ExactSimplex.solution` and :meth:`ExactSimplex.farkas` build
+Fractions.
 
 Every answer doubles as a certificate:
 
@@ -76,12 +78,12 @@ class ExactSimplex:
     the denominator ``det``.
     """
 
-    def __init__(self, columns: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
+    def __init__(self, columns: Sequence[Sequence], rhs: Sequence):
         m = len(rhs)
         n = len(columns)
         self.m = m
         self.n = n
-        *cols, b = int_scaled([vec(col) for col in columns] + [vec(rhs)])[0]
+        *cols, b = int_scaled([*columns, rhs])[0]
         self.row_sign = [-1 if v < 0 else 1 for v in b]
         rows = []
         for i, s in enumerate(self.row_sign):
@@ -164,8 +166,8 @@ class ExactSimplex:
         return True
 
 
-def solve_feasibility(columns: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> FeasibilityResult:
-    tab = ExactSimplex(columns, rhs)
+def solve_feasibility(columns: Sequence[Sequence], rhs: Sequence) -> FeasibilityResult:
+    tab = ExactSimplex([vec(col) for col in columns], vec(rhs))
     if tab.solve():
         return FeasibilityResult(True, tab.solution(), None)
     return FeasibilityResult(False, None, tab.farkas())

@@ -13,7 +13,7 @@ so a cap can never masquerade as a negative verdict.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from math import prod
 from typing import Optional, Sequence
 
@@ -41,6 +41,11 @@ class OracleCaps:
     partitions: int = 1_000_000
     hoffman_ground: int = 18
     helly_family: int = 12
+
+    def __post_init__(self):
+        for f in fields(self):
+            if getattr(self, f.name) < 0:
+                raise ValueError(f"cap {f.name!r} must be nonnegative")
 
 
 DEFAULT_CAPS = OracleCaps()

@@ -1,4 +1,5 @@
 import ast
+from dataclasses import replace
 from fractions import Fraction
 from operator import mul
 from pathlib import Path
@@ -312,6 +313,41 @@ def test_hollow_search_greedy_is_maximal():
         if extra in cert.points:
             continue
         assert not is_k_hollow(list(cert.points) + [extra], Z2, 1)
+
+
+def _greedy_until_stable(spec, box, k):
+    """The greedy hollow search as it was: passes over the ground set until
+    one adds nothing."""
+    ground = enumerate_in_polytope(spec, box_polytope(box))
+    chosen, grown = [], True
+    while grown:
+        grown = False
+        for q in ground:
+            if q not in chosen and count_nonvertex(spec, chosen + [q])[0] < k:
+                chosen = sorted(chosen + [q])
+                grown = True
+    return count_nonvertex(spec, chosen)[1]
+
+
+@pytest.mark.parametrize("spec, box", [
+    (Z2, [(0, 3), (0, 3)]),
+    (lattice_set(2, LatticeBasis(((1, 0), (F(1, 2), 1)))), [(0, 2), (0, 2)]),
+    (difference_set(2, (LatticeBasis(((2, 0), (0, 2))),)), [(0, 3), (0, 3)]),
+    (Z3, [(0, 1), (0, 1), (0, 2)]),
+    (Z1, [(0, 9)]),
+], ids=["z2", "sheared", "z2-minus-2z2", "z3", "z1"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_hollow_search_greedy_makes_one_pass(monkeypatch, spec, box, k):
+    # a non-vertex of conv(P) stays one in every larger hull, so a point
+    # refused once is refused again: a second pass can add nothing
+    expected = _greedy_until_stable(spec, box, k)
+    calls = []
+    counted = discrete_sets.count_nonvertex
+    monkeypatch.setattr(discrete_sets, "count_nonvertex",
+                        lambda *args, **kw: calls.append(args) or counted(*args, **kw))
+    cert = hollow_search(spec, box, k, mode="greedy")
+    assert cert == replace(expected, k=k)
+    assert len(calls) <= len(enumerate_in_polytope(spec, box_polytope(box))) + 1
 
 
 def test_hollow_search_cap():

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from discrete_tverberg import linprog
 from discrete_tverberg.exact_geometry import (
     ConvexCombination,
     Halfspace,
@@ -148,6 +149,16 @@ def test_anchored_size_at_most_dim():
     red = anchored_reduce((0, 1), (0, 0), [(-1, 2), (1, 2), (3, 3)])
     assert len(red.points) <= 2
     assert membership((0, 1), list(red.points) + [(0, 0)]).inside
+
+
+def test_anchored_reduction_raises_on_a_refused_anchor_pivot(monkeypatch):
+    # three points at positive levels in Z^2 and the anchor at 0: the anchor
+    # must enter the basis; a refused pivot used to leave all three
+    args = ((2, 5), (2, 2), [(4, 4), (2, 4), (5, 1), (5, 6), (0, 5)])
+    assert len(anchored_reduce(*args).points) <= 2
+    monkeypatch.setattr(linprog.ExactSimplex, "force_into_basis", lambda tab, col: False)
+    with pytest.raises(AssertionError, match="anchor's column"):
+        anchored_reduce(*args)
 
 
 def test_anchored_rejects_outside():

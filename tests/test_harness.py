@@ -452,6 +452,18 @@ def test_cli_experiment_names_an_unknown_config_key(tmp_path, capsys, monkeypatc
     assert f"unknown config key {key!r}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args, raw", [
+    (["oracle", "tverberg", "--caps", '{"partitions": -1}'], INSTANCE_1D),
+    (["experiment"], dict(EXPERIMENT_CFG, oracle_validate=True, caps={"partitions": -1})),
+], ids=["oracle-tverberg", "experiment"])
+def test_cli_names_a_negative_cap(tmp_path, capsys, monkeypatch, args, raw):
+    # a negative cap used to be accepted: with oracle_validate every trial
+    # then hit the cap and ran unvalidated without a word
+    monkeypatch.setattr(cli, "run_experiment", None)
+    assert cli.main(args + [write_json(tmp_path, "input.json", raw)]) == 1
+    assert "cap 'partitions' must be nonnegative" in capsys.readouterr().err
+
+
 def test_config_json_roundtrip_keeps_caps_and_box():
     config = ExperimentConfig(spec=Z2, m=2, k=1, n_points=9, box_bound=8,
                               trials=3, seed=4, caps=OracleCaps(partitions=7),

@@ -35,6 +35,14 @@ def pts(*coords):
     return [vec(c) for c in coords]
 
 
+@pytest.mark.parametrize("name", ["depth_points", "depth_dim", "partitions",
+                                  "hoffman_ground", "helly_family"])
+def test_oracle_caps_refuse_a_negative_cap(name):
+    with pytest.raises(ValueError, match=f"cap '{name}' must be nonnegative"):
+        OracleCaps(**{name: -1})
+    assert getattr(OracleCaps(**{name: 0}), name) == 0
+
+
 # ---------------------------------------------------------------------------
 # depth oracle
 

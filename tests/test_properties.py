@@ -1,10 +1,12 @@
 """Property-based checks: certificates, depth laws, hollow machinery."""
+import ast
 import itertools
 import re
 from bisect import bisect_left, bisect_right, insort
 from fractions import Fraction
-from math import ceil, floor, gcd, inf
+from math import ceil, floor, gcd, inf, prod
 from operator import add, mul, sub
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -997,8 +999,8 @@ def test_lattice_coords_decide_membership_as_the_ambient_definition(problem):
 
 
 def test_enumeration_and_extreme_points_solve_no_lp(monkeypatch):
-    # every LP goes through ExactSimplex.solve; membership's goes through
-    # exact_geometry.solve_feasibility first
+    # every LP goes through ExactSimplex.solve; membership's is built
+    # directly, not through exact_geometry.solve_feasibility
     calls, feasibility = [], []
     solve, feasible = linprog.ExactSimplex.solve, exact_geometry.solve_feasibility
 
@@ -1027,7 +1029,7 @@ def test_enumeration_and_extreme_points_solve_no_lp(monkeypatch):
         extreme_points(points)
     assert calls == [] and feasibility == []
     membership((1, 1, 1, 1), simplex4)  # the counters see a 4-d LP
-    assert len(calls) == 1 and len(feasibility) == 1
+    assert len(calls) == 1 and feasibility == []
 
 
 # ---------------------------------------------------------------------------
@@ -1181,6 +1183,131 @@ def test_extreme_points_match_the_lp_definition(pts, data):
     assert extreme_points(pts) == expected
 
 
+# ---------------------------------------------------------------------------
+# the one elimination
+
+
+def _fraction_picks(vectors: list) -> list:
+    """The indices of the vectors outside the span of the earlier ones, by
+    Gaussian elimination over Fractions."""
+    basis, picked = [], []  # (pivot column, row with 1 there)
+    for i, v in enumerate(vectors):
+        v = [F(a) for a in v]
+        for c, row in basis:
+            f = v[c]
+            if f:
+                v = [a - f * b for a, b in zip(v, row)]
+        c = next((c for c, a in enumerate(v) if a), None)
+        if c is not None:
+            basis.append((c, [a / v[c] for a in v]))
+            picked.append(i)
+    return picked
+
+
+def _leibniz_det(m: list) -> int:
+    return sum(
+        (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
+        * prod(m[i][j] for i, j in enumerate(perm))
+        for perm in itertools.permutations(range(len(m)))
+    )
+
+
+@st.composite
+def integer_matrix(draw):
+    """Integer rows with 1-4 columns: zero rows, repeats and combinations of
+    earlier rows among them, in any order."""
+    d = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.tuples(*[st.integers(-4, 4)] * d), max_size=5))
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["zero", "repeat", "combination"]))
+        if kind == "zero" or not rows:
+            rows.append((0,) * d)
+        elif kind == "repeat":
+            rows.append(draw(st.sampled_from(rows)))
+        else:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            s, t = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+            rows.append(tuple(s * x + t * y for x, y in zip(a, b)))
+    return d, draw(st.permutations(rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_matrix())
+def test_echelon_reduces_like_fraction_elimination(case):
+    d, vectors = case
+    picked, cols, rows, det = exact_geometry._echelon(iter(vectors))
+    assert picked == _fraction_picks(vectors)
+    assert exact_geometry.rank_of_vectors(vectors) == len(picked)
+    # det is the determinant of the picked vectors on the pivot columns,
+    # and each row is det at its own pivot column and 0 at the others
+    assert det == _leibniz_det([[vectors[i][c] for c in cols] for i in picked])
+    for i, row in enumerate(rows):
+        assert [row[c] for c in cols] == [det if j == i else 0 for j in range(len(cols))]
+        assert len(_fraction_picks([vectors[j] for j in picked] + [row])) == len(picked)
+    kernel = exact_geometry._kernel((picked, cols, rows, det), d)
+    assert len(kernel) == d - len(picked)
+    assert len(_fraction_picks(kernel)) == len(kernel)
+    for e in kernel:
+        assert gcd(*e) == 1
+        assert all(_idot(e, v) == 0 for v in vectors)
+
+
+@st.composite
+def lattice_basis_vectors(draw):
+    """r rational vectors in Q^d: independent (full rank, rank-deficient,
+    sheared), or made dependent by a repeat or a combination."""
+    d = draw(st.integers(1, 4))
+    r = draw(st.integers(1, d))
+    entry = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    vectors = draw(st.lists(st.tuples(*[entry] * d), min_size=r, max_size=r))
+    if r >= 2 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(r)))[:2]
+        s = draw(st.fractions(min_value=-2, max_value=2, max_denominator=2))
+        vectors[j] = tuple(s * a for a in vectors[i])
+    return d, vectors
+
+
+@settings(max_examples=300, deadline=None)
+@given(lattice_basis_vectors())
+def test_lattice_transform_maps_the_basis_to_the_unit_vectors(case):
+    d, vectors = case
+    r = len(vectors)
+    if len(_fraction_picks(vectors)) < r:
+        with pytest.raises(ValueError, match="linearly dependent"):
+            LatticeBasis(vectors, d)
+        return
+    basis = LatticeBasis(vectors, d)
+    rows, den = basis._t_rows, basis._t_den
+    assert den > 0
+    # T B = den [I_r; 0], and T is invertible, so rows past the rank vanish
+    # exactly on the span
+    assert [[sum(map(mul, row, b)) for b in vectors] for row in rows] == [
+        [den if i == j else 0 for j in range(r)] for i in range(d)
+    ]
+    assert len(_fraction_picks(rows)) == d
+
+
+def test_pivot_is_called_only_by_the_simplex_and_the_elimination():
+    # linprog.pivot is the one fraction-free step: the simplex pivots with
+    # it, and every rank, null space and lattice transform comes from the
+    # one elimination, exact_geometry._echelon
+    callers = set()
+
+    def walk(node, scope, module):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                walk(child, scope + (child.name,), module)
+                continue
+            if isinstance(child, ast.Call):
+                f = child.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                if name == "pivot":
+                    callers.add((module, ".".join(scope)))
+            walk(child, scope, module)
+
+    for path in Path(linprog.__file__).parent.glob("*.py"):
+        walk(ast.parse(path.read_text()), (), path.stem)
+    assert callers == {("linprog", "ExactSimplex._pivot"), ("exact_geometry", "_echelon")}
 # ---------------------------------------------------------------------------
 # serialization
 
