@@ -24,6 +24,8 @@ from operator import mul, sub
 from typing import Optional, Sequence
 
 from .errors import CapExceededError
+# membership is imported only for the benchmark's per-layer trace
+# (perfbench/layers.py), which wraps it; nothing here calls it.
 from .exact_geometry import _echelon, extreme_points, hull_facets, membership
 from .vectors import ONE, ZERO, Vec, frac, int_scaled, vec
 
@@ -102,7 +104,7 @@ class LatticeBasis:
         return tuple(Fraction(c, self._den) for c in self.scaled_point(z))
 
     def contains(self, x) -> bool:
-        [t], den, _ = lattice_box(self, [vec(x)])
+        [t], den = lattice_box(self, [vec(x)])
         return self._lattice_z(t, den) is not None
 
     def __eq__(self, other) -> bool:
@@ -164,7 +166,7 @@ class DiscreteSetSpec:
 def _re_expressed(base: LatticeBasis, sub: LatticeBasis) -> LatticeBasis:
     """sub in base's lattice coordinates, by one :func:`lattice_box` map of
     its basis; ValueError unless a sublattice."""
-    coords, den, _ = lattice_box(base, sub.vectors)
+    coords, den = lattice_box(base, sub.vectors)
     zs = [base._lattice_z(t, den) for t in coords]
     if None in zs:
         raise ValueError("sublattice basis vector is not a lattice member")
@@ -199,7 +201,7 @@ def _coords_in_set(spec: DiscreteSetSpec, points: list) -> list:
     ``spec.removes(z)`` false."""
     if not spec.enumerable:
         raise ValueError("pointwise membership is defined only for enumerable sets")
-    coords, den, _ = lattice_box(spec.base, points)
+    coords, den = lattice_box(spec.base, points)
     zs = [spec.base._lattice_z(t, den) for t in coords]
     return [None if z is None or spec.removes(z) else z for z in zs]
 
@@ -254,60 +256,66 @@ def box_polytope(bounds: Sequence) -> PolytopeV:
 
 
 def lattice_box(lat: LatticeBasis, vertices: Sequence[Vec]) -> tuple:
-    """``(coords, den, ranges)``: the vertices v in the lattice frame, as
-    integer tuples ``den * T v`` (T maps B z to (z, 0)), and one range of
-    integers per lattice coordinate, the first ``rank`` entries, for their
-    bounding box (valid even off the lattice span, since T is linear).
+    """``(coords, den)``: the vertices v in the lattice frame, as integer
+    tuples ``den * T v`` (T maps B z to (z, 0)).
 
     The one way a point enters a lattice's frame (ValueError on a vertex of
     another dimension): the vertices are scaled to integers once, and
-    coordinates and ranges come from :meth:`LatticeBasis.scaled_coords` and
-    integer floor and ceiling.
+    coordinates come from :meth:`LatticeBasis.scaled_coords`.
     """
     if any(len(v) != lat.dim for v in vertices):
         raise ValueError("point dimension does not match the lattice")
     ints, scale = int_scaled(vertices)
-    coords = [tuple(lat.scaled_coords(v)) for v in ints]
-    den = lat._t_den * scale
-    ranges = [
-        range(_ceil_div(min(col), den), max(col) // den + 1)
-        for col in list(zip(*coords))[: lat.rank]
-    ]
-    return coords, den, ranges
+    return [tuple(lat.scaled_coords(v)) for v in ints], lat._t_den * scale
 
 
-def lattice_lines_in_polytope(
-    spec: DiscreteSetSpec, polytope: PolytopeV, cap: Optional[int] = None
+def _intersection_lines(
+    spec: DiscreteSetSpec, hulls: Sequence[Sequence[Vec]], cap: Optional[int] = None
 ) -> tuple:
-    """``(lines, coords, den)``: the lattice coordinates z of the polytope's
-    points of the base lattice, as the lines ``(head, lo, hi)`` of
-    :func:`_scan_lines`, and the distinct vertices' ``coords`` and ``den``
-    from :func:`lattice_box`.
+    """``(lines, coords, den)``: the lattice coordinates z of the points of
+    the base lattice common to the hulls of the coerced vertex lists
+    ``hulls``, as the lines ``(head, lo, hi)`` of :func:`_scan_lines`, and
+    the distinct vertices' ``coords`` and ``den`` from one
+    :func:`lattice_box` map.
 
-    The integer H-representation of the vertices' lattice coordinates
-    (:func:`hull_facets`) cuts their integer bounding box, which holds at
-    most ``cap`` points, line by line along the last lattice coordinate; a
-    point of S is ``den (z, 0)`` in that frame, so on a rank-deficient
-    lattice only the first ``rank`` entries of a normal count.  The lines
-    keep the points a difference set removes (:func:`_points_on_lines`).
+    Every hull's integer H-representation (:func:`hull_facets` of its
+    vertices' frame coordinates) cuts the intersection of the hulls'
+    integer bounding boxes (valid even off the lattice span, since T is
+    linear), which holds at most ``cap`` points, line by line along the
+    last lattice coordinate; a point of S is ``den (z, 0)`` in that frame,
+    so on a rank-deficient lattice only the first ``rank`` entries of a
+    normal count.  The lines keep the points a difference set removes
+    (:func:`_points_on_lines`).
     """
     if not spec.enumerable:
         raise ValueError("enumeration is defined only for enumerable sets")
-    verts = list(dict.fromkeys(polytope.vertices))
-    box = lattice_box(spec.base, verts)
-    return _lines_in_box(box, cap), box[0], box[1]
-
-
-def _lines_in_box(box: tuple, cap: Optional[int] = None) -> list:
-    """The lines of :func:`lattice_lines_in_polytope` for the
-    :func:`lattice_box` ``box`` of the distinct vertices."""
-    coords, den, ranges = box
+    ids = {}  # each distinct vertex's index: a Fraction hashes slowly, so once
+    hull_ids = [
+        dict.fromkeys(ids.setdefault(v, len(ids)) for v in hull) for hull in hulls
+    ]
+    coords, den = lattice_box(spec.base, list(ids))
+    hull_coords = [[coords[i] for i in hull] for hull in hull_ids]
+    # per lattice coordinate, each hull's column of frame entries
+    columns = zip(*(list(zip(*c))[: spec.rank] for c in hull_coords))
+    ranges = [
+        range(_ceil_div(max(map(min, cols)), den), min(map(max, cols)) // den + 1)
+        for cols in columns
+    ]
     total = prod(map(len, ranges))
     if cap is not None and total > cap:
         raise CapExceededError(
             f"enumeration box holds {total} candidates, cap is {cap}"
         )
-    return _scan_lines(hull_facets(coords), den, ranges)
+    facets = [f for c in hull_coords for f in hull_facets(c)]
+    return _scan_lines(facets, den, ranges), coords, den
+
+
+def lattice_lines_in_polytope(
+    spec: DiscreteSetSpec, polytope: PolytopeV, cap: Optional[int] = None
+) -> tuple:
+    """``(lines, coords, den)`` of :func:`_intersection_lines` for the one
+    hull of the polytope's vertices."""
+    return _intersection_lines(spec, [polytope.vertices], cap)
 
 
 def _points_on_lines(spec: DiscreteSetSpec, lines: list) -> list:
@@ -433,7 +441,8 @@ def is_k_hollow(points, spec: DiscreteSetSpec, k: int, cap: Optional[int] = None
 
 
 def is_k_hoffman(points, spec: DiscreteSetSpec, k: int, cap: Optional[int] = None) -> bool:
-    """Fewer than k points of S survive every leave-one-out hull of P."""
+    """Fewer than k points of S lie in the intersection of the leave-one-out
+    hulls of P, by one scan of its lines (:func:`_intersection_lines`)."""
     if k < 1:
         raise ValueError("k must be at least 1")
     pts = [vec(p) for p in points]
@@ -442,15 +451,9 @@ def is_k_hoffman(points, spec: DiscreteSetSpec, k: int, cap: Optional[int] = Non
     if len(pts) != len(set(pts)):
         raise ValueError("duplicate points")
     lattice_coords(spec, pts)
-    survivors = 0
-    for q in enumerate_in_polytope(spec, PolytopeV(tuple(pts)), cap=cap):
-        if all(
-            membership(q, pts[:i] + pts[i + 1:]).inside for i in range(len(pts))
-        ):
-            survivors += 1
-            if survivors >= k:
-                return False
-    return True
+    hulls = [pts[:i] + pts[i + 1:] for i in range(len(pts))]
+    lines, _, _ = _intersection_lines(spec, hulls, cap)
+    return len(_points_on_lines(spec, lines)) < k
 
 
 def hollow_search(

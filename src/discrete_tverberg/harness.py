@@ -28,7 +28,7 @@ from .errors import (
     TheoremViolationError,
 )
 from .oracles import OracleCaps, brute_tverberg, verify_partition
-from .tverberg import Instance, tverberg_partition
+from .tverberg import Instance, _witness_depth_threshold, tverberg_partition
 from .vectors import Vec, require_int
 
 MASK64 = (1 << 64) - 1
@@ -247,7 +247,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         "theorem_violations": counted["theorem_violation"],
         "verify_failures": counted["verify_failed"],
         "construction_errors": counted["construction_error"],
-        "witness_depth_threshold": (config.m - 1) * config.k * d + 1,
+        "witness_depth_threshold": _witness_depth_threshold(config.m, config.k, d),
         "min_witness_depth": min(depths) if depths else None,
         "mean_witness_depth": (
             jsonio.format_scalar(Fraction(sum(depths), len(depths)))

@@ -46,7 +46,10 @@ def parse_scalar(raw) -> Fraction:
             f"refusing float {raw!r}: use an exact \"p/q\" string instead"
         )
     if isinstance(raw, str):
-        return Fraction(raw)
+        try:
+            return Fraction(raw)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {raw!r}") from None
     raise ValueError(f"cannot parse scalar from {raw!r}")
 
 

@@ -2,11 +2,13 @@
 
 Everything here trades speed for a second derivation: no code path below
 shares the engine's depth recursion, witness ranking, or extraction
-logic.  The oracles are not fully independent, though: ``verify_partition``,
-``brute_tverberg`` and ``brute_depth`` decide membership with the engine's
-:func:`membership` (its kernel ``_convex_weights``), and ``brute_tverberg``
-enumerates with the engine's line scan ``_lines_in_box``.  A witness is in S
-for ``verify_partition`` by S's ambient definition, not by ``lattice_coords``.
+logic.  The oracles are not fully independent, though: ``verify_partition``
+and ``brute_depth`` decide membership with the engine's :func:`membership`
+(its kernel ``_convex_weights``), and the points of S common to several
+hulls (``brute_tverberg``, ``brute_helly_check`` and, through
+``is_k_hoffman``, ``brute_hoffman_max``) come from the engine's one line
+scan of their intersection, ``_intersection_lines``.  A witness is in S for
+``verify_partition`` by S's ambient definition, not by ``lattice_coords``.
 Caps are explicit and exceeding one raises instead of silently truncating,
 so a cap can never masquerade as a negative verdict.
 """
@@ -14,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, fields
-from math import prod
 from typing import Optional, Sequence
 
 from .discrete_sets import (
@@ -23,9 +24,8 @@ from .discrete_sets import (
     box_polytope,
     enumerate_in_polytope,
     is_k_hoffman,
-    lattice_box,
     _ambient_points,
-    _lines_in_box,
+    _intersection_lines,
     _points_on_lines,
 )
 from .errors import CapExceededError
@@ -144,25 +144,10 @@ def _partitions_rgs(n: int, m: int):
 def _common_set_points(
     hulls: Sequence[Sequence[Vec]], spec: DiscreteSetSpec, want: int
 ) -> list:
-    """Up to ``want`` points of S common to every hull, lexicographic.
-
-    Candidates come from the hull with the smallest lattice box, enumerated
-    from the box already built to compare them.
-    """
-    verts = [list(dict.fromkeys(hull)) for hull in hulls]
-    boxes = [lattice_box(spec.base, v) for v in verts]
-    base = min(range(len(hulls)), key=lambda i: (prod(map(len, boxes[i][2])), i))
-    candidates = _ambient_points(
-        spec.base, _points_on_lines(spec, _lines_in_box(boxes[base]))
-    )
-    others = [hulls[i] for i in range(len(hulls)) if i != base]
-    found = []
-    for q in candidates:
-        if all(membership(q, h).inside for h in others):
-            found.append(q)
-            if len(found) >= want:
-                break
-    return found
+    """The first ``want`` points of S common to every hull, lexicographic,
+    from one scan of the lines of their intersection."""
+    lines, _, _ = _intersection_lines(spec, hulls)
+    return _ambient_points(spec.base, _points_on_lines(spec, lines))[:want]
 
 
 @dataclass(frozen=True)

@@ -317,6 +317,12 @@ def extract_part(
     return colorful_cover(witness_points[:1] if k == 1 else witness_points, remaining)
 
 
+def _witness_depth_threshold(m: int, k: int, d: int) -> int:
+    """(m - 1) k d + 1, the depth each witness needs: every one of the m - 1
+    peels costs it at most kd."""
+    return (m - 1) * k * d + 1
+
+
 def tverberg_partition(instance: Instance) -> TverbergOutcome:
     """Certified m-partition with >= k common S-points in all part hulls.
 
@@ -326,7 +332,7 @@ def tverberg_partition(instance: Instance) -> TverbergOutcome:
     when a witness fails to certify: a bug, which no retry hides.
     """
     spec, pts, m, k = instance.spec, list(instance.points), instance.m, instance.k
-    threshold = (m - 1) * k * instance.dim + 1
+    threshold = _witness_depth_threshold(m, k, instance.dim)
     search = find_deep_witnesses(pts, spec, threshold, k)
     bound = tverberg_upper_bound(spec, m, k, "paper")
     if search.insufficient:

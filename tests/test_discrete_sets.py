@@ -51,7 +51,7 @@ def frame_coords(basis, x):
     """T x as Fractions, by the public :func:`lattice_box`: ``(z, 0)`` for
     ``x = B z``.  The first ``rank`` entries are the lattice coordinates of
     x's projection onto the span; the others are all 0 exactly on the span."""
-    [t], den, _ = lattice_box(basis, [vec(x)])
+    [t], den = lattice_box(basis, [vec(x)])
     return tuple(F(c, den) for c in t)
 
 
@@ -273,6 +273,15 @@ def test_is_k_hoffman_examples():
     assert not is_k_hoffman(pts((0,), (1,), (2,), (3,), (4,)), Z1, 1)
     with pytest.raises(ValueError):
         is_k_hoffman(pts((0, 0)), Z2, 1)
+
+
+def test_is_k_hoffman_caps_the_box_it_scans():
+    # the cap bounds the intersection of the leave-one-out hulls' boxes:
+    # here the one point (1, 0), where the box of conv(P) holds 33
+    tall = pts((0, 0), (2, 0), (1, 10))
+    assert is_k_hoffman(tall, Z2, 1, cap=1)
+    with pytest.raises(CapExceededError, match="holds 1 candidates, cap is 0"):
+        is_k_hoffman(tall, Z2, 1, cap=0)
 
 
 def test_hollow_implies_hoffman_on_small_ground():

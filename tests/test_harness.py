@@ -324,6 +324,26 @@ def test_cli_depth_and_oracle_reject_mixed_dimensions(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_cli_names_a_zero_denominator(tmp_path, capsys):
+    # "1/0" used to end in a ZeroDivisionError traceback
+    pts = write_json(tmp_path, "pts.json", {"points": [[1, 0], [-1, 0]]})
+    inst = write_json(tmp_path, "inst.json", dict(INSTANCE_1D, points=[["1/0"], [1]]))
+    assert cli.main(["depth", '["1/0", 0]', pts]) == 1
+    assert cli.main(["tverberg", inst]) == 1
+    err = capsys.readouterr().err
+    assert err.count("zero denominator in '1/0'") == 2 and "Traceback" not in err
+
+
+def test_cli_oracle_helly_refuses_a_mixed_set(tmp_path, capsys):
+    # a mixed set used to end in an AttributeError traceback
+    family = write_json(tmp_path, "fam.json", [{"vertices": [[0, 0], [2, 0], [0, 2]]},
+                                                {"vertices": [[1, 1], [3, 3]]}])
+    mixed = write_json(tmp_path, "mixed.json", {"variant": "mixed", "dim": 2, "a": 1, "b": 1})
+    assert cli.main(["oracle", "helly", family, mixed, "--h", "1"]) == 1
+    err = capsys.readouterr().err
+    assert "only for enumerable sets" in err and "Traceback" not in err
+
+
 def test_cli_bounds(tmp_path):
     spec = write_json(tmp_path, "z2.json", {"variant": "lattice", "dim": 2})
     proc = run_cli(["bounds", spec, "--m", "3", "--k", "1", "--mode", "paper"])

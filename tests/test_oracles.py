@@ -9,6 +9,7 @@ from discrete_tverberg.discrete_sets import (
     box_polytope,
     difference_set,
     lattice_set,
+    mixed_set,
 )
 from discrete_tverberg.errors import CapExceededError
 from discrete_tverberg.oracles import (
@@ -245,6 +246,19 @@ def test_helly_family_cap():
     tri = PolytopeV(tuple(pts((0, 0), (1, 0), (0, 1))))
     with pytest.raises(CapExceededError):
         brute_helly_check([tri] * 13, Z2, 1, 2)
+
+
+def test_oracles_refuse_a_mixed_set():
+    # a mixed set has no lattice to scan: the oracles used to end in an
+    # AttributeError on its missing basis
+    mixed = mixed_set(1, 1)
+    tri = PolytopeV(tuple(pts((0, 0), (1, 0), (0, 1))))
+    with pytest.raises(ValueError, match="only for enumerable sets"):
+        brute_tverberg(SQUARE, mixed, 2, 1)
+    with pytest.raises(ValueError, match="only for enumerable sets"):
+        brute_helly_check([tri, tri], mixed, 1, 1)
+    with pytest.raises(ValueError, match="only for enumerable sets"):
+        brute_hoffman_max(mixed, [(0, 1), (0, 1)], 1)
 
 
 def test_hoffman_family_rejects_tiny_input():

@@ -15,6 +15,8 @@ from discrete_tverberg import exact_geometry, jsonio, linprog, tverberg
 from discrete_tverberg.discrete_sets import (
     LatticeBasis,
     PolytopeV,
+    _ambient_points,
+    _intersection_lines,
     _points_on_lines,
     _scan_lines,
     difference_set,
@@ -45,7 +47,14 @@ from discrete_tverberg.exact_geometry import (
     membership,
 )
 from discrete_tverberg.harness import ExperimentConfig, generate_instance
-from discrete_tverberg.oracles import brute_depth, brute_tverberg, verify_partition
+from discrete_tverberg.oracles import (
+    _common_set_points,
+    brute_depth,
+    brute_helly_check,
+    brute_tverberg,
+    hoffman_family,
+    verify_partition,
+)
 from discrete_tverberg.tverberg import (
     DeepWitness,
     Instance,
@@ -866,6 +875,7 @@ def test_z3_enumeration_matches_per_point_membership(spec, points):
     assert got == sorted(expected)
 
 
+Z3 = lattice_set(3)
 Z4 = lattice_set(4)
 PLANE3 = lattice_set(3, LatticeBasis(((1, 0, 0), (0, 1, 1)), dim=3))
 LINE3 = lattice_set(3, LatticeBasis(((1, 2, -1),), dim=3))
@@ -998,6 +1008,89 @@ def test_lattice_coords_decide_membership_as_the_ambient_definition(problem):
                 Instance(spec, (x,), 1, 1)
 
 
+# ---------------------------------------------------------------------------
+# points common to several hulls
+
+
+FAMILY_SETS = [
+    Z1, ODD, Z2, Z3, lattice_set(2, LatticeBasis(((1, 1),), dim=2)),
+    Z2_MINUS_2Z2, *MEMBERSHIP_SETS,
+]
+
+
+@st.composite
+def hull_family(draw):
+    """A ground set and 1-4 hulls of 1-5 vertices each (single points and
+    segments among them), drawn from a pool of 1-8 points, each a lattice
+    point B z, B z shifted by a small rational, or a rational point
+    anywhere (mostly off the span of a rank-deficient lattice)."""
+    spec = draw(st.sampled_from(FAMILY_SETS))
+    small = st.builds(F, st.integers(-1, 1), st.integers(1, 3))
+    anywhere = st.builds(F, st.integers(-3, 3), st.integers(1, 2))
+    pool = []
+    kinds = ("lattice", "shifted", "anywhere")
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=8)):
+        x = spec.base.from_lattice(draw(st.tuples(*[st.integers(-2, 2)] * spec.rank)))
+        if kind == "shifted":
+            x = tuple(c + draw(small) for c in x)
+        elif kind == "anywhere":
+            x = draw(st.tuples(*[anywhere] * spec.dim))
+        pool.append(vec(x))
+    vertices = st.lists(st.sampled_from(pool), min_size=1, max_size=5)
+    return spec, draw(st.lists(vertices, min_size=1, max_size=4))
+
+
+def common_points_by_membership(spec, hulls):
+    """Reference for the intersection scan: the points of S in the first
+    hull's lattice box, each kept when membership puts it in every hull."""
+    proj = [frame_coords(spec.base, v) for v in hulls[0]]
+    box = [range(ceil(min(p[j] for p in proj)), floor(max(p[j] for p in proj)) + 1)
+           for j in range(spec.rank)]
+    return sorted(
+        x for x in map(spec.base.from_lattice, itertools.product(*box))
+        if set_contains(spec, x) and all(membership(x, h).inside for h in hulls)
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(hull_family(), st.integers(1, 3))
+def test_intersection_scan_matches_per_point_membership(problem, want):
+    spec, hulls = problem
+    expected = common_points_by_membership(spec, hulls)
+    lines, _, _ = _intersection_lines(spec, hulls)
+    assert _ambient_points(spec.base, _points_on_lines(spec, lines)) == expected
+    assert _common_set_points(hulls, spec, want) == expected[:want]
+
+
+def hoffman_by_membership(points, spec, k):
+    """Reference for :func:`is_k_hoffman`: fewer than k points of S in
+    conv(P) are put by membership in every leave-one-out hull."""
+    pts = [vec(p) for p in points]
+    survivors = [
+        q for q in enumerate_in_polytope(spec, PolytopeV(tuple(pts)))
+        if all(membership(q, pts[:i] + pts[i + 1:]).inside for i in range(len(pts)))
+    ]
+    return len(survivors) < k
+
+
+@st.composite
+def hoffman_problem(draw):
+    """A ground set, 2-6 of its points and k in 1-3."""
+    spec = draw(st.sampled_from(FAMILY_SETS))
+    zs = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * spec.rank),
+                       min_size=2, max_size=6, unique=True))
+    points = [x for x in map(spec.base.from_lattice, zs) if set_contains(spec, x)]
+    assume(len(points) >= 2)
+    return spec, points, draw(st.integers(1, 3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(hoffman_problem())
+def test_k_hoffman_matches_the_leave_one_out_loop(problem):
+    spec, points, k = problem
+    assert is_k_hoffman(points, spec, k) == hoffman_by_membership(points, spec, k)
+
+
 def test_enumeration_and_extreme_points_solve_no_lp(monkeypatch):
     # every LP goes through ExactSimplex.solve; membership's is built
     # directly, not through exact_geometry.solve_feasibility
@@ -1027,6 +1120,11 @@ def test_enumeration_and_extreme_points_solve_no_lp(monkeypatch):
     for spec, points in cases:
         assert enumerate_in_polytope(spec, PolytopeV(tuple(map(vec, points))))
         extreme_points(points)
+    # the oracles' common points come from the scan of the hulls' intersection
+    z3 = [(0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2), (2, 2, 2), (1, 1, 0)]
+    assert brute_tverberg(z3, Z3, 2, 1).found
+    assert brute_helly_check(hoffman_family(z3), Z3, 1, 2).hypothesis_holds
+    assert not is_k_hoffman(z3, Z3, 1)
     assert calls == [] and feasibility == []
     membership((1, 1, 1, 1), simplex4)  # the counters see a 4-d LP
     assert len(calls) == 1 and feasibility == []
@@ -1287,10 +1385,9 @@ def test_lattice_transform_maps_the_basis_to_the_unit_vectors(case):
     assert len(_fraction_picks(rows)) == d
 
 
-def test_pivot_is_called_only_by_the_simplex_and_the_elimination():
-    # linprog.pivot is the one fraction-free step: the simplex pivots with
-    # it, and every rank, null space and lattice transform comes from the
-    # one elimination, exact_geometry._echelon
+def _callers(callee: str) -> set:
+    """The (module, scope) pairs of the package that call a name ``callee``,
+    plainly or as an attribute, by its syntax tree."""
     callers = set()
 
     def walk(node, scope, module):
@@ -1301,13 +1398,32 @@ def test_pivot_is_called_only_by_the_simplex_and_the_elimination():
             if isinstance(child, ast.Call):
                 f = child.func
                 name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
-                if name == "pivot":
+                if name == callee:
                     callers.add((module, ".".join(scope)))
             walk(child, scope, module)
 
     for path in Path(linprog.__file__).parent.glob("*.py"):
         walk(ast.parse(path.read_text()), (), path.stem)
-    assert callers == {("linprog", "ExactSimplex._pivot"), ("exact_geometry", "_echelon")}
+    return callers
+
+
+def test_pivot_is_called_only_by_the_simplex_and_the_elimination():
+    # linprog.pivot is the one fraction-free step: the simplex pivots with
+    # it, and every rank, null space and lattice transform comes from the
+    # one elimination, exact_geometry._echelon
+    assert _callers("pivot") == {
+        ("linprog", "ExactSimplex._pivot"), ("exact_geometry", "_echelon")}
+
+
+def test_membership_is_called_only_by_the_depth_and_verification_oracles():
+    # points of S common to several hulls come from the one scan of their
+    # intersection; only brute_depth and verify_partition decide membership
+    callers = _callers("membership")
+    assert {scope for module, scope in callers if module == "oracles"} == {
+        "brute_depth", "verify_partition"}
+    assert not any(module == "discrete_sets" for module, _ in callers)
+
+
 # ---------------------------------------------------------------------------
 # serialization
 
