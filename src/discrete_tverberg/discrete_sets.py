@@ -61,9 +61,18 @@ class LatticeBasis:
 
     def _reduce(self) -> tuple:
         """``(rows, den)``: T as integer rows over one positive denominator,
-        the I part of the :func:`_echelon` rows of ``[D_B B | D_B I]``, those
-        that pivot on B's columns first, in column order, so that ``T B =
-        den [I_r; 0]``; ValueError on a dependent basis (fewer such rows)."""
+        so that ``T B = den [I_r; 0]``; ValueError on a dependent basis.
+
+        The rows are the I part of the :func:`_echelon` rows of ``[D_B B |
+        D_B I]``, those that pivot on B's columns first, in column order (a
+        dependent basis has fewer).  On a rank-deficient lattice the first
+        r rows are replaced by the one choice inside span(B): the reduced
+        right parts of the rows ``[G | D_B^2 B^t]``, G the Gram matrix of
+        ``D_B B``.  Those rows no longer depend on the elimination's picks,
+        so neither does the normal ``T^t v`` of a frame normal v that is 0
+        past the rank (:meth:`ambient_normal`).  The rows past the rank
+        vanish exactly on the span, so their scale is free.
+        """
         d, r = self.dim, self.rank
         _, cols, rows, det = _echelon(
             row + tuple(self._den if t == i else 0 for t in range(d))
@@ -71,8 +80,16 @@ class LatticeBasis:
         )
         if sum(c < r for c in cols) < r:
             raise ValueError("basis vectors are linearly dependent")
+        rows = [row[r:] for _, row in sorted(zip(cols, rows))]
+        if r < d:
+            basis = list(zip(*self._int_rows))  # D_B b_j
+            _, _, head, det = _echelon(
+                tuple(sum(map(mul, a, b)) for b in basis) + tuple(self._den * x for x in a)
+                for a in basis
+            )  # G is invertible, so row j pivots on column j
+            rows[:r] = [row[r:] for row in head]
         sign = -1 if det < 0 else 1
-        return [[sign * x for x in row[r:]] for _, row in sorted(zip(cols, rows))], sign * det
+        return [[sign * x for x in row] for row in rows], sign * det
 
     def scaled_coords(self, x: Sequence[int]) -> list:
         """The integer rows of ``D T x`` for an integer vector x."""
@@ -83,7 +100,12 @@ class LatticeBasis:
         return tuple(sum(map(mul, row, z)) for row in self._int_rows)
 
     def ambient_normal(self, v: Sequence[int]) -> Vec:
-        """``D T^t v``, the ambient normal of the lattice-frame normal v."""
+        """``D T^t v``, the ambient normal of the lattice-frame normal v.
+
+        When v is 0 past the rank (the normal of points on the lattice's
+        span) this is the one normal n in span(B) with ``n . b_j = D v_j``,
+        since T's first rows lie in span(B) (:meth:`_reduce`).
+        """
         return vec(sum(map(mul, v, col)) for col in zip(*self._t_rows))
 
     def _lattice_z(self, t: Sequence[int], m: int) -> Optional[tuple]:

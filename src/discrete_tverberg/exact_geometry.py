@@ -571,12 +571,14 @@ def _descend(classes: dict, rank: int, floor: int) -> tuple:
     minimum, since no other wall's candidates can win :func:`_off_wall`.
 
     The floor contract: the count is exact whenever it is at least
-    ``floor``; otherwise the result is some value below ``floor``, with no
-    witness (None) if the descent stopped.  Each wall is descended with the floor less
-    ``min(along, against)``, and the descent stops at the first wall whose
-    total falls below the floor, since the minimum is then below it too.
-    A result that stopped nowhere counted every wall exactly, so it is the
-    floor-0 count with the same thunk.  A line is always exact.
+    ``floor``; otherwise it is some value below ``floor`` and the thunk
+    builds a witness whose open count is that value.  Each wall is
+    descended with the floor less ``min(along, against)``, and the descent
+    stops at the first wall whose total falls below the floor, since the
+    minimum is then below it too; that wall's :func:`_off_wall` witness,
+    on its sub-witness, opens exactly its total.  A result that stopped
+    nowhere counted every wall exactly, so it is the floor-0 count with
+    the same thunk.  A line is always exact.
     """
     if rank == 1:
         (rep, (pos, neg, _)), = classes.items()
@@ -611,9 +613,9 @@ def _descend(classes: dict, rank: int, floor: int) -> tuple:
                 c[1] += neg
         near = min(upos, uneg)
         sub_count, sub_witness = _descend(wall, rank - 1, floor - near)
-        if sub_count + near < floor:
-            return sub_count + near, None
         walls.append((sub_count + near, sub_count, sub_witness, m + 1, u))
+        if sub_count + near < floor:
+            break
     low = min(wall[0] for wall in walls)
 
     def witness():
@@ -629,7 +631,8 @@ def _descend(classes: dict, rank: int, floor: int) -> tuple:
 def _planar(classes: dict, floor: int) -> tuple:
     """:func:`_descend` for classes that span a plane, with its floor
     contract: the pass stops at the first class whose total is below the
-    floor and returns that total and no witness.
+    floor and returns that total, with the witness just off that class's
+    wall.
 
     Below class v the recursion meets one line, the plane's normal to v;
     each class lies on the side given by the sign of its 2-d cross product
@@ -657,9 +660,9 @@ def _planar(classes: dict, floor: int) -> tuple:
         neg = n - vpos - vneg - pos
         # min(pos, neg) + min(vpos, vneg) without two calls per class
         total = (pos if pos < neg else neg) + (vpos if vpos < vneg else vneg)
-        if total < floor:
-            return total, None
         totals.append(total)
+        if total < floor:
+            break
     low = min(totals)
 
     def witness():
@@ -705,9 +708,11 @@ def depth_count(W: list, d: int, floor: int = 0) -> tuple:
     empty W gives the count 0 and the first axis.
 
     With a ``floor`` the count is exact, with the same thunk, whenever it
-    is at least ``floor``; below that the result is some value below
-    ``floor`` whose thunk may be None, since the descent stops at its first
-    wall below the floor.  The default floor 0 is always exact.
+    is at least ``floor``; below that the descent stops at its first wall
+    below the floor, and the result is some value below ``floor`` that is
+    the open count of its thunk's witness.  So a query that stops still
+    gives a direction v, and #{p : v.p >= v.x} bounds the depth of every
+    x.  The default floor 0 is always exact.
     """
     if not W:
         return 0, lambda: (1,) + (0,) * (d - 1)

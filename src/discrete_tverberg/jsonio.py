@@ -46,6 +46,9 @@ def parse_scalar(raw) -> Fraction:
             f"refusing float {raw!r}: use an exact \"p/q\" string instead"
         )
     if isinstance(raw, str):
+        # Fraction would expand "1e999999999" to a billion-digit integer
+        if "e" in raw or "E" in raw:
+            raise ValueError(f"refusing exponent notation in {raw!r}: use \"p/q\"")
         try:
             return Fraction(raw)
         except ZeroDivisionError:

@@ -198,9 +198,17 @@ def find_deep_witnesses(
     k-th's, since a tie then cannot displace it.  Below the floor the
     query stops at its first wall below it and the candidate is dropped;
     at or above it the depth is exact and the candidate is ranked with its
-    witness thunk.  Only the chosen build their witness normal v, as the
-    ambient normal T^t v.  On the standard lattice T is the identity and
-    the witness is the one :func:`depth` returns.
+    witness thunk.  A stopped query still returns a witness v whose closed
+    halfspace through the candidate holds fewer than ``need`` points, and
+    the search keeps it as a cut ``(v, sorted v.p)``: for any later
+    candidate q the closed halfspace {v.x >= v.q} contains q, so ``#{p :
+    v.p >= v.q}`` (a bisection) is at least depth(q), and a candidate that
+    some cut puts below its own floor is skipped without a query, since
+    the query would drop it.  The cut that skipped it moves to the front
+    of the list.  Only the chosen
+    build their witness normal v, as the ambient normal T^t v
+    (:meth:`LatticeBasis.ambient_normal`).  On the standard lattice T is
+    the identity and the witness is the one :func:`depth` returns.
     """
     lines, coords, den = lattice_lines_in_polytope(spec, PolytopeV(tuple(points)))
     scanned = sum(hi - lo + 1 for _, lo, hi in lines)
@@ -215,6 +223,8 @@ def find_deep_witnesses(
     # k; the prefix is unique, so two thunks are never compared
     top = []
     cutoff = threshold
+    n = len(coords)
+    cuts = []  # (v, sorted v.p) of each stopped query's witness v
     for bound, level in _bound_levels(lines, coords, den, lat.rank, threshold):
         if bound < cutoff:
             break  # before the level's lines are cut
@@ -227,8 +237,13 @@ def find_deep_witnesses(
             # a tie with the k-th witness displaces it only from before it
             need = cutoff + 1 if len(top) == k and point > top[-1][1] else cutoff
             q = tuple(den * c for c in z) + pad
+            hit = next((i for i, (v, proj) in enumerate(cuts)
+                        if n - bisect_left(proj, sum(map(mul, v, q))) < need), None)
+            if hit is not None:
+                cuts.insert(0, cuts.pop(hit))
+                continue
             W = [tuple(map(sub, p, q)) for p in coords if p != q]
-            on_vertex = len(coords) - len(W)
+            on_vertex = n - len(W)
             count, witness = depth_count(W, spec.dim, need - on_vertex)
             value = count + on_vertex
             if value >= need:
@@ -236,6 +251,9 @@ def find_deep_witnesses(
                 del top[k:]
                 if len(top) == k:
                     cutoff = -top[-1][0]
+            else:
+                v = witness()
+                cuts.append((v, sorted(sum(map(mul, v, p)) for p in coords)))
     chosen = []
     for neg_value, _, z, witness in top:
         point = lat.from_lattice(z)

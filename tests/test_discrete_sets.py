@@ -466,6 +466,18 @@ def test_lattice_kernel_matches_forward_map(basis, data):
         assert not basis.contains(moved)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(KERNEL_BASES), st.data())
+def test_ambient_normal_of_a_span_normal_lies_in_the_span(basis, data):
+    # a frame normal that is 0 past the rank gives the one normal n in
+    # span(B) with n . b_j = D v_j, whichever rows the elimination picked
+    r = basis.rank
+    v = data.draw(st.tuples(*[st.integers(-3, 3)] * r)) + (0,) * (basis.dim - r)
+    n = basis.ambient_normal(v)
+    assert [vdot(n, b) for b in basis.vectors] == [basis._t_den * c for c in v[:r]]
+    assert rank_of_vectors(basis.vectors + (n,)) == r
+
+
 def test_lattice_box_rejects_wrong_dimension():
     with pytest.raises(ValueError, match="dimension does not match the lattice"):
         lattice_box(LatticeBasis(((1, 0), (0, 1))), [vec((1, 2, 3))])

@@ -334,6 +334,19 @@ def test_cli_names_a_zero_denominator(tmp_path, capsys):
     assert err.count("zero denominator in '1/0'") == 2 and "Traceback" not in err
 
 
+def test_cli_refuses_exponent_notation(tmp_path, capsys):
+    # Fraction("1e999999999") builds a billion-digit integer before any check
+    for raw in ("1e999999999", "1E-2"):
+        inst = write_json(tmp_path, "inst.json", dict(INSTANCE_1D, points=[[raw], [1]]))
+        assert cli.main(["tverberg", inst]) == 1
+        err = capsys.readouterr().err
+        assert f"exponent notation in {raw!r}" in err and "Traceback" not in err
+    # every form without an exponent parses as before
+    for raw, value in (("3", 3), (" -3 ", -3), ("1/2", Fraction(1, 2)),
+                       ("-1.25", Fraction(-5, 4)), ("1_000", 1000), (".5", Fraction(1, 2))):
+        assert jsonio.parse_scalar(raw) == value
+
+
 def test_cli_oracle_helly_refuses_a_mixed_set(tmp_path, capsys):
     # a mixed set used to end in an AttributeError traceback
     family = write_json(tmp_path, "fam.json", [{"vertices": [[0, 0], [2, 0], [0, 2]]},
