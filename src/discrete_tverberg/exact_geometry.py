@@ -5,7 +5,7 @@ certificates; the work runs on the points scaled once to integers.
 Membership is one integer kernel (:func:`_convex_weights`) in every
 dimension.  Hulls are exact integer H-representations in every dimension
 and every flat (:func:`hull_facets`, beneath-beyond from 3-d), which also
-give the extreme points without an LP.  Depth runs on integer
+give the extreme points and the membership separators without an LP.  Depth runs on integer
 difference vectors in one kernel for every dimension: a wall descent over
 direction classes that solves each plane it reaches in one pass (the
 generic wall recursion stays as its test reference).  Every verdict
@@ -192,25 +192,21 @@ class AffineHull:
 # membership
 
 
-def _convex_weights(q: tuple, pts: Sequence[tuple], den: int):
+def _convex_weights(q: tuple, pts: Sequence[tuple], den: int) -> Optional[list]:
     """``q in conv(pts)`` on integers: convex weights as ``(index,
-    Fraction)`` pairs, or a separating :class:`Halfspace` in the caller's
-    frame.  q and the distinct pts are ``den`` times the caller's points.
+    Fraction)`` pairs, or None when q is outside.  q and the distinct pts
+    are ``den`` times the caller's points.
 
-    1-d is an interval, 2-d the :mod:`.geom2d` fan and hull edges, and from
-    3-d a phase-1 LP on the columns ``(p, den)``: ``den`` times the system
-    ``(x, 1)``, so no weight depends on den, nor a separator but a 2-d one,
-    a hull edge, which another den scales by a positive factor.
+    1-d is an interval, 2-d the :mod:`.geom2d` fan, and from 3-d a phase-1
+    LP on the columns ``(p, den)``: ``den`` times the system ``(x, 1)``, so
+    no weight depends on den.
     """
     d = len(q)
     if d == 1:
         (x,) = q
         xs = [p[0] for p in pts]
-        lo, hi = min(xs), max(xs)
-        if x < lo:
-            return Halfspace((ONE,), Fraction(lo, den))
-        if x > hi:
-            return Halfspace((-ONE,), Fraction(-hi, den))
+        if not min(xs) <= x <= max(xs):
+            return None
         below, i = max((v, i) for i, v in enumerate(xs) if v <= x)
         if below == x:
             return [(i, ONE)]
@@ -218,48 +214,42 @@ def _convex_weights(q: tuple, pts: Sequence[tuple], den: int):
         lam = Fraction(above - x, above - below)
         return [(i, lam), (j, 1 - lam)]
     if d == 2:
-        hull = geom2d.hull2d(pts)
-        combo = geom2d.fan_combination(q, hull)
-        if combo is not None:
-            index = {p: i for i, p in enumerate(pts)}
-            return [(index[v], c) for v, c in combo]
-        for n, c in geom2d.hull_edges(hull):
-            if n[0] * q[0] + n[1] * q[1] < c:
-                break
-        else:  # a point, or a segment with q on its line: a side of its box
-            n, c = next(
-                (n, c)
-                for n in ((1, 0), (-1, 0), (0, 1), (0, -1))
-                for c in [min(n[0] * x + n[1] * y for x, y in hull)]
-                if n[0] * q[0] + n[1] * q[1] < c
-            )
-        return Halfspace((frac(n[0]), frac(n[1])), Fraction(c, den))
+        combo = geom2d.fan_combination(q, geom2d.hull2d(pts))
+        if combo is None:
+            return None
+        index = {p: i for i, p in enumerate(pts)}
+        return [(index[v], c) for v, c in combo]
     tab = ExactSimplex([p + (den,) for p in pts], q + (den,))
-    if tab.solve():
-        return [(j, c) for j, c in enumerate(tab.solution()) if c > 0]
-    # y . (p, den) <= 0 for every point while y . (q, den) > 0, so -y_head
-    # puts the set weakly above y_tail and the query strictly below.
-    y = tab.farkas()
-    return Halfspace(tuple(-c for c in y[:-1]), y[-1])
+    if not tab.solve():
+        return None
+    return [(j, c) for j, c in enumerate(tab.solution()) if c > 0]
 
 
-def _certificate(query: Vec, pts: list) -> MembershipCertificate:
-    """:func:`membership` of a coerced query and distinct coerced points."""
+def _combination(query: Vec, pts: list) -> tuple:
+    """``(combination, q, sub, den)``: :func:`_convex_weights` of a coerced
+    query over distinct coerced points as a :class:`ConvexCombination`, None
+    when the query is outside, and the integers ``q`` and ``sub`` it was
+    solved on, ``den`` times the query and the points."""
     if not pts:
         raise ValueError("membership against an empty point set")
     _check_dims(query, pts)
     ints, den = int_scaled(pts + [query])
-    res = _convex_weights(ints[-1], ints[:-1], den)
-    if isinstance(res, Halfspace):
-        return MembershipCertificate(False, separator=res)
-    terms = tuple((pts[j], c) for j, c in res)
-    return MembershipCertificate(True, combination=ConvexCombination(terms))
+    q, sub = ints[-1], ints[:-1]
+    res = _convex_weights(q, sub, den)
+    comb = None if res is None else ConvexCombination(tuple((pts[j], c) for j, c in res))
+    return comb, q, sub, den
 
 
 def membership(query, points) -> MembershipCertificate:
     """Decide ``query in conv(points)`` with a certificate either way, by
-    one integer scaling around :func:`_convex_weights`."""
-    return _certificate(vec(query), _dedup(_as_points(points)))
+    one integer scaling around :func:`_convex_weights`.  Outside, the
+    separator is the first of the hull's :func:`hull_facets` that the query
+    violates, by one rule in every dimension and on every flat."""
+    comb, q, sub, den = _combination(vec(query), _dedup(_as_points(points)))
+    if comb is not None:
+        return MembershipCertificate(True, combination=comb)
+    n, c = next((n, c) for n, c in hull_facets(sub) if _idot(n, q) < c)
+    return MembershipCertificate(False, separator=Halfspace(vec(n), Fraction(c, den)))
 
 
 def caratheodory_reduce(query, points):
@@ -272,10 +262,10 @@ def caratheodory_reduce(query, points):
     pts = _dedup(_as_points(points))
     if query in set(pts):
         return [query], ConvexCombination(((query, ONE),))
-    cert = _certificate(query, pts)
-    if not cert.inside:
+    comb = _combination(query, pts)[0]
+    if comb is None:
         raise ValueError("query lies outside the convex hull")
-    return cert.combination.support(), cert.combination
+    return comb.support(), comb
 
 
 def anchored_reduce(query, anchor, points) -> AnchoredReduction:

@@ -2,9 +2,9 @@
 
 The rational kernel scales 2-d inputs by a common denominator and hands the
 resulting integer points to these helpers: the hull, its edges as integer
-halfspaces (which serve both as separators and as the enumerator's
-facets), and convex coefficients over a fan triangle.  Everything here is
-exact pure-Python integer arithmetic.
+halfspaces (which :func:`.exact_geometry.hull_facets` reads for the
+separators and the enumerator's facets), and convex coefficients over a
+fan triangle.  Everything here is exact pure-Python integer arithmetic.
 """
 from __future__ import annotations
 

@@ -229,8 +229,6 @@ def find_deep_witnesses(
         if bound < cutoff:
             break  # before the level's lines are cut
         for z in level:
-            if bound < cutoff:
-                break
             if spec.removes(z):
                 continue  # removed from a difference set
             point = lat.scaled_point(z)
@@ -267,11 +265,11 @@ def _weights(targets: Sequence[tuple], sub: Sequence[tuple], den: int) -> list:
     """Each target's convex weights over the distinct points ``sub`` as
     :func:`caratheodory_reduce` gives them, all integers ``den`` times the
     caller's, up to the first target outside ``conv(sub)``, whose entry is
-    then its separating :class:`Halfspace`."""
+    then None."""
     out = []
     for q in targets:
         out.append([(sub.index(q), ONE)] if q in sub else _convex_weights(q, sub, den))
-        if isinstance(out[-1], Halfspace):
+        if out[-1] is None:
             break
     return out
 
@@ -321,7 +319,7 @@ def colorful_cover(witness_points: Sequence, ground: Sequence) -> list:
     ints, den = int_scaled(A + P)
     sub, targets = ints[:len(A)], ints[len(A):]
     weights = _weights(targets, sub, den)
-    if isinstance(weights[-1], Halfspace):
+    if weights[-1] is None:
         raise ValueError("witness set is not inside the ground hull")
     cover, _ = _cover(targets, sub, den, weights)
     return [A[j] for j in cover]
@@ -377,7 +375,7 @@ def tverberg_partition(instance: Instance) -> TverbergOutcome:
         ``indices`` as combinations; PartitionConstructionError if they fail."""
         certs = []
         for w, res in zip(witnesses, weights):
-            if isinstance(res, Halfspace):
+            if res is None:
                 raise PartitionConstructionError(
                     f"witness {w} is outside the hull of input points {indices}"
                 )
@@ -396,7 +394,7 @@ def tverberg_partition(instance: Instance) -> TverbergOutcome:
     parts = []  # (sorted input indices, certificates)
     while True:
         weights = _weights(targets, sub, 1)
-        if len(parts) == m - 1 or isinstance(weights[-1], Halfspace):
+        if len(parts) == m - 1 or weights[-1] is None:
             break
         cover, part_weights = _cover(targets, sub, 1, weights)
         part = sorted(remaining[j] for j in cover)

@@ -76,11 +76,13 @@ def test_membership_degenerate_segment_and_point():
     assert membership((1, 1), seg).inside
     off = membership((1, 0), seg)
     assert not off.inside and off.verify(vec((1, 0)), [vec(p) for p in seg])
-    assert off.separator == Halfspace(vec((-2, 2)), 0)
+    # the segment's primitive edge normal, from hull_facets
+    assert off.separator == Halfspace(vec((-1, 1)), 0)
     single = membership((5, 5), [(5, 5)])
     assert single.inside
     assert not membership((5, 4), [(5, 5)]).inside
-    # no edge separates these: a side of the bounding box does
+    # on a segment's line or off a point: an end of the segment, or one of
+    # the flat's equations, separates
     for q, hull in [((3, 3), seg), ((-1, -1), seg), ((F(5, 2), F(5, 2)), seg),
                     ((4, 9), [(5, 5)]), ((5, 4), [(5, 5)]), ((6, 5), [(5, 5)])]:
         cert = membership(q, hull)

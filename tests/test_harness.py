@@ -8,8 +8,13 @@ from pathlib import Path
 
 import pytest
 
-from discrete_tverberg import cli, jsonio
+from discrete_tverberg import cli, harness, jsonio
 from discrete_tverberg.discrete_sets import LatticeBasis, difference_set, lattice_set
+from discrete_tverberg.errors import (
+    CapExceededError,
+    PartitionConstructionError,
+    TheoremViolationError,
+)
 from discrete_tverberg.harness import (
     ExperimentConfig,
     SplitMix64,
@@ -20,7 +25,7 @@ from discrete_tverberg.harness import (
     sample_pool,
     trial_rng,
 )
-from discrete_tverberg.oracles import OracleCaps
+from discrete_tverberg.oracles import BruteTverbergReport, OracleCaps, VerificationReport
 from discrete_tverberg.tverberg import tverberg_partition
 
 Z1 = lattice_set(1)
@@ -125,6 +130,58 @@ def test_run_experiment_forced_failure_box():
     assert rep.summary["success_rate"] == "0/1"
 
 
+def _raises(exc):
+    def fail(*args):
+        raise exc
+    return fail
+
+
+@pytest.mark.parametrize("name, fake, status, counter, code", [
+    ("tverberg_partition", _raises(TheoremViolationError("forced")),
+     "theorem_violation", "theorem_violations", 2),
+    ("tverberg_partition", _raises(PartitionConstructionError("forced")),
+     "construction_error", "construction_errors", 0),
+    ("tverberg_partition", _raises(CapExceededError("forced")),
+     "construction_error", "construction_errors", 0),
+    ("verify_partition", lambda result, instance: VerificationReport(False, "forced"),
+     "verify_failed", "verify_failures", 2),
+], ids=["theorem-violation", "construction-error", "cap", "verify-failed"])
+def test_run_trial_records_each_failure(tmp_path, capsys, monkeypatch, name, fake,
+                                        status, counter, code):
+    # the statuses that the summary counts and the benchmark's failed share
+    # reads; an experiment fails (exit 2) on theorem violations and failed
+    # verifications only
+    monkeypatch.setattr(harness, name, fake)
+    cfg = ExperimentConfig(spec=Z2, m=2, k=1, n_points=9, box_bound=8,
+                           trials=3, seed=4)
+    record = run_trial(cfg, 0)
+    assert record.status == status
+    assert records_to_csv([record]).split("\n")[1].split(",")[2] == status
+    assert cli.main(["experiment", write_json(tmp_path, "cfg.json", EXPERIMENT_CFG)]) == code
+    summary = json.loads(capsys.readouterr().out)
+    assert summary[counter] == cfg.trials
+    assert summary["successes"] == 0
+
+
+@pytest.mark.parametrize("fake, agreement, cell", [
+    (_raises(CapExceededError("forced")), None, ""),
+    (lambda *args: BruteTverbergReport(None, None, 0), False, "false"),
+], ids=["cap", "disagreement"])
+def test_run_trial_oracle_agreement(monkeypatch, fake, agreement, cell):
+    # a capped oracle leaves the agreement open; a disagreeing one says so
+    monkeypatch.setattr(harness, "brute_tverberg", fake)
+    cfg = ExperimentConfig(spec=Z2, m=2, k=1, n_points=9, box_bound=8,
+                           trials=2, seed=4, oracle_validate=True)
+    report = run_experiment(cfg)
+    assert [(r.status, r.oracle_agreement) for r in report.records] == [
+        ("ok", agreement)] * cfg.trials
+    assert [row.split(",")[-1] for row in report.csv_text.split("\n")[1:-1]] == [
+        cell] * cfg.trials
+    validated = 0 if agreement is None else cfg.trials
+    assert report.summary["oracle"] == {
+        "validated": validated, "agreements": 0, "disagreements": validated}
+
+
 def _with_fallback_flags(js):
     # The outcome JSON as it was while ok outcomes carried the never-set
     # "fallback_flags" stat (one False per part, after "witness_depths").
@@ -193,6 +250,11 @@ def _with_fallback_flags(js):
     (ExperimentConfig(spec=Z1, m=4, k=3, n_points=40, box_bound=60, trials=8, seed=1),
      "d28bf9f69d62876da0b4b0781b9f5fab7599042f091f6895e000e61ed93a9a7a",
      "dbfa6b332d2985d1ec01fa31c8b53d1dfc79c3ac9b30e22fdc45cb6a57452471"),
+    # below the bound: trials 0, 4 and 7 are no_partition_found with one of
+    # the two witnesses found
+    (ExperimentConfig(spec=Z2, m=2, k=2, n_points=13, box_bound=4, trials=8, seed=7),
+     "c8c621625f4185cf1955480890f8105dbb2ce4077dbbce80067aab52420fc4fa",
+     "c5cc07b96e6345be72adf2aaee843a1a23a96baa8c602b16ae57de4c2cc1923a"),
 ])
 def test_outcome_json_bytes_are_pinned(cfg, flagged_digest, digest):
     # The outcome JSON carries the parts, the witness points, their

@@ -172,6 +172,27 @@ def test_verify_partition_rejects_empty_part():
     assert not check and check.reason == "empty_part"
 
 
+def test_verify_partition_rejects_wrong_part_count():
+    result, inst = engine_result()
+    bad = replace(result, parts=((0,), (1,), (2,)))
+    check = verify_partition(bad, inst)
+    assert not check and check.reason == "wrong_part_count"
+
+
+def test_verify_partition_rejects_too_few_witnesses():
+    result, inst = engine_result()
+    bad = replace(result, witnesses=())
+    check = verify_partition(bad, inst)
+    assert not check and check.reason == "too_few_witnesses"
+
+
+def test_verify_partition_rejects_duplicate_witnesses():
+    result, inst = engine_result()
+    bad = replace(result, witnesses=result.witnesses * 2)
+    check = verify_partition(bad, inst)
+    assert not check and check.reason == "duplicate_witnesses"
+
+
 def readme_result():
     inst = Instance(Z2, ((0, 0), (4, 0), (0, 4), (3, 3), (1, 1),
                          (2, 0), (0, 2), (2, 2), (1, 2)), 2, 1)

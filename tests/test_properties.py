@@ -247,13 +247,19 @@ def test_depth_kernel_floor_is_exact_at_or_above_it(case, data):
 
 @st.composite
 def kernel_problem(draw):
-    """``(q, pts, c)``: distinct rational points in 1-4 d, a query that is
-    a convex combination of them (so 3-4 d has inside cases) or free, and a
-    further scale c."""
+    """``(q, pts, c)``: distinct rational points in 1-4 d, all of them or
+    in a hyperplane or on a line, a query that is a convex combination of
+    them (so 3-4 d has inside cases) or free, and a further scale c."""
     d = draw(st.integers(1, 4))
     x = st.fractions(-5, 5, max_denominator=4)
     pts = draw(st.lists(st.tuples(*[x] * d), min_size=1, max_size=7,
                         unique=True))
+    shape = draw(st.sampled_from(["full", "hyperplane", "line"]))
+    if shape == "hyperplane" and d > 1:
+        pts = [p[:-1] + (sum(p[:-1]),) for p in pts]
+    elif shape == "line":
+        pts = [tuple(p[0] * (i + 1) + 1 for i in range(d)) for p in pts]
+    pts = list(dict.fromkeys(pts))
     if draw(st.booleans()):
         w = draw(st.lists(st.integers(0, 3), min_size=len(pts),
                           max_size=len(pts)))
@@ -270,35 +276,34 @@ def kernel_problem(draw):
 def test_membership_kernel_matches_lp_and_ignores_scale(problem):
     from discrete_tverberg.exact_geometry import (
         ConvexCombination,
-        Halfspace,
         _convex_weights,
+        hull_facets,
     )
     from discrete_tverberg.vectors import int_scaled
     q, pts, c = problem
     ints, den = int_scaled(pts + [q])
     got = _convex_weights(ints[-1], ints[:-1], den)
-    if isinstance(got, Halfspace):
-        assert got.verify_separation(q, pts)
-    else:
+    # the reference: the phase-1 LP on the Fraction columns (x, 1)
+    ref = linprog.solve_feasibility([p + (F(1),) for p in pts], q + (F(1),))
+    assert (got is None) == (not ref.feasible)
+    if got is not None:
         assert ConvexCombination(tuple((pts[j], w) for j, w in got)).verify(q)
-    if len(q) >= 3:
-        # the reference: the phase-1 LP on the Fraction columns (x, 1)
-        ref = linprog.solve_feasibility([p + (F(1),) for p in pts], q + (F(1),))
-        if ref.feasible:
+        if len(q) >= 3:
             assert got == [(j, w) for j, w in enumerate(ref.solution) if w > 0]
-        else:
-            y = ref.farkas
-            assert got == Halfspace(tuple(-a for a in y[:-1]), y[-1])
     scaled = _convex_weights(tuple(c * a for a in ints[-1]),
                              [tuple(c * a for a in p) for p in ints[:-1]],
                              c * den)
-    if isinstance(got, Halfspace) and len(q) == 2:
-        r = next(a / b for a, b in zip(scaled.normal, got.normal) if b)
-        assert r > 0
-        assert scaled == Halfspace(tuple(r * a for a in got.normal),
-                                   r * got.offset)
-    else:
-        assert scaled == got
+    assert scaled == got
+    # outside, the separator is the first hull_facets halfspace the query
+    # violates, an equation of the flat when the query is off it
+    cert = membership(q, pts)
+    assert cert.inside == (got is not None)
+    assert cert.verify(q, pts)
+    if got is None:
+        sep = cert.separator
+        assert (sep.normal, sep.offset * den) == next(
+            (n, b) for n, b in hull_facets(ints[:-1])
+            if sum(map(mul, n, ints[-1])) < b)
 
 
 @st.composite
@@ -419,14 +424,14 @@ def test_cover_of_two_or_more_targets_is_anchored_at_their_centroid(problem):
     # the covering lemma: reductions of the targets' hull vertices over
     # their centroid always cover, with at most d points per vertex (an
     # anchor at a vertex fails this on most inputs)
-    from discrete_tverberg.exact_geometry import ConvexCombination, Halfspace
+    from discrete_tverberg.exact_geometry import ConvexCombination
     from discrete_tverberg.tverberg import _cover, _weights
     from discrete_tverberg.vectors import int_scaled
     pts, targets = problem
     ints, den = int_scaled(pts + targets)
     sub, scaled = ints[:len(pts)], ints[len(pts):]
     cover, certificates = _cover(scaled, sub, den, _weights(scaled, sub, den))
-    assert not any(isinstance(c, Halfspace) for c in certificates)
+    assert None not in certificates
     assert len(cover) <= len(extreme_points(targets)) * len(pts[0])
     part = [pts[j] for j in sorted(cover)]
     for t, weights in zip(targets, certificates):
@@ -1466,6 +1471,14 @@ def test_pivot_is_called_only_by_the_simplex_and_the_elimination():
     # one elimination, exact_geometry._echelon
     assert _callers("pivot") == {
         ("linprog", "ExactSimplex._pivot"), ("exact_geometry", "_echelon")}
+
+
+def test_halfspaces_are_built_only_by_membership_and_depth():
+    # one separator rule: membership's first violated hull_facets halfspace;
+    # the other halfspaces are depth witnesses
+    assert _callers("Halfspace") == {
+        ("exact_geometry", "membership"), ("exact_geometry", "depth"),
+        ("tverberg", "find_deep_witnesses")}
 
 
 def test_membership_is_called_only_by_the_depth_and_verification_oracles():
