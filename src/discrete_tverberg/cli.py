@@ -226,7 +226,11 @@ def cmd_experiment(args) -> int:
     _emit(report.summary)
     _note(f"{config.trials} trials in {elapsed:.2f}s "
           f"({report.summary['successes']} ok)")
-    if report.summary["theorem_violations"] or report.summary["verify_failures"]:
+    # an ok verdict that the brute oracle refutes fails the run; below the
+    # bound a no_partition_found that the oracle refutes is an honest miss
+    refuted = any(r.status == "ok" and r.oracle_agreement is False
+                  for r in report.records)
+    if report.summary["theorem_violations"] or report.summary["verify_failures"] or refuted:
         return EXIT_FAILURE
     return EXIT_OK
 

@@ -627,10 +627,12 @@ def _planar(classes: dict, floor: int) -> tuple:
     Below class v the recursion meets one line, the plane's normal to v;
     each class lies on the side given by the sign of its 2-d cross product
     with v, on two coordinates that embed the plane, so one pass counts
-    every class.  The pass keeps only each class's total; the witness
-    recounts the sides of the tied classes.  :func:`_line_side` does not
-    depend on the line's orientation; the witness orients it along
-    ``vv.r - (v.r).v``.
+    every class.  The pass keeps each visited class's total and its count
+    on the positive side; the witness builds on those counts for the
+    classes of the least total (the stopping class, when the pass
+    stopped), and takes only M = 1 + max |v.r| t over the other classes r
+    in one dot pass.  :func:`_line_side` does not depend on the line's
+    orientation; the witness orients it along ``vv.r - (v.r).v``.
     """
     keys = iter(classes)
     a, b = next(keys), next(keys)
@@ -638,7 +640,7 @@ def _planar(classes: dict, floor: int) -> tuple:
                 if a[i] * b[j] != a[j] * b[i])
     flat = [(r[i], r[j], rpos, rneg) for r, (rpos, rneg, _) in classes.items()]
     n = sum(rpos + rneg for _, _, rpos, rneg in flat)
-    totals = []
+    sides = []  # (total, pos) of each visited class
     for vi, vj, vpos, vneg in flat:
         pos = 0  # the rest of the other classes' vectors are on the neg side
         for ri, rj, rpos, rneg in flat:
@@ -650,28 +652,23 @@ def _planar(classes: dict, floor: int) -> tuple:
         neg = n - vpos - vneg - pos
         # min(pos, neg) + min(vpos, vneg) without two calls per class
         total = (pos if pos < neg else neg) + (vpos if vpos < vneg else vneg)
-        totals.append(total)
+        sides.append((total, pos))
         if total < floor:
             break
-    low = min(totals)
+    low = min(sides)[0]
 
     def witness():
         best = None
-        for (v, (vpos, vneg, _)), total in zip(classes.items(), totals):
+        for (v, (vpos, vneg, _)), (total, pos) in zip(classes.items(), sides):
             if total != low:
                 continue
-            vi, vj = v[i], v[j]
-            pos = m = 0
-            for r, (rpos, rneg, t) in classes.items():
-                s = vi * r[j] - vj * r[i]
-                if s:
-                    pos += rpos if s > 0 else rneg
-                    m = max(m, abs(sum(map(mul, v, r))) * t)
             neg = n - vpos - vneg - pos
+            m = max(abs(sum(map(mul, v, r))) * t
+                    for r, (_, _, t) in classes.items() if r is not v)
             r = next(r for r in classes if r is not v)
             vv, vr = _idot(v, v), _idot(v, r)
             line = _primitive_signed(tuple(vv * x - vr * y for x, y in zip(r, v)))
-            if vi * r[j] < vj * r[i]:
+            if v[i] * r[j] < v[j] * r[i]:
                 pos, neg = neg, pos
             best = _off_wall(best, min(pos, neg), _line_side(line, pos, neg)[1],
                              m + 1, v, vpos, vneg)

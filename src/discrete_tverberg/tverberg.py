@@ -111,24 +111,33 @@ class TverbergOutcome:
     witness_search: Optional[WitnessSearch] = None
 
 
-def _bound_levels(lines: list, coords: list, den: int, rank: int, lowest: int):
+def _level_directions(d: int) -> list:
+    """The level polytopes' directions in dimension d, one of each +-u:
+    every primitive direction with at most two nonzero entries, each of
+    absolute value at most 2.  The axes come first, then for each pair of
+    axes e_i, e_j (i < j) the a e_i + b e_j with a > 0."""
+    axes = [tuple(int(j == i) for j in range(d)) for i in range(d)]
+    return axes + [
+        tuple(a * x + b * y for x, y in zip(u, v))
+        for u, v in itertools.combinations(axes, 2)
+        for a, b in ((1, 1), (1, -1), (1, 2), (1, -2), (2, 1), (2, -1))
+    ]
+
+
+def _bound_levels(lines: list, coords: list, den: int, rank: int, lowest: int,
+                  dirs: list):
     """Yield ``(t, level)`` from the top level down to ``lowest``: level
     lazily yields the lattice coordinates z of bound t on the hull lines
     ``(head, lo, hi)`` in lexicographic order, once the higher levels are
     read.  With proj_u the sorted u.p over the n distinct coords, the bound
     is at least t exactly when ``proj_u[t - 1] <= den u.(z, 0) <=
-    proj_u[n - t]`` for each u: two cuts per u on a line (:func:`_clip_line`).
-    Above the top some window is empty; a level cuts only the lines whose
-    head is in the first axis's window; a line's head dot products are
-    taken when it is first cut.
+    proj_u[n - t]`` for each u of dirs, whose first entry is the first
+    axis: two cuts per u on a line (:func:`_clip_line`).  Above the top
+    some window is empty; a level cuts only the lines whose head is in the
+    first axis's window; a line's head dot products are taken when it is
+    first cut.
     """
-    n, d = len(coords), len(coords[0])
-    axes = [tuple(int(j == i) for j in range(d)) for i in range(d)]
-    dirs = axes + [
-        tuple(a + sign * b for a, b in zip(u, v))
-        for u, v in itertools.combinations(axes, 2)
-        for sign in (1, -1)
-    ]
+    n = len(coords)
     projs = [sorted(sum(map(mul, u, p)) for p in coords) for u in dirs]
     top = next(t for t in range(n, 0, -1) if all(p[t - 1] <= p[n - t] for p in projs))
     # the cuts u.x >= proj_u[t - 1] and -u.x >= -proj_u[n - t] of each u
@@ -179,9 +188,10 @@ def find_deep_witnesses(
     coordinates and a candidate B z is den (z, 0); T is linear and
     invertible, so depth is unchanged.  Exact depth is computed only for
     candidates that can still be ranked.  Each candidate q gets the upper
-    bound min over u of #{p : u.p >= u.q}, u ranging over the +-axes and
-    the +-pairwise sums and differences of axes; the closed halfspace
-    {u.x >= u.q} contains q, so its count is at least depth(q).  The
+    bound min over u of #{p : u.p >= u.q}, u ranging over both signs of
+    :func:`_level_directions`: the axes and every primitive u with two
+    nonzero entries in {+-1, +-2}; the closed halfspace {u.x >= u.q}
+    contains q, so its count is at least depth(q).  The
     candidates whose bound is at least t form the level polytope Q_t, the
     hull cut by two integer halfspaces per u, and Q_(t+1) is inside Q_t.
     So on each hull line the candidates of bound t are Q_t's interval less
@@ -225,7 +235,8 @@ def find_deep_witnesses(
     cutoff = threshold
     n = len(coords)
     cuts = []  # (v, sorted v.p) of each stopped query's witness v
-    for bound, level in _bound_levels(lines, coords, den, lat.rank, threshold):
+    dirs = _level_directions(len(coords[0]))
+    for bound, level in _bound_levels(lines, coords, den, lat.rank, threshold, dirs):
         if bound < cutoff:
             break  # before the level's lines are cut
         for z in level:

@@ -182,6 +182,23 @@ def test_run_trial_oracle_agreement(monkeypatch, fake, agreement, cell):
         "validated": validated, "agreements": 0, "disagreements": validated}
 
 
+@pytest.mark.parametrize("n_points, parts, counter, code", [
+    (9, None, "successes", 2),
+    (2, ((0,), (1,)), "no_partition_found", 0),
+], ids=["refuted-ok", "refuted-miss"])
+def test_cli_experiment_fails_on_an_ok_verdict_the_oracle_refutes(
+        tmp_path, capsys, monkeypatch, n_points, parts, counter, code):
+    # a refuted ok verdict fails the run (exit 2), as the benchmark counts
+    # it failed; a refuted no_partition_found, below the bound, does not
+    monkeypatch.setattr(harness, "brute_tverberg",
+                        lambda *args: BruteTverbergReport(parts, None, 0))
+    raw = dict(EXPERIMENT_CFG, n_points=n_points, oracle_validate=True)
+    assert cli.main(["experiment", write_json(tmp_path, "cfg.json", raw)]) == code
+    summary = json.loads(capsys.readouterr().out)
+    assert summary[counter] == raw["trials"]
+    assert summary["oracle"]["disagreements"] == raw["trials"]
+
+
 def _with_fallback_flags(js):
     # The outcome JSON as it was while ok outcomes carried the never-set
     # "fallback_flags" stat (one False per part, after "witness_depths").

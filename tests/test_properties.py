@@ -59,6 +59,7 @@ from discrete_tverberg.oracles import (
 from discrete_tverberg.tverberg import (
     DeepWitness,
     Instance,
+    _level_directions,
     find_deep_witnesses,
     tverberg_partition,
 )
@@ -772,13 +773,7 @@ def _depth_upper_bounds(points, zs, den, t):
     n = len(points)
     if t > n:
         return [t - 1] * len(zs)
-    d = len(points[0])
-    axes = [tuple(int(j == i) for j in range(d)) for i in range(d)]
-    dirs = axes + [
-        tuple(a + sign * b for a, b in zip(u, v))
-        for u, v in itertools.combinations(axes, 2)
-        for sign in (1, -1)
-    ]
+    dirs = _level_directions(len(points[0]))
     bounds = [n] * len(zs)
     alive = range(len(zs))
     for u in dirs:
@@ -876,10 +871,28 @@ def test_level_walk_asks_the_sorted_searchs_depth_queries(problem):
     assert (search.witnesses, search.insufficient, search.candidates_scanned) == expected
 
 
+@settings(max_examples=150, deadline=None)
+@given(level_walk_problem())
+def test_level_directions_bound_every_candidates_depth(problem):
+    # the walk drops a candidate q on #{p : u.p >= u.q} for each direction
+    # u of the level set and its negation, counted in the lattice frame
+    # on the hull's distinct coords: every such count is at least depth(q)
+    spec, points, _, _ = problem
+    lines, coords, den = lattice_lines_in_polytope(
+        spec, PolytopeV(tuple(vec(p) for p in points)))
+    pad = (0,) * (spec.dim - spec.base.rank)
+    dirs = _level_directions(len(coords[0]))
+    for z in _points_on_lines(spec, lines):
+        q = tuple(den * c for c in z) + pad
+        least = depth(spec.base.from_lattice(z), points).depth
+        for u in dirs + [tuple(-c for c in u) for u in dirs]:
+            assert sum(vdot(u, p) >= vdot(u, q) for p in coords) >= least
+
+
 def test_cuts_keep_wide_searches_to_few_depth_queries():
-    # nine random points in [0, 300]^2: the axis bounds alone let 511 to
-    # 15,463 candidates through to depth_count; the cuts of the stopped
-    # queries leave 28 to 153 of them, with the same outcome
+    # nine random points in [0, 300]^2: the level bounds alone let 511 to
+    # 11,484 candidates through to depth_count; the cuts of the stopped
+    # queries leave 30 to 131 of them, with the same outcome
     rng = random.Random(7)
     for _ in range(6):
         points = []
@@ -891,7 +904,7 @@ def test_cuts_keep_wide_searches_to_few_depth_queries():
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(tverberg, "depth_count", recorder(calls))
             search = find_deep_witnesses(points, Z2, 3, 1)
-        assert len(calls) <= 160
+        assert len(calls) <= 135
         assert (search.witnesses, search.insufficient, search.candidates_scanned) == \
             sorted_bound_search(points, Z2, 3, 1, depth_count)
 
