@@ -16,10 +16,11 @@ Bound formulas implemented here:
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 from operator import mul, sub
 from typing import Optional, Sequence
 
@@ -184,6 +185,69 @@ class DiscreteSetSpec:
         """Whether the base lattice's point B z is in a removed sublattice."""
         return any(sub.contains_scaled(z) for sub in self._removed)
 
+    def removed_on_lines(self, lines: list) -> int:
+        """How many of the points ``head + (z,)``, lo <= z <= hi, of the
+        lines ``(head, lo, hi)`` :meth:`removes` removes, counted without
+        testing them one by one.
+
+        On a line each removed sublattice holds an arithmetic progression
+        of z, one z, every z or none (:func:`_line_progression`); the union
+        over the sublattices is counted by inclusion-exclusion, intersecting
+        the progressions by the Chinese remainder theorem (:func:`_crt`).
+        """
+        total = 0
+        for head, lo, hi in lines:
+            sets = [_line_progression(sub, head) for sub in self._removed]
+            for size in range(1, len(sets) + 1):
+                for group in itertools.combinations(sets, size):
+                    p = functools.reduce(_crt, group)
+                    if p is not None:
+                        r, P = p
+                        n = (hi - r) // P - (lo - 1 - r) // P if P else int(lo <= r <= hi)
+                        total += n if size % 2 else -n
+        return total
+
+
+def _line_progression(sub: LatticeBasis, head: Sequence[int]) -> Optional[tuple]:
+    """``(r, P)`` such that the integer ``head + (z,)`` is in the lattice
+    exactly when z = r mod P (every z when P = 1, z = r alone when P = 0),
+    or None when no z is.
+
+    The congruence test :meth:`LatticeBasis._lattice_z` of the frame rows
+    ``T (head, z) = a + z c`` is linear in z: each row below the rank asks
+    ``c z = -a (mod D)``, each row past it ``a + z c = 0``.
+    """
+    m, prog = sub._t_den, (0, 1)
+    for i, row in enumerate(sub._t_rows):
+        a, c = sum(map(mul, row, head)), row[-1]  # map stops at the head's end
+        if i < sub.rank:
+            g = gcd(c, m)
+            step = m // g
+            cond = None if a % g else (-a // g * pow(c // g, -1, step) % step, step)
+        elif c:
+            cond = None if a % c else (-a // c, 0)
+        else:
+            cond = None if a else (0, 1)
+        prog = _crt(prog, cond)
+    return prog
+
+
+def _crt(p: Optional[tuple], q: Optional[tuple]) -> Optional[tuple]:
+    """The intersection of two :func:`_line_progression` sets, None when it
+    is empty or either set is None."""
+    if p is None or q is None:
+        return None
+    if not q[1]:
+        p, q = q, p
+    (r, P), (s, Q) = p, q
+    if not P:  # r alone
+        return p if ((r - s) % Q == 0 if Q else r == s) else None
+    g = gcd(P, Q)
+    if (s - r) % g:
+        return None
+    t = (s - r) // g * pow(P // g, -1, Q // g) % (Q // g)
+    return (r + P * t) % (P // g * Q), P // g * Q
+
 
 def _re_expressed(base: LatticeBasis, sub: LatticeBasis) -> LatticeBasis:
     """sub in base's lattice coordinates, by one :func:`lattice_box` map of
@@ -217,30 +281,54 @@ def mixed_set(a: int, b: int) -> DiscreteSetSpec:
     return DiscreteSetSpec(dim=a + b, variant="mixed", a=a, b=b)
 
 
-def _coords_in_set(spec: DiscreteSetSpec, points: list) -> list:
-    """Each point's lattice coordinates z (B z = x) if it is in S, else None,
-    by one :func:`lattice_box` map and :meth:`LatticeBasis._lattice_z`, with
-    ``spec.removes(z)`` false."""
+def _coords_in_set(spec: DiscreteSetSpec, points: list) -> tuple:
+    """``(coords, zs)``: each point's frame row from one :func:`lattice_box`
+    map, and its lattice coordinates z (B z = x) if it is in S, else None,
+    by :meth:`LatticeBasis._lattice_z` with ``spec.removes(z)`` false."""
     if not spec.enumerable:
         raise ValueError("pointwise membership is defined only for enumerable sets")
     coords, den = lattice_box(spec.base, points)
     zs = [spec.base._lattice_z(t, den) for t in coords]
-    return [None if z is None or spec.removes(z) else z for z in zs]
+    return coords, [None if z is None or spec.removes(z) else z for z in zs]
+
+
+def _in_set(pts: list, zs: list) -> list:
+    if None in zs:
+        raise ValueError(f"point {pts[zs.index(None)]} is not in the ground set")
+    return zs
 
 
 def lattice_coords(spec: DiscreteSetSpec, points) -> list:
     """The integer lattice coordinates z, B z = x, of points x of S, all
     mapped at once; ValueError naming the first point not in S."""
     pts = [vec(p) for p in points]
-    zs = _coords_in_set(spec, pts)
-    if None in zs:
-        raise ValueError(f"point {pts[zs.index(None)]} is not in the ground set")
-    return zs
+    return _in_set(pts, _coords_in_set(spec, pts)[1])
+
+
+def distinct_lattice_coords(spec: DiscreteSetSpec, points) -> list:
+    """:func:`lattice_coords` of points that must be pairwise distinct,
+    ValueError first if two coincide.  The one map's integer frame rows are
+    distinct exactly when the points are (the map is injective), so the
+    coerced points are hashed only when the map raises (a point of another
+    dimension, or S not enumerable), to name duplicates before that."""
+    pts = [vec(p) for p in points]
+    try:
+        coords, zs = _coords_in_set(spec, pts)
+    except ValueError:
+        _require_distinct(pts)
+        raise
+    _require_distinct(coords)
+    return _in_set(pts, zs)
+
+
+def _require_distinct(items: list) -> None:
+    if len(set(items)) != len(items):
+        raise ValueError("input points must be pairwise distinct")
 
 
 def set_contains(spec: DiscreteSetSpec, point) -> bool:
     """Whether the point is in S, by the map of :func:`lattice_coords`."""
-    return _coords_in_set(spec, [vec(point)])[0] is not None
+    return _coords_in_set(spec, [vec(point)])[1][0] is not None
 
 
 # ---------------------------------------------------------------------------
@@ -311,12 +399,12 @@ def _intersection_lines(
     """
     if not spec.enumerable:
         raise ValueError("enumeration is defined only for enumerable sets")
-    ids = {}  # each distinct vertex's index: a Fraction hashes slowly, so once
-    hull_ids = [
-        dict.fromkeys(ids.setdefault(v, len(ids)) for v in hull) for hull in hulls
-    ]
-    coords, den = lattice_box(spec.base, list(ids))
-    hull_coords = [[coords[i] for i in hull] for hull in hull_ids]
+    # one map of every vertex; a vertex is keyed on its integer frame row,
+    # since a tuple of Fractions hashes over ten times slower
+    rows, den = lattice_box(spec.base, [v for hull in hulls for v in hull])
+    ends = list(itertools.accumulate(map(len, hulls), initial=0))
+    hull_coords = [list(dict.fromkeys(rows[a:b])) for a, b in zip(ends, ends[1:])]
+    coords = list(dict.fromkeys(rows))
     # per lattice coordinate, each hull's column of frame entries
     columns = zip(*(list(zip(*c))[: spec.rank] for c in hull_coords))
     ranges = [

@@ -27,7 +27,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 from operator import mul, sub
 from typing import Optional, Sequence
 
@@ -53,6 +53,16 @@ def _dedup(points: Sequence[Vec]) -> list:
     for p in points:
         seen.setdefault(p, None)
     return list(seen)
+
+
+def _first_seen(rows: Sequence[tuple]) -> list:
+    """The index of each distinct integer row's first occurrence, in order:
+    :func:`_dedup` on the rows a batch of points scales to, which hash
+    more than ten times faster than tuples of Fractions."""
+    first = {}
+    for i, row in enumerate(rows):
+        first.setdefault(row, i)
+    return list(first.values())
 
 
 def _as_points(points) -> list:
@@ -195,48 +205,89 @@ class AffineHull:
 def _convex_weights(q: tuple, pts: Sequence[tuple], den: int) -> Optional[list]:
     """``q in conv(pts)`` on integers: convex weights as ``(index,
     Fraction)`` pairs, or None when q is outside.  q and the distinct pts
-    are ``den`` times the caller's points.
+    are ``den`` times the caller's points.  One query of
+    :func:`_convex_weights_each`."""
+    return next(_convex_weights_each((q,), pts, den))
 
-    1-d is an interval, 2-d the :mod:`.geom2d` fan, and from 3-d a phase-1
-    LP on the columns ``(p, den)``: ``den`` times the system ``(x, 1)``, so
-    no weight depends on den.
+
+def _convex_weights_each(qs: Sequence[tuple], pts: Sequence[tuple], den: int):
+    """:func:`_convex_weights` of each query of qs over the same pts, in
+    order.  A generator, so a query is solved only once its answer is asked
+    for.
+
+    2-d is the :mod:`.geom2d` fan of one hull, built once for all the
+    queries.  1-d is an interval and from 3-d a phase-1 LP on the columns
+    ``(p, den)``, ``den`` times the system ``(x, 1)``, so no weight depends
+    on den; both solve each query on its own, and the LP reads its weights
+    off :meth:`.linprog.ExactSimplex.support`.
     """
-    d = len(q)
-    if d == 1:
-        (x,) = q
-        xs = [p[0] for p in pts]
-        if not min(xs) <= x <= max(xs):
-            return None
-        below, i = max((v, i) for i, v in enumerate(xs) if v <= x)
-        if below == x:
-            return [(i, ONE)]
-        above, j = min((v, j) for j, v in enumerate(xs) if v >= x)
-        lam = Fraction(above - x, above - below)
-        return [(i, lam), (j, 1 - lam)]
+    d = len(pts[0])
     if d == 2:
-        combo = geom2d.fan_combination(q, geom2d.hull2d(pts))
-        if combo is None:
-            return None
+        hull = geom2d.hull2d(pts)
         index = {p: i for i, p in enumerate(pts)}
-        return [(index[v], c) for v, c in combo]
-    tab = ExactSimplex([p + (den,) for p in pts], q + (den,))
-    if not tab.solve():
+        for q in qs:
+            combo = geom2d.fan_combination(q, hull)
+            yield None if combo is None else [(index[v], c) for v, c in combo]
+        return
+    for q in qs:
+        if d == 1:
+            yield _interval_weights(q[0], [p[0] for p in pts])
+            continue
+        tab = ExactSimplex([p + (den,) for p in pts], q + (den,))
+        yield tab.support() if tab.solve() else None
+
+
+def _interval_weights(x: int, xs: list) -> Optional[list]:
+    """:func:`_convex_weights` of x over the distinct integers xs."""
+    if not min(xs) <= x <= max(xs):
         return None
-    return [(j, c) for j, c in enumerate(tab.solution()) if c > 0]
+    below, i = max((v, i) for i, v in enumerate(xs) if v <= x)
+    if below == x:
+        return [(i, ONE)]
+    above, j = min((v, j) for j, v in enumerate(xs) if v >= x)
+    lam = Fraction(above - x, above - below)
+    return [(i, lam), (j, 1 - lam)]
+
+
+def _verify_weights(q: tuple, pts: Sequence[tuple], terms: Sequence) -> bool:
+    """:meth:`ConvexCombination.verify` on integers: whether the ``(index,
+    Fraction)`` terms over the distinct integer points ``pts`` are a convex
+    combination equal to q.
+
+    With L the weights' common denominator and a_j = c_j L: the indices are
+    distinct, every a_j > 0, the a_j sum to L and sum a_j p_j = L q.  For a
+    linear injective map x = B p (the lattice's, or a scaling) this holds
+    exactly when the combination of the points B p verifies for B q.
+    """
+    L = lcm(*(c.denominator for _, c in terms))
+    a = [c.numerator * (L // c.denominator) for _, c in terms]
+    idx = [j for j, _ in terms]
+    if len(set(idx)) != len(idx) or min(a, default=0) <= 0 or sum(a) != L:
+        return False
+    acc = [0] * len(q)
+    for x, j in zip(a, idx):
+        for i, c in enumerate(pts[j]):
+            acc[i] += x * c
+    return acc == [L * c for c in q]
 
 
 def _combination(query: Vec, pts: list) -> tuple:
     """``(combination, q, sub, den)``: :func:`_convex_weights` of a coerced
-    query over distinct coerced points as a :class:`ConvexCombination`, None
-    when the query is outside, and the integers ``q`` and ``sub`` it was
-    solved on, ``den`` times the query and the points."""
+    query over coerced points as a :class:`ConvexCombination`, None when
+    the query is outside, and the integers ``q`` and ``sub`` it was solved
+    on, ``den`` times the query and the points.  The points are scaled
+    once and deduplicated on their integer rows (:func:`_first_seen`), so
+    sub and the combination's support keep each point's first occurrence."""
     if not pts:
         raise ValueError("membership against an empty point set")
     _check_dims(query, pts)
     ints, den = int_scaled(pts + [query])
-    q, sub = ints[-1], ints[:-1]
+    q = ints.pop()
+    first = _first_seen(ints)
+    sub = [ints[i] for i in first]
     res = _convex_weights(q, sub, den)
-    comb = None if res is None else ConvexCombination(tuple((pts[j], c) for j, c in res))
+    comb = None if res is None else ConvexCombination(
+        tuple((pts[first[j]], c) for j, c in res))
     return comb, q, sub, den
 
 
@@ -245,7 +296,7 @@ def membership(query, points) -> MembershipCertificate:
     one integer scaling around :func:`_convex_weights`.  Outside, the
     separator is the first of the hull's :func:`hull_facets` that the query
     violates, by one rule in every dimension and on every flat."""
-    comb, q, sub, den = _combination(vec(query), _dedup(_as_points(points)))
+    comb, q, sub, den = _combination(vec(query), _as_points(points))
     if comb is not None:
         return MembershipCertificate(True, combination=comb)
     n, c = next((n, c) for n, c in hull_facets(sub) if _idot(n, q) < c)
@@ -259,8 +310,8 @@ def caratheodory_reduce(query, points):
     point.  Raises ``ValueError`` when the query lies outside the hull.
     """
     query = vec(query)
-    pts = _dedup(_as_points(points))
-    if query in set(pts):
+    pts = _as_points(points)
+    if query in pts:
         return [query], ConvexCombination(((query, ONE),))
     comb = _combination(query, pts)[0]
     if comb is None:
@@ -307,12 +358,14 @@ def _anchored_weights(q: tuple, a: tuple, pts: Sequence[tuple], den: int):
     tab = ExactSimplex([p + (den,) for p in [a, *pts]], q + (den,))
     if not tab.solve():
         return None
-    x = tab.solution()
-    if sum(1 for c in x[1:] if c > 0) > d and x[0] == 0:
+    x = tab.support()
+    if len(x) > d and x[0][0] != 0:  # more than d points, anchor weight 0
         if not tab.force_into_basis(0):
             raise AssertionError("the anchor's column did not enter the basis")
-        x = tab.solution()
-    return [(j - 1, c) for j, c in enumerate(x) if j > 0 and c > 0], x[0]
+        x = tab.support()
+    if x[0][0] == 0:
+        return [(j - 1, c) for j, c in x[1:]], x[0][1]
+    return [(j - 1, c) for j, c in x], ZERO
 
 
 # ---------------------------------------------------------------------------

@@ -96,6 +96,7 @@ class ExperimentConfig:
 
 
 def sample_pool(config: ExperimentConfig) -> list:
+    """The points of S in the config's box, sorted and pairwise distinct."""
     if config.box is not None:
         box = list(config.box)
     else:
@@ -106,7 +107,10 @@ def sample_pool(config: ExperimentConfig) -> list:
 def generate_instance(
     config: ExperimentConfig, trial_index: int, pool: Optional[Sequence[Vec]] = None
 ) -> Instance:
-    """Distinct uniform draws from S inside the box, order as drawn."""
+    """Distinct uniform draws from S inside the box, order as drawn.
+
+    The pool's points must be pairwise distinct, as :func:`sample_pool`'s
+    are: draws are deduplicated on their pool indices."""
     if pool is None:
         pool = sample_pool(config)
     if len(pool) < config.n_points:
@@ -115,15 +119,11 @@ def generate_instance(
             "increase box_bound"
         )
     rng = trial_rng(config.seed, trial_index)
-    chosen: list = []
-    seen: set = set()
+    chosen: dict = {}  # pool index -> None, in order drawn
     while len(chosen) < config.n_points:
-        p = pool[rng.below(len(pool))]
-        if p not in seen:
-            seen.add(p)
-            chosen.append(p)
+        chosen.setdefault(rng.below(len(pool)))
     return Instance(
-        spec=config.spec, points=tuple(chosen), m=config.m, k=config.k
+        spec=config.spec, points=tuple(pool[i] for i in chosen), m=config.m, k=config.k
     )
 
 

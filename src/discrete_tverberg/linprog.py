@@ -18,8 +18,10 @@ of integers and the ratio test compares cross-multiplied integers.  The
 scaling leaves the phase-1 duals, the ratios and every sign the simplex
 reads unchanged, so it makes the pivots of the rational tableau of the
 unscaled system and returns the same solutions and Farkas vectors; only
-:meth:`ExactSimplex.solution` and :meth:`ExactSimplex.farkas` build
-Fractions.
+:meth:`ExactSimplex.solution`, :meth:`ExactSimplex.support` and
+:meth:`ExactSimplex.farkas` build Fractions, and ``support`` builds them
+only for the positive entries, whose signs it reads off the integer
+tableau.
 
 Every answer doubles as a certificate:
 
@@ -137,6 +139,14 @@ class ExactSimplex:
             if j < self.n:
                 x[j] = Fraction(self.rows[i][-1], self.det)
         return x
+
+    def support(self) -> list:
+        """The positive entries of :meth:`solution` as ``(column, Fraction)``
+        pairs in column order, read off the integer tableau (``det`` > 0)."""
+        return sorted(
+            (j, Fraction(row[-1], self.det))
+            for row, j in zip(self.rows, self.basis) if j < self.n and row[-1] > 0
+        )
 
     def farkas(self) -> list:
         # y_i = 1 - reduced_cost(artificial_i), then undo the row flips.

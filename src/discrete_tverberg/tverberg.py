@@ -6,11 +6,12 @@ witnesses, leaving the rest as the final part.  Each peel costs every
 witness at most kd depth (at most d when k = 1, where a part is one
 Caratheodory support), so the witnesses stay inside every remainder hull
 by arithmetic.  The peel works on the lattice coordinates the instance
-kept from its validation (:func:`lattice_coords`), maps only the
-witnesses, and takes the same steps for every k: each witness is solved
-over the remainder, which checks that it stayed inside, and over the part
-that covers the witnesses (:func:`_cover`, which always does), which
-certifies the part; the last remainder's solves are its certificates.
+kept from its validation (:func:`distinct_lattice_coords`), maps only
+the witnesses, and takes the same steps for every k: each witness is
+solved over the remainder, which checks that it stayed inside, and over
+the part that covers the witnesses (:func:`_cover`, which always does),
+which certifies the part; the last remainder's solves are its
+certificates, each checked on those lattice coordinates.
 
 Status semantics: a returned outcome is either a fully certified
 partition or an honest "no_partition_found" (possible only below the
@@ -33,6 +34,7 @@ from .discrete_sets import (
     DiscreteSetSpec,
     PolytopeV,
     _clip_line,
+    distinct_lattice_coords,
     enumerate_in_polytope,
     lattice_coords,
     lattice_lines_in_polytope,
@@ -45,7 +47,8 @@ from .exact_geometry import (
     Halfspace,
     _anchored_weights,
     _check_dims,
-    _convex_weights,
+    _convex_weights_each,
+    _verify_weights,
     _vertices,
     anchored_reduce,
     caratheodory_reduce,
@@ -70,10 +73,10 @@ class Instance:
             raise ValueError("m and k must be at least 1")
         if not pts:
             raise ValueError("an instance needs at least one point")
-        if len(set(pts)) != len(pts):
-            raise ValueError("input points must be pairwise distinct")
-        # each point's lattice coordinates, kept for the peel
-        object.__setattr__(self, "_coords", tuple(lattice_coords(self.spec, pts)))
+        # each point's lattice coordinates, kept for the peel; distinctness
+        # is checked first, on the integer rows of the same map
+        object.__setattr__(self, "_coords",
+                           tuple(distinct_lattice_coords(self.spec, pts)))
 
     @property
     def dim(self) -> int:
@@ -223,8 +226,7 @@ def find_deep_witnesses(
     lines, coords, den = lattice_lines_in_polytope(spec, PolytopeV(tuple(points)))
     scanned = sum(hi - lo + 1 for _, lo, hi in lines)
     if spec.sublattices:
-        scanned -= sum(spec.removes(head + (z,))
-                       for head, lo, hi in lines for z in range(lo, hi + 1))
+        scanned -= spec.removed_on_lines(lines)
     if k < 1:
         return WitnessSearch((), False, scanned)
     lat = spec.base
@@ -276,10 +278,13 @@ def _weights(targets: Sequence[tuple], sub: Sequence[tuple], den: int) -> list:
     """Each target's convex weights over the distinct points ``sub`` as
     :func:`caratheodory_reduce` gives them, all integers ``den`` times the
     caller's, up to the first target outside ``conv(sub)``, whose entry is
-    then None."""
+    then None.  A target that is a point of sub is that point alone; the
+    others are asked of one :func:`_convex_weights_each` pass in order,
+    which in 2-d builds sub's hull once for all of them."""
+    solved = _convex_weights_each([q for q in targets if q not in sub], sub, den)
     out = []
     for q in targets:
-        out.append([(sub.index(q), ONE)] if q in sub else _convex_weights(q, sub, den))
+        out.append([(sub.index(q), ONE)] if q in sub else next(solved))
         if out[-1] is None:
             break
     return out
@@ -383,19 +388,22 @@ def tverberg_partition(instance: Instance) -> TverbergOutcome:
 
     def certify(indices: Sequence[int], weights: list) -> tuple:
         """The witnesses' :func:`_weights` over the input points at the sorted
-        ``indices`` as combinations; PartitionConstructionError if they fail."""
+        ``indices`` as combinations, each checked once on the lattice
+        coordinates it was solved on (:func:`_verify_weights`, which holds
+        exactly when :meth:`ConvexCombination.verify` does, since B is
+        linear and injective); PartitionConstructionError if one fails."""
+        zs = [ints[i] for i in indices]
         certs = []
-        for w, res in zip(witnesses, weights):
+        for w, t, res in zip(witnesses, targets, weights):
             if res is None:
                 raise PartitionConstructionError(
                     f"witness {w} is outside the hull of input points {indices}"
                 )
-            comb = ConvexCombination(tuple((pts[indices[j]], c) for j, c in res))
-            if not comb.verify(w):
+            if not _verify_weights(t, zs, res):
                 raise PartitionConstructionError(
                     f"certificate for witness {w} failed to verify"
                 )
-            certs.append(comb)
+            certs.append(ConvexCombination(tuple((pts[indices[j]], c) for j, c in res)))
         return tuple(certs)
 
     # each witness is solved once over each remainder, which checks that it

@@ -1,8 +1,12 @@
 """Small exact-arithmetic vector helpers shared across the package.
 
 Points and directions are plain tuples of ``fractions.Fraction``; keeping
-them as bare tuples makes lexicographic comparison, hashing and
-deduplication free, which the rest of the package leans on heavily.
+them as bare tuples makes lexicographic comparison and equality plain
+tuple operations.  Hashing them is not cheap: a 2-tuple of Fractions
+hashes in about 1.4-2.3 us against about 0.1 us for a 2-tuple of ints
+(CPython 3.11 on a 2-vCPU x86 host), so the hot paths deduplicate the
+integer rows the points scale to (:func:`int_scaled`, or a lattice map)
+instead of the points.
 """
 from __future__ import annotations
 

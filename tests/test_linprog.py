@@ -283,3 +283,19 @@ def test_integer_tableau_pivots_like_fraction_tableau(system, data):
         assert tab.basis == ref.basis
         assert tab.solution() == ref.solution()
         assert_certificate(cols, rhs, FeasibilityResult(True, tab.solution(), None))
+
+
+@settings(max_examples=300, deadline=None)
+@given(systems(), st.data())
+def test_support_is_the_positive_part_of_the_solution(system, data):
+    # support reads the positive basic entries off the integer tableau and
+    # builds Fractions only for them, in column order
+    cols, rhs = system
+    tab = ExactSimplex(cols, rhs)
+    if not tab.solve():
+        return
+    positive = [(j, c) for j, c in enumerate(tab.solution()) if c > 0]
+    assert tab.support() == positive
+    if cols:
+        tab.force_into_basis(data.draw(st.integers(0, len(cols) - 1)))
+        assert tab.support() == [(j, c) for j, c in enumerate(tab.solution()) if c > 0]

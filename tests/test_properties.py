@@ -31,6 +31,7 @@ from discrete_tverberg.discrete_sets import (
     set_contains,
 )
 from discrete_tverberg.exact_geometry import (
+    ConvexCombination,
     DepthResult,
     Halfspace,
     _idot,
@@ -1522,3 +1523,135 @@ def test_instance_json_roundtrip(case):
 @given(st.fractions())
 def test_scalar_roundtrip(x):
     assert jsonio.parse_scalar(jsonio.format_scalar(x)) == x
+
+
+def test_simplex_solution_is_read_only_by_solve_feasibility():
+    # the kernels read a feasible tableau's positive entries off
+    # ExactSimplex.support; only the rational entry point builds the whole
+    # Fraction solution vector
+    assert _callers("solution") == {("linprog", "solve_feasibility")}
+
+
+def test_peel_certifies_without_fraction_combinations():
+    # the peel checks each certificate on the lattice coordinates it solved
+    # on (exact_geometry._verify_weights), not by ConvexCombination.verify
+    assert not any(module == "tverberg" for module, _ in _callers("verify"))
+
+
+# ---------------------------------------------------------------------------
+# integer paths: dedup, certificate check, removed points per line
+
+
+@st.composite
+def repeated_rational_points(draw):
+    """1-8 rational points in 1-3 d with mixed denominators, some repeated."""
+    d = draw(st.integers(1, 3))
+    entry = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+    pts = draw(st.lists(st.tuples(*[entry] * d), min_size=1, max_size=6))
+    pts += draw(st.lists(st.sampled_from(pts), max_size=3))
+    return draw(st.permutations(pts))
+
+
+@given(repeated_rational_points())
+def test_integer_row_dedup_keeps_the_fraction_dedups_first_points(pts):
+    ints, _ = exact_geometry.int_scaled(pts)
+    first = exact_geometry._first_seen(ints)
+    assert first == [pts.index(p) for p in exact_geometry._dedup(pts)]
+    # membership and caratheodory_reduce solve on those rows, so a support
+    # point is a first occurrence
+    q = tuple(sum(col, F(0)) / len(pts) for col in zip(*pts))
+    comb, _, sub, den = exact_geometry._combination(q, list(pts))
+    assert sub == [tuple(den * c for c in pts[i]) for i in first]
+    assert comb.verify(q)
+    assert all(v in exact_geometry._dedup(pts) for v in comb.support())
+
+
+CORRUPTIONS = ("none", "perturb", "swap", "zero", "negative", "repeat", "scale")
+
+
+@st.composite
+def lattice_certificate(draw):
+    """Distinct integer lattice coordinates z_j in 2-3 d, a sheared basis B,
+    and (index, Fraction) weights over some of them with their integer
+    target (everything scaled by the weights' common denominator), then
+    corrupted one way or not at all."""
+    d = draw(st.integers(2, 3))
+    shear = draw(st.fractions(min_value=-2, max_value=2, max_denominator=3))
+    basis = [tuple(F(int(i == j)) for i in range(d)) for j in range(d)]
+    basis[1] = (shear,) + basis[1][1:]
+    zs = draw(st.lists(st.tuples(*[st.integers(-4, 4)] * d), min_size=2,
+                       max_size=6, unique=True))
+    idx = draw(st.lists(st.integers(0, len(zs) - 1), min_size=1, max_size=len(zs),
+                        unique=True))
+    raw = draw(st.lists(st.integers(1, 5), min_size=len(idx), max_size=len(idx)))
+    terms = [(j, F(w, sum(raw))) for j, w in zip(idx, raw)]
+    scale = sum(raw)
+    zs = [tuple(scale * c for c in z) for z in zs]
+    target = tuple(sum(c * zs[j][i] for j, c in terms) for i in range(d))
+    assert all(c.denominator == 1 for c in target)
+    target = tuple(int(c) for c in target)
+    kind = draw(st.sampled_from(CORRUPTIONS))
+    unused = [j for j in range(len(zs)) if j not in idx]
+    j0, c0 = terms[0]
+    if kind == "perturb":
+        terms[0] = (j0, c0 + F(1, draw(st.integers(2, 9))))
+    elif kind == "swap" and unused:
+        terms[0] = (draw(st.sampled_from(unused)), c0)
+    elif kind == "zero" and unused:
+        terms.append((draw(st.sampled_from(unused)), F(0)))
+    elif kind == "negative" and len(terms) > 1:
+        j1, c1 = terms[1]
+        terms[:2] = [(j0, -c0), (j1, c1 + 2 * c0)]
+    elif kind == "repeat":
+        terms[:1] = [(j0, c0 / 2), (j0, c0 / 2)]
+    elif kind == "scale":
+        terms = [(j, 2 * c) for j, c in terms]
+    return basis, zs, terms, target, kind
+
+
+@settings(max_examples=300, deadline=None)
+@given(lattice_certificate())
+def test_lattice_frame_check_agrees_with_convex_combination_verify(case):
+    # the peel's check on lattice coordinates, against the Fraction check of
+    # the same weights over the ambient points B z; B is linear and injective
+    basis, zs, terms, target, kind = case
+    lat = LatticeBasis(basis)
+    comb = ConvexCombination(tuple((lat.from_lattice(zs[j]), c) for j, c in terms))
+    got = exact_geometry._verify_weights(target, zs, terms)
+    assert got == comb.verify(lat.from_lattice(target))
+    if kind == "none":
+        assert got
+
+
+@st.composite
+def removed_lines_problem(draw):
+    """A difference set in 2-3 d on a sheared base with one or two removed
+    sublattices (integer combinations of the base vectors, full rank or
+    not), and lines ``(head, lo, hi)`` in its lattice coordinates."""
+    d = draw(st.integers(2, 3))
+    shear = draw(st.fractions(min_value=-2, max_value=2, max_denominator=3))
+    basis = [tuple(F(int(i == j)) for i in range(d)) for j in range(d)]
+    basis[1] = (shear,) + basis[1][1:]
+    subs = []
+    for _ in range(draw(st.integers(1, 2))):
+        r = draw(st.integers(1, d))
+        rows = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * d), min_size=r,
+                             max_size=r))
+        assume(len(_fraction_picks(rows)) == r)
+        subs.append([tuple(sum(a * b[i] for a, b in zip(row, basis)) for i in range(d))
+                     for row in rows])
+    spec = difference_set(d, subs, basis)
+    lines = []
+    for _ in range(draw(st.integers(1, 4))):
+        head = draw(st.tuples(*[st.integers(-6, 6)] * (d - 1)))
+        lo = draw(st.integers(-12, 12))
+        lines.append((head, lo, lo + draw(st.integers(-1, 20))))
+    return spec, lines
+
+
+@settings(max_examples=300, deadline=None)
+@given(removed_lines_problem())
+def test_removed_points_per_line_match_the_pointwise_count(problem):
+    spec, lines = problem
+    assert spec.removed_on_lines(lines) == sum(
+        spec.removes(head + (z,)) for head, lo, hi in lines for z in range(lo, hi + 1))

@@ -43,6 +43,32 @@ def test_instance_validation():
 # witness search
 
 
+EVEN = lattice_set(2, ((2, 0), (0, 2)))
+
+
+@pytest.mark.parametrize("points, spec, message", [
+    pytest.param(((1, 1), (1, 1)), EVEN, "input points must be pairwise distinct",
+                 id="duplicates-not-in-S"),
+    pytest.param(((0, 0), (0, 0), (1, 2, 3)), EVEN,
+                 "input points must be pairwise distinct", id="duplicates-and-dimension"),
+    pytest.param(((1, 2, 3), (0, 0), (0, 0)), EVEN,
+                 "input points must be pairwise distinct", id="dimension-then-duplicates"),
+    pytest.param(((0, 0), (2, 0, 0)), EVEN, "point dimension does not match the lattice",
+                 id="wrong-dimension"),
+    pytest.param(((0, 0), (1, 0), (2, 2)), EVEN,
+                 "point (Fraction(1, 1), Fraction(0, 1)) is not in the ground set",
+                 id="non-member"),
+])
+def test_instance_errors_keep_their_order_and_messages(points, spec, message):
+    # distinctness is decided on the integer rows of the one lattice map, but
+    # a bad instance raises what it did when the Fraction points were
+    # hashed first: duplicates before another dimension or a non-member
+    with pytest.raises(ValueError) as info:
+        Instance(spec, points, 2, 1)
+    assert type(info.value) is ValueError
+    assert str(info.value) == message
+
+
 def test_instance_needs_a_point():
     # an empty instance used to reach the search and fail there, with the
     # polytope's "needs at least one vertex"
@@ -127,6 +153,26 @@ def test_coordinate_1000_instance_asks_no_depth(monkeypatch):
     assert outcome.status == "no_partition_found"
     assert outcome.witness_search.candidates_scanned == 1_002_001
     assert calls == []
+
+
+def test_difference_set_hull_counts_removed_points_per_line(monkeypatch):
+    # 1001^2 points of Z^2 in the hull, less the 501^2 of 2Z^2: each line's
+    # removed points are one arithmetic progression, counted without testing
+    # them, so only the points the level walk visits reach the removed test
+    calls = []
+    real = discrete_sets.DiscreteSetSpec.removes
+
+    def counting(self, z):
+        calls.append(z)
+        return real(self, z)
+
+    minus = difference_set(2, (LatticeBasis(((2, 0), (0, 2))),))
+    inst = Instance(minus, ((1, 1), (1001, 1), (1, 1001), (1001, 1001), (501, 499)),
+                    2, 1)
+    monkeypatch.setattr(discrete_sets.DiscreteSetSpec, "removes", counting)
+    outcome = tverberg_partition(inst)
+    assert outcome.witness_search.candidates_scanned == 752_001
+    assert len(calls) <= 100
 
 
 def test_difference_set_hull_is_counted_without_listing_it():
@@ -267,19 +313,20 @@ def test_peel_solves_no_membership_twice(monkeypatch, spec, m, k, n_points,
     # every (witness, point tuple) problem reaches the integer kernel at
     # most once inside one tverberg_partition, whether the peel or a public
     # function calls it; problems are keyed in the caller's frame, in point
-    # order
+    # order, and recorded as the kernel's generator answers them
     solved = []
 
     def recording(kernel):
-        def recorder(q, points, den):
-            solved.append((tuple(F(c, den) for c in q),
-                           tuple(tuple(F(c, den) for c in p) for p in points)))
-            return kernel(q, points, den)
+        def recorder(qs, points, den):
+            key = tuple(tuple(F(c, den) for c in p) for p in points)
+            for q, res in zip(qs, kernel(qs, points, den)):
+                solved.append((tuple(F(c, den) for c in q), key))
+                yield res
         return recorder
 
     for module in (tverberg, exact_geometry):
-        monkeypatch.setattr(module, "_convex_weights",
-                            recording(module._convex_weights))
+        monkeypatch.setattr(module, "_convex_weights_each",
+                            recording(module._convex_weights_each))
     cfg = ExperimentConfig(spec=spec, m=m, k=k, n_points=n_points,
                            box_bound=box_bound, trials=6, seed=seed)
     for trial in range(cfg.trials):
@@ -297,15 +344,16 @@ def test_peel_solves_no_membership_twice(monkeypatch, spec, m, k, n_points,
 def test_peel_certifies_only_what_it_returns(monkeypatch, m, k, n_points,
                                              box_bound, seed):
     # one certificate check per (part, witness): the remainders before the
-    # last are solved, but their combinations are not certificates
+    # last are solved, but their combinations are not certificates; the peel
+    # checks each on the lattice coordinates it was solved on
     checks = []
-    real = exact_geometry.ConvexCombination.verify
+    real = tverberg._verify_weights
 
-    def counting(self, point):
-        checks.append(point)
-        return real(self, point)
+    def counting(q, points, terms):
+        checks.append(q)
+        return real(q, points, terms)
 
-    monkeypatch.setattr(exact_geometry.ConvexCombination, "verify", counting)
+    monkeypatch.setattr(tverberg, "_verify_weights", counting)
     cfg = ExperimentConfig(spec=Z2, m=m, k=k, n_points=n_points,
                            box_bound=box_bound, trials=4, seed=seed)
     for trial in range(cfg.trials):
@@ -320,13 +368,14 @@ def test_peel_on_a_plane_lattice_solves_in_its_rank(monkeypatch, k, n_points):
     # the peel runs on the lattice coordinates z of the plane's points
     # (x, y, y), so every membership problem is 2-d, not 3-d
     calls = []
-    kernel = tverberg._convex_weights
+    kernel = tverberg._convex_weights_each
 
-    def recorder(q, points, den):
-        calls.append((q, *points))
-        return kernel(q, points, den)
+    def recorder(qs, points, den):
+        for q, res in zip(qs, kernel(qs, points, den)):
+            calls.append((q, *points))
+            yield res
 
-    monkeypatch.setattr(tverberg, "_convex_weights", recorder)
+    monkeypatch.setattr(tverberg, "_convex_weights_each", recorder)
     cfg = ExperimentConfig(spec=lattice_set(3, ((1, 0, 0), (0, 1, 1))), m=2, k=k,
                            n_points=n_points, box_bound=3, trials=15, seed=3)
     for trial in range(cfg.trials):
