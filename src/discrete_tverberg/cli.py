@@ -2,8 +2,8 @@
 
 Machine-readable JSON goes to stdout, human-readable progress to stderr.
 Exit status: 0 when a verdict was reached (including "no partition
-found"), 1 on usage errors, 2 when a cap was exceeded or verification
-failed.
+found"), 1 on usage errors, 2 when a cap was exceeded, a partition could
+not be constructed or verification failed.
 """
 from __future__ import annotations
 
@@ -227,10 +227,13 @@ def cmd_experiment(args) -> int:
     _note(f"{config.trials} trials in {elapsed:.2f}s "
           f"({report.summary['successes']} ok)")
     # an ok verdict that the brute oracle refutes fails the run; below the
-    # bound a no_partition_found that the oracle refutes is an honest miss
+    # bound a no_partition_found that the oracle refutes is an honest miss.
+    # A construction error is a bug or a cap, which also fail the run.
     refuted = any(r.status == "ok" and r.oracle_agreement is False
                   for r in report.records)
-    if report.summary["theorem_violations"] or report.summary["verify_failures"] or refuted:
+    summary = report.summary
+    if (summary["theorem_violations"] or summary["verify_failures"]
+            or summary["construction_errors"] or refuted):
         return EXIT_FAILURE
     return EXIT_OK
 

@@ -282,14 +282,15 @@ def mixed_set(a: int, b: int) -> DiscreteSetSpec:
 
 
 def _coords_in_set(spec: DiscreteSetSpec, points: list) -> tuple:
-    """``(coords, zs)``: each point's frame row from one :func:`lattice_box`
-    map, and its lattice coordinates z (B z = x) if it is in S, else None,
-    by :meth:`LatticeBasis._lattice_z` with ``spec.removes(z)`` false."""
+    """``(coords, den, zs)``: each point's frame row from one
+    :func:`lattice_box` map, and its lattice coordinates z (B z = x) if it
+    is in S, else None, by :meth:`LatticeBasis._lattice_z` with
+    ``spec.removes(z)`` false."""
     if not spec.enumerable:
         raise ValueError("pointwise membership is defined only for enumerable sets")
     coords, den = lattice_box(spec.base, points)
     zs = [spec.base._lattice_z(t, den) for t in coords]
-    return coords, [None if z is None or spec.removes(z) else z for z in zs]
+    return coords, den, [None if z is None or spec.removes(z) else z for z in zs]
 
 
 def _in_set(pts: list, zs: list) -> list:
@@ -302,7 +303,7 @@ def lattice_coords(spec: DiscreteSetSpec, points) -> list:
     """The integer lattice coordinates z, B z = x, of points x of S, all
     mapped at once; ValueError naming the first point not in S."""
     pts = [vec(p) for p in points]
-    return _in_set(pts, _coords_in_set(spec, pts)[1])
+    return _in_set(pts, _coords_in_set(spec, pts)[2])
 
 
 def distinct_lattice_coords(spec: DiscreteSetSpec, points) -> list:
@@ -313,7 +314,7 @@ def distinct_lattice_coords(spec: DiscreteSetSpec, points) -> list:
     dimension, or S not enumerable), to name duplicates before that."""
     pts = [vec(p) for p in points]
     try:
-        coords, zs = _coords_in_set(spec, pts)
+        coords, _, zs = _coords_in_set(spec, pts)
     except ValueError:
         _require_distinct(pts)
         raise
@@ -328,7 +329,7 @@ def _require_distinct(items: list) -> None:
 
 def set_contains(spec: DiscreteSetSpec, point) -> bool:
     """Whether the point is in S, by the map of :func:`lattice_coords`."""
-    return _coords_in_set(spec, [vec(point)])[1][0] is not None
+    return _coords_in_set(spec, [vec(point)])[2][0] is not None
 
 
 # ---------------------------------------------------------------------------
@@ -379,32 +380,36 @@ def lattice_box(lat: LatticeBasis, vertices: Sequence[Vec]) -> tuple:
     return [tuple(lat.scaled_coords(v)) for v in ints], lat._t_den * scale
 
 
-def _intersection_lines(
-    spec: DiscreteSetSpec, hulls: Sequence[Sequence[Vec]], cap: Optional[int] = None
-) -> tuple:
-    """``(lines, coords, den)``: the lattice coordinates z of the points of
-    the base lattice common to the hulls of the coerced vertex lists
-    ``hulls``, as the lines ``(head, lo, hi)`` of :func:`_scan_lines`, and
-    the distinct vertices' ``coords`` and ``den`` from one
-    :func:`lattice_box` map.
-
-    Every hull's integer H-representation (:func:`hull_facets` of its
-    vertices' frame coordinates) cuts the intersection of the hulls'
-    integer bounding boxes (valid even off the lattice span, since T is
-    linear), which holds at most ``cap`` points, line by line along the
-    last lattice coordinate; a point of S is ``den (z, 0)`` in that frame,
-    so on a rank-deficient lattice only the first ``rank`` entries of a
-    normal count.  The lines keep the points a difference set removes
-    (:func:`_points_on_lines`).
-    """
+def _frame(spec: DiscreteSetSpec, points: Sequence[Vec]) -> tuple:
+    """``(rows, den)`` of :func:`lattice_box` for the base lattice of an
+    enumerable S, the map whose rows :func:`_intersection_lines` scans."""
     if not spec.enumerable:
         raise ValueError("enumeration is defined only for enumerable sets")
-    # one map of every vertex; a vertex is keyed on its integer frame row,
-    # since a tuple of Fractions hashes over ten times slower
-    rows, den = lattice_box(spec.base, [v for hull in hulls for v in hull])
-    ends = list(itertools.accumulate(map(len, hulls), initial=0))
-    hull_coords = [list(dict.fromkeys(rows[a:b])) for a, b in zip(ends, ends[1:])]
-    coords = list(dict.fromkeys(rows))
+    return lattice_box(spec.base, points)
+
+
+def _intersection_lines(
+    spec: DiscreteSetSpec, rows: list, den: int, hulls: Sequence[Sequence[int]],
+    cap: Optional[int] = None,
+) -> list:
+    """The lattice coordinates z of the points of the base lattice common
+    to the hulls, as the lines ``(head, lo, hi)`` of :func:`_scan_lines`.
+    Each hull lists indices into ``rows``, frame rows of one ``den`` from
+    one map (:func:`_frame`), so a point set is mapped once for every hull
+    taken of it.
+
+    Every hull's integer H-representation (:func:`hull_facets` of its
+    distinct rows) cuts the intersection of the hulls' integer bounding
+    boxes (valid even off the lattice span, since T is linear), which
+    holds at most ``cap`` points, line by line along the last lattice
+    coordinate; a point of S is ``den (z, 0)`` in that frame, so on a
+    rank-deficient lattice only the first ``rank`` entries of a normal
+    count.  The lines keep the points a difference set removes
+    (:func:`_points_on_lines`).
+    """
+    # a vertex is keyed on its integer frame row, since a tuple of
+    # Fractions hashes over ten times slower
+    hull_coords = [list(dict.fromkeys([rows[i] for i in hull])) for hull in hulls]
     # per lattice coordinate, each hull's column of frame entries
     columns = zip(*(list(zip(*c))[: spec.rank] for c in hull_coords))
     ranges = [
@@ -417,15 +422,18 @@ def _intersection_lines(
             f"enumeration box holds {total} candidates, cap is {cap}"
         )
     facets = [f for c in hull_coords for f in hull_facets(c)]
-    return _scan_lines(facets, den, ranges), coords, den
+    return _scan_lines(facets, den, ranges)
 
 
 def lattice_lines_in_polytope(
     spec: DiscreteSetSpec, polytope: PolytopeV, cap: Optional[int] = None
 ) -> tuple:
-    """``(lines, coords, den)`` of :func:`_intersection_lines` for the one
-    hull of the polytope's vertices."""
-    return _intersection_lines(spec, [polytope.vertices], cap)
+    """``(lines, coords, den)``: the :func:`_intersection_lines` of the one
+    hull of the polytope's vertices, and the distinct vertices' frame rows
+    ``coords`` and ``den`` from one :func:`_frame` map."""
+    rows, den = _frame(spec, polytope.vertices)
+    coords = list(dict.fromkeys(rows))
+    return _intersection_lines(spec, coords, den, [range(len(coords))], cap), coords, den
 
 
 def _points_on_lines(spec: DiscreteSetSpec, lines: list) -> list:
@@ -552,7 +560,8 @@ def is_k_hollow(points, spec: DiscreteSetSpec, k: int, cap: Optional[int] = None
 
 def is_k_hoffman(points, spec: DiscreteSetSpec, k: int, cap: Optional[int] = None) -> bool:
     """Fewer than k points of S lie in the intersection of the leave-one-out
-    hulls of P, by one scan of its lines (:func:`_intersection_lines`)."""
+    hulls of P, by one scan of its lines (:func:`_intersection_lines`) on
+    the frame rows of the one map that checks that P lies in S."""
     if k < 1:
         raise ValueError("k must be at least 1")
     pts = [vec(p) for p in points]
@@ -560,9 +569,11 @@ def is_k_hoffman(points, spec: DiscreteSetSpec, k: int, cap: Optional[int] = Non
         raise ValueError("Hoffman predicate needs at least two points")
     if len(pts) != len(set(pts)):
         raise ValueError("duplicate points")
-    lattice_coords(spec, pts)
-    hulls = [pts[:i] + pts[i + 1:] for i in range(len(pts))]
-    lines, _, _ = _intersection_lines(spec, hulls, cap)
+    rows, den, zs = _coords_in_set(spec, pts)
+    _in_set(pts, zs)
+    n = len(rows)
+    hulls = [[j for j in range(n) if j != i] for i in range(n)]
+    lines = _intersection_lines(spec, rows, den, hulls, cap)
     return len(_points_on_lines(spec, lines)) < k
 
 

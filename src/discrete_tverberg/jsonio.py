@@ -203,7 +203,7 @@ def outcome_to_json(outcome: TverbergOutcome, instance: Instance) -> dict:
     search = outcome.witness_search
     if search is not None:
         out["witnesses_found"] = [
-            {"point": point_to_json(w.point), "depth": w.depth_result.depth}
+            {"point": point_to_json(w.point), "depth": w.depth}
             for w in search.witnesses
         ]
         out["stats"] = {"candidates_scanned": search.candidates_scanned}

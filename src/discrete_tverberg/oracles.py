@@ -25,13 +25,14 @@ from .discrete_sets import (
     enumerate_in_polytope,
     is_k_hoffman,
     _ambient_points,
+    _frame,
     _intersection_lines,
     _points_on_lines,
 )
 from .errors import CapExceededError
 from .exact_geometry import _check_dims, membership
 from .tverberg import Instance, PartitionResult
-from .vectors import ZERO, Vec, int_scaled, vec
+from .vectors import ZERO, int_scaled, vec
 
 
 @dataclass(frozen=True)
@@ -142,11 +143,13 @@ def _partitions_rgs(n: int, m: int):
 
 
 def _common_set_points(
-    hulls: Sequence[Sequence[Vec]], spec: DiscreteSetSpec, want: int
+    spec: DiscreteSetSpec, rows: list, den: int, hulls: Sequence[Sequence[int]],
+    want: int,
 ) -> list:
     """The first ``want`` points of S common to every hull, lexicographic,
-    from one scan of the lines of their intersection."""
-    lines, _, _ = _intersection_lines(spec, hulls)
+    from one scan of the lines of their intersection; each hull lists
+    indices into the frame rows of one :func:`_frame` map."""
+    lines = _intersection_lines(spec, rows, den, hulls)
     return _ambient_points(spec.base, _points_on_lines(spec, lines))[:want]
 
 
@@ -182,11 +185,11 @@ def brute_tverberg(
         raise CapExceededError(
             f"{total} set partitions exceed cap {caps.partitions}"
         )
+    rows, den = _frame(spec, pts)  # once for every partition
     checked = 0
     for blocks in _partitions_rgs(n, m):
         checked += 1
-        hulls = [[pts[i] for i in block] for block in blocks]
-        common = _common_set_points(hulls, spec, k)
+        common = _common_set_points(spec, rows, den, blocks, k)
         if len(common) >= k:
             return BruteTverbergReport(
                 tuple(tuple(block) for block in blocks), tuple(common), checked
@@ -309,15 +312,18 @@ def brute_helly_check(
         raise ValueError("k and h must be at least 1")
     if any(p.dim != spec.dim for p in family):
         raise ValueError("polytope dimension does not match the ground set")
-    hulls = [list(p.vertices) for p in family]
+    # every vertex mapped once; hull i is its polytope's run of rows
+    rows, den = _frame(spec, [v for p in family for v in p.vertices])
+    ends = list(itertools.accumulate((len(p.vertices) for p in family), initial=0))
+    hulls = [range(a, b) for a, b in zip(ends, ends[1:])]
     checked = 0
     violating = None
     if h <= len(family):
         for combo in itertools.combinations(range(len(family)), h):
             checked += 1
-            if len(_common_set_points([hulls[i] for i in combo], spec, k)) < k:
+            if len(_common_set_points(spec, rows, den, [hulls[i] for i in combo], k)) < k:
                 violating = combo
                 break
     hypothesis = violating is None
-    conclusion = len(_common_set_points(hulls, spec, k)) >= k
+    conclusion = len(_common_set_points(spec, rows, den, hulls, k)) >= k
     return HellyReport(hypothesis, conclusion, violating, checked)

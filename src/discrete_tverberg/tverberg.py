@@ -22,9 +22,10 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left, bisect_right, insort
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from operator import mul, sub
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 # depth, enumerate_in_polytope, membership, caratheodory_reduce and
 # anchored_reduce are imported only for the benchmark's per-layer trace
@@ -85,8 +86,21 @@ class Instance:
 
 @dataclass(frozen=True)
 class DeepWitness:
+    """A point of S and its exact depth, with a thunk of the ambient normal
+    of its depth query's witness.  Equality sees only the point and depth.
+
+    The minimizing halfspace is in no trial output, so it is built the
+    first time :attr:`depth_result` is read, and then kept.
+    """
+
     point: Vec
-    depth_result: DepthResult
+    depth: int
+    normal: Callable[[], Vec] = field(repr=False, compare=False)
+
+    @cached_property
+    def depth_result(self) -> DepthResult:
+        normal = self.normal()
+        return DepthResult(self.depth, Halfspace(normal, vdot(normal, self.point)))
 
 
 @dataclass(frozen=True)
@@ -218,10 +232,12 @@ def find_deep_witnesses(
     v.p >= v.q}`` (a bisection) is at least depth(q), and a candidate that
     some cut puts below its own floor is skipped without a query, since
     the query would drop it.  The cut that skipped it moves to the front
-    of the list.  Only the chosen
-    build their witness normal v, as the ambient normal T^t v
-    (:meth:`LatticeBasis.ambient_normal`).  On the standard lattice T is
-    the identity and the witness is the one :func:`depth` returns.
+    of the list.  Only the stopped queries call their witness thunks.  A
+    chosen witness keeps its thunk, and its halfspace is built the first
+    time its :attr:`DeepWitness.depth_result` is read, with the ambient
+    normal T^t v (:meth:`LatticeBasis.ambient_normal`).  On the standard
+    lattice T is the identity and the witness is the one :func:`depth`
+    returns.
     """
     lines, coords, den = lattice_lines_in_polytope(spec, PolytopeV(tuple(points)))
     scanned = sum(hi - lo + 1 for _, lo, hi in lines)
@@ -265,13 +281,11 @@ def find_deep_witnesses(
             else:
                 v = witness()
                 cuts.append((v, sorted(sum(map(mul, v, p)) for p in coords)))
-    chosen = []
-    for neg_value, _, z, witness in top:
-        point = lat.from_lattice(z)
-        normal = lat.ambient_normal(witness())
-        result = DepthResult(-neg_value, Halfspace(normal, vdot(normal, point)))
-        chosen.append(DeepWitness(point, result))
-    return WitnessSearch(tuple(chosen), len(chosen) < k, scanned)
+    chosen = tuple(
+        DeepWitness(lat.from_lattice(z), -neg_value,
+                    lambda witness=witness: lat.ambient_normal(witness()))
+        for neg_value, _, z, witness in top)
+    return WitnessSearch(chosen, len(chosen) < k, scanned)
 
 
 def _weights(targets: Sequence[tuple], sub: Sequence[tuple], den: int) -> list:
@@ -428,7 +442,7 @@ def tverberg_partition(instance: Instance) -> TverbergOutcome:
     parts_idx, certificates = zip(*parts)
     stats = {
         "part_sizes": [len(idxs) for idxs in parts_idx],
-        "witness_depths": [w.depth_result.depth for w in search.witnesses],
+        "witness_depths": [w.depth for w in search.witnesses],
         "candidates_scanned": search.candidates_scanned,
         "threshold": threshold,
         "guarantee_bound": bound,

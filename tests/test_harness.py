@@ -140,17 +140,18 @@ def _raises(exc):
     ("tverberg_partition", _raises(TheoremViolationError("forced")),
      "theorem_violation", "theorem_violations", 2),
     ("tverberg_partition", _raises(PartitionConstructionError("forced")),
-     "construction_error", "construction_errors", 0),
+     "construction_error", "construction_errors", 2),
     ("tverberg_partition", _raises(CapExceededError("forced")),
-     "construction_error", "construction_errors", 0),
+     "construction_error", "construction_errors", 2),
     ("verify_partition", lambda result, instance: VerificationReport(False, "forced"),
      "verify_failed", "verify_failures", 2),
 ], ids=["theorem-violation", "construction-error", "cap", "verify-failed"])
 def test_run_trial_records_each_failure(tmp_path, capsys, monkeypatch, name, fake,
                                         status, counter, code):
     # the statuses that the summary counts and the benchmark's failed share
-    # reads; an experiment fails (exit 2) on theorem violations and failed
-    # verifications only
+    # reads; an experiment fails (exit 2) on each of them: a theorem
+    # violation, a construction error (a bug or a cap) and a failed
+    # verification
     monkeypatch.setattr(harness, name, fake)
     cfg = ExperimentConfig(spec=Z2, m=2, k=1, n_points=9, box_bound=8,
                            trials=3, seed=4)

@@ -3,11 +3,13 @@ from fractions import Fraction
 
 import pytest
 
+from discrete_tverberg import discrete_sets
 from discrete_tverberg.discrete_sets import (
     LatticeBasis,
     PolytopeV,
     box_polytope,
     difference_set,
+    is_k_hoffman,
     lattice_set,
     mixed_set,
 )
@@ -119,6 +121,29 @@ def test_brute_tverberg_m_exceeds_n():
     report = brute_tverberg(((0,), (1,)), Z1, 3, 1)
     assert not report.found
     assert report.partitions_checked == 0
+
+
+def test_oracles_map_each_point_set_once(monkeypatch):
+    # every hull an oracle scans indexes into one lattice map of its points:
+    # brute_tverberg's n points serve all its partitions, is_k_hoffman's n
+    # points its n leave-one-out hulls, and brute_helly_check's vertices
+    # all its subfamilies
+    calls = []
+    real = discrete_sets.lattice_box
+
+    def recording(lat, vertices):
+        calls.append(len(vertices))
+        return real(lat, vertices)
+
+    monkeypatch.setattr(discrete_sets, "lattice_box", recording)
+    assert brute_tverberg(SQUARE, Z2, 2, 1).partitions_checked == 7
+    assert calls == [4]
+    calls.clear()
+    assert is_k_hoffman(SQUARE, Z2, 1)
+    assert calls == [4]
+    calls.clear()
+    assert brute_helly_check(hoffman_family(pts(*SQUARE)), Z2, 1, 3).subfamilies_checked == 4
+    assert calls == [12]
 
 
 # ---------------------------------------------------------------------------

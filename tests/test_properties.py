@@ -17,6 +17,7 @@ from discrete_tverberg.discrete_sets import (
     LatticeBasis,
     PolytopeV,
     _ambient_points,
+    _frame,
     _intersection_lines,
     _points_on_lines,
     _scan_lines,
@@ -58,7 +59,6 @@ from discrete_tverberg.oracles import (
     verify_partition,
 )
 from discrete_tverberg.tverberg import (
-    DeepWitness,
     Instance,
     _level_directions,
     find_deep_witnesses,
@@ -798,12 +798,13 @@ def sorted_bound_search(points, spec, threshold, k, count):
     """Reference for :func:`find_deep_witnesses`: ``(witnesses,
     insufficient, candidates_scanned)`` from bounding every hull point and
     visiting them in a stable sort by descending bound, with the same
-    floors, each depth asked of ``count``."""
+    floors, each depth asked of ``count``; each witness is a pair
+    ``(point, DepthResult)``, as :func:`ranked` gives a search's."""
     lines, coords, den = lattice_lines_in_polytope(
         spec, PolytopeV(tuple(vec(p) for p in points)))
     zs = _points_on_lines(spec, lines)
     if k < 1:
-        return (), False, len(zs)
+        return [], False, len(zs)
     lat = spec.base
     bounds = _depth_upper_bounds(coords, zs, den, threshold)
     pad = (0,) * (spec.dim - lat.rank)
@@ -829,9 +830,16 @@ def sorted_bound_search(points, spec, threshold, k, count):
         point = tuple(F(c, lat._den) for c in scaled)
         v = witness()
         normal = vec(sum(map(mul, v, col)) for col in zip(*lat._t_rows))
-        result = DepthResult(-neg_value, Halfspace(normal, vdot(normal, point)))
-        chosen.append(DeepWitness(point, result))
-    return tuple(chosen), len(chosen) < k, len(zs)
+        chosen.append((point, DepthResult(-neg_value, Halfspace(normal, vdot(normal, point)))))
+    return chosen, len(chosen) < k, len(zs)
+
+
+def ranked(search):
+    """``(witnesses, insufficient, candidates_scanned)`` of a
+    :class:`WitnessSearch`, each witness as its pair ``(point,
+    depth_result)``, so that the halfspaces are compared too."""
+    return ([(w.point, w.depth_result) for w in search.witnesses],
+            search.insufficient, search.candidates_scanned)
 
 
 @st.composite
@@ -869,7 +877,7 @@ def test_level_walk_asks_the_sorted_searchs_depth_queries(problem):
     expected = sorted_bound_search(points, spec, threshold, k, recorder(sorted_calls))
     rest = iter(sorted_calls)
     assert all(call in rest for call in walked)
-    assert (search.witnesses, search.insufficient, search.candidates_scanned) == expected
+    assert ranked(search) == expected
 
 
 @settings(max_examples=150, deadline=None)
@@ -906,8 +914,7 @@ def test_cuts_keep_wide_searches_to_few_depth_queries():
             mp.setattr(tverberg, "depth_count", recorder(calls))
             search = find_deep_witnesses(points, Z2, 3, 1)
         assert len(calls) <= 135
-        assert (search.witnesses, search.insufficient, search.candidates_scanned) == \
-            sorted_bound_search(points, Z2, 3, 1, depth_count)
+        assert ranked(search) == sorted_bound_search(points, Z2, 3, 1, depth_count)
 
 
 SCAN_SETS_3D = [
@@ -1127,11 +1134,15 @@ def common_points_by_membership(spec, hulls):
 @settings(max_examples=200, deadline=None)
 @given(hull_family(), st.integers(1, 3))
 def test_intersection_scan_matches_per_point_membership(problem, want):
+    # the hulls index into one map of every vertex, as the oracles' do
     spec, hulls = problem
     expected = common_points_by_membership(spec, hulls)
-    lines, _, _ = _intersection_lines(spec, hulls)
+    rows, den = _frame(spec, [v for hull in hulls for v in hull])
+    ends = list(itertools.accumulate(map(len, hulls), initial=0))
+    spans = [range(a, b) for a, b in zip(ends, ends[1:])]
+    lines = _intersection_lines(spec, rows, den, spans)
     assert _ambient_points(spec.base, _points_on_lines(spec, lines)) == expected
-    assert _common_set_points(hulls, spec, want) == expected[:want]
+    assert _common_set_points(spec, rows, den, spans, want) == expected[:want]
 
 
 def hoffman_by_membership(points, spec, k):
@@ -1489,10 +1500,11 @@ def test_pivot_is_called_only_by_the_simplex_and_the_elimination():
 
 def test_halfspaces_are_built_only_by_membership_and_depth():
     # one separator rule: membership's first violated hull_facets halfspace;
-    # the other halfspaces are depth witnesses
+    # the other halfspaces are depth witnesses, a chosen witness's built
+    # when its depth_result is first read
     assert _callers("Halfspace") == {
         ("exact_geometry", "membership"), ("exact_geometry", "depth"),
-        ("tverberg", "find_deep_witnesses")}
+        ("tverberg", "DeepWitness.depth_result")}
 
 
 def test_membership_is_called_only_by_the_depth_and_verification_oracles():

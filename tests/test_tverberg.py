@@ -7,7 +7,7 @@ from discrete_tverberg import discrete_sets, exact_geometry, jsonio, tverberg
 from discrete_tverberg.discrete_sets import LatticeBasis, difference_set, lattice_set
 from discrete_tverberg.errors import PartitionConstructionError
 from discrete_tverberg.exact_geometry import depth, membership
-from discrete_tverberg.harness import ExperimentConfig, generate_instance
+from discrete_tverberg.harness import ExperimentConfig, generate_instance, run_trial
 from discrete_tverberg.oracles import verify_partition
 from discrete_tverberg.tverberg import (
     DeepWitness,
@@ -122,6 +122,48 @@ def test_find_deep_witnesses_k2_distinct():
     w1, w2 = search.witnesses
     assert w1.point != w2.point
     assert w1.depth_result.depth >= w2.depth_result.depth >= 2
+
+
+@pytest.mark.parametrize("spec, m, n_points, box_bound", [
+    pytest.param(Z2, 3, 25, 20, id="z2"),
+    pytest.param(lattice_set(3), 2, 15, 2, id="z3"),
+])
+def test_trial_builds_no_witness_halfspace(monkeypatch, spec, m, n_points, box_bound):
+    # no output of a trial reads a chosen witness's halfspace, so a trial
+    # builds none; reading one builds it once
+    built = []
+    real = tverberg.Halfspace
+    monkeypatch.setattr(tverberg, "Halfspace",
+                        lambda *args: built.append(args) or real(*args))
+    cfg = ExperimentConfig(spec=spec, m=m, k=1, n_points=n_points,
+                           box_bound=box_bound, trials=1, seed=5)
+    assert run_trial(cfg, 0).status == "ok"
+    assert built == []
+    inst = generate_instance(cfg, 0)
+    (w,) = find_deep_witnesses(inst.points, spec, 2, 1).witnesses
+    assert w.depth_result is w.depth_result
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("spec", [
+    pytest.param(Z2, id="z2"),
+    pytest.param(lattice_set(2, LatticeBasis(((1, 0), (F(1, 2), 1)))), id="sheared"),
+])
+def test_depth_result_is_built_on_first_read(spec):
+    # the halfspace built on first read is the one depth gives on Z^2 and
+    # a minimizing one on a sheared lattice; later reads return it
+    cfg = ExperimentConfig(spec=spec, m=2, k=2, n_points=20, box_bound=8,
+                           trials=1, seed=3)
+    points = generate_instance(cfg, 0).points
+    search = find_deep_witnesses(points, spec, 3, 2)
+    assert len(search.witnesses) == 2
+    for w in search.witnesses:
+        first = w.depth_result
+        assert first.depth == w.depth
+        assert first.verify(w.point, points)
+        if spec is Z2:
+            assert first == depth(w.point, points)
+        assert w.depth_result is first
 
 
 @pytest.mark.parametrize("points, spec", [
@@ -392,7 +434,7 @@ def test_peel_rejects_a_witness_that_leaves_the_remainder(monkeypatch, witnesses
     # witnesses too shallow for the peel: the first part takes hull vertices
     # that they need, and the check over the remainder must say so
     inst = Instance(Z2, ((0, 0), (2, 0), (0, 2), (2, 2), (1, 1)), 2, len(witnesses))
-    search = WitnessSearch(tuple(DeepWitness(vec(w), None) for w in witnesses),
+    search = WitnessSearch(tuple(DeepWitness(vec(w), 1, None) for w in witnesses),
                            False, 0)
     monkeypatch.setattr(tverberg, "find_deep_witnesses", lambda *args: search)
     with pytest.raises(PartitionConstructionError, match="outside the hull"):
