@@ -208,7 +208,7 @@ def cmd_oracle_helly(args) -> int:
 
 def cmd_oracle_verify(args) -> int:
     instance = jsonio.parse_instance(_load(args.instance))
-    result = jsonio.parse_result(_load(args.result))
+    result = jsonio.parse_result(_load(args.result), instance.points)
     check = verify_partition(result, instance)
     _emit({"ok": check.ok, "reason": check.reason})
     return EXIT_OK if check.ok else EXIT_FAILURE

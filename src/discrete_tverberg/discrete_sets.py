@@ -487,18 +487,28 @@ def _scan_lines(facets: list, den: int, ranges: list) -> list:
     ``normal . (den * (z, 0)) >= offset``: a normal may be longer than the
     box's k coordinates, since a point of S is (z, 0) in the lattice frame,
     and its entries past k are not read.  Each line of the box along its
-    last coordinate is cut by every facet (:func:`_clip_line`).
+    last coordinate is cut by every facet (:func:`_clip_line`) at the
+    facet's offset less ``normal . (den * head)``.  When only the head's
+    last coordinate steps, that rest decreases by the facet's step, ``den``
+    times the normal's entry there; it is recomputed when an earlier
+    coordinate changes, and for the first head (the only one, and empty,
+    when k = 1).
     """
     *heads, last = ranges
     k = len(ranges)
     n_heads = [tuple([den * c for c in n[:k - 1]]) for n, _ in facets]
+    steps = [h[-1] for h in n_heads] if k > 1 else None
     lasts = [den * n[k - 1] for n, _ in facets]
     offsets = [off for _, off in facets]
     out = []
+    outer = rests = None
     for head in itertools.product(*heads):
-        dots = [sum(map(mul, n, head)) for n in n_heads]
-        cuts = zip(lasts, map(sub, offsets, dots))
-        lo, hi = _clip_line(last.start, last.stop - 1, cuts)
+        if head[:-1] == outer:
+            rests = list(map(sub, rests, steps))
+        else:
+            outer = head[:-1]
+            rests = [off - sum(map(mul, n, head)) for n, off in zip(n_heads, offsets)]
+        lo, hi = _clip_line(last.start, last.stop - 1, zip(lasts, rests))
         if lo <= hi:
             out.append((head, lo, hi))
     return out

@@ -162,6 +162,22 @@ def combination_to_json(comb: ConvexCombination, index_of: dict) -> dict:
     return {"indices": idx, "coefficients": coeffs}
 
 
+def parse_combination(raw, points: Sequence[Vec]) -> ConvexCombination:
+    """The inverse of :func:`combination_to_json`: ``indices`` into points
+    and exact ``coefficients``, unchecked beyond their types and range."""
+    if not isinstance(raw, dict):
+        raise ValueError("a certificate must be an object")
+    idx, coeffs = raw.get("indices"), raw.get("coefficients")
+    if not isinstance(idx, list) or not isinstance(coeffs, list) or len(idx) != len(coeffs):
+        raise ValueError("a certificate needs \"indices\" and \"coefficients\" "
+                         "arrays of one length")
+    for i in idx:
+        if not 0 <= require_int(i, "a certificate index") < len(points):
+            raise ValueError(f"certificate index {i} is out of range")
+    return ConvexCombination(tuple(
+        (points[i], parse_scalar(c)) for i, c in zip(idx, coeffs)))
+
+
 def halfspace_to_json(h: Halfspace) -> dict:
     return {"normal": point_to_json(h.normal), "offset": format_scalar(h.offset)}
 
@@ -210,23 +226,31 @@ def outcome_to_json(outcome: TverbergOutcome, instance: Instance) -> dict:
     return out
 
 
-def parse_result(raw: dict) -> PartitionResult:
-    """Parts and witnesses only; certificates are re-derived, never trusted."""
+def parse_result(raw: dict, points: Sequence[Vec] = ()) -> PartitionResult:
+    """Parts, witnesses and certificates, none of them trusted:
+    ``verify_partition`` checks them all.  A certificate's indices point
+    into ``points``, the instance's; without the "certificates" key the
+    result has ``certificates=()``, which the verifier decides by
+    membership."""
     if not isinstance(raw, dict):
         raise ValueError("result must be an object")
     if raw.get("status") != "ok":
         raise ValueError("can only parse a result with status \"ok\"")
     parts = raw.get("parts")
     wits = raw.get("witnesses")
+    certs = raw.get("certificates", [])
     if not isinstance(parts, list) or not isinstance(wits, list):
         raise ValueError("result needs \"parts\" and \"witnesses\" arrays")
     if not all(isinstance(part, list) for part in parts):
         raise ValueError("each part must be an array of point indices")
+    if not isinstance(certs, list) or not all(isinstance(row, list) for row in certs):
+        raise ValueError("\"certificates\" must be an array of arrays per part")
     return PartitionResult(
         parts=tuple(tuple(require_int(i, "a part index") for i in part)
                     for part in parts),
         witnesses=tuple(parse_points(wits)),
-        certificates=(),
+        certificates=tuple(tuple(parse_combination(c, points) for c in row)
+                           for row in certs),
         stats={},
     )
 

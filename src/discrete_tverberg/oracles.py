@@ -2,12 +2,15 @@
 
 Everything here trades speed for a second derivation: no code path below
 shares the engine's depth recursion, witness ranking, or extraction
-logic.  The oracles are not fully independent, though: ``verify_partition``
-and ``brute_depth`` decide membership with the engine's :func:`membership`
-(its kernel ``_convex_weights``), and the points of S common to several
-hulls (``brute_tverberg``, ``brute_helly_check`` and, through
-``is_k_hoffman``, ``brute_hoffman_max``) come from the engine's one line
-scan of their intersection, ``_intersection_lines``.  A witness is in S for
+logic.  The oracles are not fully independent, though: ``brute_depth``
+decides membership with the engine's :func:`membership` (its kernel
+``_convex_weights``), and so does ``verify_partition`` for a result that
+carries no certificates; one that does has each certificate checked by
+exact integer arithmetic (``_verify_weights``), not re-derived.  The
+points of S common to several hulls (``brute_tverberg``,
+``brute_helly_check`` and, through ``is_k_hoffman``,
+``brute_hoffman_max``) come from the engine's one line scan of their
+intersection, ``_intersection_lines``.  A witness is in S for
 ``verify_partition`` by S's ambient definition, not by ``lattice_coords``.
 Caps are explicit and exceeding one raises instead of silently truncating,
 so a cap can never masquerade as a negative verdict.
@@ -30,9 +33,9 @@ from .discrete_sets import (
     _points_on_lines,
 )
 from .errors import CapExceededError
-from .exact_geometry import _check_dims, membership
+from .exact_geometry import _check_dims, _verify_weights, membership
 from .tverberg import Instance, PartitionResult
-from .vectors import ZERO, int_scaled, vec
+from .vectors import ZERO, Vec, int_scaled, vec
 
 
 @dataclass(frozen=True)
@@ -210,8 +213,28 @@ class VerificationReport:
         return self.ok
 
 
+def _row(v: Vec, den: int) -> Optional[tuple]:
+    """``den v`` as integers, or None when it is not integral."""
+    if any(den % c.denominator for c in v):
+        return None
+    return tuple([c.numerator * (den // c.denominator) for c in v])
+
+
 def verify_partition(result: PartitionResult, instance: Instance) -> VerificationReport:
-    """Re-validate a partition from scratch, ignoring its certificates."""
+    """Re-validate a partition against the instance alone.
+
+    The parts must be m nonempty, disjoint lists of indices covering the
+    points, and the witnesses at least k distinct points of S.  Every
+    witness must be in every part's hull.  A result with certificates
+    proves it: ``certificates[i][j]`` must be a convex combination of
+    points of part i equal to witness j, checked on the integer rows of
+    the points and witnesses scaled once by their common denominator
+    (each support point resolved to an index of the part by its row, then
+    :func:`_verify_weights`), which is sound whatever code made it; any
+    other certificates are ``bad_certificate``.  A result without them
+    (``certificates=()``) is decided by :func:`membership` per (witness,
+    part).  Witnesses are told apart on their integer rows too.
+    """
     n = len(instance.points)
     seen: set = set()
     for part in result.parts:
@@ -230,18 +253,31 @@ def verify_partition(result: PartitionResult, instance: Instance) -> Verificatio
     wits = [vec(w) for w in result.witnesses]
     if len(wits) < instance.k:
         return VerificationReport(False, "too_few_witnesses")
-    if len(set(wits)) != len(wits):
+    rows, den = int_scaled(instance.points + tuple(wits))
+    rows, wit_rows = rows[:n], rows[n:]
+    if len(set(wit_rows)) != len(wit_rows):
         return VerificationReport(False, "duplicate_witnesses")
     base, removed = instance.spec.base, instance.spec.sublattices
     for w in wits:  # S by its ambient definition, not by lattice_coords
         if len(w) != instance.dim or not base.contains(w) or any(
                 sub.contains(w) for sub in removed):
             return VerificationReport(False, "witness_not_in_set")
-    for part in result.parts:
-        hull = [instance.points[i] for i in part]
-        for w in wits:
-            if not membership(w, hull).inside:
-                return VerificationReport(False, "witness_outside_part_hull")
+    certs = result.certificates
+    if not certs:
+        for part in result.parts:
+            hull = [instance.points[i] for i in part]
+            for w in wits:
+                if not membership(w, hull).inside:
+                    return VerificationReport(False, "witness_outside_part_hull")
+        return VerificationReport(True)
+    if len(certs) != len(result.parts) or any(len(row) != len(wits) for row in certs):
+        return VerificationReport(False, "bad_certificate")
+    for part, row in zip(result.parts, certs):
+        index = {rows[i]: i for i in part}
+        for q, comb in zip(wit_rows, row):
+            terms = [(index.get(_row(v, den)), c) for v, c in comb.terms]
+            if any(i is None for i, _ in terms) or not _verify_weights(q, rows, terms):
+                return VerificationReport(False, "bad_certificate")
     return VerificationReport(True)
 
 

@@ -15,6 +15,7 @@ from discrete_tverberg.errors import (
     PartitionConstructionError,
     TheoremViolationError,
 )
+from discrete_tverberg.exact_geometry import ConvexCombination
 from discrete_tverberg.harness import (
     ExperimentConfig,
     SplitMix64,
@@ -27,6 +28,7 @@ from discrete_tverberg.harness import (
 )
 from discrete_tverberg.oracles import BruteTverbergReport, OracleCaps, VerificationReport
 from discrete_tverberg.tverberg import tverberg_partition
+from discrete_tverberg.vectors import vec
 
 Z1 = lattice_set(1)
 Z2 = lattice_set(2)
@@ -477,6 +479,47 @@ def test_cli_oracle_verify_accepts_the_engines_output(tmp_path, capsys, raw):
     res_path.write_text(out)
     assert cli.main(["oracle", "verify", inst_path, str(res_path)]) == 0
     assert json.loads(capsys.readouterr().out) == {"ok": True, "reason": None}
+
+
+def test_cli_oracle_verify_checks_the_emitted_certificates(tmp_path, capsys):
+    # the round trip verifies the engine's certificates as written; one
+    # edited coefficient breaks the proof
+    inst_path = write_json(tmp_path, "inst.json", INSTANCE_1D)
+    assert cli.main(["tverberg", inst_path]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["certificates"] == [
+        [{"indices": [1], "coefficients": ["1/1"]}],
+        [{"indices": [0, 2], "coefficients": ["1/2", "1/2"]}]]
+    res_path = write_json(tmp_path, "res.json", out)
+    assert cli.main(["oracle", "verify", inst_path, res_path]) == 0
+    assert json.loads(capsys.readouterr().out) == {"ok": True, "reason": None}
+    out["certificates"][1][0]["coefficients"][0] = "1/3"
+    res_path = write_json(tmp_path, "res.json", out)
+    assert cli.main(["oracle", "verify", inst_path, res_path]) == 2
+    assert json.loads(capsys.readouterr().out) == {"ok": False, "reason": "bad_certificate"}
+
+
+def test_parse_result_reads_certificates():
+    points = [vec((0,)), vec((1,)), vec((2,))]
+    ok = {"status": "ok", "parts": [[1], [0, 2]], "witnesses": [["1/1"]],
+          "certificates": [[{"indices": [1], "coefficients": [1]}],
+                           [{"indices": [0, 2], "coefficients": ["1/2", "1/2"]}]]}
+    result = jsonio.parse_result(ok, points)
+    assert result.certificates == (
+        (ConvexCombination(((points[1], 1),)),),
+        (ConvexCombination(((points[0], Fraction(1, 2)), (points[2], Fraction(1, 2)))),))
+    assert jsonio.parse_result({k: v for k, v in ok.items() if k != "certificates"},
+                               points).certificates == ()
+    for bad in (3, -1, 1.0, True, "1", None):
+        raw = dict(ok, certificates=[[{"indices": [bad], "coefficients": [1]}], []])
+        with pytest.raises(ValueError):
+            jsonio.parse_result(raw, points)
+    for bad in ({"indices": [1]}, {"indices": [1], "coefficients": [1, 1]},
+                {"indices": [1], "coefficients": [1.0]}, [1]):
+        with pytest.raises(ValueError):
+            jsonio.parse_result(dict(ok, certificates=[[bad], []]), points)
+    with pytest.raises(ValueError):
+        jsonio.parse_result(dict(ok, certificates=[{}]), points)
 
 
 def test_cli_verify_failure_exit(tmp_path):

@@ -2,6 +2,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from discrete_tverberg import discrete_sets
 from discrete_tverberg.discrete_sets import (
@@ -14,6 +15,7 @@ from discrete_tverberg.discrete_sets import (
     mixed_set,
 )
 from discrete_tverberg.errors import CapExceededError
+from discrete_tverberg.exact_geometry import ConvexCombination
 from discrete_tverberg.oracles import (
     OracleCaps,
     brute_depth,
@@ -184,10 +186,20 @@ def test_verify_partition_rejects_uncovered():
 
 
 def test_verify_partition_rejects_witness_outside_hull():
+    # without certificates the verifier decides each (witness, part) by
+    # membership
+    result, inst = engine_result()
+    bad = replace(result, parts=((0, 1), (2,)), certificates=())
+    check = verify_partition(bad, inst)
+    assert not check and check.reason == "witness_outside_part_hull"
+
+
+def test_verify_partition_rejects_stale_certificates():
+    # the same parts with the engine's certificates, which no longer fit them
     result, inst = engine_result()
     bad = replace(result, parts=((0, 1), (2,)))
     check = verify_partition(bad, inst)
-    assert not check and check.reason == "witness_outside_part_hull"
+    assert not check and check.reason == "bad_certificate"
 
 
 def test_verify_partition_rejects_empty_part():
@@ -237,6 +249,79 @@ def test_verify_partition_rejects_bool_index():
     bad = replace(result, parts=((4, True), (0, 1, 2, 3, 5, 6, 7, 8)))
     check = verify_partition(bad, inst)
     assert not check and check.reason == "bad_index"
+
+
+def combination(*terms):
+    return ConvexCombination(tuple((vec(p), F(c)) for p, c in terms))
+
+
+# Faults in the README result's certificate of its witness (1, 1) over part
+# 1, which the engine writes as 2/3 (0, 0) + 1/3 (3, 3); each changes one
+# property, and (0, 0) - 2 (2, 0) + (4, 0) = 0 moves weight without moving
+# the point.
+PART_1_FAULTS = {
+    "support_in_another_part": [((1, 1), 1)],
+    "support_off_the_lattice": [(("1/2", "1/2"), "1/2"), (("3/2", "3/2"), "1/2")],
+    "support_not_an_input_point": [((1, 0), "1/2"), ((1, 2), "1/2")],
+    "repeated_support": [((0, 0), "1/3"), ((0, 0), "1/3"), ((3, 3), "1/3")],
+    "zero_weight": [((0, 0), "2/3"), ((3, 3), "1/3"), ((4, 0), 0)],
+    "negative_weight": [((0, 0), "11/12"), ((2, 0), "-1/2"), ((4, 0), "1/4"),
+                        ((3, 3), "1/3")],
+    "weights_sum_below_one": [((2, 2), "1/2")],
+    "misses_the_witness": [((0, 0), "1/2"), ((2, 0), "1/2")],
+    "no_terms": [],
+}
+
+
+@pytest.mark.parametrize("terms", PART_1_FAULTS.values(), ids=PART_1_FAULTS)
+def test_verify_partition_rejects_a_faulty_certificate(terms):
+    result, inst = readme_result()
+    (first,), (engine,) = result.certificates
+    assert engine == combination(((0, 0), "2/3"), ((3, 3), "1/3"))
+    assert verify_partition(result, inst)
+    bad = replace(result, certificates=((first,), (combination(*terms),)))
+    check = verify_partition(bad, inst)
+    assert not check and check.reason == "bad_certificate"
+
+
+@pytest.mark.parametrize("reshape", [
+    lambda rows: rows[:1],
+    lambda rows: rows + rows[:1],
+    lambda rows: (rows[0], ()),
+    lambda rows: (rows[0] * 2, rows[1]),
+], ids=["one_part", "three_parts", "no_witness", "two_witnesses"])
+def test_verify_partition_rejects_a_wrong_number_of_certificates(reshape):
+    result, inst = readme_result()
+    bad = replace(result, certificates=reshape(result.certificates))
+    check = verify_partition(bad, inst)
+    assert not check and check.reason == "bad_certificate"
+
+
+SHEARED = lattice_set(2, LatticeBasis(((1, 0), (F(1, 2), 1))))
+Z2_MINUS_2Z2 = difference_set(2, (LatticeBasis(((2, 0), (0, 2))),))
+
+
+@st.composite
+def engine_instance(draw):
+    """Distinct points B z of S, z in a small box, for S one of Z^1, Z^2,
+    Z^3, a sheared Z^2 and Z^2 minus 2Z^2, with m = 2 and k = 1-2."""
+    spec = draw(st.sampled_from([Z1, Z2, lattice_set(3), SHEARED, Z2_MINUS_2Z2]))
+    c, size = {1: (st.integers(-9, 9), (5, 12)), 2: (st.integers(-3, 3), (9, 18)),
+               3: (st.integers(-1, 1), (14, 27))}[spec.dim]
+    point = st.tuples(*[c] * spec.dim).map(spec.base.from_lattice).filter(
+        lambda p: not any(s.contains(p) for s in spec.sublattices))
+    points = draw(st.lists(point, min_size=size[0], max_size=size[1], unique=True))
+    return Instance(spec, points, 2, draw(st.integers(1, 2)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(engine_instance())
+def test_certificate_and_membership_paths_accept_every_engine_outcome(inst):
+    outcome = tverberg_partition(inst)
+    if outcome.status != "ok":
+        return
+    assert verify_partition(outcome.result, inst)
+    assert verify_partition(replace(outcome.result, certificates=()), inst)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from discrete_tverberg import discrete_sets, exact_geometry, jsonio, tverberg
+from discrete_tverberg import discrete_sets, exact_geometry, jsonio, oracles, tverberg
 from discrete_tverberg.discrete_sets import LatticeBasis, difference_set, lattice_set
 from discrete_tverberg.errors import PartitionConstructionError
 from discrete_tverberg.exact_geometry import depth, membership
@@ -143,6 +144,28 @@ def test_trial_builds_no_witness_halfspace(monkeypatch, spec, m, n_points, box_b
     (w,) = find_deep_witnesses(inst.points, spec, 2, 1).witnesses
     assert w.depth_result is w.depth_result
     assert len(built) == 1
+
+
+@pytest.mark.parametrize("spec, m, k, n_points, box_bound", [
+    pytest.param(Z2, 3, 1, 25, 20, id="z2-m3k1"),
+    pytest.param(Z2, 2, 2, 26, 15, id="z2-m2k2"),
+    pytest.param(lattice_set(3), 2, 1, 15, 2, id="z3-m2k1"),
+])
+def test_trial_solves_no_membership(monkeypatch, spec, m, k, n_points, box_bound):
+    # a trial's verification checks the engine's certificates; only a
+    # result without them is decided by membership, once per (part, witness)
+    calls = []
+    real = oracles.membership
+    monkeypatch.setattr(oracles, "membership",
+                        lambda *args: calls.append(args) or real(*args))
+    cfg = ExperimentConfig(spec=spec, m=m, k=k, n_points=n_points,
+                           box_bound=box_bound, trials=1, seed=5)
+    assert run_trial(cfg, 0).status == "ok"
+    assert calls == []
+    inst = generate_instance(cfg, 0)
+    result = tverberg_partition(inst).result
+    assert verify_partition(replace(result, certificates=()), inst)
+    assert len(calls) == m * k
 
 
 @pytest.mark.parametrize("spec", [
