@@ -7,8 +7,8 @@ dimension.  Hulls are exact integer H-representations in every dimension
 and every flat (:func:`hull_facets`, beneath-beyond from 3-d), which also
 give the extreme points and the membership separators without an LP.  Depth runs on integer
 difference vectors in one kernel for every dimension: a wall descent over
-direction classes that solves each plane it reaches in one pass (the
-generic wall recursion stays as its test reference).  Every verdict
+direction classes that solves each plane it reaches by one angular sweep
+(the generic wall recursion stays as its test reference).  Every verdict
 carries a certificate that can be re-checked independently of the code
 that produced it.
 
@@ -27,7 +27,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from functools import cmp_to_key
+from math import atan2, gcd, lcm
 from operator import mul, sub
 from typing import Optional, Sequence
 
@@ -603,15 +604,43 @@ def _off_wall(best, sub_count, v_sub, m, u, pos, neg) -> tuple:
     return best
 
 
+def _classes(vectors: list, multiples: bool) -> dict:
+    """The direction classes of ``(w, along, against)`` integer tuples: each
+    w's canonical primitive form (first nonzero coordinate positive) maps
+    to ``[along, against, largest multiple]``, summed over the w of the
+    class.  The largest multiple is 1 unless ``multiples``."""
+    classes = {}
+    zero = (0,) * len(vectors[0][0])
+    for w, x, y in vectors:
+        t = gcd(*w)
+        if w < zero:
+            t = -t
+            x, y = y, x
+        key = w if t == 1 else tuple([c // t for c in w])
+        t = abs(t) if multiples else 1
+        c = classes.get(key)
+        if c is None:
+            classes[key] = [x, y, t]
+        else:
+            c[0] += x
+            c[1] += y
+            if t > c[2]:
+                c[2] = t
+    return classes
+
+
 def _descend(classes: dict, rank: int, floor: int) -> tuple:
     """``(count, witness thunk)`` of the wall recursion on direction classes
-    of the given rank: a line is :func:`_line_side`, a plane :func:`_planar`.
+    of rank 1 or at least 3: a line is :func:`_line_side`.
 
     Above that each class u gets its wall once: the other classes projected
-    to ``canon(uu.r - (u.r).u)``, which are primitive, so the wall's largest
-    multiples are 1.  All walls are counted first; the witness is rebuilt
-    only from walls whose count plus ``min(along, against)`` is the
-    minimum, since no other wall's candidates can win :func:`_off_wall`.
+    to ``uu.r - (u.r).u``, with their side counts.  From rank 4 a wall is
+    the :func:`_classes` of those projections again, whose largest
+    multiples are 1; at rank 3 it is a plane, which :func:`_planar` sweeps
+    as it is, in 3-d on the two coordinates other than u's first nonzero
+    one.  All walls are counted first; the witness is rebuilt only from
+    walls whose count plus ``min(along, against)`` is the minimum, since no
+    other wall's candidates can win :func:`_off_wall`.
 
     The floor contract: the count is exact whenever it is at least
     ``floor``; otherwise it is some value below ``floor`` and the thunk
@@ -627,35 +656,26 @@ def _descend(classes: dict, rank: int, floor: int) -> tuple:
         (rep, (pos, neg, _)), = classes.items()
         count, side = _line_side(rep, pos, neg)
         return count, lambda: side
-    if rank == 2:
-        return _planar(classes, floor)
     walls = []
-    zero = [0] * len(next(iter(classes)))
+    d = len(next(iter(classes)))
     for u, (upos, uneg, _) in classes.items():
         uu = _idot(u, u)
-        wall = {}
+        wall = []
         m = 0
-        # _idot and the canonical form are inlined: this loop is most of a
-        # 3-d query
+        # _idot is inlined: this loop is most of a 3-d query
         for r, (pos, neg, t) in classes.items():
-            if r is u:
-                continue
-            ur = sum(map(mul, u, r))
-            m = max(m, abs(ur) * t)
-            p = [uu * a - ur * b for a, b in zip(r, u)]
-            g = gcd(*p)
-            if p < zero:
-                g = -g
-                pos, neg = neg, pos
-            key = tuple(p) if g == 1 else tuple([c // g for c in p])
-            c = wall.get(key)
-            if c is None:
-                wall[key] = [pos, neg, 1]
-            else:
-                c[0] += pos
-                c[1] += neg
+            if r is not u:
+                ur = sum(map(mul, u, r))
+                m = max(m, abs(ur) * t)
+                wall.append(([uu * a - ur * b for a, b in zip(r, u)], pos, neg))
         near = min(upos, uneg)
-        sub_count, sub_witness = _descend(wall, rank - 1, floor - near)
+        if rank > 3:
+            wall = _classes([(tuple(p), x, y) for p, x, y in wall], False)
+            sub_count, sub_witness = _descend(wall, rank - 1, floor - near)
+        else:
+            # in 3-d u-perp projects one to one off u's first nonzero axis
+            i, j = _plane_frame(wall) if d > 3 else (1, 2) if u[0] else (0, 2) if u[1] else (0, 1)
+            sub_count, sub_witness = _planar(wall, i, j, floor - near, True)
         walls.append((sub_count + near, sub_count, sub_witness, m + 1, u))
         if sub_count + near < floor:
             break
@@ -671,54 +691,102 @@ def _descend(classes: dict, rank: int, floor: int) -> tuple:
     return low, witness
 
 
-def _planar(classes: dict, floor: int) -> tuple:
-    """:func:`_descend` for classes that span a plane, with its floor
-    contract: the pass stops at the first class whose total is below the
-    floor and returns that total, with the witness just off that class's
-    wall.
-
-    Below class v the recursion meets one line, the plane's normal to v;
-    each class lies on the side given by the sign of its 2-d cross product
-    with v, on two coordinates that embed the plane, so one pass counts
-    every class.  The pass keeps each visited class's total and its count
-    on the positive side; the witness builds on those counts for the
-    classes of the least total (the stopping class, when the pass
-    stopped), and takes only M = 1 + max |v.r| t over the other classes r
-    in one dot pass.  :func:`_line_side` does not depend on the line's
-    orientation; the witness orients it along ``vv.r - (v.r).v``.
-    """
-    keys = iter(classes)
-    a, b = next(keys), next(keys)
-    i, j = next((i, j) for i in range(len(a)) for j in range(i + 1, len(a))
+def _plane_frame(plane: list) -> tuple:
+    """Two coordinates (i, j) on which the plane spanned by the vectors r of
+    ``(r, along, against)`` projects one to one."""
+    a = plane[0][0]
+    return next((i, j) for b, _, _ in plane for i, j in combinations(range(len(a)), 2)
                 if a[i] * b[j] != a[j] * b[i])
-    flat = [(r[i], r[j], rpos, rneg) for r, (rpos, rneg, _) in classes.items()]
-    n = sum(rpos + rneg for _, _, rpos, rneg in flat)
-    sides = []  # (total, pos) of each visited class
-    for vi, vj, vpos, vneg in flat:
-        pos = 0  # the rest of the other classes' vectors are on the neg side
-        for ri, rj, rpos, rneg in flat:
-            s = vi * rj - vj * ri
-            if s > 0:
-                pos += rpos
-            elif s < 0:  # zero only for v itself
-                pos += rneg
-        neg = n - vpos - vneg - pos
-        # min(pos, neg) + min(vpos, vneg) without two calls per class
-        total = (pos if pos < neg else neg) + (vpos if vpos < vneg else vneg)
-        sides.append((total, pos))
-        if total < floor:
-            break
-    low = min(sides)[0]
+
+
+def _angle_hint(flat: list) -> list:
+    """The float angle, in (-pi/2, pi/2], of each ``(a, b, along,
+    against)`` of :func:`_planar`'s sweep: only a hint for its sort, whose
+    order the sweep checks exactly.  OverflowError when an entry is beyond
+    float range."""
+    return [atan2(b, a) for a, b, _, _ in flat]
+
+
+def _turned(r, i: int, j: int) -> tuple:
+    """The primitive form of r, negated unless ``(r_i, r_j)`` is in the
+    half-plane a > 0 or a = 0 < b of :func:`_planar`'s sweep."""
+    a, b = r[i], r[j]
+    return _primitive_signed(tuple([-c for c in r]) if a < 0 or not a and b < 0 else tuple(r))
+
+
+def _planar(plane: list, i: int, j: int, floor: int, wall: bool) -> tuple:
+    """The wall recursion's ``(count, witness thunk)`` for nonzero integer
+    vectors that span a plane or a line, by one angular sweep, with
+    :func:`_descend`'s floor contract.
+
+    ``plane`` holds ``(r, along, against)``: ``along`` vectors point along
+    r and ``against`` ones against it.  The coordinates i and j embed the
+    plane, and each r is turned into the half-plane a > 0 or a = 0 < b of
+    its ``(a, b) = (r_i, r_j)`` and sorted by angle there, so parallel
+    vectors sit together and each run of them is a direction class v.
+    Below v the recursion meets one line, the plane's normal to v; the
+    classes after v lie on its positive side with their along vectors and
+    the classes before v with their against ones, so running sums give
+    every class's total ``min(pos, neg) + min(along, against)``.  The float
+    angle is only a hint (:func:`_angle_hint`): the order is accepted once
+    every adjacent pair's integer cross product is at least 0, and
+    otherwise, or when an entry overflows a float, the sort is redone on
+    the cross products.
+
+    As a pass over the classes in input order (of their first vectors)
+    would, the count is the total of the first class below ``floor``, or
+    the least total when there is none.  The witness builds on the counts
+    of the classes of that total (only the first class below the floor,
+    when there is one) as the one just off the class's wall, and takes M =
+    1 + max |v.r| over the vectors r off the class: the raw vectors, or
+    their primitive forms in a ``wall``, whose projections the thunk
+    normalises only when it is called.  :func:`_line_side` does not depend
+    on the line's orientation; the witness orients it along ``vv.r -
+    (v.r).v``.  A single class is a line: :func:`_line_side` of its
+    direction.
+    """
+    flat = []  # (a, b, along, against), (a, b) in the half-plane
+    n = 0
+    for r, x, y in plane:
+        a, b = r[i], r[j]
+        flat.append((-a, -b, y, x) if a < 0 or not a and b < 0 else (a, b, x, y))
+        n += x + y
+    try:
+        runs = _runs(flat, sorted(range(len(flat)), key=_angle_hint(flat).__getitem__))
+    except OverflowError:
+        runs = None
+    if runs is None:
+        runs = _runs(flat, sorted(range(len(flat)), key=cmp_to_key(
+            lambda s, t: flat[s][1] * flat[t][0] - flat[s][0] * flat[t][1])))
+    if len(runs) == 1:
+        (k, x, y), = runs
+        count, side = _line_side(_turned(plane[k][0], i, j), x, y)
+        return count, lambda: side
+    along = sum(run[1] for run in runs)
+    before_x = before_y = 0
+    sides = []  # (first index, total, pos, along, against) of each class
+    for k, x, y in runs:
+        pos = along - before_x - x + before_y
+        neg = n - x - y - pos
+        # min(pos, neg) + min(x, y) without two calls per class
+        sides.append((k, (pos if pos < neg else neg) + (x if x < y else y), pos, x, y))
+        before_x += x
+        before_y += y
+    stop = min((side for side in sides if side[1] < floor), default=None)
+    low = stop[1] if stop else min(side[1] for side in sides)
 
     def witness():
         best = None
-        for (v, (vpos, vneg, _)), (total, pos) in zip(classes.items(), sides):
+        for k, total, pos, vpos, vneg in [stop] if stop else sides:
             if total != low:
                 continue
+            v = _turned(plane[k][0], i, j)
             neg = n - vpos - vneg - pos
-            m = max(abs(sum(map(mul, v, r))) * t
-                    for r, (_, _, t) in classes.items() if r is not v)
-            r = next(r for r in classes if r is not v)
+            off = [r for r, _, _ in plane if v[i] * r[j] != v[j] * r[i]]
+            r = off[0]
+            if wall:
+                off = map(_primitive_signed, off)
+            m = max(abs(sum(map(mul, v, w))) for w in off)
             vv, vr = _idot(v, v), _idot(v, r)
             line = _primitive_signed(tuple(vv * x - vr * y for x, y in zip(r, v)))
             if v[i] * r[j] < v[j] * r[i]:
@@ -729,23 +797,50 @@ def _planar(classes: dict, floor: int) -> tuple:
     return low, witness
 
 
+def _runs(flat: list, order: list) -> Optional[list]:
+    """The direction classes of :func:`_planar`'s sweep, in the angular
+    order, as ``[first index, along, against]`` for the entries of flat
+    taken in ``order``; None unless every adjacent pair's cross product is
+    at least 0, that is unless ``order`` is angular."""
+    runs = []
+    ra = rb = None
+    for k in order:
+        a, b, x, y = flat[k]
+        if ra is not None:
+            c = ra * b - rb * a
+            if c < 0:
+                return None
+            if not c:
+                run[1] += x
+                run[2] += y
+                if k < run[0]:
+                    run[0] = k
+                continue
+        run = [k, x, y]
+        runs.append(run)
+        ra, rb = a, b
+    return runs
+
+
 def depth_count(W: list, d: int, floor: int = 0) -> tuple:
     """(min over generic v of #{w : v.w > 0}, thunk of an integer witness v).
 
     W is a multiset of nonzero integer tuples in dimension d: the
     differences from a query to the other points, whose depth is this
-    count plus one when the query is itself a point.  The vectors are
-    grouped into direction classes (primitive, first nonzero coordinate
-    positive), each with how many vectors point along and against it and
-    its largest multiple, and :func:`_descend` runs the wall recursion on
-    them in every dimension.  The minimum is attained just off some wall
-    ``u-perp``: the side counts of u's class plus the minimum of the other
-    vectors projected into the wall.  The witness is ``M v_sub +- u``, with
-    M large enough to keep every projected sign, and ties resolve to the
-    lexicographically smallest primitive witness; the thunk builds it only
-    when called.  (The tests hold this to the plain recursion on the
-    vectors, ``_min_open_count`` in ``tests/test_properties.py``.)  An
-    empty W gives the count 0 and the first axis.
+    count plus one when the query is itself a point.  In 2-d the vectors
+    go to one :func:`_planar` sweep as they are, and build no class.
+    Otherwise they are grouped into direction classes (:func:`_classes`),
+    each with how many vectors point along and against it and its largest
+    multiple; classes that span a plane send W to the sweep, and any
+    others go to the wall recursion of :func:`_descend`.  The minimum is
+    attained just off some wall ``u-perp``: the side counts of u's class
+    plus the minimum of the other vectors projected into the wall.  The
+    witness is ``M v_sub +- u``, with M large enough to keep every
+    projected sign, and ties resolve to the lexicographically smallest
+    primitive witness; the thunk builds it only when called.  (The tests
+    hold this to the plain recursion on the vectors, ``_min_open_count``
+    in ``tests/test_properties.py``.)  An empty W gives the count 0 and
+    the first axis.
 
     With a ``floor`` the count is exact, with the same thunk, whenever it
     is at least ``floor``; below that the descent stops at its first wall
@@ -756,24 +851,16 @@ def depth_count(W: list, d: int, floor: int = 0) -> tuple:
     """
     if not W:
         return 0, lambda: (1,) + (0,) * (d - 1)
-    classes = {}  # direction class -> [along, against, largest multiple]
-    zero = (0,) * d
-    for w in W:
-        t = gcd(*w)
-        if w < zero:
-            t = -t
-        key = w if t == 1 else tuple([c // t for c in w])
-        c = classes.get(key)
-        if c is None:
-            classes[key] = [1, 0, t] if t > 0 else [0, 1, -t]
-        else:
-            c[t < 0] += 1
-            if abs(t) > c[2]:
-                c[2] = abs(t)
+    plane = [(w, 1, 0) for w in W]
+    if d == 2:
+        return _planar(plane, 0, 1, floor, False)
+    classes = _classes(plane, True)
     # distinct classes are pairwise independent: up to 2, the rank is min(c, d)
     rank = min(len(classes), d)
     if rank > 2:
         rank = len(_echelon(classes)[0])
+    if rank == 2:
+        return _planar(plane, *_plane_frame(plane), floor, False)
     return _descend(classes, rank, floor)
 
 

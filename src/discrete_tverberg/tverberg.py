@@ -24,7 +24,7 @@ import itertools
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import mul, sub
+from operator import add, mul, sub
 from typing import Callable, Optional, Sequence
 
 # depth, enumerate_in_polytope, membership, caratheodory_reduce and
@@ -155,7 +155,12 @@ def _bound_levels(lines: list, coords: list, den: int, rank: int, lowest: int,
     first cut.
     """
     n = len(coords)
-    projs = [sorted(sum(map(mul, u, p)) for p in coords) for u in dirs]
+    cols = list(zip(*coords))
+    projs = []
+    for u in dirs:  # at most two nonzero entries: u.p from the columns
+        terms = [col if c == 1 else map(mul, col, itertools.repeat(c))
+                 for c, col in zip(u, cols) if c]
+        projs.append(sorted(map(add, *terms) if len(terms) > 1 else terms[0]))
     top = next(t for t in range(n, 0, -1) if all(p[t - 1] <= p[n - t] for p in projs))
     # the cuts u.x >= proj_u[t - 1] and -u.x >= -proj_u[n - t] of each u
     lasts = [c * den * u[rank - 1] for u in dirs for c in (1, -1)]

@@ -57,11 +57,7 @@ def is_zero(a: Vec) -> bool:
 
 
 def common_denominator(points: Sequence[Vec]) -> int:
-    d = 1
-    for p in points:
-        for c in p:
-            d = lcm(d, c.denominator)
-    return d
+    return lcm(*[c.denominator for p in points for c in p])
 
 
 def int_scaled(points: Sequence[Vec]) -> tuple[list[tuple[int, ...]], int]:
@@ -70,8 +66,9 @@ def int_scaled(points: Sequence[Vec]) -> tuple[list[tuple[int, ...]], int]:
     Returns integer tuples together with the scale factor D, so that
     scaled = D * original.  Convexity predicates are invariant under the
     uniform scaling, which lets hot loops run on machine-friendly ints.
+    At D = 1 the integers are the numerators.
     """
     d = common_denominator(points)
-    out = [tuple(c.numerator * (d // c.denominator) for c in p) for p in points]
-    return out, d
-
+    if d == 1:
+        return [tuple([c.numerator for c in p]) for p in points], 1
+    return [tuple([c.numerator * (d // c.denominator) for c in p]) for p in points], d

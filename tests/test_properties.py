@@ -197,9 +197,9 @@ def test_planar_scan_agrees_with_wall_recursion(pts, q):
 def vector_multiset(draw):
     """``(W, d)``: nonzero vectors of Z^d, d in {1, 2, 3, 4}, drawn freely
     or as small combinations of fewer than d vectors (on a line, a plane or
-    a 3-flat through 0), plus repeats, antipodes and multiples of them.  In
-    4-d the draws are smaller, since the reference recursion grows as
-    n^4."""
+    a 3-flat through 0), shifted or not by one vector of entries up to
+    2**70, plus repeats, antipodes and multiples of them.  In 4-d the draws
+    are smaller, since the reference recursion grows as n^4."""
     d = draw(st.sampled_from([1, 2, 3, 4]))
     size, repeats = (10, 6) if d < 4 else (6, 4)
     c = st.integers(-50, 50)
@@ -212,6 +212,11 @@ def vector_multiset(draw):
         coefs = draw(st.lists(st.tuples(*[small] * rank), min_size=1, max_size=size))
         base = [tuple(sum(a * g[i] for a, g in zip(co, gens)) for i in range(d))
                 for co in coefs]
+    if draw(st.booleans(), label="large"):
+        # one shift of about 2**70 makes the vectors nearly parallel, so
+        # distinct directions meet at one float angle
+        far = draw(st.tuples(*[st.integers(-2**70, 2**70)] * d))
+        base = [tuple(map(add, w, far)) for w in base]
     base = [w for w in base if any(w)]
     assume(base)
     extra = draw(st.lists(st.tuples(st.sampled_from(base),
@@ -245,6 +250,125 @@ def test_depth_kernel_floor_is_exact_at_or_above_it(case, data):
         v = witness()
         assert all(_idot(v, w) for w in W)
         assert sum(_idot(v, w) > 0 for w in W) == count
+
+
+def _assert_kernel_matches_reference(W: list, d: int) -> None:
+    """depth_count of W against :func:`_min_open_count` at floors 0, the
+    count less 2, the count, the count plus 1 and above every vector: the
+    same count and witness at or above the floor, and below it a count
+    under the floor that is its generic witness's open count."""
+    exact = _min_open_count(W)
+    for bar in (0, max(exact[0] - 2, 0), exact[0], exact[0] + 1, len(W) + 1):
+        count, witness = depth_count(W, d, bar)
+        if exact[0] >= bar:
+            assert (count, witness()) == exact
+        else:
+            assert count < bar
+            v = witness()
+            assert all(_idot(v, w) for w in W)
+            assert sum(_idot(v, w) > 0 for w in W) == count
+
+
+def _seeded_multiset(rng, gens: list, size: int, spread: int) -> list:
+    """``size`` small combinations of the generators, then repeats,
+    antipodes and multiples of a third of them, shuffled."""
+    W = []
+    while len(W) < size:
+        w = tuple(map(sum, zip(*[[rng.randint(-spread, spread) * c for c in g]
+                                 for g in gens])))
+        if any(w):
+            W.append(w)
+    W += [tuple(t * c for c in rng.choice(W))
+          for t in rng.choices([1, -1, 2, -3], k=size // 3)]
+    rng.shuffle(W)
+    return W
+
+
+def test_depth_kernel_matches_reference_on_a_large_plane():
+    # about 90 vectors of Z^2 with many repeats and antipodes
+    rng = random.Random(90)
+    W = _seeded_multiset(rng, [(1, 0), (0, 1)], 68, 6)
+    assert len(W) == 90 and any(tuple(-c for c in w) in W for w in W)
+    _assert_kernel_matches_reference(W, 2)
+
+
+def test_depth_kernel_matches_reference_in_3d_at_40_vectors():
+    rng = random.Random(40)
+    W = _seeded_multiset(rng, [(1, 0, 0), (0, 1, 0), (0, 0, 1)], 30, 5)
+    assert len(W) == 40
+    _assert_kernel_matches_reference(W, 3)
+
+
+def test_depth_kernel_matches_reference_in_4d_with_repeated_planes():
+    # the vectors lie in three 2-planes of Z^4 and a few off them, so the
+    # walls merge many projections
+    rng = random.Random(4)
+    W = []
+    for _ in range(3):
+        gens = [tuple(rng.randint(-4, 4) for _ in range(4)) for _ in range(2)]
+        W += _seeded_multiset(rng, gens, 5, 2)
+    W += [tuple(rng.randint(-3, 3) for _ in range(4)) for _ in range(3)]
+    W = [w for w in W if any(w)]
+    assert exact_geometry.rank_of_vectors(W) == 4
+    _assert_kernel_matches_reference(W, 4)
+
+
+def _sweep_cases() -> list:
+    """Seeded 2-d and 3-d multisets for the sweep's order paths."""
+    rng = random.Random(2026)
+    cases = []
+    for d in (2, 2, 2, 3):
+        axes = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+        cases.append((_seeded_multiset(rng, axes, 12, 3), d))
+    return cases
+
+
+def test_sweep_beyond_float_range_takes_the_exact_sort(monkeypatch):
+    # entries about 10**400 overflow the float angle, so the sweep sorts on
+    # the integer cross products
+    overflowed = []
+    hint = exact_geometry._angle_hint
+
+    def spy(flat):
+        try:
+            return hint(flat)
+        except OverflowError:
+            overflowed.append(len(flat))
+            raise
+
+    monkeypatch.setattr(exact_geometry, "_angle_hint", spy)
+    big = 10 ** 400
+    for W, d in _sweep_cases():
+        # every other vector keeps its direction, the rest move off it by 1
+        W = [(big * w[0] + k % 2,) + tuple(big * c for c in w[1:])
+             for k, w in enumerate(W)]
+        _assert_kernel_matches_reference(W, d)
+    assert overflowed
+
+
+def test_sweep_rejects_a_wrong_angle_hint(monkeypatch):
+    # a hint that reverses the angles fails the adjacent cross-product
+    # check, and the sweep sorts on the cross products instead
+    rejected = []
+    hint, runs = exact_geometry._angle_hint, exact_geometry._runs
+
+    def spy(flat, order):
+        out = runs(flat, order)
+        rejected.append(out is None)
+        return out
+
+    monkeypatch.setattr(exact_geometry, "_angle_hint",
+                        lambda flat: [-x for x in hint(flat)])
+    monkeypatch.setattr(exact_geometry, "_runs", spy)
+    for W, d in _sweep_cases():
+        _assert_kernel_matches_reference(W, d)
+    assert any(rejected)
+
+
+def test_float_math_is_only_the_sweeps_hint():
+    # every count and witness is integer arithmetic: the one float is the
+    # angle that orders the sweep before its exact check
+    assert _callers("atan2") == {("exact_geometry", "_angle_hint")}
 
 
 @st.composite
