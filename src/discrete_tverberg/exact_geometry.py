@@ -23,7 +23,6 @@ Conventions:
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -403,10 +402,14 @@ def hull_facets(ints: Sequence[tuple]) -> list:
     r + 1 affinely independent points and r pivot coordinates, on which the
     points' flat projects injectively.  On those coordinates the hull is
     an interval at r = 1, the :func:`geom2d.hull_edges` of
-    :func:`geom2d.hull2d` at r = 2 and :func:`_beneath_beyond` from r = 3.
+    :func:`geom2d.hull2d` at r = 2 and :func:`_beneath_beyond` from r = 3,
+    which eliminates once per facet of its first simplex and reads every
+    later facet off a horizon ridge: r + 2 eliminations in all.
     At r = d these are the unique facets; a flat (r < d) lifts them with
     zeros and adds each of d - r integer equations (the pass's
-    :func:`_kernel`) as two opposite halfspaces.
+    :func:`_kernel`) as two opposite halfspaces.  The order of the list is
+    deterministic, and :func:`membership` separates by its first violated
+    halfspace.
     """
     origin = ints[0]
     d = len(origin)
@@ -442,14 +445,29 @@ def _beneath_beyond(pts: list, simplex: list) -> list:
     """Facets of the hull of distinct integer points in d >= 3 dimensions,
     ``simplex`` d + 1 affinely independent ones among them.
 
-    The boundary is kept as simplices: d vertex indices and the facet's
-    primitive normal, the :func:`_kernel` of d - 1 differences, oriented
-    toward ``inner``, d + 1 times the centroid of the first simplex.  The
-    other points come farthest from that centroid first (then in
-    lexicographic order), so that more of them are inside when they come.
-    A facet is visible from a point strictly beyond it; the ridges that
-    appear once among the visible facets are the horizon, and each spans a
-    new facet with the point.  Coplanar simplices merge at the end.
+    The boundary is kept as simplices ``[verts, n, c, h]``: d sorted vertex
+    indices, the facet's primitive inner normal n and offset c, and the
+    height ``n . p - c`` of the point p being added.  The first simplex's
+    d + 1 facets take n from the :func:`_kernel` of d - 1 differences,
+    oriented toward ``inner``, d + 1 times its centroid.  The other points
+    come farthest from that centroid first (then in lexicographic order),
+    so that more of them are inside when they come.
+
+    A facet is visible from a point strictly beyond it (h < 0).  Every
+    ridge lies on exactly two simplices, which ``on`` maps it to (ridges of
+    removed simplices stay there, but no later simplex has one).  A ridge
+    of a visible F whose other simplex G is kept is on the horizon, and
+    spans a new facet with p.  F and G are not coplanar, since only one is
+    visible, nor opposite, since the hull is full-dimensional, so n_F and
+    n_G are independent.  The new facet's normal and offset are
+    ``h_G n_F - h_F n_G`` and ``h_G c_F - h_F c_G`` over the normal's gcd:
+    the normal vanishes on the ridge's differences and on p - a for a
+    ridge vertex a, and is nonzero as h_F < 0.  With h_G >= 0 it is a
+    nonnegative combination of two inner normals, so it points inward: the
+    primitive normal that :func:`_kernel` gives, found without an
+    elimination.  New facets follow the kept ones, in the order of their
+    horizon ridges over the visible facets.  Coplanar simplices merge at
+    the end.
     """
     d = len(pts[0])
     first = set(simplex)
@@ -459,24 +477,42 @@ def _beneath_beyond(pts: list, simplex: list) -> list:
         key=lambda p: (-sum(((d + 1) * x - y) ** 2 for x, y in zip(p, inner)), p),
     )
 
-    def facet(verts: tuple) -> tuple:
+    def facet(verts: tuple) -> list:
         a = pts[verts[0]]
         [n] = _kernel(_echelon([x - y for x, y in zip(pts[v], a)] for v in verts[1:]), d)
         c = sum(map(mul, n, a))
         if sum(map(mul, n, inner)) < (d + 1) * c:
             n, c = tuple([-x for x in n]), -c
-        return verts, n, c
+        return [verts, n, c, 0]
 
     facets = [facet(f) for f in combinations(range(d + 1), d)]
+    on = {}
+    for f in facets:
+        for r in combinations(f[0], d - 1):
+            on.setdefault(r, []).append(f)
     for i in range(d + 1, len(pts)):
         p = pts[i]
         visible, kept = [], []
         for f in facets:
-            (visible if sum(map(mul, f[1], p)) < f[2] else kept).append(f)
-        if visible:
-            ridges = Counter(r for f in visible for r in combinations(f[0], d - 1))
-            facets = kept + [facet(r + (i,)) for r, t in ridges.items() if t == 1]
-    return list(dict.fromkeys((n, c) for _, n, c in facets))
+            f[3] = h = sum(map(mul, f[1], p)) - f[2]
+            (visible if h < 0 else kept).append(f)
+        for F in visible:
+            _, nf, cf, hf = F
+            for r in combinations(F[0], d - 1):
+                a, b = on[r]
+                G = b if a is F else a
+                _, ng, cg, hg = G
+                if hg < 0:
+                    continue
+                n = [hg * x - hf * y for x, y in zip(nf, ng)]
+                g = gcd(*n)
+                f = [r + (i,), tuple([x // g for x in n]), (hg * cf - hf * cg) // g, 0]
+                on[r] = [G, f]
+                for k in range(d - 1):
+                    on.setdefault(r[:k] + r[k + 1:] + (i,), []).append(f)
+                kept.append(f)
+        facets = kept
+    return list(dict.fromkeys((n, c) for _, n, c, _ in facets))
 
 
 def _kernel(echelon: tuple, d: int) -> list:

@@ -1,9 +1,11 @@
 """Property-based checks: certificates, depth laws, hollow machinery."""
 import ast
+import hashlib
 import itertools
 import random
 import re
 from bisect import bisect_left, bisect_right, insort
+from collections import Counter
 from fractions import Fraction
 from math import ceil, floor, gcd, inf, prod
 from operator import add, mul, sub
@@ -296,6 +298,14 @@ def test_depth_kernel_matches_reference_in_3d_at_40_vectors():
     rng = random.Random(40)
     W = _seeded_multiset(rng, [(1, 0, 0), (0, 1, 0), (0, 0, 1)], 30, 5)
     assert len(W) == 40
+    _assert_kernel_matches_reference(W, 3)
+
+
+def test_depth_kernel_matches_reference_in_3d_at_90_vectors():
+    # the size of a paper-bound Z^3 n=86 query
+    rng = random.Random(90)
+    W = _seeded_multiset(rng, [(1, 0, 0), (0, 1, 0), (0, 0, 1)], 68, 4)
+    assert len(W) == 90
     _assert_kernel_matches_reference(W, 3)
 
 
@@ -1341,43 +1351,38 @@ def test_enumeration_and_extreme_points_solve_no_lp(monkeypatch):
 # integer hulls
 
 
-def _facets3d(pts: list):
-    """Reference for 3-d :func:`hull_facets`: a plane through three points
-    supports the hull when no point lies strictly on one of its sides, and
-    three non-collinear points on it make its face a facet.  Each triple
+def _facets_by_scan(pts: list) -> list:
+    """Reference for :func:`hull_facets` of a full-dimensional set in Z^d,
+    with no elimination: the hyperplane through d points, its normal the
+    cofactors of their d - 1 differences (:func:`_leibniz_det`), supports
+    the hull when no point lies strictly on one of its sides, and d
+    affinely independent points on it make its face a facet.  Each d-subset
     stops at the first point on either side once the other side has been
-    seen.  None when every point lies on one plane."""
+    seen."""
+    d = len(pts[0])
     found = {}
-    n = len(pts)
-    for i in range(n):
-        ax, ay, az = a = pts[i]
-        for j in range(i + 1, n):
-            ux, uy, uz = pts[j][0] - ax, pts[j][1] - ay, pts[j][2] - az
-            for k in range(j + 1, n):
-                vx, vy, vz = pts[k][0] - ax, pts[k][1] - ay, pts[k][2] - az
-                normal = (uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx)
-                if normal == (0, 0, 0):
-                    continue
-                nx, ny, nz = normal
-                offset = nx * ax + ny * ay + nz * az
-                above = below = False
-                for px, py, pz in pts:
-                    s = nx * px + ny * py + nz * pz - offset
-                    if s > 0:
-                        if below:
-                            break
-                        above = True
-                    elif s < 0:
-                        if above:
-                            break
-                        below = True
-                else:
-                    if not (above or below):
-                        return None  # every point on one plane
-                    sign = -1 if below else 1
-                    g = gcd(nx, ny, nz) * sign
-                    found.setdefault((tuple(c // g for c in normal), offset // g), None)
-    return list(found) or None
+    for a, *rest in itertools.combinations(pts, d):
+        rows = [[x - y for x, y in zip(p, a)] for p in rest]
+        normal = tuple((-1) ** j * _leibniz_det([r[:j] + r[j + 1:] for r in rows])
+                       for j in range(d))
+        if not any(normal):
+            continue
+        offset = sum(map(mul, normal, a))
+        above = below = False
+        for p in pts:
+            s = sum(map(mul, normal, p)) - offset
+            if s > 0:
+                if below:
+                    break
+                above = True
+            elif s < 0:
+                if above:
+                    break
+                below = True
+        else:
+            g = gcd(*normal) * (-1 if below else 1)
+            found.setdefault((tuple(c // g for c in normal), offset // g), None)
+    return list(found)
 
 
 @st.composite
@@ -1404,7 +1409,86 @@ def z3_hull_points(draw):
 def test_hull_facets_match_the_triple_scan_in_3d(pts):
     facets = hull_facets(pts)
     assert len(facets) == len(set(facets))
-    assert set(facets) == set(_facets3d(pts))
+    assert set(facets) == set(_facets_by_scan(pts))
+
+
+@st.composite
+def z4_hull_points(draw):
+    """6-14 distinct points of [0, 2]^4 with a full-dimensional hull, so
+    that many lie on one hyperplane, sheared by a unimodular
+    upper-triangular map."""
+    c = st.integers(0, 2)
+    pts = draw(st.lists(st.tuples(c, c, c, c), min_size=6, max_size=14, unique=True))
+    assume(affine_rank(pts) == 4)
+    a, b, e, f, g, h = draw(st.tuples(*[st.integers(-2, 2)] * 6))
+    return [(x + a * y + b * z + e * w, y + f * z + g * w, z + h * w, w) for x, y, z, w in pts]
+
+
+@settings(max_examples=100, deadline=None)
+@given(z4_hull_points())
+def test_hull_facets_match_the_scan_in_4d(pts):
+    # beneath-beyond reads each new facet off a horizon ridge, which needs
+    # every ridge of the boundary on exactly two simplices
+    facets = hull_facets(pts)
+    assert len(facets) == len(set(facets))
+    assert set(facets) == set(_facets_by_scan(pts))
+
+
+def _hull_order_corpus() -> list:
+    """50 seeded point sets: boxes in Z^3-Z^5, and flats of rank 3 in Z^4
+    and Z^5 (an origin plus 0-3 times each of three generators), whose
+    hulls run on pivot coordinates."""
+    rng = random.Random(31)
+    sets = []
+    for d, n, b, reps in [(3, 15, 2, 12), (3, 43, 3, 4), (4, 12, 2, 8), (4, 40, 2, 4),
+                          (5, 14, 2, 6), (5, 30, 2, 2)]:
+        for _ in range(reps):
+            sets.append(list(dict.fromkeys(
+                tuple(rng.randint(-b, b) for _ in range(d)) for _ in range(n))))
+    for d in (4, 5):
+        for _ in range(7):
+            origin = [rng.randint(-3, 3) for _ in range(d)]
+            gens = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(3)]
+            coefs = [[rng.randint(0, 3) for _ in gens] for _ in range(20)]
+            sets.append(list(dict.fromkeys(
+                tuple(o + sum(c * g[i] for c, g in zip(z, gens)) for i, o in enumerate(origin))
+                for z in coefs)))
+    return sets
+
+
+def test_hull_facets_keep_their_order():
+    # membership's separator is the first violated facet, so the order of
+    # the list is observable; the digest pins it
+    sets = _hull_order_corpus()
+    assert len(sets) == 50
+    assert sorted(Counter((len(s[0]), affine_rank(s)) for s in sets).items()) == [
+        ((3, 3), 16), ((4, 3), 7), ((4, 4), 12), ((5, 3), 7), ((5, 5), 8)]
+    facets = repr([hull_facets(s) for s in sets])
+    assert hashlib.sha256(facets.encode()).hexdigest() == (
+        "18aca913f000750a9e85c46679cacc9a94ccf3a009928dc5b0158418a4432772")
+
+
+def test_a_full_dimensional_hull_eliminates_d_plus_2_times(monkeypatch):
+    # one elimination for the rank pass and one for each of the first
+    # simplex's d + 1 facets, whatever n is: every later facet's normal
+    # comes from its horizon ridge
+    rng = random.Random(21)
+    sets = [list(dict.fromkeys(tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(n)))
+            for d, n in [(3, 40), (4, 30)]]
+    assert [affine_rank(s) for s in sets] == [3, 4]
+    calls = []
+    echelon = exact_geometry._echelon
+
+    def counted(vectors):
+        calls.append(None)
+        return echelon(vectors)
+
+    monkeypatch.setattr(exact_geometry, "_echelon", counted)
+    for pts in sets:
+        d = len(pts[0])
+        calls.clear()
+        assert len(hull_facets(pts)) > 2 * (d + 1)
+        assert len(calls) == d + 2
 
 
 @st.composite
