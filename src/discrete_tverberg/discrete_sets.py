@@ -327,11 +327,6 @@ def _require_distinct(items: list) -> None:
         raise ValueError("input points must be pairwise distinct")
 
 
-def set_contains(spec: DiscreteSetSpec, point) -> bool:
-    """Whether the point is in S, by the map of :func:`lattice_coords`."""
-    return _coords_in_set(spec, [vec(point)])[2][0] is not None
-
-
 # ---------------------------------------------------------------------------
 # polytopes and enumeration
 

@@ -49,10 +49,7 @@ from .vectors import (
 
 
 def _dedup(points: Sequence[Vec]) -> list:
-    seen = {}
-    for p in points:
-        seen.setdefault(p, None)
-    return list(seen)
+    return list(dict.fromkeys(points))
 
 
 def _first_seen(rows: Sequence[tuple]) -> list:
@@ -189,13 +186,6 @@ class AnchoredReduction:
     @property
     def points(self) -> tuple:
         return tuple(v for v, _ in self.terms)
-
-
-@dataclass(frozen=True)
-class AffineHull:
-    origin: Vec
-    basis: tuple  # linearly independent direction vectors
-    dim: int
 
 
 # ---------------------------------------------------------------------------
@@ -449,8 +439,8 @@ def _beneath_beyond(pts: list, simplex: list) -> list:
     indices, the facet's primitive inner normal n and offset c, and the
     height ``n . p - c`` of the point p being added.  The first simplex's
     d + 1 facets take n from the :func:`_kernel` of d - 1 differences,
-    oriented toward ``inner``, d + 1 times its centroid.  The other points
-    come farthest from that centroid first (then in lexicographic order),
+    oriented toward ``inner``, d + 1 times its barycentre.  The other points
+    come farthest from that barycentre first (then in lexicographic order),
     so that more of them are inside when they come.
 
     A facet is visible from a point strictly beyond it (h < 0).  Every
@@ -533,14 +523,6 @@ def _kernel(echelon: tuple, d: int) -> list:
     return out
 
 
-def centroid(points) -> Vec:
-    pts = _as_points(points)
-    if not pts:
-        raise ValueError("centroid of an empty point set")
-    _check_dims(pts[0], pts)
-    return tuple(Fraction(sum(col), len(pts)) for col in zip(*pts))
-
-
 def _echelon(vectors) -> tuple:
     """``(picked, cols, rows, det)``: the indices, in order, of the integer
     vectors outside the span of the earlier ones, the pivot column of each,
@@ -567,35 +549,6 @@ def _echelon(vectors) -> tuple:
         if len(rows) == len(w):
             break
     return picked, cols, rows, det
-
-
-def rank_of_vectors(vectors) -> int:
-    """Rank over the rationals of int or Fraction vectors (:func:`_echelon`)."""
-    return len(_echelon(int_scaled(list(vectors))[0])[0])
-
-
-def affine_hull(points) -> AffineHull:
-    """Exact affine basis of the flat spanned by the points."""
-    pts = _dedup(_as_points(points))
-    if not pts:
-        raise ValueError("affine hull of an empty point set")
-    _check_dims(pts[0], pts)
-    origin = pts[0]
-    diffs = [vsub(p, origin) for p in pts[1:]]
-    basis = tuple(diffs[i] for i in _echelon(int_scaled(diffs)[0])[0])
-    return AffineHull(origin, basis, len(basis))
-
-
-def affine_rank(points) -> int:
-    """Dimension of the affine hull (0 for a single point)."""
-    return affine_hull(points).dim
-
-
-def affinely_independent(points) -> bool:
-    pts = _as_points(points)
-    if len(pts) != len(set(pts)):
-        return False
-    return affine_rank(pts) == len(pts) - 1
 
 
 # ---------------------------------------------------------------------------

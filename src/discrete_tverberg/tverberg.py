@@ -29,8 +29,9 @@ from typing import Callable, Optional, Sequence
 
 # depth, enumerate_in_polytope, membership, caratheodory_reduce and
 # anchored_reduce are imported only for the benchmark's per-layer trace
-# (perfbench/layers.py), which wraps them, and extract_part, under these
-# names; nothing here calls them.
+# (perfbench/layers.py), which wraps them under these names; nothing here
+# calls them.  extract_part, below, is the only cover entry point kept for
+# that trace: the peel in tverberg_partition calls _cover directly.
 from .discrete_sets import (
     DiscreteSetSpec,
     PolytopeV,
@@ -316,7 +317,7 @@ def _cover(targets: list, sub: list, den: int, weights: list) -> tuple:
     targets' weights over the sorted cover.
 
     One distinct target is covered by its support; two or more by at most
-    n d points, each of their n hull vertices y written over their centroid
+    n d points, each of their n hull vertices y written over their barycentre
     a plus at most d points (:func:`_anchored_weights`, scaled by n).  This
     always covers: (1) no y is a, so each ``y = alpha_y a + sum_j c_yj p_j``
     has ``alpha_y < 1``; (2) averaging over y, ``(1 - mean alpha) a = (1/n)
@@ -340,14 +341,14 @@ def _cover(targets: list, sub: list, den: int, weights: list) -> tuple:
     return list(cover), _weights(targets, [sub[j] for j in sorted(cover)], den)
 
 
-def colorful_cover(witness_points: Sequence, ground: Sequence) -> list:
-    """Small B within ground with all witness points in conv(B): their
-    :func:`_cover`, by one integer scaling.
-
-    Returns the points in the order they were found.
-    """
-    P = [vec(p) for p in witness_points]
-    A = list(dict.fromkeys(vec(a) for a in ground))
+def extract_part(
+    witness_points: Sequence, remaining: Sequence, k: int, d: int
+) -> list:
+    """The points of a part whose hull covers the first witness (k=1, size
+    <= d+1) or all of them (size <= kd): their :func:`_cover` in remaining,
+    by one integer scaling, in the order found."""
+    P = [vec(p) for p in (witness_points[:1] if k == 1 else witness_points)]
+    A = list(dict.fromkeys(vec(a) for a in remaining))
     if not P or not A:
         raise ValueError("empty witness or ground set")
     _check_dims(P[0], A + P)
@@ -358,14 +359,6 @@ def colorful_cover(witness_points: Sequence, ground: Sequence) -> list:
         raise ValueError("witness set is not inside the ground hull")
     cover, _ = _cover(targets, sub, den, weights)
     return [A[j] for j in cover]
-
-
-def extract_part(
-    witness_points: Sequence, remaining: Sequence, k: int, d: int
-) -> list:
-    """The points of a part whose hull covers the first witness (k=1, size
-    <= d+1) or all of them (size <= kd)."""
-    return colorful_cover(witness_points[:1] if k == 1 else witness_points, remaining)
 
 
 def _witness_depth_threshold(m: int, k: int, d: int) -> int:
@@ -455,9 +448,3 @@ def tverberg_partition(instance: Instance) -> TverbergOutcome:
     result = PartitionResult(parts_idx, tuple(witnesses), certificates, stats)
     return TverbergOutcome("ok", result=result, witness_search=search)
 
-
-def radon_partition(instance: Instance) -> TverbergOutcome:
-    """Tverberg with m = 2."""
-    if instance.m != 2:
-        raise ValueError("Radon partition requires m = 2")
-    return tverberg_partition(instance)

@@ -7,18 +7,15 @@ from discrete_tverberg.exact_geometry import (
     ConvexCombination,
     Halfspace,
     MembershipCertificate,
-    affine_hull,
-    affine_rank,
-    affinely_independent,
     anchored_reduce,
     caratheodory_reduce,
-    centroid,
     depth,
     extreme_points,
     membership,
-    rank_of_vectors,
 )
 from discrete_tverberg.vectors import vdot, vec, vsub
+from test_discrete_sets import rank
+from test_properties import affine_rank, affinely_independent
 
 F = Fraction
 SQUARE = [(0, 0), (1, 0), (0, 1), (1, 1)]
@@ -169,7 +166,7 @@ def test_anchored_rejects_outside():
 
 
 # ---------------------------------------------------------------------------
-# extreme points, hulls, centroid
+# extreme points, ranks
 
 
 def test_extreme_points_drops_midpoint():
@@ -185,17 +182,8 @@ def test_extreme_points_1d_interval():
     assert sorted(extreme_points([(0,), (1,), (2,), (3,)])) == [vec((0,)), vec((3,))]
 
 
-def test_affine_hull_dimensions():
-    hull = affine_hull([(0, 0), (1, 1)])
-    assert hull.dim == 1
-    assert len(hull.basis) == 1
-    bx, by = hull.basis[0]
-    assert bx == by and bx != 0  # spans the diagonal
-    assert affine_hull([(3, 4)]).dim == 0
-    assert affine_hull(SQUARE).dim == 2
-
-
 def test_affine_rank_and_independence():
+    # the test reference for Caratheodory supports and facet ranks
     assert affine_rank(SQUARE) == 2
     assert affinely_independent([(0, 0), (1, 0), (0, 1)])
     assert not affinely_independent([(0, 0), (1, 0), (2, 0)])
@@ -206,27 +194,17 @@ def test_rank_of_vectors_passes_over_dependent_columns():
     # in the transpose the third column is the sum of the first two, so
     # elimination must pass over it to reach the fourth
     keys = [(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)]
-    assert rank_of_vectors(zip(*keys)) == 3
-    assert rank_of_vectors(keys) == 3
-    assert rank_of_vectors([(0, 0), (0, F(1, 2)), (0, 3)]) == 1
-    assert rank_of_vectors([]) == 0
-
-
-def test_centroid_values():
-    assert centroid([(0, 0), (2, 0), (0, 2)]) == vec((F(2, 3), F(2, 3)))
-    assert centroid([(3, 4)]) == vec((3, 4))
-    assert centroid([(0,), (4,)]) == vec((2,))
+    assert rank(zip(*keys)) == 3
+    assert rank(keys) == 3
+    assert rank([(0, 0), (0, F(1, 2)), (0, 3)]) == 1
+    assert rank([]) == 0
 
 
 @pytest.mark.parametrize("fn, points", [
     (extreme_points, [(0, 0), (1,), (0, 1)]),
-    (centroid, [(0, 0), (1,)]),
-    (affine_rank, [(0, 0), (1,), (0, 1)]),
-    (affinely_independent, [(0, 0), (1,)]),
 ])
 def test_mixed_dimension_points_raise(fn, points):
-    # zip used to truncate them: affine_rank read 1, affinely_independent
-    # True; extreme_points and centroid raised IndexError
+    # zip used to truncate them; extreme_points raised IndexError
     with pytest.raises(ValueError):
         fn(points)
 

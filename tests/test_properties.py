@@ -31,7 +31,6 @@ from discrete_tverberg.discrete_sets import (
     lattice_coords,
     lattice_lines_in_polytope,
     lattice_set,
-    set_contains,
 )
 from discrete_tverberg.exact_geometry import (
     ConvexCombination,
@@ -41,8 +40,6 @@ from discrete_tverberg.exact_geometry import (
     _line_side,
     _off_wall,
     _primitive_signed,
-    affine_rank,
-    affinely_independent,
     anchored_reduce,
     caratheodory_reduce,
     depth,
@@ -66,13 +63,25 @@ from discrete_tverberg.tverberg import (
     find_deep_witnesses,
     tverberg_partition,
 )
-from discrete_tverberg.vectors import vdot, vec
-from test_discrete_sets import frame_coords
+from discrete_tverberg.vectors import vdot, vec, vsub
+from test_discrete_sets import frame_coords, in_set, rank
 
 F = Fraction
 Z1 = lattice_set(1)
 Z2 = lattice_set(2)
 ODD = difference_set(1, (LatticeBasis(((2,),), dim=1),))
+
+
+def affine_rank(points):
+    """Dimension of the points' affine hull: the rank of their differences
+    from the first (0 for one point)."""
+    pts = [vec(p) for p in points]
+    return rank(vsub(p, pts[0]) for p in pts[1:])
+
+
+def affinely_independent(points):
+    pts = [vec(p) for p in points]
+    return len(set(pts)) == len(pts) and affine_rank(pts) == len(pts) - 1
 
 
 def coord():
@@ -319,7 +328,7 @@ def test_depth_kernel_matches_reference_in_4d_with_repeated_planes():
         W += _seeded_multiset(rng, gens, 5, 2)
     W += [tuple(rng.randint(-3, 3) for _ in range(4)) for _ in range(3)]
     W = [w for w in W if any(w)]
-    assert exact_geometry.rank_of_vectors(W) == 4
+    assert rank(W) == 4
     _assert_kernel_matches_reference(W, 4)
 
 
@@ -716,7 +725,7 @@ def automorphism_problem(draw):
     else:
         c, sizes, shapes = st.integers(-2, 2), (6, 16), [(2, 1)]
     points = draw(st.lists(st.tuples(*[c] * spec.dim).filter(
-        lambda x: set_contains(spec, x)), min_size=sizes[0], max_size=sizes[1],
+        lambda x: in_set(spec, x)), min_size=sizes[0], max_size=sizes[1],
         unique=True))
     m, k = draw(st.sampled_from(shapes))
     name = draw(st.sampled_from(sorted(UNIMODULAR) + ["translation"]))
@@ -1083,7 +1092,7 @@ def test_z3_enumeration_matches_per_point_membership(spec, points):
            for j in range(3)]
     expected = [
         x for x in map(spec.base.from_lattice, itertools.product(*box))
-        if set_contains(spec, x) and membership(x, verts).inside
+        if in_set(spec, x) and membership(x, verts).inside
     ]
     assert got == sorted(expected)
 
@@ -1129,7 +1138,7 @@ def test_z4_and_rank_deficient_enumeration_matches_per_point_membership(problem)
            for j in range(spec.rank)]
     expected = [
         x for x in map(spec.base.from_lattice, itertools.product(*box))
-        if set_contains(spec, x) and membership(x, verts).inside
+        if in_set(spec, x) and membership(x, verts).inside
     ]
     assert got == sorted(expected)
 
@@ -1199,12 +1208,11 @@ def membership_problem(draw):
 @settings(max_examples=150, deadline=None)
 @given(membership_problem())
 def test_lattice_coords_decide_membership_as_the_ambient_definition(problem):
-    # set_contains, lattice_coords and Instance decide S on lattice
-    # coordinates, by one map; the reference solves B z = x itself and tests
-    # the ambient sublattices
+    # lattice_coords and Instance decide S on lattice coordinates, by one
+    # map; the reference solves B z = x itself and tests the ambient
+    # sublattices
     spec, points = problem
     inside = [ambient_member(spec, x) for x in points]
-    assert [set_contains(spec, x) for x in points] == inside
     members = [x for x, ok in zip(points, inside) if ok]
     zs = lattice_coords(spec, members)
     assert all(type(c) is int for z in zs for c in z)
@@ -1261,7 +1269,7 @@ def common_points_by_membership(spec, hulls):
            for j in range(spec.rank)]
     return sorted(
         x for x in map(spec.base.from_lattice, itertools.product(*box))
-        if set_contains(spec, x) and all(membership(x, h).inside for h in hulls)
+        if in_set(spec, x) and all(membership(x, h).inside for h in hulls)
     )
 
 
@@ -1296,7 +1304,7 @@ def hoffman_problem(draw):
     spec = draw(st.sampled_from(FAMILY_SETS))
     zs = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * spec.rank),
                        min_size=2, max_size=6, unique=True))
-    points = [x for x in map(spec.base.from_lattice, zs) if set_contains(spec, x)]
+    points = [x for x in map(spec.base.from_lattice, zs) if in_set(spec, x)]
     assume(len(points) >= 2)
     return spec, points, draw(st.integers(1, 3))
 
@@ -1626,7 +1634,7 @@ def test_echelon_reduces_like_fraction_elimination(case):
     d, vectors = case
     picked, cols, rows, det = exact_geometry._echelon(iter(vectors))
     assert picked == _fraction_picks(vectors)
-    assert exact_geometry.rank_of_vectors(vectors) == len(picked)
+    assert rank(vectors) == len(picked)
     # det is the determinant of the picked vectors on the pivot columns,
     # and each row is det at its own pivot column and 0 at the others
     assert det == _leibniz_det([[vectors[i][c] for c in cols] for i in picked])

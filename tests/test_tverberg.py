@@ -14,10 +14,8 @@ from discrete_tverberg.tverberg import (
     DeepWitness,
     Instance,
     WitnessSearch,
-    colorful_cover,
     extract_part,
     find_deep_witnesses,
-    radon_partition,
     tverberg_partition,
 )
 from discrete_tverberg.vectors import vec
@@ -263,21 +261,21 @@ def test_difference_set_hull_is_counted_without_listing_it():
 def test_colorful_cover_subset_case():
     P = pts((0, 0), (1, 0))
     A = pts((-1, -1), (-1, 1), (2, -1), (2, 1))
-    cover = colorful_cover(P, A)
+    cover = extract_part(P, A, 2, 2)
     assert len(cover) <= 4
     for p in P:
         assert membership(p, cover).inside
 
 
 def test_colorful_cover_single_point():
-    cover = colorful_cover(pts((0, 0)), pts((1, 1), (-1, 1), (0, -2)))
+    cover = extract_part(pts((0, 0)), pts((1, 1), (-1, 1), (0, -2)), 1, 2)
     assert len(cover) <= 3
     assert membership((0, 0), cover).inside
 
 
 def test_colorful_cover_rejects_outside_witness():
     with pytest.raises(ValueError):
-        colorful_cover(pts((9, 9)), pts((0, 0), (1, 0), (0, 1)))
+        extract_part(pts((9, 9)), pts((0, 0), (1, 0), (0, 1)), 1, 2)
 
 
 def test_extract_part_1d():
@@ -296,10 +294,9 @@ def test_extract_part_k1_size_bound():
 def test_extract_part_k2_size_bounds():
     P = pts((0, 0), (1, 0))
     A = pts((-2, -1), (-2, 1), (3, -1), (3, 1), (0, 2), (1, -2))
-    part = colorful_cover(P, A)
-    assert len(part) <= 4  # n*d, anchored at the centroid
+    part = extract_part(P, A, 2, 2)
+    assert len(part) <= 4  # k*d, anchored at the witnesses' barycentre
     assert all(membership(p, part).inside for p in P)
-    assert extract_part(P, A, 2, 2) == part
 
 
 # ---------------------------------------------------------------------------
@@ -320,17 +317,6 @@ def test_partition_unit_square_has_none():
     assert out.status == "no_partition_found"
     assert out.result is None
     assert out.reason
-
-
-def test_radon_requires_m_two():
-    inst = Instance(Z1, ((0,), (1,), (2,)), 3, 1)
-    with pytest.raises(ValueError):
-        radon_partition(inst)
-
-
-def test_radon_delegates():
-    inst = Instance(Z1, ((0,), (1,), (2,)), 2, 1)
-    assert radon_partition(inst).status == "ok"
 
 
 def test_partition_deterministic_bytes():
