@@ -28,16 +28,20 @@ from .errors import CapExceededError
 # membership is imported only for the benchmark's per-layer trace
 # (perfbench/layers.py), which wraps it; nothing here calls it.
 from .exact_geometry import _echelon, extreme_points, hull_facets, membership
-from .vectors import ONE, ZERO, Vec, frac, int_scaled, vec
+from .vectors import ONE, ZERO, Vec, column_dots, frac, int_scaled, vec
 
 
 class LatticeBasis:
     """Lattice B * Z^r given by r independent rational vectors in R^dim.
 
     Keeps B and a transform T with T @ B = [I_r; 0] as integer rows over
-    denominators D_B and D, read only by :meth:`scaled_coords`,
-    :meth:`scaled_point`, :meth:`ambient_normal` and :meth:`_lattice_z`, the
-    one congruence test; a point enters the frame only by :func:`lattice_box`.
+    denominators D_B and D.  B's rows are read by :meth:`scaled_point`.
+    T's rows are read by :func:`lattice_box`, the one way a point enters
+    the frame, which maps a batch of points at once; by
+    :meth:`scaled_coords`, which maps one integer vector for the sublattice
+    test :meth:`contains_scaled`; and by :meth:`ambient_normal` and
+    :func:`_line_progression`.  :meth:`_lattice_z` is the one congruence
+    test.
     """
 
     def __init__(self, vectors: Sequence, dim: Optional[int] = None):
@@ -285,12 +289,20 @@ def _coords_in_set(spec: DiscreteSetSpec, points: list) -> tuple:
     """``(coords, den, zs)``: each point's frame row from one
     :func:`lattice_box` map, and its lattice coordinates z (B z = x) if it
     is in S, else None, by :meth:`LatticeBasis._lattice_z` with
-    ``spec.removes(z)`` false."""
+    ``spec.removes(z)`` false.  At ``den == 1`` on a full-rank lattice every
+    row is its own z, and without sublattices nothing is removed, so
+    neither test is made point by point there."""
     if not spec.enumerable:
         raise ValueError("pointwise membership is defined only for enumerable sets")
-    coords, den = lattice_box(spec.base, points)
-    zs = [spec.base._lattice_z(t, den) for t in coords]
-    return coords, den, [None if z is None or spec.removes(z) else z for z in zs]
+    lat = spec.base
+    coords, den = lattice_box(lat, points)
+    if den == 1 and lat.rank == lat.dim:
+        zs = coords
+    else:
+        zs = [lat._lattice_z(t, den) for t in coords]
+    if spec.sublattices:
+        zs = [None if z is None or spec.removes(z) else z for z in zs]
+    return coords, den, zs
 
 
 def _in_set(pts: list, zs: list) -> list:
@@ -312,7 +324,12 @@ def distinct_lattice_coords(spec: DiscreteSetSpec, points) -> list:
     distinct exactly when the points are (the map is injective), so the
     coerced points are hashed only when the map raises (a point of another
     dimension, or S not enumerable), to name duplicates before that."""
-    pts = [vec(p) for p in points]
+    return _distinct_coords(spec, [vec(p) for p in points])
+
+
+def _distinct_coords(spec: DiscreteSetSpec, pts: Sequence[Vec]) -> list:
+    """:func:`distinct_lattice_coords` of points already coerced by
+    :func:`vec`."""
     try:
         coords, _, zs = _coords_in_set(spec, pts)
     except ValueError:
@@ -366,13 +383,16 @@ def lattice_box(lat: LatticeBasis, vertices: Sequence[Vec]) -> tuple:
     tuples ``den * T v`` (T maps B z to (z, 0)).
 
     The one way a point enters a lattice's frame (ValueError on a vertex of
-    another dimension): the vertices are scaled to integers once, and
-    coordinates come from :meth:`LatticeBasis.scaled_coords`.
+    another dimension): the vertices are scaled to integers once, and each
+    of T's rows maps all of their columns at once (:func:`column_dots`), as
+    :meth:`LatticeBasis.scaled_coords` would map each vertex.
     """
     if any(len(v) != lat.dim for v in vertices):
         raise ValueError("point dimension does not match the lattice")
     ints, scale = int_scaled(vertices)
-    return [tuple(lat.scaled_coords(v)) for v in ints], lat._t_den * scale
+    cols = list(zip(*ints))
+    rows = list(zip(*[column_dots(row, cols) for row in lat._t_rows])) if ints else []
+    return rows, lat._t_den * scale
 
 
 def _frame(spec: DiscreteSetSpec, points: Sequence[Vec]) -> tuple:

@@ -24,7 +24,7 @@ import itertools
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import add, mul, sub
+from operator import mul, sub
 from typing import Callable, Optional, Sequence
 
 # depth, enumerate_in_polytope, membership, caratheodory_reduce and
@@ -36,7 +36,7 @@ from .discrete_sets import (
     DiscreteSetSpec,
     PolytopeV,
     _clip_line,
-    distinct_lattice_coords,
+    _distinct_coords,
     enumerate_in_polytope,
     lattice_coords,
     lattice_lines_in_polytope,
@@ -58,7 +58,7 @@ from .exact_geometry import (
     depth_count,
     membership,
 )
-from .vectors import ONE, Vec, int_scaled, require_int, vdot, vec
+from .vectors import ONE, Vec, column_dots, int_scaled, require_int, vdot, vec
 
 
 @dataclass(frozen=True)
@@ -78,7 +78,7 @@ class Instance:
         # each point's lattice coordinates, kept for the peel; distinctness
         # is checked first, on the integer rows of the same map
         object.__setattr__(self, "_coords",
-                           tuple(distinct_lattice_coords(self.spec, pts)))
+                           tuple(_distinct_coords(self.spec, pts)))
 
     @property
     def dim(self) -> int:
@@ -157,11 +157,7 @@ def _bound_levels(lines: list, coords: list, den: int, rank: int, lowest: int,
     """
     n = len(coords)
     cols = list(zip(*coords))
-    projs = []
-    for u in dirs:  # at most two nonzero entries: u.p from the columns
-        terms = [col if c == 1 else map(mul, col, itertools.repeat(c))
-                 for c, col in zip(u, cols) if c]
-        projs.append(sorted(map(add, *terms) if len(terms) > 1 else terms[0]))
+    projs = [sorted(column_dots(u, cols)) for u in dirs]
     top = next(t for t in range(n, 0, -1) if all(p[t - 1] <= p[n - t] for p in projs))
     # the cuts u.x >= proj_u[t - 1] and -u.x >= -proj_u[n - t] of each u
     lasts = [c * den * u[rank - 1] for u in dirs for c in (1, -1)]
@@ -224,26 +220,29 @@ def find_deep_witnesses(
     others.  The visit stops at the first bound below the threshold, or
     below the k-th best exact depth once k candidates reached the
     threshold: no later candidate can then reach, or tie with, a chosen
-    one.  Each visited candidate is scaled into the frame and its depth is
-    asked of :func:`depth_count` with a floor: the cutoff (the threshold,
-    or the k-th best depth once there are k), plus one when there are k
-    and the candidate's ambient point is lexicographically after the
-    k-th's, since a tie then cannot displace it.  Below the floor the
-    query stops at its first wall below it and the candidate is dropped;
-    at or above it the depth is exact and the candidate is ranked with its
-    witness thunk.  A stopped query still returns a witness v whose closed
-    halfspace through the candidate holds fewer than ``need`` points, and
-    the search keeps it as a cut ``(v, sorted v.p)``: for any later
-    candidate q the closed halfspace {v.x >= v.q} contains q, so ``#{p :
-    v.p >= v.q}`` (a bisection) is at least depth(q), and a candidate that
-    some cut puts below its own floor is skipped without a query, since
-    the query would drop it.  The cut that skipped it moves to the front
-    of the list.  Only the stopped queries call their witness thunks.  A
-    chosen witness keeps its thunk, and its halfspace is built the first
-    time its :attr:`DeepWitness.depth_result` is read, with the ambient
-    normal T^t v (:meth:`LatticeBasis.ambient_normal`).  On the standard
-    lattice T is the identity and the witness is the one :func:`depth`
-    returns.
+    one.  Each visited candidate q is scaled into the frame and its depth
+    is asked of :func:`depth_count`, on the differences p - q built from the
+    points' columns shifted by q, less q's own row when q is a point (the
+    coords are distinct, so a dict finds it), with a floor: the cutoff
+    (the threshold, or the k-th best depth once there are k), plus one
+    when there are k and the candidate's ambient point is
+    lexicographically after the k-th's, since a tie then cannot displace
+    it.  Below the floor the query stops at its first wall below it and
+    the candidate is dropped; at or above it the depth is exact and the
+    candidate is ranked with its witness thunk.  A stopped query still
+    returns a witness v whose closed halfspace through the candidate holds
+    fewer than ``need`` points, and the search keeps it as a cut ``(v,
+    sorted v.p)``, the v.p taken from the points' columns
+    (:func:`column_dots`): for any later candidate q the closed halfspace
+    {v.x >= v.q} contains q, so ``#{p : v.p >= v.q}`` (a bisection) is at
+    least depth(q), and a candidate that some cut puts below its own floor
+    is skipped without a query, since the query would drop it.  The cut
+    that skipped it moves to the front of the list.  Only the stopped
+    queries call their witness thunks.  A chosen witness keeps its thunk,
+    and its halfspace is built the first time its
+    :attr:`DeepWitness.depth_result` is read, with the ambient normal T^t v
+    (:meth:`LatticeBasis.ambient_normal`).  On the standard lattice T is
+    the identity and the witness is the one :func:`depth` returns.
     """
     lines, coords, den = lattice_lines_in_polytope(spec, PolytopeV(tuple(points)))
     scanned = sum(hi - lo + 1 for _, lo, hi in lines)
@@ -260,6 +259,8 @@ def find_deep_witnesses(
     n = len(coords)
     cuts = []  # (v, sorted v.p) of each stopped query's witness v
     dirs = _level_directions(len(coords[0]))
+    cols = list(zip(*coords))
+    index = {p: i for i, p in enumerate(coords)}  # the coords are distinct
     for bound, level in _bound_levels(lines, coords, den, lat.rank, threshold, dirs):
         if bound < cutoff:
             break  # before the level's lines are cut
@@ -275,7 +276,10 @@ def find_deep_witnesses(
             if hit is not None:
                 cuts.insert(0, cuts.pop(hit))
                 continue
-            W = [tuple(map(sub, p, q)) for p in coords if p != q]
+            W = list(zip(*[map(sub, col, itertools.repeat(c)) for col, c in zip(cols, q)]))
+            i = index.get(q)
+            if i is not None:
+                del W[i]
             on_vertex = n - len(W)
             count, witness = depth_count(W, spec.dim, need - on_vertex)
             value = count + on_vertex
@@ -286,7 +290,7 @@ def find_deep_witnesses(
                     cutoff = -top[-1][0]
             else:
                 v = witness()
-                cuts.append((v, sorted(sum(map(mul, v, p)) for p in coords)))
+                cuts.append((v, sorted(column_dots(v, cols))))
     chosen = tuple(
         DeepWitness(lat.from_lattice(z), -neg_value,
                     lambda witness=witness: lat.ambient_normal(witness()))

@@ -11,7 +11,10 @@ instead of the points.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial, reduce
+from itertools import repeat
 from math import lcm
+from operator import add, mul
 from typing import Iterable, Sequence
 
 Vec = tuple  # tuple[Fraction, ...]
@@ -50,6 +53,15 @@ def vsub(a: Vec, b: Vec) -> Vec:
 def vdot(a: Vec, b: Vec) -> Fraction:
     """a . b; ValueError when the lengths differ."""
     return sum((x * y for x, y in zip(a, b, strict=True)), ZERO)
+
+
+def column_dots(u: Sequence[int], cols: Sequence) -> Iterable:
+    """u.p for every point p, from the points' columns ``cols`` (as
+    ``zip(*points)`` gives them), by C-level ``map``: zero entries of u are
+    skipped and a column whose entry is 1 is taken as it is.  u must not be
+    0.  The result is an iterable to read once."""
+    terms = [col if c == 1 else map(mul, col, repeat(c)) for c, col in zip(u, cols) if c]
+    return reduce(partial(map, add), terms)
 
 
 def is_zero(a: Vec) -> bool:

@@ -19,6 +19,7 @@ from discrete_tverberg.discrete_sets import (
     LatticeBasis,
     PolytopeV,
     _ambient_points,
+    _coords_in_set,
     _frame,
     _intersection_lines,
     _points_on_lines,
@@ -28,6 +29,7 @@ from discrete_tverberg.discrete_sets import (
     helly_upper_bound,
     is_k_hoffman,
     is_k_hollow,
+    lattice_box,
     lattice_coords,
     lattice_lines_in_polytope,
     lattice_set,
@@ -63,7 +65,7 @@ from discrete_tverberg.tverberg import (
     find_deep_witnesses,
     tverberg_partition,
 )
-from discrete_tverberg.vectors import vdot, vec, vsub
+from discrete_tverberg.vectors import int_scaled, vdot, vec, vsub
 from test_discrete_sets import frame_coords, in_set, rank
 
 F = Fraction
@@ -1186,11 +1188,11 @@ MEMBERSHIP_SETS = [
 
 
 @st.composite
-def membership_problem(draw):
-    """A ground set and 1-6 points, each a lattice point B z, B z shifted by
-    a small rational, or a rational point anywhere (mostly off the span of a
-    rank-deficient lattice)."""
-    spec = draw(st.sampled_from(MEMBERSHIP_SETS))
+def membership_problem(draw, sets=MEMBERSHIP_SETS):
+    """A ground set of ``sets`` and 1-6 points, each a lattice point B z, B z
+    shifted by a small rational, or a rational point anywhere (mostly off
+    the span of a rank-deficient lattice)."""
+    spec = draw(st.sampled_from(sets))
     small = st.builds(F, st.integers(-2, 2), st.integers(1, 4))
     anywhere = st.builds(F, st.integers(-9, 9), st.integers(1, 3))
     points = []
@@ -1227,6 +1229,55 @@ def test_lattice_coords_decide_membership_as_the_ambient_definition(problem):
         else:
             with pytest.raises(ValueError, match="not in the ground set"):
                 Instance(spec, (x,), 1, 1)
+
+
+# the identity, unimodular shears (D = 1), rational and rank-deficient
+# bases in 1-4 d
+FRAME_BASES = [
+    LatticeBasis(((1,),)), LatticeBasis(((F(2, 3),),)),
+    Z2.base, LatticeBasis(((2, 1), (1, 1))), LatticeBasis(SHEAR2),
+    LatticeBasis(((F(1, 2), 0), (0, F(1, 3)))), LatticeBasis(((1, 1),), dim=2),
+    Z3.base, SHEARS[1], PLANE3.base, LINE3.base,
+    Z4.base, LatticeBasis(((1, 1, 0, 0), (0, 1, 2, 1), (0, 0, 1, 1), (1, 0, 0, 2))),
+    LatticeBasis(((1, 0, F(1, 2), 0), (0, 1, 1, 1)), dim=4),
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_lattice_box_maps_every_point_as_scaled_coords_does(data):
+    # the reference maps each scaled point through T's rows on its own
+    basis = data.draw(st.sampled_from(FRAME_BASES))
+    entry = st.builds(F, st.integers(-9, 9), st.sampled_from((1, 1, 2, 3)))
+    points = data.draw(st.lists(st.tuples(*[entry] * basis.dim), min_size=1,
+                                max_size=6))
+    ints, scale = int_scaled(points)
+    assert lattice_box(basis, points) == (
+        [tuple(basis.scaled_coords(x)) for x in ints], basis._t_den * scale)
+
+
+@pytest.mark.parametrize("basis", FRAME_BASES)
+def test_lattice_box_of_no_points_or_a_point_of_another_dimension(basis):
+    assert lattice_box(basis, []) == ([], basis._t_den)
+    for dim in (basis.dim - 1, basis.dim + 1):
+        with pytest.raises(ValueError, match="point dimension does not match"):
+            lattice_box(basis, [vec((0,) * basis.dim), vec((1,) * dim)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(membership_problem(sets=[
+    Z2, Z3, ODD, Z2_MINUS_2Z2, lattice_set(2, ((2, 1), (1, 1))),
+    lattice_set(2, LatticeBasis(((1, 0),), dim=2)),
+    lattice_set(3, LatticeBasis(((1, 0, 0), (0, 1, 0)), dim=3)), *MEMBERSHIP_SETS]))
+def test_coords_in_set_takes_its_closed_forms_only_where_they_hold(problem):
+    # at D = 1 on a full-rank lattice a frame row is its own z, and without
+    # sublattices nothing is removed; the reference tests every point (the
+    # two axis lattices of rank below their dimension map at D = 1 too)
+    spec, points = problem
+    coords, den, zs = _coords_in_set(spec, points)
+    assert (coords, den) == lattice_box(spec.base, points)
+    ref = [spec.base._lattice_z(t, den) for t in coords]
+    assert zs == [None if z is None or spec.removes(z) else z for z in ref]
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -496,6 +497,61 @@ def test_partition_maps_the_instance_only_in_the_search(monkeypatch, spec, m, k,
     out = tverberg_partition(inst)
     assert out.status == "ok"
     assert calls == [list(inst.points), list(out.result.witnesses)]
+
+
+# the benchmark's workloads (perfbench/run.py): parameters, default seed
+# and gate trials, and the search's work over those trials: depth queries,
+# witness thunks called and candidates scanned
+SEARCH_WORK = {
+    "z2_m3k1_n25": (dict(dim=2, m=3, k=1, n_points=25, box_bound=20), 11, 20,
+                    (164, 125, 24047)),
+    "z2_m2k2_n26": (dict(dim=2, m=2, k=2, n_points=26, box_bound=15), 23, 20,
+                    (195, 118, 13381)),
+    "z3_m2k1_n15": (dict(dim=3, m=2, k=1, n_points=15, box_bound=2), 5, 3,
+                    (9, 6, 134)),
+    "z2_radon_oracle": (dict(dim=2, m=2, k=1, n_points=9, box_bound=8), 37, 50,
+                        (286, 200, 6214)),
+}
+
+
+def test_the_search_does_the_same_work(monkeypatch):
+    # every depth query (W, d, floor, count) and every witness its thunk
+    # builds, the chosen witnesses' included, over the benchmark's gate
+    # trials: a faster search must ask the same queries and get the same
+    # answers, so the digest pins them
+    record = hashlib.sha256()
+    calls = []
+    real = tverberg.depth_count
+
+    def recording(W, d, floor=0):
+        count, witness = real(W, d, floor)
+        record.update(repr(("query", W, d, floor, count)).encode())
+        calls.append("query")
+
+        def recorded():
+            v = witness()
+            record.update(repr(("witness", v)).encode())
+            calls.append("thunk")
+            return v
+        return count, recorded
+
+    monkeypatch.setattr(tverberg, "depth_count", recording)
+    for name, (params, seed, gate, expected) in SEARCH_WORK.items():
+        params = dict(params)
+        cfg = ExperimentConfig(spec=lattice_set(params.pop("dim")), trials=gate,
+                               seed=seed, **params)
+        work = [0, 0, 0]
+        for i in range(gate):
+            calls.clear()
+            out = tverberg_partition(generate_instance(cfg, i))
+            work[0] += calls.count("query")
+            work[1] += calls.count("thunk")
+            work[2] += out.witness_search.candidates_scanned
+            for w in out.witness_search.witnesses:
+                record.update(repr(w.depth_result).encode())
+        assert (name, tuple(work)) == (name, expected)
+    assert record.hexdigest() == (
+        "a9f8e25fe1d718899f8142ab227af0db1aa621af47dd99505b5ebb7d422ac4f0")
 
 
 def test_partition_stats_shape():
