@@ -318,18 +318,13 @@ def lattice_coords(spec: DiscreteSetSpec, points) -> list:
     return _in_set(pts, _coords_in_set(spec, pts)[2])
 
 
-def distinct_lattice_coords(spec: DiscreteSetSpec, points) -> list:
-    """:func:`lattice_coords` of points that must be pairwise distinct,
-    ValueError first if two coincide.  The one map's integer frame rows are
-    distinct exactly when the points are (the map is injective), so the
-    coerced points are hashed only when the map raises (a point of another
-    dimension, or S not enumerable), to name duplicates before that."""
-    return _distinct_coords(spec, [vec(p) for p in points])
-
-
-def _distinct_coords(spec: DiscreteSetSpec, pts: Sequence[Vec]) -> list:
-    """:func:`distinct_lattice_coords` of points already coerced by
-    :func:`vec`."""
+def distinct_lattice_coords(spec: DiscreteSetSpec, pts: Sequence[Vec]) -> list:
+    """:func:`lattice_coords` of points, already coerced by :func:`vec`,
+    that must be pairwise distinct, ValueError first if two coincide.  The
+    one map's integer frame rows are distinct exactly when the points are
+    (the map is injective), so the points are hashed only when the map
+    raises (a point of another dimension, or S not enumerable), to name
+    duplicates before that."""
     try:
         coords, _, zs = _coords_in_set(spec, pts)
     except ValueError:

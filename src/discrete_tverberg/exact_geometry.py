@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, compress, repeat
+from itertools import combinations, repeat
 from functools import cmp_to_key
 from math import atan2, gcd, lcm
 from operator import mul, sub
@@ -39,7 +39,6 @@ from .vectors import (
     ONE,
     ZERO,
     Vec,
-    column_dots,
     frac,
     int_scaled,
     is_zero,
@@ -728,13 +727,12 @@ def _planar(plane: list, i: int, j: int, floor: int, wall: bool) -> tuple:
     the least total when there is none.  The witness builds on the counts
     of the classes of that total (only the first class below the floor,
     when there is one) as the one just off the class's wall, and takes M =
-    1 + max |v.r| over the vectors r off the class: the raw vectors, whose
-    dot products it takes from their columns (:func:`column_dots`, with the
-    cross products that pick the vectors off v's line), or their primitive
-    forms in a ``wall``, whose projections the thunk normalises only when
-    it is called.  :func:`_line_side` does not depend on the line's
-    orientation; the witness orients it along ``vv.r - (v.r).v``.  A
-    single class is a line: :func:`_line_side` of its direction.
+    1 + max |v.r| over the vectors r off the class: the raw vectors, or
+    their primitive forms in a ``wall``, whose projections the thunk
+    normalises only when it is called.  :func:`_line_side` does not depend
+    on the line's orientation; the witness orients it along ``vv.r -
+    (v.r).v``.  A single class is a line: :func:`_line_side` of its
+    direction.
     """
     flat = []  # (a, b, along, against), (a, b) in the half-plane
     n = 0
@@ -767,23 +765,17 @@ def _planar(plane: list, i: int, j: int, floor: int, wall: bool) -> tuple:
     low = stop[1] if stop else min(side[1] for side in sides)
 
     def witness():
-        best = cols = None
+        best = None
         for k, total, pos, vpos, vneg in [stop] if stop else sides:
             if total != low:
                 continue
             v = _turned(plane[k][0], i, j)
             neg = n - vpos - vneg - pos
+            off = [r for r, _, _ in plane if v[i] * r[j] != v[j] * r[i]]
+            r = off[0]
             if wall:
-                off = [r for r, _, _ in plane if v[i] * r[j] != v[j] * r[i]]
-                r = off[0]
-                m = max(abs(sum(map(mul, v, w))) for w in map(_primitive_signed, off))
-            else:  # u.w = v_i w_j - v_j w_i is 0 exactly on v's line
-                if cols is None:
-                    cols = list(zip(*next(zip(*plane))))
-                u = [0] * len(v)
-                u[i], u[j] = -v[j], v[i]
-                m = max(map(abs, compress(column_dots(v, cols), column_dots(u, cols))))
-                r = next(r for r, _, _ in plane if v[i] * r[j] != v[j] * r[i])
+                off = map(_primitive_signed, off)
+            m = max(abs(sum(map(mul, v, w))) for w in off)
             vv, vr = _idot(v, v), _idot(v, r)
             line = _primitive_signed(tuple(vv * x - vr * y for x, y in zip(r, v)))
             if v[i] * r[j] < v[j] * r[i]:

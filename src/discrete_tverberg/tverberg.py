@@ -36,7 +36,7 @@ from .discrete_sets import (
     DiscreteSetSpec,
     PolytopeV,
     _clip_line,
-    _distinct_coords,
+    distinct_lattice_coords,
     enumerate_in_polytope,
     lattice_coords,
     lattice_lines_in_polytope,
@@ -78,7 +78,7 @@ class Instance:
         # each point's lattice coordinates, kept for the peel; distinctness
         # is checked first, on the integer rows of the same map
         object.__setattr__(self, "_coords",
-                           tuple(_distinct_coords(self.spec, pts)))
+                           tuple(distinct_lattice_coords(self.spec, pts)))
 
     @property
     def dim(self) -> int:

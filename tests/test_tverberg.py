@@ -1,5 +1,6 @@
 import hashlib
 import tracemalloc
+from pathlib import Path
 from dataclasses import replace
 from fractions import Fraction
 
@@ -499,18 +500,14 @@ def test_partition_maps_the_instance_only_in_the_search(monkeypatch, spec, m, k,
     assert calls == [list(inst.points), list(out.result.witnesses)]
 
 
-# the benchmark's workloads (perfbench/run.py): parameters, default seed
-# and gate trials, and the search's work over those trials: depth queries,
-# witness thunks called and candidates scanned
+# the search's work over the default-seed gate trials of each benchmark
+# workload (perfbench/run.py): depth queries, witness thunks called and
+# candidates scanned
 SEARCH_WORK = {
-    "z2_m3k1_n25": (dict(dim=2, m=3, k=1, n_points=25, box_bound=20), 11, 20,
-                    (164, 125, 24047)),
-    "z2_m2k2_n26": (dict(dim=2, m=2, k=2, n_points=26, box_bound=15), 23, 20,
-                    (195, 118, 13381)),
-    "z3_m2k1_n15": (dict(dim=3, m=2, k=1, n_points=15, box_bound=2), 5, 3,
-                    (9, 6, 134)),
-    "z2_radon_oracle": (dict(dim=2, m=2, k=1, n_points=9, box_bound=8), 37, 50,
-                        (286, 200, 6214)),
+    "z2_m3k1_n25": (164, 125, 24047),
+    "z2_m2k2_n26": (195, 118, 13381),
+    "z3_m2k1_n15": (9, 6, 134),
+    "z2_radon_oracle": (286, 200, 6214),
 }
 
 
@@ -519,6 +516,10 @@ def test_the_search_does_the_same_work(monkeypatch):
     # builds, the chosen witnesses' included, over the benchmark's gate
     # trials: a faster search must ask the same queries and get the same
     # answers, so the digest pins them
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import run
+
+    assert set(SEARCH_WORK) == set(run.WORKLOADS)
     record = hashlib.sha256()
     calls = []
     real = tverberg.depth_count
@@ -536,12 +537,10 @@ def test_the_search_does_the_same_work(monkeypatch):
         return count, recorded
 
     monkeypatch.setattr(tverberg, "depth_count", recording)
-    for name, (params, seed, gate, expected) in SEARCH_WORK.items():
-        params = dict(params)
-        cfg = ExperimentConfig(spec=lattice_set(params.pop("dim")), trials=gate,
-                               seed=seed, **params)
+    for name, expected in SEARCH_WORK.items():
+        cfg = run.make_config(name, run.WORKLOADS[name]["seed"], run.WORKLOADS[name]["gate"])
         work = [0, 0, 0]
-        for i in range(gate):
+        for i in range(cfg.trials):
             calls.clear()
             out = tverberg_partition(generate_instance(cfg, i))
             work[0] += calls.count("query")
