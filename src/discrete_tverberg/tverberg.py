@@ -5,13 +5,13 @@ least (m-1)kd + 1), then peel off m-1 small parts whose hulls keep all k
 witnesses, leaving the rest as the final part.  Each peel costs every
 witness at most kd depth (at most d when k = 1, where a part is one
 Caratheodory support), so the witnesses stay inside every remainder hull
-by arithmetic.  The peel works on the lattice coordinates the instance
-kept from its validation (:func:`distinct_lattice_coords`), maps only
-the witnesses, and takes the same steps for every k: each witness is
-solved over the remainder, which checks that it stayed inside, and over
-the part that covers the witnesses (:func:`_cover`, which always does),
-which certifies the part; the last remainder's solves are its
-certificates, each checked on those lattice coordinates.
+by arithmetic.  The peel works on lattice coordinates: the instance's,
+kept from its validation (:func:`distinct_lattice_coords`), and the
+witnesses', kept from their search.  It takes the same steps for every k:
+each witness is solved over the remainder, which checks that it stayed
+inside, and over the part that covers the witnesses (:func:`_cover`,
+which always does), which certifies the part; the last remainder's solves
+are its certificates, each checked on those lattice coordinates.
 
 Status semantics: a returned outcome is either a fully certified
 partition or an honest "no_partition_found" (possible only below the
@@ -38,7 +38,6 @@ from .discrete_sets import (
     _clip_line,
     distinct_lattice_coords,
     enumerate_in_polytope,
-    lattice_coords,
     lattice_lines_in_polytope,
     tverberg_upper_bound,
 )
@@ -87,16 +86,17 @@ class Instance:
 
 @dataclass(frozen=True)
 class DeepWitness:
-    """A point of S and its exact depth, with a thunk of the ambient normal
-    of its depth query's witness.  Equality sees only the point and depth.
-
-    The minimizing halfspace is in no trial output, so it is built the
-    first time :attr:`depth_result` is read, and then kept.
+    """A point of S, its exact depth, the lattice coordinates z (B z =
+    point) the search ranked it by, and a thunk of the ambient normal of
+    its depth query's witness; :attr:`depth_result`, which no trial output
+    holds, is built from it when first read, and then kept.  Equality sees
+    only the point and depth.
     """
 
     point: Vec
     depth: int
     normal: Callable[[], Vec] = field(repr=False, compare=False)
+    z: tuple = field(repr=False, compare=False)
 
     @cached_property
     def depth_result(self) -> DepthResult:
@@ -238,11 +238,11 @@ def find_deep_witnesses(
     least depth(q), and a candidate that some cut puts below its own floor
     is skipped without a query, since the query would drop it.  The cut
     that skipped it moves to the front of the list.  Only the stopped
-    queries call their witness thunks.  A chosen witness keeps its thunk,
-    and its halfspace is built the first time its
-    :attr:`DeepWitness.depth_result` is read, with the ambient normal T^t v
-    (:meth:`LatticeBasis.ambient_normal`).  On the standard lattice T is
-    the identity and the witness is the one :func:`depth` returns.
+    queries call their witness thunks.  A chosen witness keeps its z, on
+    which the peel solves, and its thunk; its halfspace is built when its
+    :attr:`DeepWitness.depth_result` is first read, with the ambient normal
+    T^t v (:meth:`LatticeBasis.ambient_normal`).  On the standard lattice T
+    is the identity and the witness is the one :func:`depth` returns.
     """
     lines, coords, den = lattice_lines_in_polytope(spec, PolytopeV(tuple(points)))
     scanned = sum(hi - lo + 1 for _, lo, hi in lines)
@@ -293,7 +293,7 @@ def find_deep_witnesses(
                 cuts.append((v, sorted(column_dots(v, cols))))
     chosen = tuple(
         DeepWitness(lat.from_lattice(z), -neg_value,
-                    lambda witness=witness: lat.ambient_normal(witness()))
+                    lambda witness=witness: lat.ambient_normal(witness()), z)
         for neg_value, _, z, witness in top)
     return WitnessSearch(chosen, len(chosen) < k, scanned)
 
@@ -400,7 +400,7 @@ def tverberg_partition(instance: Instance) -> TverbergOutcome:
             witness_search=search,
         )
     witnesses = [w.point for w in search.witnesses]
-    ints, targets = instance._coords, lattice_coords(spec, witnesses)
+    ints, targets = instance._coords, [w.z for w in search.witnesses]
 
     def certify(indices: Sequence[int], weights: list) -> tuple:
         """The witnesses' :func:`_weights` over the input points at the sorted

@@ -813,6 +813,7 @@ def test_witness_search_matches_exhaustive_ranking(problem):
         exhaustive_witness_search(spec, points, threshold, k)
     for w in search.witnesses:
         assert w.depth_result.verify(w.point, points)
+        assert spec.base.from_lattice(w.z) == w.point  # the z the peel solves on
         # on integral inputs the search's witness halfspace is depth()'s
         if spec.base == LatticeBasis.identity(spec.dim):
             assert w.depth_result == depth(w.point, points)

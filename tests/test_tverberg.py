@@ -10,7 +10,12 @@ from discrete_tverberg import discrete_sets, exact_geometry, jsonio, oracles, tv
 from discrete_tverberg.discrete_sets import LatticeBasis, difference_set, lattice_set
 from discrete_tverberg.errors import PartitionConstructionError
 from discrete_tverberg.exact_geometry import depth, membership
-from discrete_tverberg.harness import ExperimentConfig, generate_instance, run_trial
+from discrete_tverberg.harness import (
+    ExperimentConfig,
+    generate_instance,
+    run_trial,
+    sample_pool,
+)
 from discrete_tverberg.oracles import verify_partition
 from discrete_tverberg.tverberg import (
     DeepWitness,
@@ -445,7 +450,7 @@ def test_peel_rejects_a_witness_that_leaves_the_remainder(monkeypatch, witnesses
     # witnesses too shallow for the peel: the first part takes hull vertices
     # that they need, and the check over the remainder must say so
     inst = Instance(Z2, ((0, 0), (2, 0), (0, 2), (2, 2), (1, 1)), 2, len(witnesses))
-    search = WitnessSearch(tuple(DeepWitness(vec(w), 1, None) for w in witnesses),
+    search = WitnessSearch(tuple(DeepWitness(vec(w), 1, None, w) for w in witnesses),
                            False, 0)
     monkeypatch.setattr(tverberg, "find_deep_witnesses", lambda *args: search)
     with pytest.raises(PartitionConstructionError, match="outside the hull"):
@@ -481,8 +486,8 @@ def test_partition_depth_accounting():
 def test_partition_maps_the_instance_only_in_the_search(monkeypatch, spec, m, k,
                                                         n_points, seed):
     # the peel solves on the lattice coordinates the instance kept from its
-    # validation and maps only the witnesses: the one other map of the
-    # points is the witness search's
+    # validation and on the witnesses' from their search: the one other map
+    # of the points is the witness search's
     cfg = ExperimentConfig(spec=spec, m=m, k=k, n_points=n_points, box_bound=8,
                            trials=1, seed=seed)
     inst = generate_instance(cfg, 0)
@@ -497,7 +502,7 @@ def test_partition_maps_the_instance_only_in_the_search(monkeypatch, spec, m, k,
     monkeypatch.setattr(tverberg, "lattice_box", recording, raising=False)
     out = tverberg_partition(inst)
     assert out.status == "ok"
-    assert calls == [list(inst.points), list(out.result.witnesses)]
+    assert calls == [list(inst.points)]
 
 
 # the search's work over the default-seed gate trials of each benchmark
@@ -551,6 +556,44 @@ def test_the_search_does_the_same_work(monkeypatch):
         assert (name, tuple(work)) == (name, expected)
     assert record.hexdigest() == (
         "a9f8e25fe1d718899f8142ab227af0db1aa621af47dd99505b5ebb7d422ac4f0")
+
+
+# lattice_box calls per run_trial, on the benchmark's one sample pool, over
+# the default-seed gate trials of each benchmark workload: the instance's
+# validation, the witness search, one per witness in verify_partition's
+# ambient test, and one per brute_tverberg
+LATTICE_BOX_CALLS = {
+    "z2_m3k1_n25": 3,
+    "z2_m2k2_n26": 4,
+    "z3_m2k1_n15": 3,
+    "z2_radon_oracle": 4,
+}
+
+
+def test_a_trial_maps_into_the_lattice_frame_as_often(monkeypatch):
+    # a count of the frame maps, which a noisy timer cannot see: the peel
+    # takes the witnesses' lattice coordinates from the search, not a map
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import run
+
+    assert set(LATTICE_BOX_CALLS) == set(run.WORKLOADS)
+    calls = []
+    real = discrete_sets.lattice_box
+
+    def recording(lat, vertices):
+        calls.append(len(vertices))
+        return real(lat, vertices)
+
+    monkeypatch.setattr(discrete_sets, "lattice_box", recording)
+    for name, expected in LATTICE_BOX_CALLS.items():
+        cfg = run.make_config(name, run.WORKLOADS[name]["seed"], run.WORKLOADS[name]["gate"])
+        pool = sample_pool(cfg)
+        counts = set()
+        for i in range(cfg.trials):
+            calls.clear()
+            assert run_trial(cfg, i, pool).status == "ok"
+            counts.add(len(calls))
+        assert (name, counts) == (name, {expected})
 
 
 def test_partition_stats_shape():
