@@ -154,8 +154,8 @@ def cmd_bounds(args) -> int:
     if spec.variant == "lattice" and spec.rank == spec.dim and args.k == 1:
         out["lower_bound_exclusive"] = eckhoff_lower_bound(spec, args.m)
     _emit(out)
-    _note(f"any {out['tverberg_upper_bound']} points admit an m={args.m}, "
-          f"k={args.k} partition")
+    _note(f"any {out['tverberg_upper_bound']} points of S admit an m={args.m}, "
+          f"k={args.k} partition (S's lattice has rank {spec.rank})")
     return EXIT_OK
 
 
@@ -274,7 +274,8 @@ def build_parser() -> _Parser:
     p.add_argument("--k", type=int, default=1)
     p.set_defaults(func=cmd_hoffman_check)
 
-    p = sub.add_parser("bounds", help="guaranteed partition thresholds")
+    p = sub.add_parser("bounds", help="guaranteed partition thresholds, in the "
+                       "rank of S's lattice")
     p.add_argument("set")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--k", type=int, default=1)

@@ -672,10 +672,23 @@ def helly_upper_bound(spec: DiscreteSetSpec, k: int, mode: str = "paper") -> int
 def tverberg_upper_bound(
     spec: DiscreteSetSpec, m: int, k: int, mode: str = "paper"
 ) -> int:
-    """Points guaranteeing an m-partition with k common S-points in the hulls."""
+    """Points guaranteeing an m-partition with k common S-points in the
+    hulls: h (m - 1) k r + k, with h :func:`helly_upper_bound` and r the
+    rank of S's lattice (the dimension for a mixed set).
+
+    Why r and not the ambient d: S and the points lie in span(B), and
+    z -> B z maps R^r linearly and one to one onto it, the lattice
+    coordinates of S onto S.  A closed halfspace of R^d holding a point w
+    of the span holds the whole span or meets it in a closed halfspace of
+    it, so depth is the same over R^d, within the span and on the lattice
+    coordinates, and so are hulls.  The instance is thus one over Z^r (less
+    the removed sublattices), whose Helly number h is taken in rank r, and
+    the paper's bound in dimension r applies, with the witness threshold
+    (m - 1) k r + 1.
+    """
     if m < 1:
         raise ValueError("m must be at least 1")
-    return helly_upper_bound(spec, k, mode) * (m - 1) * k * spec.dim + k
+    return helly_upper_bound(spec, k, mode) * (m - 1) * k * spec.rank + k
 
 
 def eckhoff_lower_bound(spec: DiscreteSetSpec, m: int) -> int:

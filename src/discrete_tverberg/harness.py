@@ -238,7 +238,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     for r in records:
         if r.status in counted:
             counted[r.status] += 1
-    d = config.spec.dim
     summary = {
         "trials": config.trials,
         "successes": len(ok),
@@ -247,7 +246,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         "theorem_violations": counted["theorem_violation"],
         "verify_failures": counted["verify_failed"],
         "construction_errors": counted["construction_error"],
-        "witness_depth_threshold": _witness_depth_threshold(config.m, config.k, d),
+        "witness_depth_threshold": _witness_depth_threshold(
+            config.m, config.k, config.spec.rank
+        ),
         "min_witness_depth": min(depths) if depths else None,
         "mean_witness_depth": (
             jsonio.format_scalar(Fraction(sum(depths), len(depths)))

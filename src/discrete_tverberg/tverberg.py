@@ -1,17 +1,18 @@
 """Constructive quantitative Tverberg partitions over discrete sets.
 
 The pipeline: find k points of S deep inside the input hull (depth at
-least (m-1)kd + 1), then peel off m-1 small parts whose hulls keep all k
-witnesses, leaving the rest as the final part.  Each peel costs every
-witness at most kd depth (at most d when k = 1, where a part is one
-Caratheodory support), so the witnesses stay inside every remainder hull
-by arithmetic.  The peel works on lattice coordinates: the instance's,
-kept from its validation (:func:`distinct_lattice_coords`), and the
-witnesses', kept from their search.  It takes the same steps for every k:
-each witness is solved over the remainder, which checks that it stayed
-inside, and over the part that covers the witnesses (:func:`_cover`,
-which always does), which certifies the part; the last remainder's solves
-are its certificates, each checked on those lattice coordinates.
+least (m-1)kr + 1, r the rank of S's lattice), then peel off m-1 small
+parts whose hulls keep all k witnesses, leaving the rest as the final
+part.  Each peel costs every witness at most kr depth (at most r when
+k = 1, where a part is one Caratheodory support), so the witnesses stay
+inside every remainder hull by arithmetic.  The peel works on lattice
+coordinates: the instance's, kept from its validation
+(:func:`distinct_lattice_coords`), and the witnesses', kept from their
+search.  It takes the same steps for every k: each witness is solved
+over the remainder, which checks that it stayed inside, and over the
+part that covers the witnesses (:func:`_cover`, which always does), which
+certifies the part; the last remainder's solves are its certificates,
+each checked on those lattice coordinates.
 
 Status semantics: a returned outcome is either a fully certified
 partition or an honest "no_partition_found" (possible only below the
@@ -365,10 +366,17 @@ def extract_part(
     return [A[j] for j in cover]
 
 
-def _witness_depth_threshold(m: int, k: int, d: int) -> int:
-    """(m - 1) k d + 1, the depth each witness needs: every one of the m - 1
-    peels costs it at most kd."""
-    return (m - 1) * k * d + 1
+def _witness_depth_threshold(m: int, k: int, r: int) -> int:
+    """(m - 1) k r + 1, the depth each witness needs, with r the rank of S's
+    lattice: every one of the m - 1 peels costs it at most kr.
+
+    The peel solves on lattice coordinates in Z^r, where x = B z is linear
+    and injective, so depth and hulls are those of the ambient points (see
+    :func:`tverberg_upper_bound`): a part is a Caratheodory support of at
+    most r + 1 points when k = 1, costing a witness at most r, and at most
+    kr points otherwise (:func:`_cover`'s anchored reductions).
+    """
+    return (m - 1) * k * r + 1
 
 
 def tverberg_partition(instance: Instance) -> TverbergOutcome:
@@ -380,7 +388,7 @@ def tverberg_partition(instance: Instance) -> TverbergOutcome:
     when a witness fails to certify: a bug, which no retry hides.
     """
     spec, pts, m, k = instance.spec, list(instance.points), instance.m, instance.k
-    threshold = _witness_depth_threshold(m, k, instance.dim)
+    threshold = _witness_depth_threshold(m, k, spec.rank)
     search = find_deep_witnesses(pts, spec, threshold, k)
     bound = tverberg_upper_bound(spec, m, k, "paper")
     if search.insufficient:

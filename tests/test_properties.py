@@ -33,6 +33,7 @@ from discrete_tverberg.discrete_sets import (
     lattice_coords,
     lattice_lines_in_polytope,
     lattice_set,
+    tverberg_upper_bound,
 )
 from discrete_tverberg.exact_geometry import (
     ConvexCombination,
@@ -757,6 +758,70 @@ def test_lattice_automorphisms_keep_a_paper_bound_z3_outcome():
     maps = {**UNIMODULAR, "translation": lambda x: (x[0] + 5, x[1] - 2, x[2] + 7)}
     for name, f in maps.items():
         assert_automorphism_keeps_the_outcome(cfg.spec, points, 2, 1, name, f)
+
+
+# Rank-deficient ground sets, each with the set of Z^r that its lattice
+# coordinates z range over: B z maps the one onto the other.
+LINE = LatticeBasis(((1, 2),), dim=2)
+PLANE = LatticeBasis(((1, 0, 1), (0, 1, 1)))
+RANK_DEFICIENT = [
+    (lattice_set(2, LINE), Z1),
+    (lattice_set(3, PLANE), Z2),
+    (lattice_set(3, LatticeBasis(((1, 0, 1), (F(1, 2), 1, F(1, 3))))), Z2),
+    (difference_set(2, (LatticeBasis(((2, 4),), dim=2),), basis=LINE), ODD),
+    (difference_set(3, (LatticeBasis(((2, 0, 2), (0, 2, 2))),), basis=PLANE),
+     Z2_MINUS_2Z2),
+]
+
+
+@st.composite
+def rank_deficient_problem(draw):
+    """Distinct lattice coordinates z of points of a rank-deficient S, and
+    m, k."""
+    spec, flat = draw(st.sampled_from(RANK_DEFICIENT))
+    c = st.integers(-4, 4) if flat.dim == 1 else st.integers(-2, 2)
+    zs = draw(st.lists(st.tuples(*[c] * flat.dim).filter(
+        lambda z: not flat.sublattices or in_set(flat, z)),
+        min_size=3, max_size=8, unique=True))
+    m, k = draw(st.sampled_from([(2, 1), (3, 1), (2, 2)]))
+    return spec, flat, zs, m, k
+
+
+@settings(max_examples=80, deadline=None)
+@given(rank_deficient_problem())
+def test_a_rank_deficient_set_is_partitioned_in_its_rank(problem):
+    # S and its points lie in span(B), where depth and hulls are those of
+    # the lattice coordinates, so the threshold and bound take S's rank r:
+    # every ok is a partition verify_partition accepts and brute_tverberg
+    # confirms, and the verdict is the one of the z over the set of Z^r
+    spec, flat, zs, m, k = problem
+    inst = Instance(spec, [spec.base.from_lattice(z) for z in zs], m, k)
+    outcome = tverberg_partition(inst)  # no TheoremViolationError
+    bound = tverberg_upper_bound(spec, m, k)
+    assert bound == tverberg_upper_bound(flat, m, k)
+    assert outcome_invariants(outcome) == \
+        outcome_invariants(tverberg_partition(Instance(flat, zs, m, k)))
+    if outcome.status == "ok":
+        assert outcome.result.stats["threshold"] == (m - 1) * k * spec.rank + 1
+        assert outcome.result.stats["guarantee_bound"] == bound
+        assert verify_partition(outcome.result, inst)
+        assert brute_tverberg(inst.points, spec, m, k).found
+    else:
+        assert len(zs) < bound
+
+
+@pytest.mark.parametrize("n", [5, 7])
+def test_points_on_a_line_lattice_get_their_partition(n):
+    # over the rank-1 lattice Z (1, 2) the threshold is (m - 1) k + 1, not
+    # (m - 1) 2k + 1: the points (i, 2i) have a 3-partition, which the
+    # engine finds and verify_partition accepts
+    inst = Instance(lattice_set(2, LINE), [(i, 2 * i) for i in range(n)], 3, 1)
+    outcome = tverberg_partition(inst)
+    assert outcome.status == "ok"
+    assert outcome.result.stats["threshold"] == 3
+    assert outcome.result.stats["guarantee_bound"] == 5
+    assert verify_partition(outcome.result, inst)
+    assert brute_tverberg(inst.points, inst.spec, 3, 1).found
 
 
 # Ground sets for the witness search, with the matrix whose columns map
