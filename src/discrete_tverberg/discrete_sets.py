@@ -541,14 +541,19 @@ class HollowCertificate:
         return len(self.nonvertex_points) < self.k
 
     def verify(self, spec: DiscreteSetSpec) -> bool:
-        """Whether ``nonvertex_points`` lists exactly the points of S in
-        conv(points) other than its vertices."""
-        pts = list(self.points)
-        if not pts:
+        """Whether the points lie in S and ``nonvertex_points`` lists exactly
+        the points of S in conv(points) other than its vertices, as
+        :func:`count_nonvertex` finds them.  ValueError if S is not
+        enumerable."""
+        if not self.points:
             return not self.nonvertex_points
-        verts = set(extreme_points(pts))
-        inside = enumerate_in_polytope(spec, PolytopeV(tuple(pts)))
-        return sorted(self.nonvertex_points) == [q for q in inside if q not in verts]
+        try:
+            _, cert = count_nonvertex(spec, self.points)
+        except ValueError:
+            if not spec.enumerable:
+                raise
+            return False  # a point not in S
+        return sorted(self.nonvertex_points) == list(cert.nonvertex_points)
 
 
 def count_nonvertex(

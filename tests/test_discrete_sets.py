@@ -263,6 +263,18 @@ def test_hollow_certificate_must_list_every_nonvertex_point():
     assert count == 5 and cert.verify(Z2)
 
 
+def test_hollow_certificate_of_points_outside_s_does_not_verify():
+    # count_nonvertex refuses these points, so their certificate is void
+    half = HollowCertificate(((F(1, 2), 0), (F(3, 2), 0)), 2, ((1, 0),))
+    with pytest.raises(ValueError, match="not in the ground set"):
+        count_nonvertex(Z2, half.points)
+    assert not half.verify(Z2)
+    even = HollowCertificate(((0,), (2,)), 2, ((1,),))
+    assert not even.verify(ODD)  # 0 and 2 are removed from ODD
+    with pytest.raises(ValueError, match="enumerable"):
+        HollowCertificate(((0, 0, 0),), 1, ()).verify(mixed_set(2, 1))
+
+
 def test_count_nonvertex_triangle():
     count, cert = count_nonvertex(Z2, pts((0, 0), (2, 0), (0, 2)))
     assert count == 3
