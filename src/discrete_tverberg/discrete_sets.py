@@ -614,12 +614,15 @@ def hollow_search(
     The ground set is S intersected with the axis box.  Exhaustive mode
     walks subsets in decreasing size and returns the first k-hollow one
     (combinations in lexicographic ground order, so the result is
-    deterministic); it refuses ground sets larger than ``ground_cap``.
-    Greedy mode makes one pass over the ground set: a non-vertex of conv(P)
-    stays one in every larger hull, so a point refused once stays refused.
+    deterministic); it refuses ground sets larger than ``ground_cap``, and
+    a negative cap with ValueError.  Greedy mode makes one pass over the
+    ground set: a non-vertex of conv(P) stays one in every larger hull, so
+    a point refused once stays refused.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
+    if ground_cap < 0:
+        raise ValueError("cap 'ground_cap' must be nonnegative")
     ground = enumerate_in_polytope(spec, box_polytope(box))
     if mode == "exhaustive":
         if len(ground) > ground_cap:

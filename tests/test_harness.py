@@ -541,6 +541,16 @@ def test_cli_hollow_search(tmp_path):
     assert json.loads(proc.stdout)["size"] == 4
 
 
+@pytest.mark.parametrize("mode", ["exhaustive", "greedy"])
+def test_cli_hollow_search_names_a_negative_ground_cap(tmp_path, capsys, mode):
+    # used to exit 2 with "CapExceededError: ground set has 4 points, cap
+    # is -1", as if the search had run out of room
+    spec = write_json(tmp_path, "z2.json", {"variant": "lattice", "dim": 2})
+    assert cli.main(["hollow-search", spec, "--box", "[[0,1],[0,1]]",
+                     "--mode", mode, "--ground-cap", "-1"]) == 1
+    assert "cap 'ground_cap' must be nonnegative" in capsys.readouterr().err
+
+
 def test_instance_m_and_k_must_be_integers(tmp_path):
     # 2.0 used to run to a verdict with a float threshold, and "2" used to
     # escape the CLI as a TypeError traceback
