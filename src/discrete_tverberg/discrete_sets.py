@@ -543,16 +543,13 @@ class HollowCertificate:
     def verify(self, spec: DiscreteSetSpec) -> bool:
         """Whether the points lie in S and ``nonvertex_points`` lists exactly
         the points of S in conv(points) other than its vertices, as
-        :func:`count_nonvertex` finds them.  ValueError if S is not
-        enumerable."""
-        if not self.points:
+        :func:`count_nonvertex` finds them."""
+        pts = [vec(p) for p in self.points]
+        if not pts:
             return not self.nonvertex_points
-        try:
-            _, cert = count_nonvertex(spec, self.points)
-        except ValueError:
-            if not spec.enumerable:
-                raise
-            return False  # a point not in S
+        if None in _coords_in_set(spec, pts)[2]:
+            return False  # count_nonvertex refuses a point not in S
+        _, cert = count_nonvertex(spec, pts)
         return sorted(self.nonvertex_points) == list(cert.nonvertex_points)
 
 
