@@ -780,9 +780,8 @@ def rank_deficient_problem(draw):
     m, k."""
     spec, flat = draw(st.sampled_from(RANK_DEFICIENT))
     c = st.integers(-4, 4) if flat.dim == 1 else st.integers(-2, 2)
-    zs = draw(st.lists(st.tuples(*[c] * flat.dim).filter(
-        lambda z: not flat.sublattices or in_set(flat, z)),
-        min_size=3, max_size=8, unique=True))
+    zs = draw(st.lists(st.tuples(*[c] * flat.dim).filter(lambda z: in_set(flat, z)),
+                       min_size=3, max_size=8, unique=True))
     m, k = draw(st.sampled_from([(2, 1), (3, 1), (2, 2)]))
     return spec, flat, zs, m, k
 
