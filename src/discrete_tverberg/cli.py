@@ -151,7 +151,7 @@ def cmd_bounds(args) -> int:
         "helly_upper_bound": helly_upper_bound(spec, args.k, args.mode),
         "tverberg_upper_bound": tverberg_upper_bound(spec, args.m, args.k, args.mode),
     }
-    if spec.variant == "lattice" and spec.rank == spec.dim and args.k == 1:
+    if spec.variant == "lattice" and args.k == 1:
         out["lower_bound_exclusive"] = eckhoff_lower_bound(spec, args.m)
     _emit(out)
     _note(f"any {out['tverberg_upper_bound']} points of S admit an m={args.m}, "

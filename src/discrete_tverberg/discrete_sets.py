@@ -11,8 +11,8 @@ Bound formulas implemented here:
   * lattice difference: (2^(m+1) k + 1)^r, which in fact bounds the largest
     k-hollow set directly;
   * mixed, k=1 only: (b+1) 2^a;
-  * Tverberg composition: helly_bound * (m-1) * k * dim + k, plus the
-    strict lower bound 2^dim (m-1) for full-rank lattices at k=1.
+  * Tverberg composition: helly_bound * (m-1) * k * r + k, plus the
+    strict lower bound 2^r (m-1) for lattices at k=1, r the lattice's rank.
 """
 from __future__ import annotations
 
@@ -28,6 +28,7 @@ from .errors import CapExceededError
 # membership is imported only for the benchmark's per-layer trace
 # (perfbench/layers.py), which wraps it; nothing here calls it.
 from .exact_geometry import _echelon, extreme_points, hull_facets, membership
+from .geom2d import hull2d, hull_edges
 from .vectors import ONE, ZERO, Vec, column_dots, frac, int_scaled, vec
 
 
@@ -318,20 +319,21 @@ def lattice_coords(spec: DiscreteSetSpec, points) -> list:
     return _in_set(pts, _coords_in_set(spec, pts)[2])
 
 
-def distinct_lattice_coords(spec: DiscreteSetSpec, pts: Sequence[Vec]) -> list:
-    """:func:`lattice_coords` of points, already coerced by :func:`vec`,
-    that must be pairwise distinct, ValueError first if two coincide.  The
-    one map's integer frame rows are distinct exactly when the points are
-    (the map is injective), so the points are hashed only when the map
-    raises (a point of another dimension, or S not enumerable), to name
-    duplicates before that."""
+def distinct_lattice_coords(spec: DiscreteSetSpec, pts: Sequence[Vec]) -> tuple:
+    """``(zs, coords, den)``: :func:`lattice_coords` of points, already
+    coerced by :func:`vec`, that must be pairwise distinct, ValueError first
+    if two coincide, with the frame rows and den of the one
+    :func:`lattice_box` map that decided them.  The rows are distinct
+    exactly when the points are (the map is injective), so the points are
+    hashed only when the map raises (a point of another dimension, or S not
+    enumerable), to name duplicates before that."""
     try:
-        coords, _, zs = _coords_in_set(spec, pts)
+        coords, den, zs = _coords_in_set(spec, pts)
     except ValueError:
         _require_distinct(pts)
         raise
     _require_distinct(coords)
-    return _in_set(pts, zs)
+    return _in_set(pts, zs), coords, den
 
 
 def _require_distinct(items: list) -> None:
@@ -412,10 +414,10 @@ def _intersection_lines(
     distinct rows) cuts the intersection of the hulls' integer bounding
     boxes (valid even off the lattice span, since T is linear), which
     holds at most ``cap`` points, line by line along the last lattice
-    coordinate; a point of S is ``den (z, 0)`` in that frame, so on a
-    rank-deficient lattice only the first ``rank`` entries of a normal
-    count.  The lines keep the points a difference set removes
-    (:func:`_points_on_lines`).
+    coordinate; no hull is built when the boxes do not meet.  A point of S
+    is ``den (z, 0)`` in that frame, so on a rank-deficient lattice only
+    the first ``rank`` entries of a normal count.  The lines keep the
+    points a difference set removes (:func:`_points_on_lines`).
     """
     # a vertex is keyed on its integer frame row, since a tuple of
     # Fractions hashes over ten times slower
@@ -427,6 +429,8 @@ def _intersection_lines(
         for cols in columns
     ]
     total = prod(map(len, ranges))
+    if not total:
+        return []  # the boxes do not meet: no hull needs building
     if cap is not None and total > cap:
         raise CapExceededError(
             f"enumeration box holds {total} candidates, cap is {cap}"
@@ -435,15 +439,108 @@ def _intersection_lines(
     return _scan_lines(facets, den, ranges)
 
 
+def hull_frame(spec: DiscreteSetSpec, points: Sequence[Vec]) -> tuple:
+    """``(coords, den)``: the distinct frame rows of points, already
+    coerced by :func:`vec`, in their first order, from one :func:`_frame`
+    map; ValueError when there are none."""
+    if not points:
+        raise ValueError("a polytope needs at least one vertex")
+    rows, den = _frame(spec, points)
+    return list(dict.fromkeys(rows)), den
+
+
 def lattice_lines_in_polytope(
     spec: DiscreteSetSpec, polytope: PolytopeV, cap: Optional[int] = None
 ) -> tuple:
     """``(lines, coords, den)``: the :func:`_intersection_lines` of the one
-    hull of the polytope's vertices, and the distinct vertices' frame rows
-    ``coords`` and ``den`` from one :func:`_frame` map."""
-    rows, den = _frame(spec, polytope.vertices)
-    coords = list(dict.fromkeys(rows))
+    hull of the polytope's vertices, and their :func:`hull_frame`."""
+    coords, den = hull_frame(spec, polytope.vertices)
     return _intersection_lines(spec, coords, den, [range(len(coords))], cap), coords, den
+
+
+def search_lines(spec: DiscreteSetSpec, coords: list, den: int) -> tuple:
+    """``(lines, firsts, count)`` for the hull of the distinct frame rows
+    ``coords`` of one ``den`` (a :func:`hull_frame`): its lattice lines
+    ``(head, lo, hi)`` in lexicographic order of head, a sequence of the
+    first entry of each head (None when heads are empty, at rank 1), and
+    the number of points of S on the lines.
+
+    When S is a rank-2 lattice with nothing removed and the hull's vertices
+    are ``den (z, 0)``, the hull is a lattice polygon in lattice
+    coordinates (:func:`_lattice_polygon`): the count is Pick's
+    (:func:`_pick_count`) and the lines, one per column of its box, are cut
+    by its edges only when first read (:class:`_PolygonLines`), so a line
+    nobody reads costs nothing.  Any other hull is scanned
+    (:func:`_intersection_lines`), and the points a difference set removes
+    are counted off its lines (:meth:`DiscreteSetSpec.removed_on_lines`).
+    """
+    hull = _lattice_polygon(spec, coords, den)
+    if hull is not None:
+        lines = _PolygonLines(hull)
+        return lines, lines.firsts, _pick_count(hull)
+    lines = _intersection_lines(spec, coords, den, [range(len(coords))])
+    count = sum(hi - lo + 1 for _, lo, hi in lines)
+    if spec.sublattices:
+        count -= spec.removed_on_lines(lines)
+    firsts = [head[0] for head, _, _ in lines] if spec.rank > 1 else None
+    return lines, firsts, count
+
+
+def _lattice_polygon(spec: DiscreteSetSpec, coords: list, den: int) -> Optional[list]:
+    """The :func:`hull2d` of the lattice coordinates z of the hull's
+    vertices, counterclockwise, when S is a rank-2 lattice with nothing
+    removed and every vertex's frame row is ``den (z, 0)``; else None."""
+    if spec.rank != 2 or spec.sublattices:
+        return None
+    if spec.dim > 2:
+        if any(any(t[2:]) for t in coords):
+            return None
+        coords = [t[:2] for t in coords]
+    hull = hull2d(coords)
+    if any(a % den or b % den for a, b in hull):
+        return None
+    return [(a // den, b // den) for a, b in hull]
+
+
+def _pick_count(hull: list) -> int:
+    """The lattice points of a lattice polygon, its :func:`hull2d`, by
+    Pick's theorem: with A its area and B the lattice points on its
+    boundary, ``A + B / 2 + 1``.  B is the sum of the edges' gcds, so the
+    same sum gives a segment ``gcd + 1`` (two opposite edges, no area) and
+    a point 1."""
+    twice_area = boundary = 0
+    for (ax, ay), (bx, by) in zip(hull, hull[1:] + hull[:1]):
+        twice_area += ax * by - ay * bx
+        boundary += gcd(bx - ax, by - ay)
+    return (twice_area + boundary) // 2 + 1
+
+
+class _PolygonLines:
+    """The lines ``(head, lo, hi)`` of a lattice polygon (its
+    :func:`hull2d`), one per column of its box, empty ones (hi < lo)
+    included: line i is the column ``z_0 = firsts[i]``, cut by the
+    polygon's edges (:func:`_clip_line`) when it is first read, and kept.
+    Its nonempty lines are those :func:`_scan_lines` lists."""
+
+    def __init__(self, hull: list):
+        xs, ys = zip(*hull)
+        self.firsts = range(min(xs), max(xs) + 1)
+        self._ys = min(ys), max(ys)
+        # an edge (n, c) holds n_1 y >= c - n_0 x on column x; an edge along
+        # a column (n_1 = 0) bounds only x, which firsts already does
+        self._edges = [(n[1], c, n[0]) for n, c in hull_edges(hull) if n[1]]
+        self._lines = {}
+
+    def __len__(self) -> int:
+        return len(self.firsts)
+
+    def __getitem__(self, i: int) -> tuple:
+        line = self._lines.get(i)
+        if line is None:
+            x = self.firsts[i]
+            lo, hi = _clip_line(*self._ys, [(a, c - b * x) for a, c, b in self._edges])
+            line = self._lines[i] = ((x,), lo, hi)
+        return line
 
 
 def _points_on_lines(spec: DiscreteSetSpec, lines: list) -> list:
@@ -699,11 +796,14 @@ def tverberg_upper_bound(
 def eckhoff_lower_bound(spec: DiscreteSetSpec, m: int) -> int:
     """Strict lower bound: with this many points a partition can still fail.
 
-    Applies to full-rank lattices at k = 1 (affine images of the standard
-    integer lattice).
+    Applies to lattices at k = 1: 2^r (m - 1) for a rank-r lattice.  z ->
+    B z maps Z^r one to one onto it and keeps hulls (see
+    :func:`tverberg_upper_bound`), so a point set of Z^r that admits no
+    partition maps to one of the lattice that admits none.  A difference
+    set is refused.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
-    if spec.variant != "lattice" or spec.rank != spec.dim:
-        raise ValueError("lower bound applies only to full-rank lattices")
-    return 2 ** spec.dim * (m - 1)
+    if spec.variant != "lattice":
+        raise ValueError("lower bound applies only to lattices")
+    return 2 ** spec.rank * (m - 1)

@@ -35,11 +35,11 @@ from typing import Callable, Optional, Sequence
 # that trace: the peel in tverberg_partition calls _cover directly.
 from .discrete_sets import (
     DiscreteSetSpec,
-    PolytopeV,
     _clip_line,
     distinct_lattice_coords,
     enumerate_in_polytope,
-    lattice_lines_in_polytope,
+    hull_frame,
+    search_lines,
     tverberg_upper_bound,
 )
 from .errors import PartitionConstructionError, TheoremViolationError
@@ -75,10 +75,12 @@ class Instance:
             raise ValueError("m and k must be at least 1")
         if not pts:
             raise ValueError("an instance needs at least one point")
-        # each point's lattice coordinates, kept for the peel; distinctness
-        # is checked first, on the integer rows of the same map
-        object.__setattr__(self, "_coords",
-                           tuple(distinct_lattice_coords(self.spec, pts)))
+        # each point's lattice coordinates, kept for the peel, and the frame
+        # rows and den of the map that decided them, kept for the witness
+        # search; distinctness is checked first, on those rows
+        zs, rows, den = distinct_lattice_coords(self.spec, pts)
+        object.__setattr__(self, "_coords", tuple(zs))
+        object.__setattr__(self, "_frame", (rows, den))
 
     @property
     def dim(self) -> int:
@@ -143,17 +145,18 @@ def _level_directions(d: int) -> list:
     ]
 
 
-def _bound_levels(lines: list, coords: list, den: int, rank: int, lowest: int,
+def _bound_levels(lines, firsts, coords: list, den: int, rank: int, lowest: int,
                   dirs: list):
     """Yield ``(t, level)`` from the top level down to ``lowest``: level
     lazily yields the lattice coordinates z of bound t on the hull lines
-    ``(head, lo, hi)`` in lexicographic order, once the higher levels are
-    read.  With proj_u the sorted u.p over the n distinct coords, the bound
-    is at least t exactly when ``proj_u[t - 1] <= den u.(z, 0) <=
-    proj_u[n - t]`` for each u of dirs, whose first entry is the first
-    axis: two cuts per u on a line (:func:`_clip_line`).  Above the top
-    some window is empty; a level cuts only the lines whose head is in the
-    first axis's window; a line's head dot products are taken when it is
+    ``(head, lo, hi)`` of :func:`search_lines` in lexicographic order, once
+    the higher levels are read.  With proj_u the sorted u.p over the n
+    distinct coords, the bound is at least t exactly when ``proj_u[t - 1]
+    <= den u.(z, 0) <= proj_u[n - t]`` for each u of dirs, whose first
+    entry is the first axis: two cuts per u on a line (:func:`_clip_line`).
+    Above the top some window is empty; a level cuts only the lines whose
+    head is in the first axis's window (a bisection of the heads' first
+    entries ``firsts``); a line's head dot products are taken when it is
     first cut.
     """
     n = len(coords)
@@ -163,15 +166,14 @@ def _bound_levels(lines: list, coords: list, den: int, rank: int, lowest: int,
     # the cuts u.x >= proj_u[t - 1] and -u.x >= -proj_u[n - t] of each u
     lasts = [c * den * u[rank - 1] for u in dirs for c in (1, -1)]
     dots = {}  # each cut line's head dot products, taken once
-    firsts = [den * head[0] for head, _, _ in lines] if rank > 1 else None
     inner = [(0, -1)] * len(lines)  # each line's interval of Q_(t+1)
 
     def level(t):
         offsets = [x for p in projs for x in (p[t - 1], -p[n - t])]
         span = range(len(lines))
         if firsts is not None:  # the heads are sorted by their first entry
-            span = range(bisect_left(firsts, offsets[0]),
-                         bisect_right(firsts, -offsets[1]))
+            span = range(bisect_left(firsts, -(-offsets[0] // den)),
+                         bisect_right(firsts, -offsets[1] // den))
         for i in span:
             head, lo, hi = lines[i]
             if i not in dots:
@@ -193,7 +195,8 @@ def _bound_levels(lines: list, coords: list, den: int, rank: int, lowest: int,
 
 
 def find_deep_witnesses(
-    points: Sequence, spec: DiscreteSetSpec, threshold: int, k: int
+    points: Sequence, spec: DiscreteSetSpec, threshold: int, k: int,
+    frame: Optional[tuple] = None,
 ) -> WitnessSearch:
     """The k deepest points of S inside conv(points), depth >= threshold.
 
@@ -201,13 +204,15 @@ def find_deep_witnesses(
     order breaking ties.  When fewer than k candidates reach the
     threshold, all that do are returned and the search is marked
     insufficient.  ``candidates_scanned`` is the number of lattice points
-    of S in the hull, counted line by line.
+    of S in the hull, as :func:`search_lines` counts them: by Pick's
+    theorem on a rank-2 lattice, else line by line.
 
-    The search runs on integers in the lattice frame x -> T x of
-    :func:`lattice_lines_in_polytope`, where the points are its vertex
-    coordinates and a candidate B z is den (z, 0); T is linear and
-    invertible, so depth is unchanged.  Exact depth is computed only for
-    candidates that can still be ranked.  Each candidate q gets the upper
+    The search runs on integers in the lattice frame x -> T x, on the
+    points' distinct frame rows and their den: ``frame``, when the caller
+    has them from its own map (an :class:`Instance` does), else their
+    :func:`hull_frame`.  A candidate B z is den (z, 0) there; T is linear
+    and invertible, so depth is unchanged.  Exact depth is computed only
+    for candidates that can still be ranked.  Each candidate q gets the upper
     bound min over u of #{p : u.p >= u.q}, u ranging over both signs of
     :func:`_level_directions`: the axes and every primitive u with two
     nonzero entries in {+-1, +-2}; the closed halfspace {u.x >= u.q}
@@ -245,10 +250,8 @@ def find_deep_witnesses(
     T^t v (:meth:`LatticeBasis.ambient_normal`).  On the standard lattice T
     is the identity and the witness is the one :func:`depth` returns.
     """
-    lines, coords, den = lattice_lines_in_polytope(spec, PolytopeV(tuple(points)))
-    scanned = sum(hi - lo + 1 for _, lo, hi in lines)
-    if spec.sublattices:
-        scanned -= spec.removed_on_lines(lines)
+    coords, den = frame or hull_frame(spec, [vec(p) for p in points])
+    lines, firsts, scanned = search_lines(spec, coords, den)
     if k < 1:
         return WitnessSearch((), False, scanned)
     lat = spec.base
@@ -262,7 +265,8 @@ def find_deep_witnesses(
     dirs = _level_directions(len(coords[0]))
     cols = list(zip(*coords))
     index = {p: i for i, p in enumerate(coords)}  # the coords are distinct
-    for bound, level in _bound_levels(lines, coords, den, lat.rank, threshold, dirs):
+    for bound, level in _bound_levels(lines, firsts, coords, den, lat.rank, threshold,
+                                      dirs):
         if bound < cutoff:
             break  # before the level's lines are cut
         for z in level:
@@ -389,7 +393,7 @@ def tverberg_partition(instance: Instance) -> TverbergOutcome:
     """
     spec, pts, m, k = instance.spec, list(instance.points), instance.m, instance.k
     threshold = _witness_depth_threshold(m, k, spec.rank)
-    search = find_deep_witnesses(pts, spec, threshold, k)
+    search = find_deep_witnesses(pts, spec, threshold, k, frame=instance._frame)
     bound = tverberg_upper_bound(spec, m, k, "paper")
     if search.insufficient:
         if len(pts) >= bound:

@@ -42,7 +42,7 @@ def require_int(value, what: str) -> int:
 
 
 def vec(coords: Iterable) -> Vec:
-    return tuple(frac(c) for c in coords)
+    return tuple(map(frac, coords))
 
 
 def vsub(a: Vec, b: Vec) -> Vec:

@@ -147,6 +147,23 @@ def test_enumerate_respects_cap():
         enumerate_in_polytope(Z2, box_polytope([(0, 100), (0, 100)]), cap=100)
 
 
+def test_hulls_whose_boxes_do_not_meet_build_no_facets(monkeypatch):
+    # the boxes of the two triangles are disjoint, so no hull is built; when
+    # they meet, each hull is
+    built = []
+    real = discrete_sets.hull_facets
+    monkeypatch.setattr(discrete_sets, "hull_facets",
+                        lambda ints: built.append(ints) or real(ints))
+    rows, den = discrete_sets._frame(Z2, pts((0, 0), (2, 0), (0, 2), (3, 3), (5, 3),
+                                             (3, 5), (1, 1)))
+    far = [range(0, 3), range(3, 6)]
+    assert discrete_sets._intersection_lines(Z2, rows, den, far) == []
+    assert built == []
+    assert discrete_sets._intersection_lines(Z2, rows, den, [range(0, 3), [6]]) == [
+        ((1,), 1, 1)]
+    assert len(built) == 2
+
+
 def test_enumerate_scaled_lattice():
     got = enumerate_in_polytope(EVEN2, box_polytope([(0, 4), (0, 2)]))
     assert got == pts((0, 0), (0, 2), (2, 0), (2, 2), (4, 0), (4, 2))
@@ -435,6 +452,20 @@ def test_eckhoff_lower_bound():
     assert eckhoff_lower_bound(Z3, 3) == 16
     with pytest.raises(ValueError):
         eckhoff_lower_bound(ODD, 2)
+
+
+@pytest.mark.parametrize("spec, r", [
+    pytest.param(lattice_set(2, LatticeBasis(((1, 2),), dim=2)), 1, id="line-in-R2"),
+    pytest.param(lattice_set(3, LatticeBasis(((1, 0, 1), (0, 1, 1)))), 2, id="plane-in-Z3"),
+])
+def test_eckhoff_lower_bound_takes_the_rank(spec, r):
+    # z -> B z is an isomorphism of Z^r onto the lattice, so its bound is
+    # that of Z^r; a difference set on the same base is still refused
+    for m in (1, 2, 3, 4):
+        assert eckhoff_lower_bound(spec, m) == 2 ** r * (m - 1)
+    doubled = LatticeBasis([[2 * c for c in b] for b in spec.base.vectors], spec.dim)
+    with pytest.raises(ValueError, match="only to lattices"):
+        eckhoff_lower_bound(difference_set(spec.dim, (doubled,), spec.base), 2)
 
 
 def test_lattice_basis_roundtrip():

@@ -446,6 +446,22 @@ def test_cli_bounds(tmp_path):
     out = json.loads(proc.stdout)
     assert out["tverberg_upper_bound"] == 25
     assert out["helly_upper_bound"] == 6
+    assert out["lower_bound_exclusive"] == 8
+
+
+@pytest.mark.parametrize("raw, lower", [
+    pytest.param({"variant": "lattice", "dim": 2, "basis": [[1, 2]]}, 4, id="line-in-R2"),
+    pytest.param({"variant": "lattice", "dim": 3, "basis": [[1, 0, 1], [0, 1, 1]]}, 8,
+                 id="plane-in-Z3"),
+])
+def test_cli_bounds_of_a_rank_deficient_lattice(tmp_path, raw, lower):
+    # the strict lower bound 2^r (m - 1) is printed in the lattice's rank r
+    spec = write_json(tmp_path, "set.json", raw)
+    proc = run_cli(["bounds", spec, "--m", "3", "--k", "1"])
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["lower_bound_exclusive"] == lower
+    proc = run_cli(["bounds", spec, "--m", "3", "--k", "2"])
+    assert "lower_bound_exclusive" not in json.loads(proc.stdout)
 
 
 def test_cli_experiment_writes_csv(tmp_path):

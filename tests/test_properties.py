@@ -18,6 +18,7 @@ from discrete_tverberg import exact_geometry, jsonio, linprog, tverberg
 from discrete_tverberg.discrete_sets import (
     LatticeBasis,
     PolytopeV,
+    _PolygonLines,
     _ambient_points,
     _coords_in_set,
     _frame,
@@ -27,12 +28,14 @@ from discrete_tverberg.discrete_sets import (
     difference_set,
     enumerate_in_polytope,
     helly_upper_bound,
+    hull_frame,
     is_k_hoffman,
     is_k_hollow,
     lattice_box,
     lattice_coords,
     lattice_lines_in_polytope,
     lattice_set,
+    search_lines,
     tverberg_upper_bound,
 )
 from discrete_tverberg.exact_geometry import (
@@ -1125,6 +1128,69 @@ def test_cuts_keep_wide_searches_to_few_depth_queries():
             search = find_deep_witnesses(points, Z2, 3, 1)
         assert len(calls) <= 135
         assert ranked(search) == sorted_bound_search(points, Z2, 3, 1, depth_count)
+
+
+# rank-2 lattices: Z^2, a sheared basis, a rational basis and a plane in Z^3
+POLYGON_SETS = [
+    Z2,
+    lattice_set(2, LatticeBasis(((1, 0), (1, 1)))),
+    lattice_set(2, LatticeBasis(((F(1, 2), 0), (F(1, 3), F(2, 3))))),
+    lattice_set(3, PLANE),
+]
+
+
+@st.composite
+def lattice_polygon_problem(draw):
+    """A rank-2 lattice and distinct points B z of it, z in [-6, 6]^2: a
+    random set of 1-9, up to 6 on one line, or one point."""
+    spec = draw(st.sampled_from(POLYGON_SETS))
+    c = st.integers(-6, 6)
+    shape = draw(st.sampled_from(("any", "line", "point")))
+    if shape == "any":
+        zs = draw(st.lists(st.tuples(c, c), min_size=1, max_size=9))
+    elif shape == "line":
+        (a, b), (u, v) = draw(st.tuples(c, c)), draw(st.tuples(*[st.integers(-3, 3)] * 2))
+        ts = draw(st.lists(st.integers(-2, 2), min_size=1, max_size=5, unique=True))
+        zs = [(a + t * u, b + t * v) for t in ts]
+    else:
+        zs = [draw(st.tuples(c, c))]
+    return spec, [spec.base.from_lattice(z) for z in dict.fromkeys(zs)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(lattice_polygon_problem(), st.randoms(use_true_random=False))
+def test_pick_count_and_lazy_lines_match_the_scan(problem, rng):
+    # on a rank-2 lattice the search's lines are the polygon's, clipped when
+    # read (in any order): the nonempty ones are the scan's lines, and Pick's
+    # count is the number of points on them
+    spec, points = problem
+    coords, den = hull_frame(spec, points)
+    lines, firsts, count = search_lines(spec, coords, den)
+    assert isinstance(lines, _PolygonLines)
+    order = list(range(len(lines)))
+    rng.shuffle(order)
+    read = dict((i, lines[i]) for i in order)
+    lazy = [read[i] for i in range(len(lines))]
+    assert [head[0] for head, _, _ in lazy] == list(firsts)
+    scanned = _intersection_lines(spec, coords, den, [range(len(coords))])
+    assert [line for line in lazy if line[1] <= line[2]] == scanned
+    assert count == sum(hi - lo + 1 for _, lo, hi in scanned)
+
+
+@pytest.mark.parametrize("spec, points", [
+    pytest.param(Z2, [(0, 0), (F(5, 2), 0), (0, 3)], id="rational-vertex"),
+    pytest.param(lattice_set(3, PLANE), [(0, 0, 0), (2, 0, 2), (0, 2, 3)],
+                 id="off-the-plane"),
+    pytest.param(lattice_set(2, LINE), [(0, 0), (2, 4), (3, 6)], id="rank-1"),
+    pytest.param(difference_set(2, (LatticeBasis(((2, 0), (0, 2))),)),
+                 [(0, 0), (3, 0), (0, 3)], id="difference"),
+])
+def test_search_lines_scan_a_hull_that_is_not_a_lattice_polygon(spec, points):
+    coords, den = hull_frame(spec, [vec(p) for p in points])
+    lines, firsts, count = search_lines(spec, coords, den)
+    assert lines == _intersection_lines(spec, coords, den, [range(len(coords))])
+    assert count == len(_points_on_lines(spec, lines))
+    assert firsts == ([head[0] for head, _, _ in lines] if spec.rank > 1 else None)
 
 
 SCAN_SETS_3D = [

@@ -452,7 +452,7 @@ def test_peel_rejects_a_witness_that_leaves_the_remainder(monkeypatch, witnesses
     inst = Instance(Z2, ((0, 0), (2, 0), (0, 2), (2, 2), (1, 1)), 2, len(witnesses))
     search = WitnessSearch(tuple(DeepWitness(vec(w), 1, None, w) for w in witnesses),
                            False, 0)
-    monkeypatch.setattr(tverberg, "find_deep_witnesses", lambda *args: search)
+    monkeypatch.setattr(tverberg, "find_deep_witnesses", lambda *args, **kwargs: search)
     with pytest.raises(PartitionConstructionError, match="outside the hull"):
         tverberg_partition(inst)
 
@@ -485,12 +485,13 @@ def test_partition_depth_accounting():
 ])
 def test_partition_maps_the_instance_only_in_the_search(monkeypatch, spec, m, k,
                                                         n_points, seed):
-    # the peel solves on the lattice coordinates the instance kept from its
-    # validation and on the witnesses' from their search: the one other map
-    # of the points is the witness search's
+    # the instance's validation maps its points into the lattice frame once
+    # and keeps the frame rows for the witness search and the lattice
+    # coordinates for the peel, which also takes the witnesses' from their
+    # search: that map is the only one a partition needs
     cfg = ExperimentConfig(spec=spec, m=m, k=k, n_points=n_points, box_bound=8,
                            trials=1, seed=seed)
-    inst = generate_instance(cfg, 0)
+    points = generate_instance(cfg, 0).points
     calls = []
     real = discrete_sets.lattice_box
 
@@ -500,9 +501,11 @@ def test_partition_maps_the_instance_only_in_the_search(monkeypatch, spec, m, k,
 
     monkeypatch.setattr(discrete_sets, "lattice_box", recording)
     monkeypatch.setattr(tverberg, "lattice_box", recording, raising=False)
+    inst = Instance(spec, points, m, k)
+    assert calls == [list(points)]
     out = tverberg_partition(inst)
     assert out.status == "ok"
-    assert calls == [list(inst.points)]
+    assert calls == [list(points)]
 
 
 # the search's work over the default-seed gate trials of each benchmark
@@ -560,19 +563,20 @@ def test_the_search_does_the_same_work(monkeypatch):
 
 # lattice_box calls per run_trial, on the benchmark's one sample pool, over
 # the default-seed gate trials of each benchmark workload: the instance's
-# validation, the witness search, one per witness in verify_partition's
-# ambient test, and one per brute_tverberg
+# validation, whose frame rows the witness search reuses, one per witness in
+# verify_partition's ambient test, and one per brute_tverberg
 LATTICE_BOX_CALLS = {
-    "z2_m3k1_n25": 3,
-    "z2_m2k2_n26": 4,
-    "z3_m2k1_n15": 3,
-    "z2_radon_oracle": 4,
+    "z2_m3k1_n25": 2,
+    "z2_m2k2_n26": 3,
+    "z3_m2k1_n15": 2,
+    "z2_radon_oracle": 3,
 }
 
 
 def test_a_trial_maps_into_the_lattice_frame_as_often(monkeypatch):
-    # a count of the frame maps, which a noisy timer cannot see: the peel
-    # takes the witnesses' lattice coordinates from the search, not a map
+    # a count of the frame maps, which a noisy timer cannot see: the search
+    # takes the instance's frame rows from its validation, and the peel the
+    # witnesses' lattice coordinates from the search, not a map
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     import run
 
@@ -594,6 +598,62 @@ def test_a_trial_maps_into_the_lattice_frame_as_often(monkeypatch):
             assert run_trial(cfg, i, pool).status == "ok"
             counts.add(len(calls))
         assert (name, counts) == (name, {expected})
+
+
+# whether a partition's witness search scans its hull's lines, on the
+# default-seed gate trials of each benchmark workload: the 2-d hulls are
+# lattice polygons, counted by Pick's theorem and clipped line by line
+SCANS_LINES = {
+    "z2_m3k1_n25": False,
+    "z2_m2k2_n26": False,
+    "z3_m2k1_n15": True,
+    "z2_radon_oracle": False,
+}
+
+
+def scan_counter(monkeypatch):
+    """A list that gets one entry per :func:`discrete_sets._scan_lines` call."""
+    calls = []
+    real = discrete_sets._scan_lines
+    monkeypatch.setattr(discrete_sets, "_scan_lines",
+                        lambda *args: calls.append(1) or real(*args))
+    return calls
+
+
+def test_the_search_scans_no_lines_on_the_planar_workloads(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import run
+
+    assert set(SCANS_LINES) == set(run.WORKLOADS)
+    for name, scans in SCANS_LINES.items():
+        cfg = run.make_config(name, run.WORKLOADS[name]["seed"], run.WORKLOADS[name]["gate"])
+        instances = [generate_instance(cfg, i) for i in range(cfg.trials)]
+        with monkeypatch.context() as mp:
+            calls = scan_counter(mp)
+            for inst in instances:
+                assert tverberg_partition(inst).status == "ok"
+        assert (name, len(calls)) == (name, len(instances) if scans else 0)
+
+
+@pytest.mark.parametrize("spec, scans", [
+    pytest.param(Z2, False, id="z2"),
+    pytest.param(lattice_set(2, LatticeBasis(((1, 0), (F(1, 2), 1)))), False,
+                 id="sheared"),
+    pytest.param(lattice_set(3, LatticeBasis(((1, 0, 0), (0, 1, 1)))), False,
+                 id="plane-in-z3"),
+    pytest.param(lattice_set(3), True, id="z3"),
+    pytest.param(difference_set(2, (LatticeBasis(((2, 0), (0, 2))),)), True,
+                 id="difference"),
+])
+def test_the_search_scans_lines_only_off_rank_two_lattices(monkeypatch, spec, scans):
+    cfg = ExperimentConfig(spec=spec, m=2, k=1, n_points=12, box_bound=4, trials=3,
+                           seed=9)
+    instances = [generate_instance(cfg, i) for i in range(cfg.trials)]
+    calls = scan_counter(monkeypatch)
+    for inst in instances:
+        search = find_deep_witnesses(inst.points, spec, 1, 1)
+        assert search.candidates_scanned > 0
+    assert len(calls) == (len(instances) if scans else 0)
 
 
 def test_partition_stats_shape():
