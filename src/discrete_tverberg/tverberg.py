@@ -8,11 +8,12 @@ k = 1, where a part is one Caratheodory support), so the witnesses stay
 inside every remainder hull by arithmetic.  The peel works on lattice
 coordinates: the instance's, kept from its validation
 (:func:`distinct_lattice_coords`), and the witnesses', kept from their
-search.  It takes the same steps for every k: each witness is solved
-over the remainder, which checks that it stayed inside, and over the
-part that covers the witnesses (:func:`_cover`, which always does), which
-certifies the part; the last remainder's solves are its certificates,
-each checked on those lattice coordinates.
+search.  Each witness is solved once over each remainder, which checks
+that it stayed inside.  When k = 1 the part is the support of that solve,
+whose weights certify it; when k >= 2 the part covers the witnesses
+(:func:`_cover`, which always does) and they are solved again over it.
+The last remainder's solves are its certificates, and every certificate
+is checked on those lattice coordinates.
 
 Status semantics: a returned outcome is either a fully certified
 partition or an honest "no_partition_found" (possible only below the
@@ -325,28 +326,32 @@ def _cover(targets: list, sub: list, den: int, weights: list) -> tuple:
     :func:`_weights` over sub: indices into sub in the order found, and the
     targets' weights over the sorted cover.
 
-    One distinct target is covered by its support; two or more by at most
-    n d points, each of their n hull vertices y written over their barycentre
+    One distinct target is covered by its support.  Its weights there are
+    the given ones, in their order, re-indexed onto the sorted cover: a
+    support with positive weights is affinely independent, so no other
+    weights exist.  Two or more distinct targets are covered by at most n d
+    points, each of their n hull vertices y written over their barycentre
     a plus at most d points (:func:`_anchored_weights`, scaled by n).  This
     always covers: (1) no y is a, so each ``y = alpha_y a + sum_j c_yj p_j``
     has ``alpha_y < 1``; (2) averaging over y, ``(1 - mean alpha) a = (1/n)
     sum_y sum_j c_yj p_j``, so a is in the cover's hull; (3) so is every y,
     hence every target; (4) no reduction is None, as each y is a target in
-    conv(sub).
+    conv(sub).  Their weights over the cover are solved (:func:`_weights`).
     """
     ext = sorted(set(targets))
     if len(ext) == 1:
-        cover = dict.fromkeys(j for j, _ in weights[0])
-    else:
-        ext = [ext[i] for i in _vertices(ext)]
-        n = len(ext)
-        a = tuple(map(sum, zip(*ext)))
-        sub_n = [tuple([n * c for c in p]) for p in sub]
-        cover = {}
-        for y in ext:
-            y = tuple([n * c for c in y])
-            terms, _ = _anchored_weights(y, a, sub_n, n * den)
-            cover.update(dict.fromkeys(j for j, _ in terms))
+        cover = list(dict.fromkeys(j for j, _ in weights[0]))
+        pos = {j: i for i, j in enumerate(sorted(cover))}
+        return cover, [[(pos[j], c) for j, c in w] for w in weights]
+    ext = [ext[i] for i in _vertices(ext)]
+    n = len(ext)
+    a = tuple(map(sum, zip(*ext)))
+    sub_n = [tuple([n * c for c in p]) for p in sub]
+    cover = {}
+    for y in ext:
+        y = tuple([n * c for c in y])
+        terms, _ = _anchored_weights(y, a, sub_n, n * den)
+        cover.update(dict.fromkeys(j for j, _ in terms))
     return list(cover), _weights(targets, [sub[j] for j in sorted(cover)], den)
 
 
@@ -435,8 +440,9 @@ def tverberg_partition(instance: Instance) -> TverbergOutcome:
         return tuple(certs)
 
     # each witness is solved once over each remainder, which checks that it
-    # stayed inside, and once over each part, which certifies the part; only
-    # the last remainder's solves are certified, as they are its certificates
+    # stayed inside; a k = 1 part keeps that solve's weights as its
+    # certificate, a k >= 2 part is solved again; only the last remainder's
+    # solves are certified, as they are its certificates
     remaining, sub = list(range(len(pts))), ints
     parts = []  # (sorted input indices, certificates)
     while True:
