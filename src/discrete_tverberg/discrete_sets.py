@@ -633,10 +633,6 @@ class HollowCertificate:
     k: int
     nonvertex_points: tuple
 
-    @property
-    def asserts_hollow(self) -> bool:
-        return len(self.nonvertex_points) < self.k
-
     def verify(self, spec: DiscreteSetSpec) -> bool:
         """Whether the points lie in S and ``nonvertex_points`` lists exactly
         the points of S in conv(points) other than its vertices, as
@@ -657,14 +653,18 @@ def count_nonvertex(
 
     Non-extreme members of P count (the vertex set is the extreme points of
     P itself).  Returns ``(count, HollowCertificate)`` where the
-    certificate's k is the smallest k for which P is k-hollow.
+    certificate's k is the smallest k for which P is k-hollow.  The points
+    are mapped once: the frame rows that check that P lies in S are the
+    ones whose hull :func:`_intersection_lines` scans.
     """
     pts = [vec(p) for p in points]
     if not pts:
         raise ValueError("empty point set")
-    lattice_coords(spec, pts)
+    rows, den, zs = _coords_in_set(spec, pts)
+    _in_set(pts, zs)
     verts = set(extreme_points(pts))
-    inside = enumerate_in_polytope(spec, PolytopeV(tuple(pts)), cap=cap)
+    lines = _intersection_lines(spec, rows, den, [range(len(rows))], cap)
+    inside = _ambient_points(spec.base, _points_on_lines(spec, lines))
     nonvertex = tuple(q for q in inside if q not in verts)
     cert = HollowCertificate(tuple(pts), len(nonvertex) + 1, nonvertex)
     return len(nonvertex), cert

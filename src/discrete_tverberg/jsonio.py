@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, fields
+from dataclasses import fields
 from fractions import Fraction
 from typing import Any, Sequence
 
@@ -257,25 +257,6 @@ def parse_result(raw: dict, points: Sequence[Vec] = ()) -> PartitionResult:
 
 # ---------------------------------------------------------------------------
 # experiment configs
-
-
-def config_to_json(config) -> dict:
-    out = {
-        "set": spec_to_json(config.spec),
-        "m": config.m,
-        "k": config.k,
-        "n_points": config.n_points,
-        "box_bound": config.box_bound,
-        "trials": config.trials,
-        "seed": config.seed,
-        "oracle_validate": config.oracle_validate,
-        "bound_mode": config.bound_mode,
-        "caps": asdict(config.caps),
-    }
-    if config.box is not None:
-        out["box"] = [[format_scalar(lo), format_scalar(hi)]
-                      for lo, hi in config.box]
-    return out
 
 
 def parse_caps(raw) -> OracleCaps:

@@ -31,7 +31,7 @@ from discrete_tverberg.discrete_sets import (
     tverberg_upper_bound,
 )
 from discrete_tverberg.errors import CapExceededError
-from discrete_tverberg.exact_geometry import _echelon
+from discrete_tverberg.exact_geometry import _echelon, extreme_points
 from discrete_tverberg.vectors import common_denominator, int_scaled, vdot, vec
 
 F = Fraction
@@ -271,10 +271,10 @@ def test_count_nonvertex_unit_square():
 def test_hollow_certificate_must_list_every_nonvertex_point():
     square = pts((0, 0), (2, 0), (0, 2), (2, 2))
     empty = HollowCertificate(tuple(square), 1, ())
-    assert empty.asserts_hollow
+    assert len(empty.nonvertex_points) < empty.k
     assert not empty.verify(Z2)
     centre_only = HollowCertificate(tuple(square), 3, tuple(pts((1, 1))))
-    assert centre_only.asserts_hollow
+    assert len(centre_only.nonvertex_points) < centre_only.k
     assert not centre_only.verify(Z2)
     count, cert = count_nonvertex(Z2, square)
     assert count == 5 and cert.verify(Z2)
@@ -301,6 +301,34 @@ def test_count_nonvertex_triangle():
 def test_count_nonvertex_1d():
     count, _ = count_nonvertex(Z1, pts((0,), (1,), (2,)))
     assert count == 1  # the member 1 is not a vertex of [0,2]
+
+
+@pytest.mark.parametrize("spec, points", [
+    pytest.param(Z1, ((0,), (1,), (3,)), id="z1"),
+    pytest.param(Z2, ((0, 0), (4, 0), (0, 3), (1, 1)), id="z2"),
+    pytest.param(lattice_set(2, ((1, 0), (F(1, 2), 1))),
+                 ((0, 0), (3, 0), (F(3, 2), 3)), id="sheared"),
+    pytest.param(lattice_set(3, ((1, 0, 1), (0, 1, 1))),
+                 ((0, 0, 0), (3, 0, 3), (0, 3, 3)), id="plane-in-z3"),
+    pytest.param(difference_set(2, (LatticeBasis(((2, 0), (0, 2))),)),
+                 ((1, 0), (5, 0), (1, 3)), id="difference"),
+])
+def test_count_nonvertex_maps_its_points_once(monkeypatch, spec, points):
+    # the frame rows that check that P lies in S are the ones scanned for
+    # its hull's points, which are those enumerate_in_polytope finds
+    expected = [q for q in enumerate_in_polytope(spec, PolytopeV(points))
+                if q not in extreme_points(pts(*points))]
+    calls = []
+    real = discrete_sets.lattice_box
+
+    def recording(lat, vertices):
+        calls.append(len(vertices))
+        return real(lat, vertices)
+
+    monkeypatch.setattr(discrete_sets, "lattice_box", recording)
+    count, cert = count_nonvertex(spec, points)
+    assert calls == [len(points)]
+    assert (count, list(cert.nonvertex_points)) == (len(expected), expected)
 
 
 def test_count_nonvertex_requires_subset_of_set():

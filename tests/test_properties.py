@@ -812,6 +812,51 @@ def test_a_rank_deficient_set_is_partitioned_in_its_rank(problem):
         assert len(zs) < bound
 
 
+# Sets for k = 1 peels, and "rows": points of Z^2 on two or three horizontal
+# lines, where the remainder's planar fan can list a two-point support in
+# hull order rather than lexicographically.
+PEEL_SETS = [Z1, Z2, lattice_set(3), lattice_set(2, SHEARS[0]), lattice_set(3, PLANE),
+             Z2_MINUS_2Z2, "rows"]
+
+
+@st.composite
+def k1_peel_problem(draw):
+    """Distinct points of S and m, for a partition with k = 1."""
+    spec = draw(st.sampled_from(PEEL_SETS))
+    if spec == "rows":
+        ys = draw(st.lists(st.integers(-4, 4), min_size=2, max_size=3, unique=True))
+        zs = draw(st.lists(st.tuples(st.integers(-6, 6), st.sampled_from(ys)),
+                           min_size=8, max_size=16, unique=True))
+        return Z2, zs, draw(st.sampled_from([2, 3]))
+    r = spec.rank
+    c = st.integers(-2, 2) if r == 3 else st.integers(-5, 5)
+    zs = draw(st.lists(st.tuples(*[c] * r), min_size=5 * r, max_size=6 * r + 2,
+                       unique=True))
+    points = [x for x in map(spec.base.from_lattice, zs) if in_set(spec, x)]
+    return spec, points, 2 if r == 3 else draw(st.sampled_from([2, 3]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(k1_peel_problem())
+def test_a_k1_part_is_certified_by_the_remainder_solve_that_chose_it(problem):
+    # a k = 1 part is the support of the witness's weights over the
+    # remainder, which are its certificate: a support with positive weights
+    # is affinely independent, so solving the witness again over the part
+    # (the reference) finds the same terms and weights, if maybe in another
+    # order
+    spec, points, m = problem
+    inst = Instance(spec, points, m, 1)
+    outcome = tverberg_partition(inst)
+    if outcome.status != "ok":
+        return
+    result = outcome.result
+    (witness,) = outcome.witness_search.witnesses
+    for part, (cert,) in zip(result.parts[:-1], result.certificates[:-1]):
+        (resolved,) = tverberg._weights([witness.z], [inst._coords[i] for i in part], 1)
+        assert sorted(cert.terms) == sorted((inst.points[part[j]], c) for j, c in resolved)
+    assert verify_partition(result, inst)
+
+
 @pytest.mark.parametrize("n", [5, 7])
 def test_points_on_a_line_lattice_get_their_partition(n):
     # over the rank-1 lattice Z (1, 2) the threshold is (m - 1) k + 1, not

@@ -600,6 +600,56 @@ def test_a_trial_maps_into_the_lattice_frame_as_often(monkeypatch):
         assert (name, counts) == (name, {expected})
 
 
+# tverberg._convex_weights_each passes per tverberg_partition over the
+# default-seed gate trials of each benchmark workload: one per remainder,
+# and one per k >= 2 part, whose witnesses are solved again over its cover;
+# a k = 1 part keeps the weights of the remainder solve that chose it
+KERNEL_PASSES = {
+    "z2_m3k1_n25": 3,
+    "z2_m2k2_n26": 3,
+    "z3_m2k1_n15": 2,
+    "z2_radon_oracle": 2,
+}
+
+
+def test_a_partition_makes_one_kernel_pass_per_point_set(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import run
+
+    assert set(KERNEL_PASSES) == set(run.WORKLOADS)
+    calls = []
+    real = tverberg._convex_weights_each
+
+    def recording(qs, points, den):
+        calls.append(len(points))
+        return real(qs, points, den)
+
+    monkeypatch.setattr(tverberg, "_convex_weights_each", recording)
+    for name, expected in KERNEL_PASSES.items():
+        cfg = run.make_config(name, run.WORKLOADS[name]["seed"], run.WORKLOADS[name]["gate"])
+        counts = set()
+        for i in range(cfg.trials):
+            calls.clear()
+            assert tverberg_partition(generate_instance(cfg, i)).status == "ok"
+            counts.add(len(calls))
+        assert (name, counts) == (name, {expected})
+
+
+def test_a_k1_part_keeps_the_term_order_of_its_remainder_solve():
+    # on two horizontal lines the remainder's planar fan lists the second
+    # part's support in counterclockwise hull order, (5, 3) before (-5, 3),
+    # where a solve over the part alone lists it lexicographically, as
+    # indices [1, 9] with coefficients [3/5, 2/5]
+    inst = Instance(Z2, ((-5, 1), (-5, 3), (-4, 3), (-3, 3), (-2, 3), (-1, 3), (1, 3),
+                         (3, 3), (4, 3), (5, 3)), 3, 1)
+    out = tverberg_partition(inst)
+    assert out.status == "ok"
+    js = jsonio.outcome_to_json(out, inst)
+    assert js["parts"][1] == [1, 9]
+    assert js["certificates"][1] == [{"indices": [9, 1], "coefficients": ["2/5", "3/5"]}]
+    assert verify_partition(out.result, inst)
+
+
 # whether a partition's witness search scans its hull's lines, on the
 # default-seed gate trials of each benchmark workload: the 2-d hulls are
 # lattice polygons, counted by Pick's theorem and clipped line by line
