@@ -29,7 +29,7 @@ from .errors import CapExceededError
 # (perfbench/layers.py), which wraps it; nothing here calls it.
 from .exact_geometry import _echelon, extreme_points, hull_facets, membership
 from .geom2d import hull2d, hull_edges
-from .vectors import ONE, ZERO, Vec, column_dots, frac, int_scaled, vec
+from .vectors import ONE, ZERO, Vec, column_dots, common_denominator, frac, int_scaled, vec
 
 
 class LatticeBasis:
@@ -312,18 +312,12 @@ def _in_set(pts: list, zs: list) -> list:
     return zs
 
 
-def lattice_coords(spec: DiscreteSetSpec, points) -> list:
-    """The integer lattice coordinates z, B z = x, of points x of S, all
-    mapped at once; ValueError naming the first point not in S."""
-    pts = [vec(p) for p in points]
-    return _in_set(pts, _coords_in_set(spec, pts)[2])
-
-
 def distinct_lattice_coords(spec: DiscreteSetSpec, pts: Sequence[Vec]) -> tuple:
-    """``(zs, coords, den)``: :func:`lattice_coords` of points, already
-    coerced by :func:`vec`, that must be pairwise distinct, ValueError first
-    if two coincide, with the frame rows and den of the one
-    :func:`lattice_box` map that decided them.  The rows are distinct
+    """``(zs, coords, den)``: the integer lattice coordinates z, B z = x, of
+    points x of S, already coerced by :func:`vec`, that must be pairwise
+    distinct, with the frame rows and den of the one :func:`lattice_box`
+    map that decided them; ValueError first if two coincide, else naming
+    the first point not in S.  The rows are distinct
     exactly when the points are (the map is injective), so the points are
     hashed only when the map raises (a point of another dimension, or S not
     enumerable), to name duplicates before that."""
@@ -520,9 +514,11 @@ class _PolygonLines:
     :func:`hull2d`), one per column of its box, empty ones (hi < lo)
     included: line i is the column ``z_0 = firsts[i]``, cut by the
     polygon's edges (:func:`_clip_line`) when it is first read, and kept.
-    Its nonempty lines are those :func:`_scan_lines` lists."""
+    Its nonempty lines are those :func:`_scan_lines` lists; ``hull`` is the
+    polygon."""
 
     def __init__(self, hull: list):
+        self.hull = hull
         xs, ys = zip(*hull)
         self.firsts = range(min(xs), max(xs) + 1)
         self._ys = min(ys), max(ys)
@@ -556,14 +552,41 @@ def enumerate_in_polytope(
 ) -> list:
     """All points of S inside the polytope, sorted lexicographically: the
     points B z for the z of :func:`lattice_lines_in_polytope` in S."""
-    lines, _, _ = lattice_lines_in_polytope(spec, polytope, cap)
-    return _ambient_points(spec.base, _points_on_lines(spec, lines))
+    return members_in_polytope(spec, polytope, cap)[0]
 
 
 def _ambient_points(lat: LatticeBasis, zs: list) -> list:
     """The points B z, sorted lexicographically."""
     points = sorted(map(lat.scaled_point, zs))
     return [tuple(Fraction(c, lat._den) for c in p) for p in points]
+
+
+def members_in_polytope(
+    spec: DiscreteSetSpec, polytope: PolytopeV, cap: Optional[int] = None
+) -> tuple:
+    """``(points, zs)``: :func:`enumerate_in_polytope`'s points, and the
+    lattice coordinates z (B z = x) of each, in the same order, as the
+    enumeration finds them before it maps them to B z."""
+    lines, _, _ = lattice_lines_in_polytope(spec, polytope, cap)
+    zs = _points_on_lines(spec, lines)
+    lat = spec.base
+    pairs = sorted(zip(map(lat.scaled_point, zs), zs))  # B z is injective
+    scale = Fraction if lat._den == 1 else lambda c: Fraction(c, lat._den)
+    return [tuple(map(scale, p)) for p, _ in pairs], [z for _, z in pairs]
+
+
+def members_frame(spec: DiscreteSetSpec, points: Sequence[Vec], zs: Sequence) -> tuple:
+    """``(rows, den)``: what :func:`lattice_box` maps points of S to, built
+    from their known lattice coordinates zs without the map.  lattice_box
+    scales the points by their common denominator D and T maps B z to
+    ``T_den (z, 0)``, so a point of S is ``den (z, 0)`` with ``den = T_den
+    D``; D is 1 when B is integral, as every B z is then."""
+    lat = spec.base
+    den = lat._t_den * (common_denominator(points) if lat._den != 1 else 1)
+    pad = (0,) * (lat.dim - lat.rank)
+    if den == 1 and not pad:
+        return list(zs), 1
+    return [tuple([den * c for c in z]) + pad for z in zs], den
 
 
 def _clip_line(lo: int, hi: int, cuts) -> tuple:
@@ -640,10 +663,11 @@ class HollowCertificate:
         pts = [vec(p) for p in self.points]
         if not pts:
             return not self.nonvertex_points
-        if None in _coords_in_set(spec, pts)[2]:
+        rows, den, zs = _coords_in_set(spec, pts)
+        if None in zs:
             return False  # count_nonvertex refuses a point not in S
-        _, cert = count_nonvertex(spec, pts)
-        return sorted(self.nonvertex_points) == list(cert.nonvertex_points)
+        found = _nonvertex(spec, pts, rows, den)
+        return sorted(self.nonvertex_points) == list(found)
 
 
 def count_nonvertex(
@@ -653,21 +677,27 @@ def count_nonvertex(
 
     Non-extreme members of P count (the vertex set is the extreme points of
     P itself).  Returns ``(count, HollowCertificate)`` where the
-    certificate's k is the smallest k for which P is k-hollow.  The points
-    are mapped once: the frame rows that check that P lies in S are the
-    ones whose hull :func:`_intersection_lines` scans.
+    certificate's k is the smallest k for which P is k-hollow.
     """
     pts = [vec(p) for p in points]
     if not pts:
         raise ValueError("empty point set")
     rows, den, zs = _coords_in_set(spec, pts)
     _in_set(pts, zs)
+    nonvertex = _nonvertex(spec, pts, rows, den, cap)
+    cert = HollowCertificate(tuple(pts), len(nonvertex) + 1, nonvertex)
+    return len(nonvertex), cert
+
+
+def _nonvertex(spec: DiscreteSetSpec, pts: list, rows: list, den: int,
+               cap: Optional[int] = None) -> tuple:
+    """The points of S in conv(pts) other than its vertices, sorted, from the
+    frame rows and den of the one map that checked that pts lie in S: the
+    rows whose hull :func:`_intersection_lines` scans."""
     verts = set(extreme_points(pts))
     lines = _intersection_lines(spec, rows, den, [range(len(rows))], cap)
     inside = _ambient_points(spec.base, _points_on_lines(spec, lines))
-    nonvertex = tuple(q for q in inside if q not in verts)
-    cert = HollowCertificate(tuple(pts), len(nonvertex) + 1, nonvertex)
-    return len(nonvertex), cert
+    return tuple(q for q in inside if q not in verts)
 
 
 def is_k_hollow(points, spec: DiscreteSetSpec, k: int, cap: Optional[int] = None) -> bool:

@@ -200,20 +200,23 @@ def _convex_weights(q: tuple, pts: Sequence[tuple], den: int) -> Optional[list]:
     return next(_convex_weights_each((q,), pts, den))
 
 
-def _convex_weights_each(qs: Sequence[tuple], pts: Sequence[tuple], den: int):
+def _convex_weights_each(qs: Sequence[tuple], pts: Sequence[tuple], den: int,
+                         hull: Optional[list] = None):
     """:func:`_convex_weights` of each query of qs over the same pts, in
     order.  A generator, so a query is solved only once its answer is asked
     for.
 
     2-d is the :mod:`.geom2d` fan of one hull, built once for all the
-    queries.  1-d is an interval and from 3-d a phase-1 LP on the columns
-    ``(p, den)``, ``den`` times the system ``(x, 1)``, so no weight depends
-    on den; both solve each query on its own, and the LP reads its weights
-    off :meth:`.linprog.ExactSimplex.support`.
+    queries, or given as ``hull`` when the caller has pts's
+    :func:`.geom2d.hull2d`.  1-d is an interval and from 3-d a phase-1 LP
+    on the columns ``(p, den)``, ``den`` times the system ``(x, 1)``, so no
+    weight depends on den; both solve each query on its own, and the LP
+    reads its weights off :meth:`.linprog.ExactSimplex.support`.
     """
     d = len(pts[0])
     if d == 2:
-        hull = geom2d.hull2d(pts)
+        if hull is None:
+            hull = geom2d.hull2d(pts)
         index = {p: i for i, p in enumerate(pts)}
         for q in qs:
             combo = geom2d.fan_combination(q, hull)

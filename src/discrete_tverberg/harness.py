@@ -12,14 +12,15 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 from . import jsonio
 from .discrete_sets import (
     DiscreteSetSpec,
     box_polytope,
-    enumerate_in_polytope,
     helly_upper_bound,
+    members_in_polytope,
     tverberg_upper_bound,
 )
 from .errors import (
@@ -29,7 +30,7 @@ from .errors import (
 )
 from .oracles import OracleCaps, brute_tverberg, verify_partition
 from .tverberg import Instance, _witness_depth_threshold, tverberg_partition
-from .vectors import Vec, require_int
+from .vectors import require_int
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -95,36 +96,79 @@ class ExperimentConfig:
             raise ValueError("box must have one (lo, hi) pair per dimension")
 
 
-def sample_pool(config: ExperimentConfig) -> list:
-    """The points of S in the config's box, sorted and pairwise distinct."""
+@dataclass(frozen=True)
+class SamplePool:
+    """The points of S in a config's box, sorted and pairwise distinct, with
+    the lattice coordinates z (B z = x) of each, which their enumeration
+    found (:func:`members_in_polytope`): what :func:`sample_pool` returns.
+
+    It also keeps each drawn point's canonical JSON, made the first time
+    the point is drawn, and the set's, made at the first digest, so that a
+    trial's :func:`jsonio.instance_digest` serializes nothing again."""
+
+    spec: DiscreteSetSpec
+    points: list
+    coords: list
+    _point_json: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @cached_property
+    def _set_json(self) -> str:
+        return jsonio.canonical_dumps(jsonio.spec_to_json(self.spec))
+
+    def digest(self, instance: Instance) -> str:
+        """:func:`jsonio.instance_digest` of an instance drawn from the pool,
+        composed from its points' kept JSON, keyed on their lattice
+        coordinates."""
+        memo = self._point_json
+        parts = []
+        for z, p in zip(instance._coords, instance.points):
+            text = memo.get(z)
+            if text is None:
+                text = memo[z] = jsonio.canonical_dumps(jsonio.point_to_json(p))
+            parts.append(text)
+        return jsonio.digest_of_json(self._set_json, instance.m, instance.k,
+                                     f"[{','.join(parts)}]")
+
+
+def sample_pool(config: ExperimentConfig) -> SamplePool:
+    """The points of S in the config's box, with their lattice coordinates,
+    from one enumeration."""
     if config.box is not None:
         box = list(config.box)
     else:
         box = [(-config.box_bound, config.box_bound)] * config.spec.dim
-    return enumerate_in_polytope(config.spec, box_polytope(box))
+    return SamplePool(config.spec, *members_in_polytope(config.spec, box_polytope(box)))
 
 
 def generate_instance(
-    config: ExperimentConfig, trial_index: int, pool: Optional[Sequence[Vec]] = None
+    config: ExperimentConfig, trial_index: int, pool: Optional[SamplePool] = None
 ) -> Instance:
     """Distinct uniform draws from S inside the box, order as drawn.
 
-    The pool's points must be pairwise distinct, as :func:`sample_pool`'s
-    are: draws are deduplicated on their pool indices."""
+    pool is what :func:`sample_pool` returns for the config's set, built
+    here when None; anything else is refused.  Draws are deduplicated on
+    their pool indices, and the instance is built from the pool's points
+    and lattice coordinates without validating them again, since every
+    pool point is in S."""
     if pool is None:
         pool = sample_pool(config)
-    if len(pool) < config.n_points:
+    elif not isinstance(pool, SamplePool):
+        raise TypeError(
+            f"pool must be what sample_pool returns, not {type(pool).__name__}"
+        )
+    elif pool.spec != config.spec:
+        raise ValueError("pool was sampled from another set than the config's")
+    size = len(pool.points)
+    if size < config.n_points:
         raise ValueError(
-            f"box holds only {len(pool)} set points, need {config.n_points}; "
+            f"box holds only {size} set points, need {config.n_points}; "
             "increase box_bound"
         )
     rng = trial_rng(config.seed, trial_index)
     chosen: dict = {}  # pool index -> None, in order drawn
     while len(chosen) < config.n_points:
-        chosen.setdefault(rng.below(len(pool)))
-    return Instance(
-        spec=config.spec, points=tuple(pool[i] for i in chosen), m=config.m, k=config.k
-    )
+        chosen.setdefault(rng.below(size))
+    return Instance._from_pool(pool, chosen, config.m, config.k)
 
 
 @dataclass(frozen=True)
@@ -140,10 +184,12 @@ class TrialRecord:
 
 
 def run_trial(
-    config: ExperimentConfig, trial_index: int, pool: Optional[Sequence[Vec]] = None
+    config: ExperimentConfig, trial_index: int, pool: Optional[SamplePool] = None
 ) -> TrialRecord:
+    if pool is None:
+        pool = sample_pool(config)
     instance = generate_instance(config, trial_index, pool)
-    digest = jsonio.instance_digest(instance)
+    digest = pool.digest(instance)
     t0 = time.perf_counter()
     status = "ok"
     part_sizes: tuple = ()

@@ -341,8 +341,17 @@ def canonical_dumps(obj: Any) -> str:
 
 
 def instance_digest(instance: Instance) -> str:
-    blob = canonical_dumps(instance_to_json(instance)).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
+    return digest_of_json(canonical_dumps(spec_to_json(instance.spec)), instance.m,
+                          instance.k, canonical_dumps(points_to_json(instance.points)))
+
+
+def digest_of_json(set_json: str, m: int, k: int, points_json: str) -> str:
+    """:func:`instance_digest` from the canonical JSON of the instance's set
+    and of its points array: the sha256 of ``canonical_dumps`` of
+    :func:`instance_to_json`, composed in its sorted key order, so a caller
+    that keeps each point's canonical JSON need not serialize it again."""
+    blob = f'{{"k":{k},"m":{m},"points":{points_json},"set":{set_json}}}'
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
 def dumps(obj: Any) -> str:

@@ -11,7 +11,8 @@ points of S common to several hulls (``brute_tverberg``,
 ``brute_helly_check`` and, through ``is_k_hoffman``,
 ``brute_hoffman_max``) come from the engine's one line scan of their
 intersection, ``_intersection_lines``.  A witness is in S for
-``verify_partition`` by S's ambient definition, not by ``lattice_coords``.
+``verify_partition`` by S's ambient definition, not by the engine's
+``distinct_lattice_coords``.
 Caps are explicit and exceeding one raises instead of silently truncating,
 so a cap can never masquerade as a negative verdict.
 """
@@ -258,7 +259,7 @@ def verify_partition(result: PartitionResult, instance: Instance) -> Verificatio
     if len(set(wit_rows)) != len(wit_rows):
         return VerificationReport(False, "duplicate_witnesses")
     base, removed = instance.spec.base, instance.spec.sublattices
-    for w in wits:  # S by its ambient definition, not by lattice_coords
+    for w in wits:  # S by its ambient definition, not by distinct_lattice_coords
         if len(w) != instance.dim or not base.contains(w) or any(
                 sub.contains(w) for sub in removed):
             return VerificationReport(False, "witness_not_in_set")

@@ -7,13 +7,14 @@ part.  Each peel costs every witness at most kr depth (at most r when
 k = 1, where a part is one Caratheodory support), so the witnesses stay
 inside every remainder hull by arithmetic.  The peel works on lattice
 coordinates: the instance's, kept from its validation
-(:func:`distinct_lattice_coords`), and the witnesses', kept from their
-search.  Each witness is solved once over each remainder, which checks
-that it stayed inside.  When k = 1 the part is the support of that solve,
-whose weights certify it; when k >= 2 the part covers the witnesses
-(:func:`_cover`, which always does) and they are solved again over it.
-The last remainder's solves are its certificates, and every certificate
-is checked on those lattice coordinates.
+(:func:`distinct_lattice_coords`) or from the sample pool it was drawn
+from, and the witnesses', kept from their search.  Each witness is solved
+once over each remainder, which checks that it stayed inside.  When k = 1
+the part is the support of that solve, whose weights certify it; when
+k >= 2 the part covers the witnesses (:func:`_cover`, which always does)
+and they are solved again over it.  The last remainder's solves are its
+certificates, and every certificate is checked on those lattice
+coordinates.
 
 Status semantics: a returned outcome is either a fully certified
 partition or an honest "no_partition_found" (possible only below the
@@ -22,6 +23,7 @@ a bug by the underlying theorem, reported as TheoremViolationError.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
@@ -37,9 +39,11 @@ from typing import Callable, Optional, Sequence
 from .discrete_sets import (
     DiscreteSetSpec,
     _clip_line,
+    _PolygonLines,
     distinct_lattice_coords,
     enumerate_in_polytope,
     hull_frame,
+    members_frame,
     search_lines,
     tverberg_upper_bound,
 )
@@ -83,6 +87,25 @@ class Instance:
         object.__setattr__(self, "_coords", tuple(zs))
         object.__setattr__(self, "_frame", (rows, den))
 
+    @classmethod
+    def _from_pool(cls, pool, indices: Sequence[int], m: int, k: int) -> "Instance":
+        """The instance of the points ``pool.points[i]``, i in indices, built
+        without validation: each point's lattice coordinates are
+        ``pool.coords[i]``, and its frame row is built from them
+        (:func:`members_frame`), not mapped.  Sound only for a pool of points
+        of S, pairwise distinct, with their lattice coordinates (what
+        :func:`.harness.sample_pool` returns), distinct indices, and m and k
+        already checked, so its one caller is :func:`.harness.generate_instance`.
+        """
+        inst = object.__new__(cls)
+        points = tuple([pool.points[i] for i in indices])
+        zs = tuple([pool.coords[i] for i in indices])
+        frame = members_frame(pool.spec, points, zs)
+        for name, value in (("spec", pool.spec), ("points", points), ("m", m), ("k", k),
+                            ("_coords", zs), ("_frame", frame)):
+            object.__setattr__(inst, name, value)
+        return inst
+
     @property
     def dim(self) -> int:
         return self.spec.dim
@@ -113,6 +136,9 @@ class WitnessSearch:
     witnesses: tuple  # DeepWitness, deepest first (ties: lex smaller point)
     insufficient: bool
     candidates_scanned: int
+    # the hull2d of the points' lattice coordinates, when the search built
+    # it (S a rank-2 lattice with nothing removed), for the peel's first solve
+    polygon: Optional[list] = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -133,21 +159,22 @@ class TverbergOutcome:
     witness_search: Optional[WitnessSearch] = None
 
 
-def _level_directions(d: int) -> list:
+@functools.cache
+def _level_directions(d: int) -> tuple:
     """The level polytopes' directions in dimension d, one of each +-u:
     every primitive direction with at most two nonzero entries, each of
     absolute value at most 2.  The axes come first, then for each pair of
     axes e_i, e_j (i < j) the a e_i + b e_j with a > 0."""
     axes = [tuple(int(j == i) for j in range(d)) for i in range(d)]
-    return axes + [
+    return tuple(axes + [
         tuple(a * x + b * y for x, y in zip(u, v))
         for u, v in itertools.combinations(axes, 2)
         for a, b in ((1, 1), (1, -1), (1, 2), (1, -2), (2, 1), (2, -1))
-    ]
+    ])
 
 
 def _bound_levels(lines, firsts, coords: list, den: int, rank: int, lowest: int,
-                  dirs: list):
+                  dirs: Sequence):
     """Yield ``(t, level)`` from the top level down to ``lowest``: level
     lazily yields the lattice coordinates z of bound t on the hull lines
     ``(head, lo, hi)`` of :func:`search_lines` in lexicographic order, once
@@ -253,8 +280,9 @@ def find_deep_witnesses(
     """
     coords, den = frame or hull_frame(spec, [vec(p) for p in points])
     lines, firsts, scanned = search_lines(spec, coords, den)
+    polygon = lines.hull if isinstance(lines, _PolygonLines) else None
     if k < 1:
-        return WitnessSearch((), False, scanned)
+        return WitnessSearch((), False, scanned, polygon)
     lat = spec.base
     pad = (0,) * (spec.dim - lat.rank)
     # (-depth, scaled ambient point, z, witness thunk), best first, at most
@@ -301,17 +329,19 @@ def find_deep_witnesses(
         DeepWitness(lat.from_lattice(z), -neg_value,
                     lambda witness=witness: lat.ambient_normal(witness()), z)
         for neg_value, _, z, witness in top)
-    return WitnessSearch(chosen, len(chosen) < k, scanned)
+    return WitnessSearch(chosen, len(chosen) < k, scanned, polygon)
 
 
-def _weights(targets: Sequence[tuple], sub: Sequence[tuple], den: int) -> list:
+def _weights(targets: Sequence[tuple], sub: Sequence[tuple], den: int,
+             hull: Optional[list] = None) -> list:
     """Each target's convex weights over the distinct points ``sub`` as
     :func:`caratheodory_reduce` gives them, all integers ``den`` times the
     caller's, up to the first target outside ``conv(sub)``, whose entry is
     then None.  A target that is a point of sub is that point alone; the
     others are asked of one :func:`_convex_weights_each` pass in order,
-    which in 2-d builds sub's hull once for all of them."""
-    solved = _convex_weights_each([q for q in targets if q not in sub], sub, den)
+    which in 2-d builds sub's hull once for all of them, or takes it as
+    ``hull`` when the caller has it."""
+    solved = _convex_weights_each([q for q in targets if q not in sub], sub, den, hull)
     out = []
     for q in targets:
         out.append([(sub.index(q), ONE)] if q in sub else next(solved))
@@ -442,11 +472,13 @@ def tverberg_partition(instance: Instance) -> TverbergOutcome:
     # each witness is solved once over each remainder, which checks that it
     # stayed inside; a k = 1 part keeps that solve's weights as its
     # certificate, a k >= 2 part is solved again; only the last remainder's
-    # solves are certified, as they are its certificates
-    remaining, sub = list(range(len(pts))), ints
+    # solves are certified, as they are its certificates.  The first
+    # remainder is every point, whose planar hull the search may have built
+    remaining, sub, hull = list(range(len(pts))), ints, search.polygon
     parts = []  # (sorted input indices, certificates)
     while True:
-        weights = _weights(targets, sub, 1)
+        weights = _weights(targets, sub, 1, hull)
+        hull = None
         if len(parts) == m - 1 or weights[-1] is None:
             break
         cover, part_weights = _cover(targets, sub, 1, weights)

@@ -23,8 +23,8 @@ from discrete_tverberg.discrete_sets import (
     hollow_search,
     is_k_hoffman,
     is_k_hollow,
+    distinct_lattice_coords,
     lattice_box,
-    lattice_coords,
     lattice_lines_in_polytope,
     lattice_set,
     mixed_set,
@@ -67,9 +67,10 @@ def rank(vectors):
 
 
 def maps(spec, x):
-    """Whether :func:`lattice_coords` maps x (x in S) rather than raising."""
+    """Whether :func:`distinct_lattice_coords` maps x (x in S) rather than
+    raising."""
     try:
-        lattice_coords(spec, [x])
+        distinct_lattice_coords(spec, [vec(x)])
     except ValueError:
         return False
     return True
@@ -96,7 +97,7 @@ def test_set_contains_scaled_basis():
 
 def test_set_contains_rejects_mixed():
     with pytest.raises(ValueError):
-        lattice_coords(mixed_set(1, 1), [(0, 0)])
+        distinct_lattice_coords(mixed_set(1, 1), [vec((0, 0))])
 
 
 def test_spec_validation():
@@ -290,6 +291,8 @@ def test_hollow_certificate_of_points_outside_s_does_not_verify():
     assert not even.verify(ODD)  # 0 and 2 are removed from ODD
     with pytest.raises(ValueError, match="enumerable"):
         HollowCertificate(((0, 0, 0),), 1, ()).verify(mixed_set(2, 1))
+    with pytest.raises(ValueError, match="dimension does not match"):
+        HollowCertificate(((0, 0), (1,)), 1, ()).verify(Z2)
 
 
 def test_count_nonvertex_triangle():
@@ -315,7 +318,8 @@ def test_count_nonvertex_1d():
 ])
 def test_count_nonvertex_maps_its_points_once(monkeypatch, spec, points):
     # the frame rows that check that P lies in S are the ones scanned for
-    # its hull's points, which are those enumerate_in_polytope finds
+    # its hull's points, which are those enumerate_in_polytope finds; so
+    # too when its certificate is verified
     expected = [q for q in enumerate_in_polytope(spec, PolytopeV(points))
                 if q not in extreme_points(pts(*points))]
     calls = []
@@ -329,6 +333,9 @@ def test_count_nonvertex_maps_its_points_once(monkeypatch, spec, points):
     count, cert = count_nonvertex(spec, points)
     assert calls == [len(points)]
     assert (count, list(cert.nonvertex_points)) == (len(expected), expected)
+    calls.clear()
+    assert cert.verify(spec)
+    assert calls == [len(points)]
 
 
 def test_count_nonvertex_requires_subset_of_set():

@@ -9,7 +9,13 @@ from pathlib import Path
 import pytest
 
 from discrete_tverberg import cli, harness, jsonio
-from discrete_tverberg.discrete_sets import LatticeBasis, difference_set, lattice_set
+from discrete_tverberg.discrete_sets import (
+    LatticeBasis,
+    box_polytope,
+    difference_set,
+    enumerate_in_polytope,
+    lattice_set,
+)
 from discrete_tverberg.errors import (
     CapExceededError,
     PartitionConstructionError,
@@ -27,7 +33,7 @@ from discrete_tverberg.harness import (
     trial_rng,
 )
 from discrete_tverberg.oracles import BruteTverbergReport, OracleCaps, VerificationReport
-from discrete_tverberg.tverberg import tverberg_partition
+from discrete_tverberg.tverberg import Instance, tverberg_partition
 from discrete_tverberg.vectors import vec
 
 Z1 = lattice_set(1)
@@ -76,6 +82,68 @@ def test_generate_instance_forced_and_overfull():
                            trials=1, seed=1)
     with pytest.raises(ValueError):
         generate_instance(bad, 0)
+
+
+POOL_SETS = [
+    pytest.param(Z2, 9, 4, id="z2"),
+    pytest.param(lattice_set(2, ((1, 0), (Fraction(1, 2), 1))), 9, 4, id="sheared"),
+    pytest.param(lattice_set(2, ((Fraction(1, 2), 0), (0, Fraction(1, 3)))), 9, 1,
+                 id="rational"),
+    pytest.param(lattice_set(3, ((1, 0, 0), (0, 1, 1))), 9, 3, id="plane-in-z3"),
+    pytest.param(difference_set(2, (LatticeBasis(((2, 0), (0, 2))),)), 9, 4,
+                 id="difference"),
+]
+
+
+@pytest.mark.parametrize("spec, n_points, box_bound", POOL_SETS)
+def test_a_pool_draw_is_the_instance_its_points_validate_to(spec, n_points, box_bound):
+    # generate_instance builds from the pool's lattice coordinates what
+    # Instance maps and validates, and run_trial composes from the pool's
+    # kept JSON the digest of the instance's canonical JSON
+    cfg = ExperimentConfig(spec=spec, m=2, k=1, n_points=n_points,
+                           box_bound=box_bound, trials=4, seed=17)
+    pool = sample_pool(cfg)
+    box = box_polytope([(-box_bound, box_bound)] * spec.dim)
+    assert pool.points == enumerate_in_polytope(spec, box)
+    assert [spec.base.from_lattice(z) for z in pool.coords] == pool.points
+    for i in range(cfg.trials):
+        drawn = generate_instance(cfg, i, pool)
+        checked = Instance(spec, drawn.points, cfg.m, cfg.k)
+        assert drawn == checked
+        assert drawn._coords == checked._coords
+        assert drawn._frame == checked._frame
+        canonical = jsonio.canonical_dumps(jsonio.instance_to_json(checked)).encode()
+        digest = hashlib.sha256(canonical).hexdigest()[:16]
+        assert run_trial(cfg, i, pool).instance_digest == digest
+        assert jsonio.instance_digest(checked) == digest
+
+
+def test_generate_instance_takes_only_a_sample_pool():
+    cfg = ExperimentConfig(spec=Z2, m=2, k=1, n_points=9, box_bound=8,
+                           trials=1, seed=13)
+    pool = sample_pool(cfg)
+    with pytest.raises(TypeError, match="pool must be what sample_pool returns"):
+        generate_instance(cfg, 0, list(pool.points))
+    shifted = ExperimentConfig(spec=lattice_set(2, ((1, 0), (Fraction(1, 2), 1))), m=2,
+                               k=1, n_points=9, box_bound=8, trials=1, seed=13)
+    with pytest.raises(ValueError, match="another set"):
+        generate_instance(shifted, 0, pool)
+
+
+def test_only_generate_instance_builds_an_instance_from_a_pool():
+    # Instance._from_pool skips validation, which is sound only for draws
+    # from a sample pool
+    def uses(tree):
+        return [node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr == "_from_pool"]
+
+    package = Path(cli.__file__).parent
+    trees = {path.name: ast.parse(path.read_text()) for path in package.glob("*.py")}
+    everywhere = sorted((name, line) for name, tree in trees.items() for line in uses(tree))
+    generate = next(node for node in ast.walk(trees["harness.py"])
+                    if isinstance(node, ast.FunctionDef) and node.name == "generate_instance")
+    assert everywhere == [("harness.py", line) for line in uses(generate)]
+    assert len(everywhere) == 1
 
 
 def test_run_experiment_csv_determinism():

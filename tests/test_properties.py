@@ -26,13 +26,13 @@ from discrete_tverberg.discrete_sets import (
     _points_on_lines,
     _scan_lines,
     difference_set,
+    distinct_lattice_coords,
     enumerate_in_polytope,
     helly_upper_bound,
     hull_frame,
     is_k_hoffman,
     is_k_hollow,
     lattice_box,
-    lattice_coords,
     lattice_lines_in_polytope,
     lattice_set,
     search_lines,
@@ -1152,7 +1152,7 @@ def test_level_directions_bound_every_candidates_depth(problem):
     for z in _points_on_lines(spec, lines):
         q = tuple(den * c for c in z) + pad
         least = depth(spec.base.from_lattice(z), points).depth
-        for u in dirs + [tuple(-c for c in u) for u in dirs]:
+        for u in [*dirs, *(tuple(-c for c in u) for u in dirs)]:
             assert sum(vdot(u, p) >= vdot(u, q) for p in coords) >= least
 
 
@@ -1386,19 +1386,20 @@ def membership_problem(draw, sets=MEMBERSHIP_SETS):
 @settings(max_examples=150, deadline=None)
 @given(membership_problem())
 def test_lattice_coords_decide_membership_as_the_ambient_definition(problem):
-    # lattice_coords and Instance decide S on lattice coordinates, by one
-    # map; the reference solves B z = x itself and tests the ambient
+    # distinct_lattice_coords and Instance decide S on lattice coordinates,
+    # by one map; the reference solves B z = x itself and tests the ambient
     # sublattices
     spec, points = problem
+    points = list(dict.fromkeys(vec(x) for x in points))
     inside = [ambient_member(spec, x) for x in points]
     members = [x for x, ok in zip(points, inside) if ok]
-    zs = lattice_coords(spec, members)
+    zs, _, _ = distinct_lattice_coords(spec, members)
     assert all(type(c) is int for z in zs for c in z)
     assert [spec.base.from_lattice(z) for z in zs] == members
     if not all(inside):
         first = points[inside.index(False)]
         with pytest.raises(ValueError, match=re.escape(f"point {first} is not in")):
-            lattice_coords(spec, points)
+            distinct_lattice_coords(spec, points)
     for x, ok in zip(points, inside):
         if ok:
             Instance(spec, (x,), 1, 1)

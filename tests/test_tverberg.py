@@ -6,7 +6,14 @@ from fractions import Fraction
 
 import pytest
 
-from discrete_tverberg import discrete_sets, exact_geometry, jsonio, oracles, tverberg
+from discrete_tverberg import (
+    discrete_sets,
+    exact_geometry,
+    geom2d,
+    jsonio,
+    oracles,
+    tverberg,
+)
 from discrete_tverberg.discrete_sets import LatticeBasis, difference_set, lattice_set
 from discrete_tverberg.errors import PartitionConstructionError
 from discrete_tverberg.exact_geometry import depth, membership
@@ -375,9 +382,9 @@ def test_peel_solves_no_membership_twice(monkeypatch, spec, m, k, n_points,
     solved = []
 
     def recording(kernel):
-        def recorder(qs, points, den):
+        def recorder(qs, points, den, hull=None):
             key = tuple(tuple(F(c, den) for c in p) for p in points)
-            for q, res in zip(qs, kernel(qs, points, den)):
+            for q, res in zip(qs, kernel(qs, points, den, hull)):
                 solved.append((tuple(F(c, den) for c in q), key))
                 yield res
         return recorder
@@ -428,8 +435,8 @@ def test_peel_on_a_plane_lattice_solves_in_its_rank(monkeypatch, k, n_points):
     calls = []
     kernel = tverberg._convex_weights_each
 
-    def recorder(qs, points, den):
-        for q, res in zip(qs, kernel(qs, points, den)):
+    def recorder(qs, points, den, hull=None):
+        for q, res in zip(qs, kernel(qs, points, den, hull)):
             calls.append((q, *points))
             yield res
 
@@ -562,21 +569,21 @@ def test_the_search_does_the_same_work(monkeypatch):
 
 
 # lattice_box calls per run_trial, on the benchmark's one sample pool, over
-# the default-seed gate trials of each benchmark workload: the instance's
-# validation, whose frame rows the witness search reuses, one per witness in
+# the default-seed gate trials of each benchmark workload: one per witness in
 # verify_partition's ambient test, and one per brute_tverberg
 LATTICE_BOX_CALLS = {
-    "z2_m3k1_n25": 2,
-    "z2_m2k2_n26": 3,
-    "z3_m2k1_n15": 2,
-    "z2_radon_oracle": 3,
+    "z2_m3k1_n25": 1,
+    "z2_m2k2_n26": 2,
+    "z3_m2k1_n15": 1,
+    "z2_radon_oracle": 2,
 }
 
 
 def test_a_trial_maps_into_the_lattice_frame_as_often(monkeypatch):
-    # a count of the frame maps, which a noisy timer cannot see: the search
-    # takes the instance's frame rows from its validation, and the peel the
-    # witnesses' lattice coordinates from the search, not a map
+    # a count of the frame maps, which a noisy timer cannot see: the instance
+    # takes its lattice coordinates and frame rows from the sample pool's
+    # enumeration, the search its frame rows from the instance, and the peel
+    # the witnesses' lattice coordinates from the search, not a map
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     import run
 
@@ -620,9 +627,9 @@ def test_a_partition_makes_one_kernel_pass_per_point_set(monkeypatch):
     calls = []
     real = tverberg._convex_weights_each
 
-    def recording(qs, points, den):
+    def recording(qs, points, den, hull=None):
         calls.append(len(points))
-        return real(qs, points, den)
+        return real(qs, points, den, hull)
 
     monkeypatch.setattr(tverberg, "_convex_weights_each", recording)
     for name, expected in KERNEL_PASSES.items():
@@ -633,6 +640,41 @@ def test_a_partition_makes_one_kernel_pass_per_point_set(monkeypatch):
             assert tverberg_partition(generate_instance(cfg, i)).status == "ok"
             counts.add(len(calls))
         assert (name, counts) == (name, {expected})
+
+
+# geom2d.hull2d builds summed over the default-seed gate trials of each
+# benchmark workload, run_trial on the benchmark's one sample pool: the
+# search's lattice polygon, which the peel's first solve reuses, one per
+# later remainder and k >= 2 part, and brute_tverberg's hulls
+HULL2D_BUILDS = {
+    "z2_m3k1_n25": 60,
+    "z2_m2k2_n26": 60,
+    "z3_m2k1_n15": 0,
+    "z2_radon_oracle": 195,
+}
+
+
+def test_a_trial_builds_each_planar_hull_once(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import run
+
+    assert set(HULL2D_BUILDS) == set(run.WORKLOADS)
+    calls = []
+    real = geom2d.hull2d
+
+    def recording(points):
+        calls.append(len(points))
+        return real(points)
+
+    for module in (geom2d, discrete_sets):
+        monkeypatch.setattr(module, "hull2d", recording)
+    for name, expected in HULL2D_BUILDS.items():
+        cfg = run.make_config(name, run.WORKLOADS[name]["seed"], run.WORKLOADS[name]["gate"])
+        pool = sample_pool(cfg)
+        calls.clear()
+        for i in range(cfg.trials):
+            assert run_trial(cfg, i, pool).status == "ok"
+        assert (name, len(calls)) == (name, expected)
 
 
 def test_a_k1_part_keeps_the_term_order_of_its_remainder_solve():
