@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, prod
 from operator import mul, sub
@@ -27,9 +27,9 @@ from typing import Optional, Sequence
 from .errors import CapExceededError
 # membership is imported only for the benchmark's per-layer trace
 # (perfbench/layers.py), which wraps it; nothing here calls it.
-from .exact_geometry import _echelon, extreme_points, hull_facets, membership
+from .exact_geometry import _echelon, _vertices, hull_facets, membership
 from .geom2d import hull2d, hull_edges
-from .vectors import ONE, ZERO, Vec, column_dots, common_denominator, frac, int_scaled, vec
+from .vectors import ONE, ZERO, Vec, column_dots, frac, int_scaled, vec
 
 
 class LatticeBasis:
@@ -312,22 +312,21 @@ def _in_set(pts: list, zs: list) -> list:
     return zs
 
 
-def distinct_lattice_coords(spec: DiscreteSetSpec, pts: Sequence[Vec]) -> tuple:
-    """``(zs, coords, den)``: the integer lattice coordinates z, B z = x, of
-    points x of S, already coerced by :func:`vec`, that must be pairwise
-    distinct, with the frame rows and den of the one :func:`lattice_box`
-    map that decided them; ValueError first if two coincide, else naming
-    the first point not in S.  The rows are distinct
+def distinct_lattice_coords(spec: DiscreteSetSpec, pts: Sequence[Vec]) -> list:
+    """The integer lattice coordinates z, B z = x, of points x of S, already
+    coerced by :func:`vec`, that must be pairwise distinct, from one
+    :func:`lattice_box` map; ValueError first if two coincide, else naming
+    the first point not in S.  The map's rows are distinct
     exactly when the points are (the map is injective), so the points are
     hashed only when the map raises (a point of another dimension, or S not
     enumerable), to name duplicates before that."""
     try:
-        coords, den, zs = _coords_in_set(spec, pts)
+        coords, _, zs = _coords_in_set(spec, pts)
     except ValueError:
         _require_distinct(pts)
         raise
     _require_distinct(coords)
-    return _in_set(pts, zs), coords, den
+    return _in_set(pts, zs)
 
 
 def _require_distinct(items: list) -> None:
@@ -401,8 +400,8 @@ def _intersection_lines(
     """The lattice coordinates z of the points of the base lattice common
     to the hulls, as the lines ``(head, lo, hi)`` of :func:`_scan_lines`.
     Each hull lists indices into ``rows``, frame rows of one ``den`` from
-    one map (:func:`_frame`), so a point set is mapped once for every hull
-    taken of it.
+    one map (:func:`_frame`), or lattice coordinates z of points of S with
+    den 1, so a point set is mapped once for every hull taken of it.
 
     Every hull's integer H-representation (:func:`hull_facets` of its
     distinct rows) cuts the intersection of the hulls' integer bounding
@@ -575,20 +574,6 @@ def members_in_polytope(
     return [tuple(map(scale, p)) for p, _ in pairs], [z for _, z in pairs]
 
 
-def members_frame(spec: DiscreteSetSpec, points: Sequence[Vec], zs: Sequence) -> tuple:
-    """``(rows, den)``: what :func:`lattice_box` maps points of S to, built
-    from their known lattice coordinates zs without the map.  lattice_box
-    scales the points by their common denominator D and T maps B z to
-    ``T_den (z, 0)``, so a point of S is ``den (z, 0)`` with ``den = T_den
-    D``; D is 1 when B is integral, as every B z is then."""
-    lat = spec.base
-    den = lat._t_den * (common_denominator(points) if lat._den != 1 else 1)
-    pad = (0,) * (lat.dim - lat.rank)
-    if den == 1 and not pad:
-        return list(zs), 1
-    return [tuple([den * c for c in z]) + pad for z in zs], den
-
-
 def _clip_line(lo: int, hi: int, cuts) -> tuple:
     """The integers z of ``[lo, hi]`` with ``a z >= b`` for every ``(a, b)``
     in cuts, as ``(lo, hi)``, empty when ``hi < lo``: a positive a raises
@@ -663,11 +648,10 @@ class HollowCertificate:
         pts = [vec(p) for p in self.points]
         if not pts:
             return not self.nonvertex_points
-        rows, den, zs = _coords_in_set(spec, pts)
+        _, _, zs = _coords_in_set(spec, pts)
         if None in zs:
             return False  # count_nonvertex refuses a point not in S
-        found = _nonvertex(spec, pts, rows, den)
-        return sorted(self.nonvertex_points) == list(found)
+        return sorted(self.nonvertex_points) == list(_nonvertex(spec, zs))
 
 
 def count_nonvertex(
@@ -682,22 +666,22 @@ def count_nonvertex(
     pts = [vec(p) for p in points]
     if not pts:
         raise ValueError("empty point set")
-    rows, den, zs = _coords_in_set(spec, pts)
-    _in_set(pts, zs)
-    nonvertex = _nonvertex(spec, pts, rows, den, cap)
-    cert = HollowCertificate(tuple(pts), len(nonvertex) + 1, nonvertex)
-    return len(nonvertex), cert
+    _, _, zs = _coords_in_set(spec, pts)
+    nonvertex = _nonvertex(spec, _in_set(pts, zs), cap)
+    return len(nonvertex), HollowCertificate(tuple(pts), len(nonvertex) + 1, nonvertex)
 
 
-def _nonvertex(spec: DiscreteSetSpec, pts: list, rows: list, den: int,
-               cap: Optional[int] = None) -> tuple:
-    """The points of S in conv(pts) other than its vertices, sorted, from the
-    frame rows and den of the one map that checked that pts lie in S: the
-    rows whose hull :func:`_intersection_lines` scans."""
-    verts = set(extreme_points(pts))
-    lines = _intersection_lines(spec, rows, den, [range(len(rows))], cap)
-    inside = _ambient_points(spec.base, _points_on_lines(spec, lines))
-    return tuple(q for q in inside if q not in verts)
+def _nonvertex(spec: DiscreteSetSpec, zs: list, cap: Optional[int] = None) -> tuple:
+    """The points of S in conv(B zs) other than its vertices, sorted, for
+    lattice coordinates zs of points of S: z -> B z keeps hulls and their
+    vertices (see :func:`tverberg_upper_bound`), so the hull is scanned
+    (:func:`_intersection_lines`) and its vertices found (:func:`_vertices`)
+    on the zs, with den 1."""
+    zs = list(dict.fromkeys(zs))
+    lines = _intersection_lines(spec, zs, 1, [range(len(zs))], cap)
+    verts = set(zs) if len(zs) == 1 else {zs[i] for i in _vertices(zs)}
+    inside = [z for z in _points_on_lines(spec, lines) if z not in verts]
+    return tuple(_ambient_points(spec.base, inside))
 
 
 def is_k_hollow(points, spec: DiscreteSetSpec, k: int, cap: Optional[int] = None) -> bool:
@@ -710,7 +694,8 @@ def is_k_hollow(points, spec: DiscreteSetSpec, k: int, cap: Optional[int] = None
 def is_k_hoffman(points, spec: DiscreteSetSpec, k: int, cap: Optional[int] = None) -> bool:
     """Fewer than k points of S lie in the intersection of the leave-one-out
     hulls of P, by one scan of its lines (:func:`_intersection_lines`) on
-    the frame rows of the one map that checks that P lies in S."""
+    the lattice coordinates of P, with den 1, from the one map that checks
+    that P lies in S."""
     if k < 1:
         raise ValueError("k must be at least 1")
     pts = [vec(p) for p in points]
@@ -718,11 +703,11 @@ def is_k_hoffman(points, spec: DiscreteSetSpec, k: int, cap: Optional[int] = Non
         raise ValueError("Hoffman predicate needs at least two points")
     if len(pts) != len(set(pts)):
         raise ValueError("duplicate points")
-    rows, den, zs = _coords_in_set(spec, pts)
-    _in_set(pts, zs)
-    n = len(rows)
+    _, _, zs = _coords_in_set(spec, pts)
+    zs = _in_set(pts, zs)
+    n = len(zs)
     hulls = [[j for j in range(n) if j != i] for i in range(n)]
-    lines = _intersection_lines(spec, rows, den, hulls, cap)
+    lines = _intersection_lines(spec, zs, 1, hulls, cap)
     return len(_points_on_lines(spec, lines)) < k
 
 
@@ -735,7 +720,9 @@ def hollow_search(
 ) -> HollowCertificate:
     """Maximum (exhaustive) or single-point-maximal (greedy) k-hollow set.
 
-    The ground set is S intersected with the axis box.  Exhaustive mode
+    The ground set is S intersected with the axis box, enumerated once with
+    its lattice coordinates (:func:`members_in_polytope`), on which every
+    subset is scanned.  Exhaustive mode
     walks subsets in decreasing size and returns the first k-hollow one
     (combinations in lexicographic ground order, so the result is
     deterministic); it refuses ground sets larger than ``ground_cap``, and
@@ -747,27 +734,29 @@ def hollow_search(
         raise ValueError("k must be at least 1")
     if ground_cap < 0:
         raise ValueError("cap 'ground_cap' must be nonnegative")
-    ground = enumerate_in_polytope(spec, box_polytope(box))
+    ground, zs = members_in_polytope(spec, box_polytope(box))
+
+    def hollow(subset) -> HollowCertificate:
+        found = _nonvertex(spec, [zs[i] for i in subset]) if subset else ()
+        return HollowCertificate(tuple(ground[i] for i in subset), k, found)
+
     if mode == "exhaustive":
         if len(ground) > ground_cap:
             raise CapExceededError(
                 f"ground set has {len(ground)} points, cap is {ground_cap}"
             )
         for size in range(len(ground), 0, -1):
-            for subset in itertools.combinations(ground, size):
-                count, cert = count_nonvertex(spec, subset)
-                if count < k:
-                    return replace(cert, k=k)
-        return HollowCertificate((), k, ())
+            for subset in itertools.combinations(range(len(ground)), size):
+                cert = hollow(subset)
+                if len(cert.nonvertex_points) < k:
+                    return cert
+        return hollow(())
     if mode == "greedy":
-        chosen: list = []
-        for q in ground:
-            count, _ = count_nonvertex(spec, chosen + [q])
-            if count < k:
-                chosen.append(q)
-                chosen.sort()
-        _, cert = count_nonvertex(spec, chosen) if chosen else (0, HollowCertificate((), k, ()))
-        return replace(cert, k=k)
+        chosen: list = []  # ground indices, ascending as the points are
+        for i in range(len(ground)):
+            if len(hollow(chosen + [i]).nonvertex_points) < k:
+                chosen.append(i)
+        return hollow(chosen)
     raise ValueError(f"unknown mode {mode!r}")
 
 

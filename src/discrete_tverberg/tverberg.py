@@ -5,16 +5,16 @@ least (m-1)kr + 1, r the rank of S's lattice), then peel off m-1 small
 parts whose hulls keep all k witnesses, leaving the rest as the final
 part.  Each peel costs every witness at most kr depth (at most r when
 k = 1, where a part is one Caratheodory support), so the witnesses stay
-inside every remainder hull by arithmetic.  The peel works on lattice
-coordinates: the instance's, kept from its validation
+inside every remainder hull by arithmetic.  The search and the peel work
+on lattice coordinates: the instance's, kept from its validation
 (:func:`distinct_lattice_coords`) or from the sample pool it was drawn
-from, and the witnesses', kept from their search.  Each witness is solved
-once over each remainder, which checks that it stayed inside.  When k = 1
-the part is the support of that solve, whose weights certify it; when
-k >= 2 the part covers the witnesses (:func:`_cover`, which always does)
-and they are solved again over it.  The last remainder's solves are its
-certificates, and every certificate is checked on those lattice
-coordinates.
+from, and, in the peel, the witnesses', kept from their search.  Each
+witness is solved once over each remainder, which checks that it stayed
+inside.  When k = 1 the part is the support of that solve, whose weights
+certify it; when k >= 2 the part covers the witnesses (:func:`_cover`,
+which always does) and they are solved again over it.  The last
+remainder's solves are its certificates, and every certificate is checked
+on those lattice coordinates.
 
 Status semantics: a returned outcome is either a fully certified
 partition or an honest "no_partition_found" (possible only below the
@@ -43,7 +43,6 @@ from .discrete_sets import (
     distinct_lattice_coords,
     enumerate_in_polytope,
     hull_frame,
-    members_frame,
     search_lines,
     tverberg_upper_bound,
 )
@@ -80,19 +79,15 @@ class Instance:
             raise ValueError("m and k must be at least 1")
         if not pts:
             raise ValueError("an instance needs at least one point")
-        # each point's lattice coordinates, kept for the peel, and the frame
-        # rows and den of the map that decided them, kept for the witness
-        # search; distinctness is checked first, on those rows
-        zs, rows, den = distinct_lattice_coords(self.spec, pts)
-        object.__setattr__(self, "_coords", tuple(zs))
-        object.__setattr__(self, "_frame", (rows, den))
+        # each point's lattice coordinates, on which the witness search and
+        # the peel run; distinctness is checked first
+        object.__setattr__(self, "_coords", tuple(distinct_lattice_coords(self.spec, pts)))
 
     @classmethod
     def _from_pool(cls, pool, indices: Sequence[int], m: int, k: int) -> "Instance":
         """The instance of the points ``pool.points[i]``, i in indices, built
         without validation: each point's lattice coordinates are
-        ``pool.coords[i]``, and its frame row is built from them
-        (:func:`members_frame`), not mapped.  Sound only for a pool of points
+        ``pool.coords[i]``, not mapped.  Sound only for a pool of points
         of S, pairwise distinct, with their lattice coordinates (what
         :func:`.harness.sample_pool` returns), distinct indices, and m and k
         already checked, so its one caller is :func:`.harness.generate_instance`.
@@ -100,9 +95,8 @@ class Instance:
         inst = object.__new__(cls)
         points = tuple([pool.points[i] for i in indices])
         zs = tuple([pool.coords[i] for i in indices])
-        frame = members_frame(pool.spec, points, zs)
         for name, value in (("spec", pool.spec), ("points", points), ("m", m), ("k", k),
-                            ("_coords", zs), ("_frame", frame)):
+                            ("_coords", zs)):
             object.__setattr__(inst, name, value)
         return inst
 
@@ -235,18 +229,21 @@ def find_deep_witnesses(
     of S in the hull, as :func:`search_lines` counts them: by Pick's
     theorem on a rank-2 lattice, else line by line.
 
-    The search runs on integers in the lattice frame x -> T x, on the
-    points' distinct frame rows and their den: ``frame``, when the caller
-    has them from its own map (an :class:`Instance` does), else their
-    :func:`hull_frame`.  A candidate B z is den (z, 0) there; T is linear
-    and invertible, so depth is unchanged.  Exact depth is computed only
-    for candidates that can still be ranked.  Each candidate q gets the upper
-    bound min over u of #{p : u.p >= u.q}, u ranging over both signs of
-    :func:`_level_directions`: the axes and every primitive u with two
-    nonzero entries in {+-1, +-2}; the closed halfspace {u.x >= u.q}
-    contains q, so its count is at least depth(q).  The
-    candidates whose bound is at least t form the level polytope Q_t, the
-    hull cut by two integer halfspaces per u, and Q_(t+1) is inside Q_t.
+    The search runs on distinct integer rows of one den: ``frame``, when
+    the caller has them (an :class:`Instance` gives its points' lattice
+    coordinates z with den 1), else the points' :func:`hull_frame` in the
+    lattice frame x -> T x, where a candidate B z is den (z, 0).  Both maps
+    are linear and injective on S's span, so depth is unchanged (see
+    :func:`tverberg_upper_bound`); the rows' width sets a candidate's
+    padding past the rank and the dimension of its depth query.  Exact
+    depth is computed only for candidates that can still be ranked.  Each
+    candidate q gets the upper bound min over u of #{p : u.p >= u.q}, u
+    ranging over both signs of :func:`_level_directions`: the axes and
+    every primitive u with two nonzero entries in {+-1, +-2}; the closed
+    halfspace {u.x >= u.q} contains q, so its count is at least depth(q).
+    The candidates whose bound is at least t form the level polytope Q_t,
+    the hull cut by two integer halfspaces per u, and Q_(t+1) is inside
+    Q_t.
     So on each hull line the candidates of bound t are Q_t's interval less
     Q_(t+1)'s, and walking the levels down, each level's lines in
     lexicographic order (:func:`_bound_levels`), visits the candidates in
@@ -254,7 +251,7 @@ def find_deep_witnesses(
     others.  The visit stops at the first bound below the threshold, or
     below the k-th best exact depth once k candidates reached the
     threshold: no later candidate can then reach, or tie with, a chosen
-    one.  Each visited candidate q is scaled into the frame and its depth
+    one.  Each visited candidate q is scaled to the rows and its depth
     is asked of :func:`depth_count`, on the differences p - q built from the
     points' columns shifted by q, less q's own row when q is a point (the
     coords are distinct, so a dict finds it), with a floor: the cutoff
@@ -284,14 +281,15 @@ def find_deep_witnesses(
     if k < 1:
         return WitnessSearch((), False, scanned, polygon)
     lat = spec.base
-    pad = (0,) * (spec.dim - lat.rank)
+    width = len(coords[0])
+    pad = (0,) * (width - lat.rank)
     # (-depth, scaled ambient point, z, witness thunk), best first, at most
     # k; the prefix is unique, so two thunks are never compared
     top = []
     cutoff = threshold
     n = len(coords)
     cuts = []  # (v, sorted v.p) of each stopped query's witness v
-    dirs = _level_directions(len(coords[0]))
+    dirs = _level_directions(width)
     cols = list(zip(*coords))
     index = {p: i for i, p in enumerate(coords)}  # the coords are distinct
     for bound, level in _bound_levels(lines, firsts, coords, den, lat.rank, threshold,
@@ -315,7 +313,7 @@ def find_deep_witnesses(
             if i is not None:
                 del W[i]
             on_vertex = n - len(W)
-            count, witness = depth_count(W, spec.dim, need - on_vertex)
+            count, witness = depth_count(W, width, need - on_vertex)
             value = count + on_vertex
             if value >= need:
                 insort(top, (-value, point, z, witness))
@@ -428,7 +426,7 @@ def tverberg_partition(instance: Instance) -> TverbergOutcome:
     """
     spec, pts, m, k = instance.spec, list(instance.points), instance.m, instance.k
     threshold = _witness_depth_threshold(m, k, spec.rank)
-    search = find_deep_witnesses(pts, spec, threshold, k, frame=instance._frame)
+    search = find_deep_witnesses(pts, spec, threshold, k, frame=(instance._coords, 1))
     bound = tverberg_upper_bound(spec, m, k, "paper")
     if search.insufficient:
         if len(pts) >= bound:

@@ -435,12 +435,31 @@ def test_hollow_search_greedy_makes_one_pass(monkeypatch, spec, box, k):
     # refused once is refused again: a second pass can add nothing
     expected = _greedy_until_stable(spec, box, k)
     calls = []
-    counted = discrete_sets.count_nonvertex
-    monkeypatch.setattr(discrete_sets, "count_nonvertex",
+    counted = discrete_sets._nonvertex
+    monkeypatch.setattr(discrete_sets, "_nonvertex",
                         lambda *args, **kw: calls.append(args) or counted(*args, **kw))
     cert = hollow_search(spec, box, k, mode="greedy")
     assert cert == replace(expected, k=k)
     assert len(calls) <= len(enumerate_in_polytope(spec, box_polytope(box))) + 1
+
+
+@pytest.mark.parametrize("mode", ["greedy", "exhaustive"])
+def test_hollow_search_maps_its_ground_set_once(monkeypatch, mode):
+    # every subset is scanned on the lattice coordinates that the ground
+    # set's enumeration found; each subset used to be mapped again through
+    # count_nonvertex, 11 maps greedy and 264 exhaustive on this box
+    calls = []
+    real = discrete_sets.lattice_box
+
+    def recording(lat, vertices):
+        calls.append(len(vertices))
+        return real(lat, vertices)
+
+    monkeypatch.setattr(discrete_sets, "lattice_box", recording)
+    cert = hollow_search(Z2, [(0, 2), (0, 2)], 1, mode=mode)
+    assert calls == [4]  # the box's vertices
+    assert cert.points == tuple(pts((0, 0), (0, 1), (1, 0), (1, 1)))
+    assert cert.verify(Z2)
 
 
 def test_hollow_search_cap():

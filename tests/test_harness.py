@@ -1,19 +1,26 @@
 import ast
+import copy
 import hashlib
 import json
+import re
 import subprocess
 import sys
 from fractions import Fraction
+from datetime import timedelta
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from discrete_tverberg import cli, harness, jsonio
 from discrete_tverberg.discrete_sets import (
     LatticeBasis,
+    PolytopeV,
     box_polytope,
     difference_set,
     enumerate_in_polytope,
+    is_k_hoffman,
+    is_k_hollow,
     lattice_set,
 )
 from discrete_tverberg.errors import (
@@ -32,7 +39,14 @@ from discrete_tverberg.harness import (
     sample_pool,
     trial_rng,
 )
-from discrete_tverberg.oracles import BruteTverbergReport, OracleCaps, VerificationReport
+from discrete_tverberg.oracles import (
+    BruteTverbergReport,
+    OracleCaps,
+    VerificationReport,
+    brute_helly_check,
+    brute_hoffman_max,
+    brute_tverberg,
+)
 from discrete_tverberg.tverberg import Instance, tverberg_partition
 from discrete_tverberg.vectors import vec
 
@@ -111,7 +125,6 @@ def test_a_pool_draw_is_the_instance_its_points_validate_to(spec, n_points, box_
         checked = Instance(spec, drawn.points, cfg.m, cfg.k)
         assert drawn == checked
         assert drawn._coords == checked._coords
-        assert drawn._frame == checked._frame
         canonical = jsonio.canonical_dumps(jsonio.instance_to_json(checked)).encode()
         digest = hashlib.sha256(canonical).hexdigest()[:16]
         assert run_trial(cfg, i, pool).instance_digest == digest
@@ -144,6 +157,17 @@ def test_only_generate_instance_builds_an_instance_from_a_pool():
                     if isinstance(node, ast.FunctionDef) and node.name == "generate_instance")
     assert everywhere == [("harness.py", line) for line in uses(generate)]
     assert len(everywhere) == 1
+
+
+# the lines of src/discrete_tverberg/*.py: a change that removes lines
+# lowers this value, and one that must raise it says why in CHANGES.md
+PACKAGE_LINES = 4135
+
+
+def test_the_package_grows_no_line():
+    package = Path(cli.__file__).parent
+    lines = sum(len(path.read_text().splitlines()) for path in package.glob("*.py"))
+    assert lines <= PACKAGE_LINES
 
 
 def test_run_experiment_csv_determinism():
@@ -507,6 +531,65 @@ def test_cli_oracle_helly_refuses_a_mixed_set(tmp_path, capsys):
     assert "only for enumerable sets" in err and "Traceback" not in err
 
 
+def test_cli_hoffman_check_is_the_library_call(tmp_path, capsys):
+    # the [0, 2]^2 square holds 5 non-vertex points of Z^2, and its
+    # leave-one-out triangles share only (1, 1)
+    spec = write_json(tmp_path, "z2.json", {"variant": "lattice", "dim": 2})
+    square = [[0, 0], [2, 0], [0, 2], [2, 2]]
+    path = write_json(tmp_path, "pts.json", {"points": square})
+    for k, hoffman in ((1, False), (2, True)):
+        assert cli.main(["hoffman-check", spec, path, "--k", str(k)]) == 0
+        expected = {"k": k, "size": 4, "hollow": is_k_hollow(square, Z2, k),
+                    "hoffman": is_k_hoffman(square, Z2, k)}
+        assert json.loads(capsys.readouterr().out) == expected
+        assert expected["hoffman"] is hoffman and expected["hollow"] is False
+
+
+def test_cli_oracle_hoffman_max_is_the_library_call(tmp_path, capsys):
+    spec = write_json(tmp_path, "z2.json", {"variant": "lattice", "dim": 2})
+    for k in (1, 2):
+        assert cli.main(["oracle", "hoffman-max", spec, "--box", "[[0, 2], [0, 1]]",
+                         "--k", str(k)]) == 0
+        expected = brute_hoffman_max(Z2, [(0, 2), (0, 1)], k)
+        assert json.loads(capsys.readouterr().out) == {"k": k, "max_size": expected}
+
+
+def test_cli_oracle_helly_is_the_library_call(tmp_path, capsys):
+    # the three edges of a triangle: any two share a vertex, all three no
+    # point of Z^2, so the hypothesis holds at h = 2, the conclusion fails,
+    # and at h = 3 the whole family violates the hypothesis
+    raw = [{"vertices": [[0, 0], [2, 0]]}, {"vertices": [[2, 0], [0, 2]]},
+           {"vertices": [[0, 2], [0, 0]]}]
+    family = write_json(tmp_path, "fam.json", raw)
+    spec = write_json(tmp_path, "z2.json", {"variant": "lattice", "dim": 2})
+    polytopes = [PolytopeV(tuple(map(tuple, p["vertices"]))) for p in raw]
+    for h, violating in ((2, None), (3, (0, 1, 2))):
+        assert cli.main(["oracle", "helly", family, spec, "--h", str(h)]) == 0
+        report = brute_helly_check(polytopes, Z2, 1, h)
+        assert report.violating_subfamily == violating and not report.conclusion_holds
+        assert json.loads(capsys.readouterr().out) == {
+            "hypothesis_holds": report.hypothesis_holds,
+            "conclusion_holds": report.conclusion_holds,
+            "violating_subfamily": (None if report.violating_subfamily is None
+                                    else list(report.violating_subfamily)),
+            "subfamilies_checked": report.subfamilies_checked,
+        }
+
+
+def test_cli_oracle_tverberg_prints_the_partition_it_finds(tmp_path, capsys):
+    path = write_json(tmp_path, "inst.json", INSTANCE_1D)
+    assert cli.main(["oracle", "tverberg", path]) == 0
+    inst = jsonio.parse_instance(INSTANCE_1D)
+    report = brute_tverberg(inst.points, inst.spec, inst.m, inst.k)
+    assert report.found
+    assert json.loads(capsys.readouterr().out) == {
+        "found": True,
+        "partitions_checked": report.partitions_checked,
+        "parts": [list(p) for p in report.parts],
+        "witnesses": jsonio.points_to_json(report.witnesses),
+    }
+
+
 def test_cli_bounds(tmp_path):
     spec = write_json(tmp_path, "z2.json", {"variant": "lattice", "dim": 2})
     proc = run_cli(["bounds", spec, "--m", "3", "--k", "1", "--mode", "paper"])
@@ -689,6 +772,130 @@ def test_cli_rejects_malformed_input(tmp_path, capsys, monkeypatch, args, raw):
     monkeypatch.setattr(cli, "run_experiment", None)
     assert cli.main(args + [write_json(tmp_path, "input.json", raw)]) == 1
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("raw, key", [
+    pytest.param({"dim": 2, "sublattices": [[[2, 0], [0, 2]]]}, "sublattices",
+                 id="sublattices-of-a-lattice"),
+    pytest.param({"variant": "mixed", "dim": 2, "a": 1, "b": 1, "basis": [[2, 0], [0, 2]]},
+                 "basis", id="basis-of-a-mixed-set"),
+    pytest.param({"variant": "lattice", "dim": 2, "sublatices": [[[2, 0], [0, 2]]]},
+                 "sublatices", id="misspelt-key"),
+])
+def test_a_set_spec_names_a_key_its_variant_does_not_read(tmp_path, capsys, raw, key):
+    # each used to parse as the set without that key, the first as plain
+    # Z^2, so the engine answered for another set than the one written
+    with pytest.raises(ValueError, match=f"unknown key {key!r}"):
+        jsonio.parse_spec(raw)
+    assert cli.main(["bounds", write_json(tmp_path, "set.json", raw), "--m", "2"]) == 1
+    assert f"unknown key {key!r}" in capsys.readouterr().err
+
+
+def test_a_set_spec_dim_is_bounded(tmp_path, capsys):
+    # the identity basis of dim 100000 used to exhaust memory in bounds
+    assert jsonio.parse_spec({"dim": jsonio.MAX_DIM}).dim == jsonio.MAX_DIM
+    for raw in ({"variant": "lattice", "dim": 100000},
+                {"variant": "mixed", "dim": jsonio.MAX_DIM + 1, "a": jsonio.MAX_DIM + 1,
+                 "b": 0}):
+        message = f'needs 1 <= "dim" <= {jsonio.MAX_DIM}, got {raw["dim"]}'
+        with pytest.raises(ValueError, match=re.escape(message)):
+            jsonio.parse_spec(raw)
+        assert cli.main(["bounds", write_json(tmp_path, "set.json", raw), "--m", "2"]) == 1
+        assert message in capsys.readouterr().err
+
+
+# every key some parser reads, so that arbitrary objects reach past the
+# first missing key, and values at the edges of what a parser takes
+JSON_KEYS = ["variant", "dim", "basis", "sublattices", "a", "b", "set", "m", "k",
+             "points", "status", "parts", "witnesses", "certificates", "indices",
+             "coefficients", "n_points", "box_bound", "trials", "seed",
+             "oracle_validate", "bound_mode", "caps", "box", "vertices", "family",
+             "partitions", "depth_points", "hoffman_ground"]
+EDGE_VALUES = [0, -1, 2, 10 ** 6, True, None, 1.5, "1/0", "1e9", "1/2", "mixed",
+               "difference", [], {}, [[]]]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(max_size=6) | st.sampled_from(EDGE_VALUES),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(JSON_KEYS) | st.text(max_size=4), inner, max_size=5),
+    max_leaves=16)
+Z2_MINUS_2Z2_JSON = {"variant": "difference", "dim": 2, "basis": [[1, 0], [0, 1]],
+                     "sublattices": [[[2, 0], [0, 2]]]}
+POINTS_1D = [vec((0,)), vec((1,)), vec((2,))]
+RESULT_JSON = {"status": "ok", "parts": [[1], [0, 2]], "witnesses": [["1/1"]],
+               "certificates": [[{"indices": [1], "coefficients": [1]}],
+                                [{"indices": [0, 2], "coefficients": ["1/2", "1/2"]}]]}
+# each parser, with inputs it accepts
+PARSERS = {
+    "scalar": (jsonio.parse_scalar, [3, "-1/2"]),
+    "point": (jsonio.parse_point, [[0, "1/2"]]),
+    "points": (jsonio.parse_points, [[[0, 1], ["-1/2", 3]]]),
+    "spec": (jsonio.parse_spec, [{"variant": "lattice", "dim": 2}, Z2_MINUS_2Z2_JSON,
+                                 {"variant": "mixed", "dim": 2, "a": 1, "b": 1},
+                                 {"dim": 2, "basis": [[1, 0], ["1/2", 1]]}]),
+    "instance": (jsonio.parse_instance, [INSTANCE_1D, {
+        "set": Z2_MINUS_2Z2_JSON, "m": 2, "k": 1, "points": [[1, 0], [0, 1]]}]),
+    "caps": (jsonio.parse_caps, [{"partitions": 7, "depth_points": 3}]),
+    "config": (jsonio.parse_config, [
+        dict(EXPERIMENT_CFG, caps={"partitions": 7}, box=[[-1, 1], ["0", "1/2"]])]),
+    "polytope": (jsonio.parse_polytope, [{"vertices": [[0, 0], [2, 0]]}]),
+    "family": (jsonio.parse_family, [{"family": [{"vertices": [[0, 0], [2, 0]]},
+                                                 {"vertices": [[1, 0]]}]}]),
+    "box": (jsonio.parse_box, [[[-1, 1], ["0", "1/2"]]]),
+    "result": (lambda raw: jsonio.parse_result(raw, POINTS_1D), [RESULT_JSON]),
+    "combination": (lambda raw: jsonio.parse_combination(raw, POINTS_1D),
+                    [{"indices": [0, 2], "coefficients": ["1/2", "1/2"]}]),
+}
+
+
+@st.composite
+def near_valid_json(draw, valid: list):
+    """One of the valid inputs with one value inside it replaced, dropped or
+    added."""
+    obj = copy.deepcopy(draw(st.sampled_from(valid)))
+    if not isinstance(obj, (dict, list)):
+        return draw(JSON_VALUES)
+    spots = []  # (container, key) of every value inside obj
+
+    def walk(node):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, value in items:
+            spots.append((node, key))
+            if isinstance(value, (dict, list)):
+                walk(value)
+
+    walk(obj)
+    node, key = draw(st.sampled_from(spots))
+    action = draw(st.sampled_from(["replace", "replace", "drop", "add"]))
+    edge = st.sampled_from(EDGE_VALUES)
+    value = draw(st.one_of(edge, edge, JSON_VALUES))
+    if action == "replace":
+        node[key] = value
+    elif action == "drop":
+        del node[key]
+    elif isinstance(node, dict):
+        node[draw(st.sampled_from(JSON_KEYS))] = value
+    else:
+        node.append(value)
+    return obj
+
+
+@pytest.mark.parametrize("name", sorted(PARSERS))
+@settings(max_examples=100, deadline=timedelta(seconds=5))
+@given(data=st.data())
+def test_every_parser_returns_or_raises_value_error(name, data):
+    # arbitrary JSON and near-valid inputs: a parser returns its object or
+    # refuses with ValueError (CLI exit 1), within a time bound, and raises
+    # nothing else
+    parse, valid = PARSERS[name]
+    for raw in valid:
+        parse(raw)
+    near = near_valid_json(valid)
+    raw = data.draw(st.one_of(near, near, JSON_VALUES))
+    try:
+        parse(raw)
+    except ValueError:
+        pass
 
 
 @pytest.mark.parametrize("key, value", [("threads", 2), ("trails", 3)])

@@ -1393,7 +1393,7 @@ def test_lattice_coords_decide_membership_as_the_ambient_definition(problem):
     points = list(dict.fromkeys(vec(x) for x in points))
     inside = [ambient_member(spec, x) for x in points]
     members = [x for x, ok in zip(points, inside) if ok]
-    zs, _, _ = distinct_lattice_coords(spec, members)
+    zs = distinct_lattice_coords(spec, members)
     assert all(type(c) is int for z in zs for c in z)
     assert [spec.base.from_lattice(z) for z in zs] == members
     if not all(inside):

@@ -748,6 +748,37 @@ def test_the_search_scans_lines_only_off_rank_two_lattices(monkeypatch, spec, sc
     assert len(calls) == (len(instances) if scans else 0)
 
 
+@pytest.mark.parametrize("spec, n_points, box_bound", [
+    pytest.param(lattice_set(2, ((F(1, 2), 0), (0, F(1, 3)))), 12, 2, id="rational"),
+    pytest.param(lattice_set(2, ((1, 0), (F(1, 2), 1))), 12, 4, id="sheared"),
+    pytest.param(lattice_set(2, LatticeBasis(((1, 2),), dim=2)), 8, 12, id="line-in-z2"),
+    pytest.param(lattice_set(3, ((1, 0, 0), (0, 1, 1))), 12, 3, id="plane-in-z3"),
+    pytest.param(lattice_set(4, LatticeBasis(((1, 0, 0, 1), (0, 1, 0, 1), (0, 0, 1, 2)),
+                                             dim=4)), 12, 2, id="rank-3-in-z4"),
+    pytest.param(difference_set(2, (LatticeBasis(((2, 0), (0, 2))),)), 12, 4,
+                 id="z2-minus-2z2"),
+])
+def test_the_search_on_lattice_coordinates_is_the_points_path(spec, n_points, box_bound):
+    # an instance is searched on its points' lattice coordinates z with den
+    # 1, the public points path on their frame rows den (z, 0); both maps
+    # keep depth, so the ranking, the count and the verdict are the same
+    cfg = ExperimentConfig(spec=spec, m=2, k=1, n_points=n_points, box_bound=box_bound,
+                           trials=3, seed=21)
+    pool = sample_pool(cfg)
+    for i in range(cfg.trials):
+        inst = generate_instance(cfg, i, pool)
+        for threshold, k in ((1, 1), (2, 3), (3, 2), (5, 1), (n_points, 1)):
+            on_z = find_deep_witnesses(inst.points, spec, threshold, k,
+                                       frame=(inst._coords, 1))
+            on_points = find_deep_witnesses(inst.points, spec, threshold, k)
+            assert [(w.point, w.depth, w.z) for w in on_z.witnesses] == [
+                (w.point, w.depth, w.z) for w in on_points.witnesses]
+            assert on_z.insufficient == on_points.insufficient
+            assert on_z.candidates_scanned == on_points.candidates_scanned
+            for w in on_z.witnesses + on_points.witnesses:
+                assert w.depth_result.verify(w.point, inst.points)
+
+
 def test_partition_stats_shape():
     inst = Instance(Z1, ((0,), (1,), (2,)), 2, 1)
     out = tverberg_partition(inst)
